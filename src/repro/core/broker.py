@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.crypto import PrivateKey, PublicKey, generate_keypair
+from repro.crypto import PrivateKey, PublicKey
 from repro.lte.signaling import CounterAttr, SignalingNode
 from repro.net import Host
 
@@ -175,11 +175,11 @@ class Brokerd(SignalingNode):
         return name if name is not None else super().span_name(message)
 
     def __init__(self, host: Host, id_b: str, ca_public_key: PublicKey,
-                 key: Optional[PrivateKey] = None,
+                 key: PrivateKey,
                  name: str = "brokerd", session_ttl: float = 3600.0):
         super().__init__(host, name)
         self.id_b = id_b
-        self.key = key or generate_keypair()
+        self.key = key
         # SAP counters land in this node's registry (one snapshot per
         # brokerd, fleet-mergeable).
         self.sap = BrokerSap(id_b=id_b, key=self.key,

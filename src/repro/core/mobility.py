@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.crypto import CertificateAuthority
-from repro.crypto.keypool import pooled_keypair
+from repro.crypto.keypool import pooled_keypair, warm
 from repro.lte import ENodeB
 from repro.net import CellularPath, Host, Link, Simulator
 
@@ -87,6 +87,8 @@ def build_cellbricks_network(
     all towers were in radio range) so tests can switch at will.
     """
     rng = random.Random(seed)
+    # CA, broker, UE, then one slot per site.
+    warm(range(seed * 100, seed * 100 + 3 + len(site_names)))
     ca = CertificateAuthority(key=pooled_keypair(seed * 100))
 
     broker_host = Host(sim, "broker-host", address="52.20.0.1")

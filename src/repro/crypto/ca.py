@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .rsa import PrivateKey, PublicKey, generate_keypair
+from .rsa import PrivateKey, PublicKey
 
 ROLE_BROKER = "broker"
 ROLE_BTELCO = "btelco"
@@ -63,8 +63,8 @@ class Certificate:
 class CertificateAuthority:
     """Issues and validates certificates for brokers and bTelcos."""
 
+    key: PrivateKey
     name: str = "repro-root-ca"
-    key: PrivateKey = field(default_factory=generate_keypair)
     _next_serial: int = 1
     _revoked: set = field(default_factory=set)
 

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import secrets
 
-from .hashes import DIGEST_SIZE, constant_time_equal, hmac_sha256, sha256
+from .hashes import (
+    DIGEST_SIZE,
+    constant_time_equal,
+    hmac_sha256,
+    sha256,
+    xor_bytes,
+)
 from .kdf import hkdf
 
 NONCE_SIZE = 16
@@ -51,7 +57,7 @@ def seal(key: bytes, plaintext: bytes, associated_data: bytes = b"",
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
     enc_key, mac_key = _subkeys(key)
     stream = _keystream(enc_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = xor_bytes(plaintext, stream)
     tag = hmac_sha256(mac_key, nonce + associated_data + ciphertext)
     return nonce + ciphertext + tag
 
@@ -71,4 +77,4 @@ def open_sealed(key: bytes, sealed: bytes, associated_data: bytes = b"") -> byte
     if not constant_time_equal(tag, expected):
         raise IntegrityError("authentication tag mismatch")
     stream = _keystream(enc_key, nonce, len(ciphertext))
-    return bytes(c ^ s for c, s in zip(ciphertext, stream))
+    return xor_bytes(ciphertext, stream)

@@ -35,6 +35,15 @@ def constant_time_equal(a: bytes, b: bytes) -> bool:
     return hmac.compare_digest(a, b)
 
 
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR two equal-length byte strings (one big-integer operation
+    instead of a Python-level loop over the bytes)."""
+    if len(a) != len(b):
+        raise ValueError("xor_bytes needs operands of equal length")
+    return (int.from_bytes(a, "big")
+            ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
 def mgf1(seed: bytes, length: int) -> bytes:
     """MGF1 mask generation function (RFC 8017 §B.2.1) over SHA-256."""
     if length < 0:

@@ -22,7 +22,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import cipher
-from .hashes import DIGEST_SIZE, constant_time_equal, digest_fingerprint, mgf1, sha256
+from .hashes import (
+    DIGEST_SIZE,
+    constant_time_equal,
+    digest_fingerprint,
+    mgf1,
+    sha256,
+    xor_bytes,
+)
 from .primes import generate_prime
 
 DEFAULT_KEY_BITS = 1024  # educational-grade default; tests stay fast
@@ -140,7 +147,7 @@ class PublicKey:
         h = em[-1 - DIGEST_SIZE:-1]
         masked_db = em[:-1 - DIGEST_SIZE]
         db_mask = mgf1(h, len(masked_db))
-        db = bytes(m ^ k for m, k in zip(masked_db, db_mask))
+        db = xor_bytes(masked_db, db_mask)
         # The signer cleared the top bit of the encoded message so it stays
         # below the modulus; clear it here too before checking the padding.
         db = bytes([db[0] & 0x7F]) + db[1:]
@@ -166,9 +173,9 @@ class PublicKey:
         db = l_hash + padding + b"\x01" + block
         seed = secrets.token_bytes(DIGEST_SIZE)
         db_mask = mgf1(seed, len(db))
-        masked_db = bytes(d ^ m for d, m in zip(db, db_mask))
+        masked_db = xor_bytes(db, db_mask)
         seed_mask = mgf1(masked_db, DIGEST_SIZE)
-        masked_seed = bytes(s ^ m for s, m in zip(seed, seed_mask))
+        masked_seed = xor_bytes(seed, seed_mask)
         em = b"\x00" + masked_seed + masked_db
         return _int_to_bytes(pow(_int_from_bytes(em), self.e, self.n), k)
 
@@ -244,7 +251,7 @@ class PrivateKey:
             raise CryptoError("key too small for PSS encoding")
         db = b"\x00" * ps_len + b"\x01" + salt
         db_mask = mgf1(h, len(db))
-        masked_db = bytes(d ^ m for d, m in zip(db, db_mask))
+        masked_db = xor_bytes(db, db_mask)
         # Clear the top bit so the integer stays below n.
         masked_db = bytes([masked_db[0] & 0x7F]) + masked_db[1:]
         return masked_db + h + b"\xbc"
@@ -260,9 +267,9 @@ class PrivateKey:
         masked_seed = em[1:1 + DIGEST_SIZE]
         masked_db = em[1 + DIGEST_SIZE:]
         seed_mask = mgf1(masked_db, DIGEST_SIZE)
-        seed = bytes(s ^ m for s, m in zip(masked_seed, seed_mask))
+        seed = xor_bytes(masked_seed, seed_mask)
         db_mask = mgf1(seed, len(masked_db))
-        db = bytes(d ^ m for d, m in zip(masked_db, db_mask))
+        db = xor_bytes(masked_db, db_mask)
         if not constant_time_equal(db[:DIGEST_SIZE], sha256(b"")):
             raise CryptoError("OAEP decoding failed")
         try:

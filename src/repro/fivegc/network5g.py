@@ -23,7 +23,7 @@ from repro.core.btelco5g import CellBricksAmf
 from repro.core.qos import QosCapabilities
 from repro.core.sap import UeSapCredentials
 from repro.crypto import CertificateAuthority
-from repro.crypto.keypool import pooled_keypair
+from repro.crypto.keypool import pooled_keypair, warm
 from repro.lte.enodeb import ENodeB as Gnb
 from repro.net import Host, Link, Simulator
 
@@ -85,6 +85,8 @@ def build_cellbricks_network_5g(
     The same brokerd serves 4G and 5G bTelcos — SAP is RAT-agnostic, so
     nothing broker-side knows these sites speak NAS-5G behind the AMF.
     """
+    # CA, broker, UE, then one slot per site.
+    warm(range(seed * 100, seed * 100 + 3 + len(site_names)))
     ca = CertificateAuthority(key=pooled_keypair(seed * 100))
 
     broker_host = Host(sim, "broker-host", address="52.20.0.1")

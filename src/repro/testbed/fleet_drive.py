@@ -42,7 +42,7 @@ from typing import Optional
 from repro.core.mobility import MobilityManager, build_cellbricks_network
 from repro.core.sap import UeSapCredentials
 from repro.core.messages import DenialCause, scope_attach_mac
-from repro.crypto.keypool import pooled_keypair
+from repro.crypto.keypool import pooled_keypair, warm
 from repro.net import Host, Link, Simulator
 from repro.ran.cells import corridor_deployment
 from repro.ran.geometry import Point, Trajectory, Waypoint
@@ -356,6 +356,9 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
     site_names = tuple(f"site{i}" for i in range(sites))
     sim = Simulator()
     net = _build_network(sim, rat, site_names, seed)
+    # One key per fleet UE, plus the two denial-probe UEs after them.
+    warm(range(seed * 100 + 20,
+               seed * 100 + 20 + ues + (2 if probes else 0)))
 
     length_m = duration * speed_mps + 2 * inter_site_distance_m
     rng = random.Random(seed)

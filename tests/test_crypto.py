@@ -25,6 +25,7 @@ from repro.crypto import (
     sha256,
     validate_certificate,
 )
+from repro.crypto.hashes import xor_bytes
 from repro.crypto.primes import generate_prime, is_probable_prime
 
 
@@ -218,6 +219,20 @@ class TestKdf:
     def test_constant_time_equal(self):
         assert constant_time_equal(b"abc", b"abc")
         assert not constant_time_equal(b"abc", b"abd")
+
+    @given(st.binary(max_size=300), st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_xor_bytes_matches_per_byte_reference(self, a, rng):
+        b = bytes(rng.getrandbits(8) for _ in a)
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+    def test_xor_bytes_keeps_leading_zero_bytes(self):
+        assert xor_bytes(b"\x00\x00\x01", b"\x00\x00\x01") == b"\x00" * 3
+        assert xor_bytes(b"", b"") == b""
+
+    def test_xor_bytes_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            xor_bytes(b"ab", b"a")
 
 
 class TestCertificates:
