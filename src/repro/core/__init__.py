@@ -3,8 +3,11 @@
 * :mod:`repro.core.sap` / :mod:`repro.core.messages` — the Secure
   Attachment Protocol (Fig 2/3),
 * :mod:`repro.core.broker` — brokerd (SubscriberDB + SAP + billing),
-* :mod:`repro.core.btelco` — the CellBricks-enabled AGW,
-* :mod:`repro.core.ue_agent` — the CellBricks UE,
+* :mod:`repro.core.btelco_core` — the RAT-free bTelco serving core, with
+  :mod:`repro.core.btelco` (LTE AGW) and :mod:`repro.core.btelco5g`
+  (5G AMF + UE) as its adapters,
+* :mod:`repro.core.ue_agent` — the RAT-free UE half of SAP and the LTE
+  CellBricks UE,
 * :mod:`repro.core.billing` / :mod:`repro.core.reputation` — verifiable
   billing and the Fig 5 reputation heuristics,
 * :mod:`repro.core.qos` — qosCap/qosInfo negotiation,

@@ -1,53 +1,40 @@
-"""The bTelco: a CellBricks-enabled access gateway.
+"""The LTE bTelco: a CellBricks-enabled access gateway.
 
-:class:`CellBricksAgw` subclasses the baseline :class:`repro.lte.Agw`
-exactly the way the prototype extends Magma's AGW (§5): new NAS messages
-and handlers for SAP, while the SMC / session-establishment machinery is
-inherited unmodified.  Key behavioural differences:
-
-* authentication goes UE -> bTelco -> broker -> bTelco -> UE in **one**
-  round-trip to the cloud (the baseline pays two: AIR + ULR);
-* there is **no** subscriber database lookup — the bTelco serves users it
-  has never seen, holding only the broker-signed authorization;
-* the UE is identified by an opaque per-session pseudonym, never an IMSI;
-* QoS parameters arrive from the broker (qosInfo) instead of a local
-  subscription profile.
+:class:`CellBricksAgw` layers the RAT-free
+:class:`~repro.core.btelco_core.SapServingCore` onto the baseline
+:class:`repro.lte.Agw` exactly the way the prototype extends Magma's AGW
+(§5): new NAS messages and handlers for SAP, while the SMC /
+session-establishment machinery is inherited unmodified.  This module
+holds only what is LTE's own — the EPS NAS dialect, the S6a-shaped
+subscription profile, the PGW-fed billing meters and lawful intercept.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.crypto import Certificate, PrivateKey, PublicKey
 from repro.lte import s6a
 from repro.lte.agw import Agw, UeContext
-from repro.lte.signaling import CounterAttr
+from repro.lte.enodeb import S1UeContextRelease, S1UplinkNas
 from repro.lte.nas import (
-    NasMessage,
+    AttachComplete,
+    DetachRequest,
     SapAttachChallenge,
     SapAttachReject,
     SapAttachRequest,
     SapScopedAttachRequest,
+    SecurityModeComplete,
 )
-from repro.lte.security import SecurityContext
+from repro.lte.signaling import CounterAttr
 from repro.net import Host
 
 from .billing import Meter, REPORTER_BTELCO
+from .btelco_core import SapServingCore
 from .intercept import LawfulInterceptFunction
-from .messages import (
-    BrokerAuthRequest,
-    BrokerAuthResponse,
-    DenialCause,
-    ReportAck,
-    RevocationAck,
-    ScopeAttachAck,
-    ScopeAttachNotice,
-    SessionRevocation,
-    SessionRevocationBatch,
-)
+from .messages import ReportAck
 from .qos import QosCapabilities
-from .sap import AuthorizedSession, BtelcoSap, BtelcoSapConfig, SapError
+from .sap import AuthorizedSession
 
 # CellBricks AGW processing costs (seconds).  The deltas vs the baseline
 # table come from SAP's crypto (sign authReqT; verify + decrypt authRespT)
@@ -65,41 +52,20 @@ CELLBRICKS_COSTS = {
 }
 
 
-class CellBricksAgw(Agw):
+class CellBricksAgw(SapServingCore, Agw):
     """A bTelco site: AGW with SAP in place of EPS-AKA + S6a."""
 
-    expired_sessions = CounterAttr("btelco.expired_sessions")
-    revoked_sessions = CounterAttr("btelco.revoked_sessions")
-    revocation_dups = CounterAttr("btelco.revocation_dups")
-    revocation_acks_sent = CounterAttr("btelco.revocation_acks_sent")
-    dup_attach_requests = CounterAttr("btelco.dup_attach_requests")
-    broker_timeouts = CounterAttr("btelco.broker_timeouts")
+    sap_request = SapAttachRequest
+    sap_scoped_request = SapScopedAttachRequest
+    sap_challenge = SapAttachChallenge
+    sap_request_cost = "sap_attach_request"
+    sap_scoped_cost = "scoped_attach_request"
+    live_states = ("ATTACHED",)
+    attempt_clock = "attach_started_at"
+
     reports_retried = CounterAttr("btelco.reports_retried")
     reports_lost = CounterAttr("btelco.reports_lost")
     reports_acked = CounterAttr("btelco.reports_acked")
-    scoped_attaches = CounterAttr("btelco.scoped_attaches")
-    scoped_rejects = CounterAttr("btelco.scoped_rejects")
-    scope_replays_denied = CounterAttr("btelco.scope_replays_denied")
-    scope_notices_sent = CounterAttr("btelco.scope_notices_sent")
-    scope_notice_nacks = CounterAttr("btelco.scope_notice_nacks")
-
-    def nas_span_name(self, nas: NasMessage) -> str:
-        if isinstance(nas, SapAttachRequest):
-            return "sap.btelco_sign"
-        if isinstance(nas, SapScopedAttachRequest):
-            return "sap.btelco_scope_validate"
-        return super().nas_span_name(nas)
-
-    def span_name(self, message: object) -> str:
-        if isinstance(message, BrokerAuthResponse):
-            return "sap.btelco_verify"
-        if isinstance(message, SessionRevocationBatch):
-            return "revocation.btelco_batch"
-        if isinstance(message, SessionRevocation):
-            return "revocation.btelco_apply"
-        if isinstance(message, ReportAck):
-            return "billing.report_ack"
-        return super().span_name(message)
 
     def __init__(self, host: Host, broker_ip: str, id_t: str,
                  key: PrivateKey, certificate: Certificate,
@@ -108,70 +74,26 @@ class CellBricksAgw(Agw):
                  name: str = "btelco-agw",
                  ue_pool_prefix: str = "10.128.0"):
         # No SubscriberDB: the broker replaces it (hence the empty ip).
-        super().__init__(host, subscriber_db_ip="0.0.0.0", name=name,
+        super().__init__(host, broker_ip=broker_ip, id_t=id_t, key=key,
+                         certificate=certificate,
+                         ca_public_key=ca_public_key,
+                         qos_capabilities=qos_capabilities,
+                         subscriber_db_ip="0.0.0.0", name=name,
                          ue_pool_prefix=ue_pool_prefix)
-        self.broker_ip = broker_ip
-        #: multi-tenancy: requests route to the broker the UE names in
-        #: authReqU.idB ("a single bTelco cell site can support multiple
-        #: brokers", §3.1).  ``broker_ip`` is the single-broker fallback.
-        self.broker_endpoints: dict[str, str] = {}
-        self.sap = BtelcoSap(BtelcoSapConfig(
-            id_t=id_t, key=key, certificate=certificate,
-            qos_capabilities=qos_capabilities or QosCapabilities(),
-            ca_public_key=ca_public_key))
-        self.id_t = id_t
-        self.key = key
-        self.broker_public_keys: dict[str, PublicKey] = {}
-        self.sessions: dict[str, AuthorizedSession] = {}
-        self.session_brokers: dict[str, str] = {}   # session -> id_b
         self.meters: dict[str, Meter] = {}
         self.li = LawfulInterceptFunction(operator=id_t)
-        self._pending: dict[int, UeContext] = {}  # reply_token -> context
-        self._tokens = itertools.count(1)
-        self.expired_sessions = 0
-        self.revoked_sessions = 0
-        self.revocation_dups = 0
-        self.revocation_acks_sent = 0
-        self.dup_attach_requests = 0
-        self.broker_timeouts = 0
         self.reports_retried = 0
         self.reports_lost = 0
         self.reports_acked = 0
-        self.scoped_attaches = 0
-        self.scoped_rejects = 0
-        self.scope_replays_denied = 0
-        self.scope_notices_sent = 0
-        self.scope_notice_nacks = 0
-        #: seconds of service rendered by scoped sessions the broker
-        #: later vetoed (fleet-drive gate: must stay 0.0).
-        self.scope_unauthorized_session_s = 0.0
-        #: per-grant highest attach counter seen at *this* site — the
-        #: local replay floor for mobility-scoped re-attaches (the broker
-        #: holds the authoritative cross-site floor).
-        self._scope_counters: dict[str, int] = {}
-        #: session_id -> (token, counter, attempt) notices still awaiting
-        #: a broker verdict (retryable nacks re-notify with backoff).
-        self._scope_notice_pending: dict[str, tuple] = {}
         self.sap_costs = dict(CELLBRICKS_COSTS)
-        self.on(BrokerAuthResponse, self._handle_broker_response)
-        self.on(ScopeAttachAck, self._handle_scope_ack)
-        self.on(SessionRevocation, self._handle_session_revocation)
-        self.on(SessionRevocationBatch, self._handle_revocation_batch)
         self.on(ReportAck, self._handle_report_ack)
 
-    # -- cost model overrides -------------------------------------------------
-    def nas_processing_cost(self, nas: NasMessage) -> float:
-        if isinstance(nas, SapAttachRequest):
-            return self.sap_costs["sap_attach_request"]
-        if isinstance(nas, SapScopedAttachRequest):
-            return self.sap_costs["scoped_attach_request"]
-        return super().nas_processing_cost(nas)
+    def span_name(self, message: object) -> str:
+        if isinstance(message, ReportAck):
+            return "billing.report_ack"
+        return super().span_name(message)
 
     def processing_cost(self, message: object) -> float:
-        if isinstance(message, BrokerAuthResponse):
-            return self.sap_costs["broker_auth_response"]
-        from repro.lte.enodeb import S1UplinkNas
-        from repro.lte.nas import AttachComplete, SecurityModeComplete
         if isinstance(message, S1UplinkNas):
             if isinstance(message.nas, SecurityModeComplete):
                 return self.sap_costs["smc_complete"]
@@ -179,307 +101,37 @@ class CellBricksAgw(Agw):
                 return self.sap_costs["attach_complete"]
         return super().processing_cost(message)
 
-    # -- broker trust bootstrap ---------------------------------------------------
-    def trust_broker(self, id_b: str, public_key: PublicKey,
-                     endpoint_ip: Optional[str] = None) -> None:
-        """Record a broker's public key (normally learned from its
-        CA-signed certificate on first contact) and, optionally, the
-        address its brokerd answers on."""
-        self.broker_public_keys[id_b] = public_key
-        if endpoint_ip is not None:
-            self.broker_endpoints[id_b] = endpoint_ip
-
-    def broker_endpoint(self, id_b: str) -> str:
-        """Where to send SAP requests for broker ``id_b``."""
-        return self.broker_endpoints.get(id_b, self.broker_ip)
-
-    # -- SAP flow --------------------------------------------------------------------
-    def handle_extension_nas(self, context: UeContext,
-                             nas: NasMessage) -> None:
-        if isinstance(nas, SapAttachRequest):
-            self._on_sap_attach_request(context, nas)
-        elif isinstance(nas, SapScopedAttachRequest):
-            self._on_sap_scoped_attach(context, nas)
-
-    def _on_sap_attach_request(self, context: UeContext,
-                               request: SapAttachRequest) -> None:
-        key = request.auth_req_u.auth_vec_encrypted
-        if context.sap_request_key == key:
-            # A retransmission of the attempt we are already serving: the
-            # enb_ue_id is stable per UE, so the context tells us exactly
-            # which leg to replay (idempotent — nothing re-executes).
-            self.dup_attach_requests += 1
-            if context.state == "WAIT_BROKER":
-                return  # broker leg in flight and retransmitting itself
-            if context.state == "WAIT_SMC_COMPLETE" \
-                    and context.sap_challenge is not None:
-                # The challenge and/or SMC downlink was lost: replay both.
-                self.downlink(context, context.sap_challenge)
-                self.send_smc(context)
-            return
-        # Fresh attempt (new nonce): drop any stale broker leg first.
-        if context.broker_token is not None:
-            self._pending.pop(context.broker_token, None)
-            self.cancel_request(context.broker_corr_id)
-            context.broker_token = None
-        context.sap_request_key = key
-        context.sap_challenge = None
-        context.state = "WAIT_BROKER"
-        context.attach_started_at = self.sim.now
-        context.broker_id = request.auth_req_u.id_b
-        auth_req_t = self.sap.augment_request(request.auth_req_u)
-        token = next(self._tokens)
-        self._pending[token] = context
-        context.broker_token = token
-        wire = BrokerAuthRequest(auth_req_t=auth_req_t, reply_token=token)
-        # Reliable leg: the broker round-trip crosses the backhaul/cloud
-        # path, so it is retransmitted with backoff; if the broker stays
-        # unreachable past the budget the UE gets a clean reject.
-        context.broker_corr_id = self.send_request(
-            self.broker_endpoint(request.auth_req_u.id_b), wire,
-            size=auth_req_t.wire_size + 32,
-            on_give_up=lambda _msg, t=token: self._broker_gave_up(t))
-
-    def _broker_gave_up(self, token: int) -> None:
-        context = self._pending.pop(token, None)
-        if context is None or context.state != "WAIT_BROKER":
-            return
-        self.broker_timeouts += 1
+    # -- serving-core hooks -------------------------------------------------------
+    def reject_sap(self, context: UeContext, cause: str,
+                   retryable: bool = False) -> None:
+        # EPS keeps the rejected context: the UE's next attempt arrives
+        # on the same S1 association and reuses it.
         self.attaches_rejected += 1
         context.state = "REJECTED"
-        context.broker_token = None
-        self.downlink(context, SapAttachReject(cause="broker unreachable"))
+        self.downlink(context, SapAttachReject(cause=cause,
+                                               retryable=retryable))
 
-    def _handle_broker_response(self, src_ip: str,
-                                response: BrokerAuthResponse) -> None:
-        context = self._pending.pop(response.reply_token, None)
-        if context is None or context.state != "WAIT_BROKER":
-            return
-        context.broker_token = None
-        if not response.approved:
-            self.attaches_rejected += 1
-            context.state = "REJECTED"
-            self.downlink(context, SapAttachReject(
-                cause=response.cause,
-                retryable=getattr(response, "retryable", False)))
-            return
-        broker_key = self.broker_public_keys.get(
-            getattr(context, "broker_id", ""))
-        if broker_key is None:
-            self.attaches_rejected += 1
-            context.state = "REJECTED"
-            self.downlink(context, SapAttachReject(cause="unknown broker"))
-            return
-        try:
-            session = self.sap.process_authorization(
-                response.auth_resp_t, broker_key,
-                broker_certificate=None, now=self.sim.now)
-        except SapError as exc:
-            self.attaches_rejected += 1
-            context.state = "REJECTED"
-            self.downlink(context, SapAttachReject(cause=str(exc)))
-            return
-        # The broker-issued ss becomes KASME; SMC proceeds as today.
+    def _install_identity(self, context: UeContext,
+                          session: AuthorizedSession) -> None:
         context.subscriber_id = session.id_u_opaque
-        context.security = SecurityContext(kasme=session.ss)
         context.subscription = s6a.SubscriptionData(
             qci=session.qos_info.qci,
             ambr_dl_bps=session.qos_info.ambr_dl_bps,
             ambr_ul_bps=session.qos_info.ambr_ul_bps)
-        self.sessions[session.session_id] = session
-        self.session_brokers[session.session_id] = \
-            getattr(context, "broker_id", "")
-        context.sap_session = session
-        # Step 4: forward authRespU, then activate security.  The
-        # challenge is cached on the context so a retransmitted attach
-        # request can replay this leg without consulting the broker.
-        challenge = SapAttachChallenge(auth_resp_u=response.auth_resp_u)
-        context.sap_challenge = challenge
-        self.downlink(context, challenge)
-        context.state = "WAIT_SMC_COMPLETE"
-        self.send_smc(context)
 
-    # -- mobility-scoped re-attach (§4.2) ----------------------------------------------
-    def _on_sap_scoped_attach(self, context: UeContext,
-                              request: SapScopedAttachRequest) -> None:
-        """Scope-local re-attach: validate the broker-signed token right
-        here — signature, scope membership, expiry, possession MAC and
-        the monotonic attach counter — with **no** broker round-trip.
-        The broker is told asynchronously (:meth:`_notify_scope_attach`)
-        so revocation routing, billing and the authoritative cross-site
-        replay floor stay correct."""
-        token = request.token
-        key = ("scope", token.sig, request.counter)
-        if context.sap_request_key == key:
-            # Retransmission of the attempt we already served: replay the
-            # SMC leg (there is no challenge downlink on the scoped path).
-            self.dup_attach_requests += 1
-            if context.state == "WAIT_SMC_COMPLETE":
-                self.send_smc(context)
-            return
-        # Fresh attempt: drop any stale broker leg from a prior full
-        # attach on this context.
-        if context.broker_token is not None:
-            self._pending.pop(context.broker_token, None)
-            self.cancel_request(context.broker_corr_id)
-            context.broker_token = None
-        context.sap_request_key = key
-        context.sap_challenge = None
-        context.attach_started_at = self.sim.now
-        context.broker_id = token.id_b
-        try:
-            session = self.sap.validate_scoped_attach(
-                token, request.counter, request.mac,
-                self.broker_public_keys, self.sim.now,
-                self._scope_counters.get(token.session_id, 0))
-        except SapError as exc:
-            self.scoped_rejects += 1
-            if exc.cause == DenialCause.REPLAY:
-                self.scope_replays_denied += 1
-            self.attaches_rejected += 1
-            context.state = "REJECTED"
-            self.downlink(context, SapAttachReject(cause=str(exc)))
-            return
-        # Commit the local replay floor only after full validation so
-        # probes cannot burn counters.
-        self._scope_counters[token.session_id] = request.counter
-        self.scoped_attaches += 1
-        context.subscriber_id = session.id_u_opaque
-        context.security = SecurityContext(kasme=session.ss)
-        context.subscription = s6a.SubscriptionData(
-            qci=session.qos_info.qci,
-            ambr_dl_bps=session.qos_info.ambr_dl_bps,
-            ambr_ul_bps=session.qos_info.ambr_ul_bps)
-        self.sessions[session.session_id] = session
-        self.session_brokers[session.session_id] = token.id_b
-        context.sap_session = session
-        # Both sides already hold ss: skip the challenge downlink and go
-        # straight to SMC.
-        context.state = "WAIT_SMC_COMPLETE"
-        self.send_smc(context)
-        self._notify_scope_attach(token, request.counter)
-
-    def validate_scope_probe(self, token, counter: int,
-                             mac: bytes) -> Optional[str]:
-        """Dry-run a scoped attach against this site's local state and
-        return the denial cause (``None`` if it would be accepted).
-        Read-only — no counter is committed, no session created.  Used
-        by harnesses to assert that replayed / out-of-scope / expired
-        grants are denied without perturbing live state."""
-        try:
-            self.sap.validate_scoped_attach(
-                token, counter, mac, self.broker_public_keys, self.sim.now,
-                self._scope_counters.get(token.session_id, 0))
-        except SapError as exc:
-            cause = exc.cause
-            return cause.value if cause is not None else str(exc)
-        return None
-
-    #: retryable-nack re-notify schedule (broker shard failing over).
-    scope_notice_backoff = 0.5
-    scope_notice_max_attempts = 6
-
-    def _notify_scope_attach(self, token, counter: int,
-                             attempt: int = 0) -> None:
-        """Asynchronously tell the issuing broker about the scope-local
-        attach (reliable leg, off the attach critical path): it advances
-        the authoritative replay floor, re-points revocation routing at
-        this site, and keeps billing session continuity."""
-        unsigned = ScopeAttachNotice(session_id=token.session_id,
-                                     counter=counter, id_t=self.id_t)
-        notice = ScopeAttachNotice(
-            session_id=token.session_id, counter=counter, id_t=self.id_t,
-            certificate=self.sap.config.certificate,
-            signature=self.key.sign(unsigned.signed_bytes()))
-        self.scope_notices_sent += 1
-        self._scope_notice_pending[token.session_id] = \
-            (token, counter, attempt)
-        self.send_request(self.broker_endpoint(token.id_b), notice,
-                          size=notice.wire_size)
-
-    def _handle_scope_ack(self, src_ip: str, ack: ScopeAttachAck) -> None:
-        pending = self._scope_notice_pending.get(ack.session_id)
-        if ack.accepted:
-            self._scope_notice_pending.pop(ack.session_id, None)
-            return
-        if ack.retryable:
-            # A broker shard is failing over: the nack completed our
-            # reliable request, so *we* own the retry.  Re-notify with
-            # backoff while the session is still live — the counter
-            # floor must eventually reach the broker.
-            if pending is not None and pending[1] == ack.counter:
-                token, counter, attempt = pending
-                if attempt + 1 < self.scope_notice_max_attempts \
-                        and ack.session_id in self.sessions:
-                    self.sim.schedule(
-                        self.scope_notice_backoff * (attempt + 1),
-                        self._notify_scope_attach, token, counter,
-                        attempt + 1)
-                else:
-                    self._scope_notice_pending.pop(ack.session_id, None)
-            return
-        self._scope_notice_pending.pop(ack.session_id, None)
-        # Terminal nack: the broker says this scoped attach must not
-        # stand (revoked, expired, or a cross-site replay our local
-        # floor could not see).  Withdraw the session now.
-        self.scope_notice_nacks += 1
-        self.sap.revoke_session(ack.session_id)
-        if ack.session_id not in self.sessions:
-            return
-        self.revoked_sessions += 1
-        context = next(
-            (c for c in self.contexts.values()
-             if getattr(getattr(c, "sap_session", None), "session_id",
-                        None) == ack.session_id),
-            None)
-        if context is not None:
-            # Service rendered between the optimistic local validation
-            # and the broker's veto was unauthorized — account for it
-            # (the fleet-drive gate requires this stays 0).
-            started = getattr(context, "attach_started_at", None)
-            if started is not None:
-                self.scope_unauthorized_session_s += \
-                    max(0.0, self.sim.now - started)
-        if context is not None and context.state == "ATTACHED":
-            self._teardown_session(context, ack.session_id)
-        else:
-            # Mid-attach: _on_attach_complete refuses revoked sessions.
-            self.meters.pop(ack.session_id, None)
-            self.sessions.pop(ack.session_id, None)
-            self.session_brokers.pop(ack.session_id, None)
+    def _forget_session(self, session_id: str) -> None:
+        self.li.deactivate(session_id, self.sim.now)
+        self.meters.pop(session_id, None)
+        super()._forget_session(session_id)
 
     def after_security_established(self, context: UeContext) -> None:
         """No ULR: straight to session establishment (the Fig 7 win)."""
         self.establish_session(context)
-        session = context.sap_session
-        if session is not None:
-            # The broker's authorization has a lifetime; serving past it
-            # would be unauthorized service.  Schedule enforcement.
-            delay = max(0.0, session.expires_at - self.sim.now)
-            self.sim.schedule(delay, self._expire_session,
-                              session.session_id, context.enb_ue_id)
-
-    def _expire_session(self, session_id: str, enb_ue_id: int) -> None:
-        """Authorization lifetime reached: network-initiated detach."""
-        context = self.contexts.get(enb_ue_id)
-        session = self.sessions.get(session_id)
-        if context is None or session is None:
-            return
-        if getattr(context.sap_session, "session_id", None) != session_id:
-            return  # the UE re-attached under a newer authorization
-        if context.state != "ATTACHED":
-            return
-        self.expired_sessions += 1
-        self._teardown_session(context, session_id)
+        self._enforce_grant_lifetime(context, context.enb_ue_id)
 
     def _teardown_session(self, context: UeContext, session_id: str) -> None:
         """Network-initiated detach: release the session's every resource."""
-        self.li.deactivate(session_id, self.sim.now)
-        self.meters.pop(session_id, None)
-        self.sessions.pop(session_id, None)
-        self.session_brokers.pop(session_id, None)
-        from repro.lte.enodeb import S1UeContextRelease
-        from repro.lte.nas import DetachRequest
+        self._forget_session(session_id)
         self.downlink_protected(context, DetachRequest())
         if context.bearer is not None and context.bearer.active:
             self.spgw.delete_bearer(context.bearer.ebi)
@@ -488,104 +140,33 @@ class CellBricksAgw(Agw):
                   S1UeContextRelease(enb_ue_id=context.enb_ue_id), size=32)
         self.contexts.pop(context.enb_ue_id, None)
 
-    def _handle_session_revocation(self, src_ip: str,
-                                   notice: SessionRevocation) -> None:
-        """Legacy single-notice revocation (kept for compatibility with
-        brokers that do not batch)."""
-        self._apply_revocation(notice)
-
-    def _handle_revocation_batch(self, src_ip: str,
-                                 batch: SessionRevocationBatch) -> None:
-        """Apply every revocation in the batch and return a signed ack.
-
-        Idempotent per notice: a batch retransmitted past the transport's
-        dedup window re-acks without double-detaching anything, so the
-        broker's retry loop always converges.
-        """
-        session_ids = []
-        for notice in batch.revocations:
-            self._apply_revocation(notice)
-            session_ids.append(notice.session_id)
-        ack_ids = tuple(sorted(session_ids))
-        unsigned = RevocationAck(batch_id=batch.batch_id, id_t=self.id_t,
-                                 session_ids=ack_ids)
-        ack = RevocationAck(batch_id=batch.batch_id, id_t=self.id_t,
-                            session_ids=ack_ids,
-                            signature=self.key.sign(unsigned.signed_bytes()))
-        self.revocation_acks_sent += 1
-        self.send(src_ip, ack, size=96 + 16 * len(ack_ids))
-
-    def _apply_revocation(self, notice: SessionRevocation) -> None:
-        """Broker withdrew an authorization we hold: serving this session
-        any further would be unauthorized service, so detach it now and
-        refuse the grant if it is ever presented again."""
-        if not self.sap.session_authorized(notice.session_id):
-            # Already applied (duplicate notice): nothing to tear down.
-            self.revocation_dups += 1
-            return
-        self.sap.revoke_session(notice.session_id)
-        if notice.session_id not in self.sessions:
-            return
-        self.revoked_sessions += 1
-        context = next(
-            (c for c in self.contexts.values()
-             if getattr(getattr(c, "sap_session", None), "session_id",
-                        None) == notice.session_id),
-            None)
-        if context is not None and context.state == "ATTACHED":
-            self._teardown_session(context, notice.session_id)
-        else:
-            # Mid-attach or already torn down: just drop the bookkeeping;
-            # _on_attach_complete refuses revoked sessions.
-            self.meters.pop(notice.session_id, None)
-            self.sessions.pop(notice.session_id, None)
-            self.session_brokers.pop(notice.session_id, None)
-
     def _on_attach_complete(self, context: UeContext) -> None:
         super()._on_attach_complete(context)
-        session = getattr(context, "sap_session", None)
-        if session is not None and context.state == "ATTACHED" \
-                and not self.sap.session_authorized(session.session_id):
-            # The grant was revoked while the attach was in flight.
-            self.revoked_sessions += 1
-            self._teardown_session(context, session.session_id)
+        session = context.sap_session
+        if session is None or context.state != "ATTACHED" \
+                or self._refuse_if_revoked(context):
             return
-        if context.state == "ATTACHED" and session is not None:
-            broker_key = self.broker_public_keys.get(
-                getattr(context, "broker_id", ""))
-            if broker_key is not None:
-                self.meters[session.session_id] = Meter(
-                    session_id=session.session_id,
-                    reporter=REPORTER_BTELCO, key=self.key,
-                    broker_public_key=broker_key,
-                    session_started_at=self.sim.now)
-            if session.lawful_intercept:
-                # The broker mandated interception for this session; we
-                # advertised the capability, so activate it now.
-                self.li.activate(session.session_id, self.sim.now,
-                                 session.id_u_opaque)
+        broker_key = self.broker_public_keys.get(context.broker_id)
+        if broker_key is not None:
+            self.meters[session.session_id] = Meter(
+                session_id=session.session_id,
+                reporter=REPORTER_BTELCO, key=self.key,
+                broker_public_key=broker_key,
+                session_started_at=self.sim.now)
+        if session.lawful_intercept:
+            # The broker mandated interception for this session; we
+            # advertised the capability, so activate it now.
+            self.li.activate(session.session_id, self.sim.now,
+                             session.id_u_opaque)
 
-    # -- session cleanup on UE-initiated detach ----------------------------------------
+    # -- terminal cleanup ---------------------------------------------------------
     def _on_detach(self, context: UeContext, request=None) -> None:
-        """A UE-initiated detach must release the SAP session bookkeeping
-        too, or ``sessions``/``meters`` grow with every detach-reattach
-        cycle (and unauthorized-session accounting reads stale entries)."""
-        self._drop_session_state(context)
+        self._release_sap_state(context)
         super()._on_detach(context, request)
 
     def _abandon_attach(self, context: UeContext) -> None:
-        self._drop_session_state(context)
+        self._release_sap_state(context)
         super()._abandon_attach(context)
-
-    def _drop_session_state(self, context: UeContext) -> None:
-        session = getattr(context, "sap_session", None)
-        if session is None:
-            return
-        session_id = session.session_id
-        self.li.deactivate(session_id, self.sim.now)
-        self.meters.pop(session_id, None)
-        self.sessions.pop(session_id, None)
-        self.session_brokers.pop(session_id, None)
 
     # -- billing ------------------------------------------------------------------------
     def upload_reports(self) -> int:
@@ -644,24 +225,13 @@ class CellBricksAgw(Agw):
             "sessions_active": len(self.sessions),
             "meters_active": len(self.meters),
             "contexts_active": len(self.contexts),
-            "expired_sessions": self.expired_sessions,
-            "revoked_sessions": self.revoked_sessions,
-            "revocation_dups": self.revocation_dups,
-            "revocation_acks_sent": self.revocation_acks_sent,
-            "dup_attach_requests": self.dup_attach_requests,
-            "broker_timeouts": self.broker_timeouts,
+            **self._grant_stats(),
             "accept_retransmissions": self.accept_retransmissions,
             "accept_give_ups": self.accept_give_ups,
             "reports_retried": self.reports_retried,
             "reports_lost": self.reports_lost,
             "reports_acked": self.reports_acked,
-            "scoped_attaches": self.scoped_attaches,
-            "scoped_rejects": self.scoped_rejects,
-            "scope_replays_denied": self.scope_replays_denied,
-            "scope_notices_sent": self.scope_notices_sent,
-            "scope_notice_nacks": self.scope_notice_nacks,
-            "scope_unauthorized_session_s":
-                round(self.scope_unauthorized_session_s, 9),
+            **self._scope_stats(),
         }
         stats.update(self.reliable_stats())
         return stats

@@ -1,31 +1,20 @@
 """CellBricks over 5G: SAP replacing 5G-AKA in the AMF and UE.
 
-The paper's architecture is generation-agnostic ("the cellular core —
-called EPC in LTE, or 5GC in 5G"); this module applies the identical SAP
-refactoring to the 5G control plane.  The baseline 5G registration pays
-*two* visited↔home round trips (AUSF/UDM authenticate + the RES*
-confirmation); SAP replaces both with one broker round trip, so the
-Fig 7-style win grows under 5G — quantified in the XTRA-5G benchmark.
+The baseline 5G registration pays *two* visited↔home round trips
+(AUSF/UDM authenticate + the RES* confirmation); SAP replaces both with
+one broker round trip, so the Fig 7-style win grows under 5G — quantified
+in the XTRA-5G benchmark.
 
-Reliability/lifecycle parity with the LTE bTelco
-(:class:`repro.core.btelco.CellBricksAgw`):
-
-* the broker leg rides ``send_request`` — a lost ``BrokerAuthRequest``
-  or ``BrokerAuthResponse`` retransmits with backoff instead of wedging
-  the context in ``WAIT_BROKER``, and a broker that stays unreachable
-  past the budget yields a clean reject (``_pending_sap`` never leaks);
-* grants are enforced: expiry tears the session down with a
-  network-initiated deregistration, and the broker's signed
-  ``SessionRevocationBatch``/``RevocationAck`` cascade is honoured
-  (idempotently), so a revoked 5G session converges to zero
-  unauthorized-session-seconds even under loss;
-* retransmitted SAP registrations are absorbed by replaying the cached
-  challenge + SMC instead of consulting the broker again.
+Everything CellBricks adds is generation-agnostic and lives in
+:class:`~repro.core.btelco_core.SapServingCore` (bTelco side) and
+:class:`~repro.core.ue_agent.SapUeAgent` (UE side); this module is the
+5G adapter pair, holding only the 5GS NAS dialect and the AMF's context
+lifecycle.  DESIGN.md "Serving core and its two adapters" tabulates the
+hooks and why each differs from LTE's.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.crypto import Certificate, PrivateKey, PublicKey
@@ -33,31 +22,12 @@ from repro.fivegc import nas5g
 from repro.fivegc.nf import Amf, UeContext5G
 from repro.fivegc.ue5g import Ue5G
 from repro.lte.nas import NasMessage
-from repro.lte.security import SecurityContext
-from repro.lte.signaling import CounterAttr
 from repro.net import Host
 
-from .messages import (
-    BrokerAuthRequest,
-    BrokerAuthResponse,
-    DenialCause,
-    RevocationAck,
-    ScopeAttachAck,
-    ScopeAttachNotice,
-    SessionRevocation,
-    SessionRevocationBatch,
-    scope_attach_mac,
-)
+from .btelco_core import SapServingCore
 from .qos import QosCapabilities
-from .sap import (
-    AuthorizedSession,
-    BtelcoSap,
-    BtelcoSapConfig,
-    MobilityGrant,
-    SapError,
-    UeSap,
-    UeSapCredentials,
-)
+from .sap import AuthorizedSession, UeSapCredentials
+from .ue_agent import SapUeAgent
 
 CB_AMF_COSTS = {
     "sap_registration": 0.0055,
@@ -67,505 +37,108 @@ CB_AMF_COSTS = {
 }
 
 
-class CellBricksAmf(Amf):
+class CellBricksAmf(SapServingCore, Amf):
     """A 5G bTelco site: AMF with SAP, no AUSF/UDM dependency."""
 
-    # Same metric names as the LTE bTelco so fleet-wide registry merges
-    # aggregate per-protocol counters across generations.
-    expired_sessions = CounterAttr("btelco.expired_sessions")
-    revoked_sessions = CounterAttr("btelco.revoked_sessions")
-    revocation_dups = CounterAttr("btelco.revocation_dups")
-    revocation_acks_sent = CounterAttr("btelco.revocation_acks_sent")
-    dup_attach_requests = CounterAttr("btelco.dup_attach_requests")
-    broker_timeouts = CounterAttr("btelco.broker_timeouts")
-    scoped_attaches = CounterAttr("btelco.scoped_attaches")
-    scoped_rejects = CounterAttr("btelco.scoped_rejects")
-    scope_replays_denied = CounterAttr("btelco.scope_replays_denied")
-    scope_notices_sent = CounterAttr("btelco.scope_notices_sent")
-    scope_notice_nacks = CounterAttr("btelco.scope_notice_nacks")
-
-    def nas_span_name(self, nas: NasMessage) -> str:
-        if isinstance(nas, nas5g.SapRegistrationRequest):
-            return "sap.btelco_sign"
-        if isinstance(nas, nas5g.SapScopedRegistrationRequest):
-            return "sap.btelco_scope_validate"
-        return super().nas_span_name(nas)
-
-    def span_name(self, message: object) -> str:
-        if isinstance(message, BrokerAuthResponse):
-            return "sap.btelco_verify"
-        if isinstance(message, SessionRevocationBatch):
-            return "revocation.btelco_batch"
-        if isinstance(message, SessionRevocation):
-            return "revocation.btelco_apply"
-        return super().span_name(message)
+    sap_request = nas5g.SapRegistrationRequest
+    sap_scoped_request = nas5g.SapScopedRegistrationRequest
+    sap_challenge = nas5g.SapRegistrationChallenge
+    sap_request_cost = "sap_registration"
+    sap_scoped_cost = "scoped_registration"
+    live_states = ("REGISTERED", "WAIT_SMF")
+    attempt_clock = "registration_started_at"
 
     def __init__(self, host: Host, broker_ip: str, smf_ip: str, id_t: str,
                  key: PrivateKey, certificate: Certificate,
                  ca_public_key: PublicKey,
                  qos_capabilities: Optional[QosCapabilities] = None,
                  name: str = "cb-amf"):
-        super().__init__(host, ausf_ip="0.0.0.0", smf_ip=smf_ip, name=name)
-        self.broker_ip = broker_ip
-        self.id_t = id_t
-        self.key = key
-        self.sap = BtelcoSap(BtelcoSapConfig(
-            id_t=id_t, key=key, certificate=certificate,
-            qos_capabilities=qos_capabilities or QosCapabilities(),
-            ca_public_key=ca_public_key))
-        self.broker_public_keys: dict[str, PublicKey] = {}
-        self.sessions: dict[str, AuthorizedSession] = {}
-        self.session_brokers: dict[str, str] = {}   # session -> id_b
-        self._pending_sap: dict[int, UeContext5G] = {}
-        self._tokens = itertools.count(1)
-        self.expired_sessions = 0
-        self.revoked_sessions = 0
-        self.revocation_dups = 0
-        self.revocation_acks_sent = 0
-        self.dup_attach_requests = 0
-        self.broker_timeouts = 0
-        self.scoped_attaches = 0
-        self.scoped_rejects = 0
-        self.scope_replays_denied = 0
-        self.scope_notices_sent = 0
-        self.scope_notice_nacks = 0
-        #: seconds of service rendered by scoped sessions the broker
-        #: later vetoed (fleet-drive gate: must stay 0.0).
-        self.scope_unauthorized_session_s = 0.0
-        #: per-grant highest attach counter seen at *this* site (the
-        #: local replay floor; the broker holds the cross-site floor).
-        self._scope_counters: dict[str, int] = {}
-        #: session_id -> (token, counter, attempt) notices still awaiting
-        #: a broker verdict (retryable nacks re-notify with backoff).
-        self._scope_notice_pending: dict[str, tuple] = {}
+        super().__init__(host, broker_ip=broker_ip, id_t=id_t, key=key,
+                         certificate=certificate,
+                         ca_public_key=ca_public_key,
+                         qos_capabilities=qos_capabilities,
+                         ausf_ip="0.0.0.0", smf_ip=smf_ip, name=name)
         self.sap_costs = dict(CB_AMF_COSTS)
-        self.on(BrokerAuthResponse, self._handle_broker_response)
-        self.on(ScopeAttachAck, self._handle_scope_ack)
-        self.on(SessionRevocation, self._handle_session_revocation)
-        self.on(SessionRevocationBatch, self._handle_revocation_batch)
 
-    def trust_broker(self, id_b: str, public_key: PublicKey) -> None:
-        self.broker_public_keys[id_b] = public_key
-
-    # -- cost model -------------------------------------------------------------
-    def nas_processing_cost(self, nas: NasMessage) -> float:
-        if isinstance(nas, nas5g.SapRegistrationRequest):
-            return self.sap_costs["sap_registration"]
-        if isinstance(nas, nas5g.SapScopedRegistrationRequest):
-            return self.sap_costs["scoped_registration"]
-        return super().nas_processing_cost(nas)
-
-    def processing_cost(self, message: object) -> float:
-        if isinstance(message, BrokerAuthResponse):
-            return self.sap_costs["broker_auth_response"]
-        return super().processing_cost(message)
-
-    # -- SAP flow ------------------------------------------------------------------
     def nas_initiates(self, nas: NasMessage) -> bool:
         return super().nas_initiates(nas) \
-            or isinstance(nas, (nas5g.SapRegistrationRequest,
-                                nas5g.SapScopedRegistrationRequest))
+            or isinstance(nas, (self.sap_request, self.sap_scoped_request))
 
-    def handle_extension_nas(self, context: UeContext5G,
-                             nas: NasMessage) -> None:
-        if isinstance(nas, nas5g.SapRegistrationRequest):
-            self._on_sap_registration(context, nas)
-        elif isinstance(nas, nas5g.SapScopedRegistrationRequest):
-            self._on_sap_scoped_registration(context, nas)
+    # -- serving-core hooks -------------------------------------------------------
+    # A 5GS reject is terminal for the context: Amf.reject releases it
+    # (and with it, via context_released, the broker leg and session).
+    reject_sap = Amf.reject
+    send_smc = Amf.send_smc5g
+    _watch_attempt = Amf._watch_registration
 
-    def _on_sap_registration(self, context: UeContext5G,
-                             request: nas5g.SapRegistrationRequest) -> None:
-        key = request.auth_req_u.auth_vec_encrypted
-        if context.sap_request_key == key:
-            # A retransmission of the attempt we are already serving: the
-            # ran_ue_id is stable per UE, so the context tells us exactly
-            # which leg to replay (idempotent — nothing re-executes).
-            self.dup_attach_requests += 1
-            if context.state == "WAIT_BROKER":
-                return  # broker leg in flight and retransmitting itself
-            if context.state == "WAIT_SMC_COMPLETE" \
-                    and context.sap_challenge is not None:
-                # The challenge and/or SMC downlink was lost: replay both.
-                self.downlink(context, context.sap_challenge)
-                self.send_smc5g(context)
-            return
-        # Fresh attempt (new nonce): drop any stale broker leg first.
-        if context.broker_token is not None:
-            self._pending_sap.pop(context.broker_token, None)
-            self.cancel_request(context.broker_corr_id)
-            context.broker_token = None
-        context.sap_request_key = key
-        context.sap_challenge = None
-        context.sap_session = None
-        context.state = "WAIT_BROKER"
-        context.registration_started_at = self.sim.now
-        context.broker_id = request.auth_req_u.id_b
-        self._watch_registration(context)
-        auth_req_t = self.sap.augment_request(request.auth_req_u)
-        token = next(self._tokens)
-        self._pending_sap[token] = context
-        context.broker_token = token
-        wire = BrokerAuthRequest(auth_req_t=auth_req_t, reply_token=token)
-        # Reliable leg: the broker round-trip crosses the backhaul/cloud
-        # path, so it is retransmitted with backoff; if the broker stays
-        # unreachable past the budget the UE gets a clean reject and the
-        # pending entry is reclaimed (no WAIT_BROKER wedge).
-        context.broker_corr_id = self.send_request(
-            self.broker_ip, wire, size=auth_req_t.wire_size + 32,
-            on_give_up=lambda _msg, t=token: self._broker_gave_up(t))
-
-    def _broker_gave_up(self, token: int) -> None:
-        context = self._pending_sap.pop(token, None)
-        if context is None or context.state != "WAIT_BROKER":
-            return
-        self.broker_timeouts += 1
-        context.broker_token = None
-        self.reject(context, "broker unreachable")
-
-    def _handle_broker_response(self, src_ip: str,
-                                response: BrokerAuthResponse) -> None:
-        context = self._pending_sap.pop(response.reply_token, None)
-        if context is None or context.state != "WAIT_BROKER":
-            return
-        context.broker_token = None
-        if not response.approved:
-            self.reject(context, response.cause,
-                        retryable=getattr(response, "retryable", False))
-            return
-        broker_key = self.broker_public_keys.get(
-            getattr(context, "broker_id", ""))
-        if broker_key is None:
-            self.reject(context, "unknown broker")
-            return
-        try:
-            session = self.sap.process_authorization(
-                response.auth_resp_t, broker_key, None, now=self.sim.now)
-        except SapError as exc:
-            self.reject(context, str(exc))
-            return
+    def _install_identity(self, context: UeContext5G,
+                          session: AuthorizedSession) -> None:
         context.supi = session.id_u_opaque   # pseudonym, never the SUPI
-        context.security = SecurityContext(kasme=session.ss)
-        context.sap_session = session
-        self.sessions[session.session_id] = session
-        self.session_brokers[session.session_id] = \
-            getattr(context, "broker_id", "")
-        # Step 4: forward authRespU, then activate security.  The
-        # challenge is cached on the context so a retransmitted SAP
-        # registration can replay this leg without re-asking the broker.
-        challenge = nas5g.SapRegistrationChallenge(
-            auth_resp_u=response.auth_resp_u)
-        context.sap_challenge = challenge
-        self.downlink(context, challenge)
-        context.state = "WAIT_SMC_COMPLETE"
-        self.send_smc5g(context)
 
-    # -- mobility-scoped re-registration (§4.2) --------------------------------------
-    def _on_sap_scoped_registration(
-            self, context: UeContext5G,
-            request: nas5g.SapScopedRegistrationRequest) -> None:
-        """Scope-local re-registration: the broker-signed token is
-        validated entirely at the AMF (signature, scope, expiry, MAC,
-        monotonic counter) — no broker round-trip; the broker is told
-        asynchronously."""
-        token = request.token
-        key = ("scope", token.sig, request.counter)
-        if context.sap_request_key == key:
-            self.dup_attach_requests += 1
-            if context.state == "WAIT_SMC_COMPLETE":
-                self.send_smc5g(context)
-            return
-        if context.broker_token is not None:
-            self._pending_sap.pop(context.broker_token, None)
-            self.cancel_request(context.broker_corr_id)
-            context.broker_token = None
-        context.sap_request_key = key
-        context.sap_challenge = None
-        context.registration_started_at = self.sim.now
-        context.broker_id = token.id_b
-        try:
-            session = self.sap.validate_scoped_attach(
-                token, request.counter, request.mac,
-                self.broker_public_keys, self.sim.now,
-                self._scope_counters.get(token.session_id, 0))
-        except SapError as exc:
-            self.scoped_rejects += 1
-            if exc.cause == DenialCause.REPLAY:
-                self.scope_replays_denied += 1
-            self.reject(context, str(exc))
-            return
-        # Commit the local replay floor only after full validation.
-        self._scope_counters[token.session_id] = request.counter
-        self.scoped_attaches += 1
-        self._watch_registration(context)
-        context.supi = session.id_u_opaque
-        context.security = SecurityContext(kasme=session.ss)
-        context.sap_session = session
-        self.sessions[session.session_id] = session
-        self.session_brokers[session.session_id] = token.id_b
-        # Both sides already hold ss: no challenge downlink, straight to
-        # the SMC.
-        context.state = "WAIT_SMC_COMPLETE"
-        self.send_smc5g(context)
-        self._notify_scope_attach(token, request.counter)
-
-    def validate_scope_probe(self, token, counter: int,
-                             mac: bytes) -> Optional[str]:
-        """Dry-run a scoped registration (read-only; no counter commit,
-        no session).  Returns the denial cause, or ``None`` if the
-        attach would be accepted."""
-        try:
-            self.sap.validate_scoped_attach(
-                token, counter, mac, self.broker_public_keys, self.sim.now,
-                self._scope_counters.get(token.session_id, 0))
-        except SapError as exc:
-            cause = exc.cause
-            return cause.value if cause is not None else str(exc)
-        return None
-
-    #: retryable-nack re-notify schedule (broker shard failing over).
-    scope_notice_backoff = 0.5
-    scope_notice_max_attempts = 6
-
-    def _notify_scope_attach(self, token, counter: int,
-                             attempt: int = 0) -> None:
-        unsigned = ScopeAttachNotice(session_id=token.session_id,
-                                     counter=counter, id_t=self.id_t)
-        notice = ScopeAttachNotice(
-            session_id=token.session_id, counter=counter, id_t=self.id_t,
-            certificate=self.sap.config.certificate,
-            signature=self.key.sign(unsigned.signed_bytes()))
-        self.scope_notices_sent += 1
-        self._scope_notice_pending[token.session_id] = \
-            (token, counter, attempt)
-        self.send_request(self.broker_ip, notice, size=notice.wire_size)
-
-    def _handle_scope_ack(self, src_ip: str, ack: ScopeAttachAck) -> None:
-        pending = self._scope_notice_pending.get(ack.session_id)
-        if ack.accepted:
-            self._scope_notice_pending.pop(ack.session_id, None)
-            return
-        if ack.retryable:
-            # Shard failing over: the nack completed our reliable
-            # request, so this site owns the retry until the counter
-            # floor reaches the broker (or the session dies).
-            if pending is not None and pending[1] == ack.counter:
-                token, counter, attempt = pending
-                if attempt + 1 < self.scope_notice_max_attempts \
-                        and ack.session_id in self.sessions:
-                    self.sim.schedule(
-                        self.scope_notice_backoff * (attempt + 1),
-                        self._notify_scope_attach, token, counter,
-                        attempt + 1)
-                else:
-                    self._scope_notice_pending.pop(ack.session_id, None)
-            return
-        self._scope_notice_pending.pop(ack.session_id, None)
-        # Terminal nack (revoked / expired / cross-site replay): the
-        # scoped registration must not stand.
-        self.scope_notice_nacks += 1
-        self.sap.revoke_session(ack.session_id)
-        if ack.session_id not in self.sessions:
-            return
-        self.revoked_sessions += 1
-        context = next(
-            (c for c in self.contexts.values()
-             if getattr(getattr(c, "sap_session", None), "session_id",
-                        None) == ack.session_id),
-            None)
-        if context is not None:
-            # Service rendered between the optimistic local validation
-            # and the broker's veto was unauthorized — account for it
-            # (the fleet-drive gate requires this stays 0).
-            started = getattr(context, "registration_started_at", None)
-            if started is not None:
-                self.scope_unauthorized_session_s += \
-                    max(0.0, self.sim.now - started)
-        if context is not None \
-                and context.state in ("REGISTERED", "WAIT_SMF"):
-            self._teardown_session(context, ack.session_id)
-        else:
-            self.sessions.pop(ack.session_id, None)
-            self.session_brokers.pop(ack.session_id, None)
-
-    # -- grant lifecycle ------------------------------------------------------------
     def after_security_established(self, context: UeContext5G) -> None:
         super().after_security_established(context)
-        session = context.sap_session
-        if session is not None:
-            # The broker's authorization has a lifetime; serving past it
-            # would be unauthorized service.  Schedule enforcement.
-            delay = max(0.0, session.expires_at - self.sim.now)
-            self.sim.schedule(delay, self._expire_session,
-                              session.session_id, context.ran_ue_id)
-
-    def _expire_session(self, session_id: str, ran_ue_id: int) -> None:
-        """Authorization lifetime reached: network-initiated teardown."""
-        context = self.contexts.get(ran_ue_id)
-        session = self.sessions.get(session_id)
-        if context is None or session is None:
-            return
-        if getattr(context.sap_session, "session_id", None) != session_id:
-            return  # the UE re-registered under a newer authorization
-        if context.state not in ("REGISTERED", "WAIT_SMF"):
-            return
-        self.expired_sessions += 1
-        self._teardown_session(context, session_id)
+        self._enforce_grant_lifetime(context, context.ran_ue_id)
 
     def _teardown_session(self, context: UeContext5G,
                           session_id: str) -> None:
         """Network-initiated deregistration: drop every resource the
         session holds (the downlink precedes the S1 release so it still
         routes through the gNB's ue-id mapping)."""
-        self.sessions.pop(session_id, None)
-        self.session_brokers.pop(session_id, None)
+        self._forget_session(session_id)
         context.sap_session = None
         self.downlink(context, nas5g.DeregistrationRequest5G())
         context.state = "DEREGISTERED"
         self._release_ue(context)
 
-    # -- revocation cascade ----------------------------------------------------------
-    def _handle_session_revocation(self, src_ip: str,
-                                   notice: SessionRevocation) -> None:
-        """Legacy single-notice revocation (kept for compatibility with
-        brokers that do not batch)."""
-        self._apply_revocation(notice)
-
-    def _handle_revocation_batch(self, src_ip: str,
-                                 batch: SessionRevocationBatch) -> None:
-        """Apply every revocation in the batch and return a signed ack.
-
-        Idempotent per notice: a batch retransmitted past the transport's
-        dedup window re-acks without double-deregistering anything, so
-        the broker's retry loop always converges.
-        """
-        session_ids = []
-        for notice in batch.revocations:
-            self._apply_revocation(notice)
-            session_ids.append(notice.session_id)
-        ack_ids = tuple(sorted(session_ids))
-        unsigned = RevocationAck(batch_id=batch.batch_id, id_t=self.id_t,
-                                 session_ids=ack_ids)
-        ack = RevocationAck(batch_id=batch.batch_id, id_t=self.id_t,
-                            session_ids=ack_ids,
-                            signature=self.key.sign(unsigned.signed_bytes()))
-        self.revocation_acks_sent += 1
-        self.send(src_ip, ack, size=96 + 16 * len(ack_ids))
-
-    def _apply_revocation(self, notice: SessionRevocation) -> None:
-        """Broker withdrew an authorization we hold: serving this session
-        any further would be unauthorized service, so deregister it now
-        and refuse the grant if it is ever presented again."""
-        if not self.sap.session_authorized(notice.session_id):
-            # Already applied (duplicate notice): nothing to tear down.
-            self.revocation_dups += 1
-            return
-        self.sap.revoke_session(notice.session_id)
-        if notice.session_id not in self.sessions:
-            return
-        self.revoked_sessions += 1
-        context = next(
-            (c for c in self.contexts.values()
-             if getattr(getattr(c, "sap_session", None), "session_id",
-                        None) == notice.session_id),
-            None)
-        if context is not None \
-                and context.state in ("REGISTERED", "WAIT_SMF"):
-            self._teardown_session(context, notice.session_id)
-        else:
-            # Mid-registration or already torn down: just drop the
-            # bookkeeping; _on_registration_complete refuses revoked
-            # sessions.
-            self.sessions.pop(notice.session_id, None)
-            self.session_brokers.pop(notice.session_id, None)
-
     def _on_registration_complete(self, context: UeContext5G) -> None:
         super()._on_registration_complete(context)
-        session = getattr(context, "sap_session", None)
-        if session is not None and context.state == "REGISTERED" \
-                and not self.sap.session_authorized(session.session_id):
-            # The grant was revoked while the registration was in flight.
-            self.revoked_sessions += 1
-            self._teardown_session(context, session.session_id)
+        self._refuse_if_revoked(context)
 
-    # -- terminal cleanup --------------------------------------------------------------
     def context_released(self, context: UeContext5G) -> None:
-        """Any terminal transition (reject, abandon, deregister, deadline
-        GC) reclaims the broker leg and the session bookkeeping, so
-        ``_pending_sap``/``sessions`` cannot leak."""
-        if context.broker_token is not None:
-            self._pending_sap.pop(context.broker_token, None)
-            self.cancel_request(context.broker_corr_id)
-            context.broker_token = None
-        session = getattr(context, "sap_session", None)
-        if session is not None:
-            self.sessions.pop(session.session_id, None)
-            self.session_brokers.pop(session.session_id, None)
-            context.sap_session = None
+        self._release_sap_state(context)
         super().context_released(context)
 
-    # -- introspection -----------------------------------------------------------------
+    # -- introspection ------------------------------------------------------------
     def stats(self) -> dict:
         stats = super().stats()
         stats.update({
             "sessions_active": len(self.sessions),
             "pending_sap": len(self._pending_sap),
-            "expired_sessions": self.expired_sessions,
-            "revoked_sessions": self.revoked_sessions,
-            "revocation_dups": self.revocation_dups,
-            "revocation_acks_sent": self.revocation_acks_sent,
-            "dup_attach_requests": self.dup_attach_requests,
-            "broker_timeouts": self.broker_timeouts,
-            "scoped_attaches": self.scoped_attaches,
-            "scoped_rejects": self.scoped_rejects,
-            "scope_replays_denied": self.scope_replays_denied,
-            "scope_notices_sent": self.scope_notices_sent,
-            "scope_notice_nacks": self.scope_notice_nacks,
-            "scope_unauthorized_session_s":
-                round(self.scope_unauthorized_session_s, 9),
+            **self._grant_stats(),
+            **self._scope_stats(),
         })
         stats.update(self.reliable_stats())
         return stats
 
 
-class CellBricksUe5G(Ue5G):
+# Crafting authReqU is a hybrid encrypt + sign; a scoped re-registration
+# computes one MAC; the challenge check is a verify + decrypt.
+CB_UE5G_COSTS = {
+    "craft_sap_request": 0.0016,
+    "craft_scoped_request": 0.0003,
+    nas5g.SapRegistrationChallenge: 0.0006,
+}
+
+
+class CellBricksUe5G(SapUeAgent, Ue5G):
     """5G UE running SAP instead of 5G-AKA."""
 
-    craft_span_name = "sap.ue_craft"
+    sap_request = nas5g.SapRegistrationRequest
+    sap_scoped_request = nas5g.SapScopedRegistrationRequest
+    sap_challenge = nas5g.SapRegistrationChallenge
+    sap_ue_costs = CB_UE5G_COSTS
+    attaching_state = "REGISTERING"
     _SPAN_NAMES = dict(Ue5G._SPAN_NAMES)
     _SPAN_NAMES[nas5g.SapRegistrationChallenge] = "sap.ue_verify"
 
     def __init__(self, host: Host, gnb_ip: str,
                  credentials: UeSapCredentials, target_id_t: str,
                  name: str = "cb-ue5g"):
-        super().__init__(host, gnb_ip, supi=None, usim=None,
-                         home_network_key=None,
-                         serving_network=target_id_t, name=name)
-        self.credentials = credentials
-        self.sap = UeSap(credentials)
-        self.target_id_t = target_id_t
-        self.session_id: Optional[str] = None
-        #: optional scope request dict ({"telcos": [...], "ttl": s}) sent
-        #: inside the encrypted authVec on the next full registration.
-        self.scope_request: Optional[dict] = None
-        #: broker-issued mobility grant — survives deregister_and_forget
-        #: so the next in-scope registration skips the broker.
-        self.mobility_grant: Optional[MobilityGrant] = None
-        self._scoped_attempt = False
-        self.scoped_attaches = 0
-        self.scoped_fallbacks = 0
-        self.processing_costs = dict(Ue5G.processing_costs)
-        self.processing_costs[nas5g.SapRegistrationChallenge] = 0.0006
-        self.on(nas5g.SapRegistrationChallenge, self._on_sap_challenge)
+        super().__init__(host, gnb_ip, credentials, target_id_t,
+                         supi=None, usim=None, home_network_key=None,
+                         name=name)
 
-    def _grant_covers_target(self) -> bool:
-        grant = self.mobility_grant
-        return (grant is not None
-                and grant.covers(self.target_id_t, self.sim.now))
-
-    def craft_cost(self) -> float:
-        if self._grant_covers_target():
-            return 0.0003  # scoped re-registration: one MAC, no crypto
-        return 0.0016  # authReqU crafting: hybrid encrypt + sign
+    _stop_supervision = Ue5G._stop_registration_supervision
 
     def register(self) -> None:
         # A fresh attempt must not inherit the previous session's id (the
@@ -573,71 +146,10 @@ class CellBricksUe5G(Ue5G):
         self.session_id = None
         super().register()
 
-    def initial_request(self):
-        if self._grant_covers_target():
-            grant = self.mobility_grant
-            counter = grant.next_counter
-            grant.next_counter += 1
-            self._scoped_attempt = True
-            self.scoped_attaches += 1
-            # The grant restores what register() cleared: ss seeds the
-            # security context the AMF's SMC will validate against, and
-            # the session id keeps billing continuity across bTelcos.
-            self.session_id = grant.session_id
-            self.security = SecurityContext(kasme=grant.ss)
-            mac = scope_attach_mac(grant.ss, grant.session_id, counter,
-                                   self.target_id_t)
-            return nas5g.SapScopedRegistrationRequest(
-                token=grant.token, counter=counter, mac=mac)
-        self._scoped_attempt = False
-        auth_req_u = self.sap.craft_request(self.target_id_t,
-                                            scope=self.scope_request)
-        return nas5g.SapRegistrationRequest(auth_req_u=auth_req_u)
-
-    def _on_reject(self, src_ip: str, reject) -> None:
-        if (self.state == "REGISTERING" and self._scoped_attempt
-                and not getattr(reject, "retryable", False)):
-            # The scope-local fast path failed terminally: drop the grant
-            # and fall back to a full SAP registration within the same
-            # attempt (the latency clock keeps running).
-            self.mobility_grant = None
-            self._scoped_attempt = False
-            self.scoped_fallbacks += 1
-            self.session_id = None
-            self.security = None
-            self._stop_registration_supervision()
-            self.sim.schedule(0.0, self._retry_after_reject)
-            return
-        super()._on_reject(src_ip, reject)
-
     def _on_registration_give_up(self) -> None:
         super()._on_registration_give_up()
-        self.sap.abandon()
-        self.session_id = None
+        self._abandon_sap()
 
     def retarget(self, gnb_ip: str, serving_network: str) -> None:
         super().retarget(gnb_ip, serving_network)
         self.target_id_t = serving_network
-
-    def _on_sap_challenge(self, src_ip: str,
-                          challenge: nas5g.SapRegistrationChallenge) -> None:
-        if self.state != "REGISTERING":
-            return  # late replay after success/failure: absorb, don't fail
-        if self.security is not None:
-            # Duplicate within the attempt (bTelco replayed the leg):
-            # process_response already consumed the nonce — re-running it
-            # would raise a spurious mismatch against a fresh nonce.
-            return
-        try:
-            response = self.sap.process_response(challenge.auth_resp_u)
-        except SapError as exc:
-            self._fail(str(exc))
-            return
-        self.session_id = response.session_id
-        if getattr(response, "scope", None) is not None:
-            # Broker granted a mobility scope: keep it past deregistration
-            # so the next in-scope registration needs no broker round-trip.
-            self.mobility_grant = MobilityGrant(
-                token=response.scope, session_id=response.session_id,
-                ss=response.ss, next_counter=1)
-        self.security = SecurityContext(kasme=response.ss)

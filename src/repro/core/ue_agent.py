@@ -1,10 +1,15 @@
-"""The CellBricks UE: SAP instead of EPS-AKA (the srsUE extension).
+"""The CellBricks UE: SAP instead of AKA (the srsUE extension).
 
-:class:`CellBricksUe` subclasses the baseline NAS stack; its initial
-message is a :class:`SapAttachRequest` carrying ``authReqU``, and the
-broker's ``authRespU`` (relayed by the bTelco) yields the shared secret
-that seeds the standard security context.  From the SMC onward the
-inherited baseline code runs unchanged — exactly the reuse story of §4.1.
+:class:`SapUeAgent` is the UE half of SAP, independent of the NAS
+dialect: its initial message carries ``authReqU`` (or, inside a mobility
+scope, the broker-signed token + attach counter), and the broker's
+``authRespU`` (relayed by the bTelco) yields the shared secret that seeds
+the standard security context.  From the SMC onward the inherited
+baseline code runs unchanged — exactly the reuse story of §4.1.  It is
+mixed in ahead of a baseline UE: :class:`CellBricksUe` over
+:class:`repro.lte.ue.UeNas` here, and
+:class:`repro.core.btelco5g.CellBricksUe5G` over
+:class:`repro.fivegc.ue5g.Ue5G`.
 """
 
 from __future__ import annotations
@@ -25,34 +30,27 @@ from .billing import Meter, REPORTER_UE
 from .messages import scope_attach_mac
 from .sap import MobilityGrant, SapError, UeSap, UeSapCredentials
 
-# CellBricks UE processing costs (seconds): crafting authReqU costs more
-# than a plain AttachRequest (hybrid encrypt + sign); the response check
-# is a verify + decrypt.  Sum ≈ 3.5 ms (Fig 7 "UE Proc." CB bars).
-# A scoped re-attach only computes one MAC — no hybrid encrypt, no sign.
-CB_UE_COSTS = {
-    "craft_sap_request": 0.0015,
-    "craft_scoped_request": 0.0003,
-    SapAttachChallenge: 0.0005,
-}
 
+class SapUeAgent:
+    """UE-side SAP over whichever baseline UE follows it in the MRO.
 
-class CellBricksUe(UeNas):
-    """UE attaching on-demand to untrusted bTelcos via its broker."""
+    The adapter supplies its NAS classes (``sap_request`` /
+    ``sap_scoped_request`` / ``sap_challenge``), ``sap_ue_costs`` (craft
+    and challenge-check costs), ``attaching_state`` and
+    :meth:`_stop_supervision`.
+    """
 
     craft_span_name = "sap.ue_craft"
-    _SPAN_NAMES = dict(UeNas._SPAN_NAMES)
-    _SPAN_NAMES[SapAttachChallenge] = "sap.ue_verify"
 
-    def __init__(self, host: Host, enb_ip: str,
+    def __init__(self, host: Host, ran_ip: str,
                  credentials: UeSapCredentials, target_id_t: str,
-                 name: str = "cb-ue"):
-        super().__init__(host, enb_ip, imsi=credentials.id_u,
-                         usim=None, serving_network=target_id_t, name=name)
+                 **substrate):
+        super().__init__(host, ran_ip, serving_network=target_id_t,
+                         **substrate)
         self.credentials = credentials
         self.sap = UeSap(credentials)
         self.target_id_t = target_id_t
         self.session_id: Optional[str] = None
-        self.meter: Optional[Meter] = None
         #: optional scope request dict ({"telcos": [...], "ttl": s}) sent
         #: inside the encrypted authVec on the next full attach.
         self.scope_request: Optional[dict] = None
@@ -62,34 +60,24 @@ class CellBricksUe(UeNas):
         self._scoped_attempt = False
         self.scoped_attaches = 0
         self.scoped_fallbacks = 0
-        self.processing_costs = dict(UeNas.processing_costs)
-        self.processing_costs[SapAttachChallenge] = \
-            CB_UE_COSTS[SapAttachChallenge]
-        self.on(SapAttachChallenge, self._on_sap_challenge)
-        self.on(SapAttachReject, self._on_reject)
+        self.processing_costs = dict(self.processing_costs)
+        self.processing_costs[self.sap_challenge] = \
+            self.sap_ue_costs[self.sap_challenge]
+        self.on(self.sap_challenge, self._on_sap_challenge)
 
-    # -- attach ------------------------------------------------------------------
-    def attach(self) -> None:
-        """SAP attach: the latency clock starts here, as in §6.1."""
-        if self.state not in ("DEREGISTERED", "REJECTED"):
-            raise RuntimeError(f"attach() in state {self.state}")
-        self.state = "ATTACHING"
-        self.attach_started_at = self.sim.now
-        self.security = None  # fresh EMM state for the new attempt
-        self.session_id = None
-        self._reject_retries = 0
-        if self._grant_covers_target():
-            craft = CB_UE_COSTS["craft_scoped_request"]
-        else:
-            craft = CB_UE_COSTS["craft_sap_request"]
-        self.charge(craft)
-        self._obs_begin_attach(craft)
-        self.sim.schedule(craft, self._send_attach_request)
+    def _stop_supervision(self) -> None:
+        """Stop the substrate's retransmission timer for this attempt."""
+        raise NotImplementedError
 
     def _grant_covers_target(self) -> bool:
         grant = self.mobility_grant
         return (grant is not None
                 and grant.covers(self.target_id_t, self.sim.now))
+
+    def craft_cost(self) -> float:
+        if self._grant_covers_target():
+            return self.sap_ue_costs["craft_scoped_request"]
+        return self.sap_ue_costs["craft_sap_request"]
 
     def initial_request(self):
         # Called once per attach attempt (the supervision layer resends
@@ -101,22 +89,23 @@ class CellBricksUe(UeNas):
             grant.next_counter += 1
             self._scoped_attempt = True
             self.scoped_attaches += 1
-            # The grant restores what attach() just cleared: ss is the
-            # session key (KASME for the inherited SMC handler) and the
-            # session id keeps billing continuity across bTelcos.
+            # The grant restores what starting the attempt just cleared:
+            # ss is the session key (KASME / K_AMF for the inherited SMC
+            # handler) and the session id keeps billing continuity
+            # across bTelcos.
             self.session_id = grant.session_id
             self.security = SecurityContext(kasme=grant.ss)
             mac = scope_attach_mac(grant.ss, grant.session_id, counter,
                                    self.target_id_t)
-            return SapScopedAttachRequest(token=grant.token,
-                                          counter=counter, mac=mac)
+            return self.sap_scoped_request(token=grant.token,
+                                           counter=counter, mac=mac)
         self._scoped_attempt = False
         auth_req_u = self.sap.craft_request(self.target_id_t,
                                             scope=self.scope_request)
-        return SapAttachRequest(auth_req_u=auth_req_u)
+        return self.sap_request(auth_req_u=auth_req_u)
 
     def _on_reject(self, src_ip: str, reject) -> None:
-        if (self.state == "ATTACHING" and self._scoped_attempt
+        if (self.state == self.attaching_state and self._scoped_attempt
                 and not getattr(reject, "retryable", False)):
             # The scope-local fast path failed terminally (expired,
             # revoked, counter burned...).  Drop the grant and fall back
@@ -127,34 +116,26 @@ class CellBricksUe(UeNas):
             self.scoped_fallbacks += 1
             self.session_id = None
             self.security = None
-            self._stop_attach_supervision()
+            self._stop_supervision()
             self.sim.schedule(0.0, self._retry_after_reject)
             return
         super()._on_reject(src_ip, reject)
 
-    def _on_attach_give_up(self) -> None:
-        super()._on_attach_give_up()
+    def _abandon_sap(self) -> None:
         # Abandon the outstanding SAP nonce: a late response must not
         # validate, and the next attach crafts a fresh request.
         self.sap.abandon()
         self.session_id = None
 
-    def retarget(self, enb_ip: str, id_t: str) -> None:
-        """Point the UE at a different bTelco (host-driven mobility)."""
-        self.enb_ip = enb_ip
-        self.target_id_t = id_t
-        self.serving_network = id_t
-
-    # -- SAP response -----------------------------------------------------------------
-    def _on_sap_challenge(self, src_ip: str,
-                          challenge: SapAttachChallenge) -> None:
-        if self.state != "ATTACHING":
-            return  # stale challenge from an abandoned attempt
+    def _on_sap_challenge(self, src_ip: str, challenge) -> None:
+        if self.state != self.attaching_state:
+            return  # late replay after success/failure: absorb, don't fail
         if self.security is not None:
             # Duplicate challenge (the bTelco replayed the leg because
-            # our SMC complete was lost): the single-use nonce is already
-            # consumed, so just ignore it — the SMC retransmission path
-            # carries the attach forward.
+            # our SMC complete was lost): process_response already
+            # consumed the single-use nonce — re-running it would raise a
+            # spurious mismatch, so just ignore it; the SMC
+            # retransmission path carries the attach forward.
             return
         try:
             response = self.sap.process_response(challenge.auth_resp_u)
@@ -162,15 +143,72 @@ class CellBricksUe(UeNas):
             self._fail(str(exc))
             return
         self.session_id = response.session_id
-        if getattr(response, "scope", None) is not None:
+        if response.scope is not None:
             # Broker granted a mobility scope: keep it past detach so
             # the next in-scope attach needs no broker round-trip.
             self.mobility_grant = MobilityGrant(
                 token=response.scope, session_id=response.session_id,
                 ss=response.ss, next_counter=1)
-        # ss becomes KASME (§4.1); the inherited SMC handler validates the
-        # bTelco's Security Mode Command against it.
+        # ss becomes KASME / K_AMF (§4.1); the inherited SMC handler
+        # validates the bTelco's Security Mode Command against it.
         self.security = SecurityContext(kasme=response.ss)
+
+
+# CellBricks UE processing costs (seconds): crafting authReqU costs more
+# than a plain AttachRequest (hybrid encrypt + sign); the response check
+# is a verify + decrypt.  Sum ≈ 3.5 ms (Fig 7 "UE Proc." CB bars).
+# A scoped re-attach only computes one MAC — no hybrid encrypt, no sign.
+CB_UE_COSTS = {
+    "craft_sap_request": 0.0015,
+    "craft_scoped_request": 0.0003,
+    SapAttachChallenge: 0.0005,
+}
+
+
+class CellBricksUe(SapUeAgent, UeNas):
+    """UE attaching on-demand to untrusted bTelcos via its broker."""
+
+    sap_request = SapAttachRequest
+    sap_scoped_request = SapScopedAttachRequest
+    sap_challenge = SapAttachChallenge
+    sap_ue_costs = CB_UE_COSTS
+    attaching_state = "ATTACHING"
+    _SPAN_NAMES = dict(UeNas._SPAN_NAMES)
+    _SPAN_NAMES[SapAttachChallenge] = "sap.ue_verify"
+
+    def __init__(self, host: Host, enb_ip: str,
+                 credentials: UeSapCredentials, target_id_t: str,
+                 name: str = "cb-ue"):
+        super().__init__(host, enb_ip, credentials, target_id_t,
+                         imsi=credentials.id_u, usim=None, name=name)
+        self.meter: Optional[Meter] = None
+        self.on(SapAttachReject, self._on_reject)
+
+    _stop_supervision = UeNas._stop_attach_supervision
+
+    def attach(self) -> None:
+        """SAP attach: the latency clock starts here, as in §6.1."""
+        if self.state not in ("DEREGISTERED", "REJECTED"):
+            raise RuntimeError(f"attach() in state {self.state}")
+        self.state = "ATTACHING"
+        self.attach_started_at = self.sim.now
+        self.security = None  # fresh EMM state for the new attempt
+        self.session_id = None
+        self._reject_retries = 0
+        craft = self.craft_cost()
+        self.charge(craft)
+        self._obs_begin_attach(craft)
+        self.sim.schedule(craft, self._send_attach_request)
+
+    def _on_attach_give_up(self) -> None:
+        super()._on_attach_give_up()
+        self._abandon_sap()
+
+    def retarget(self, enb_ip: str, id_t: str) -> None:
+        """Point the UE at a different bTelco (host-driven mobility)."""
+        self.enb_ip = enb_ip
+        self.target_id_t = id_t
+        self.serving_network = id_t
 
     def _on_attach_accept(self, src_ip: str, accept) -> None:
         was_attached = self.state == "ATTACHED"

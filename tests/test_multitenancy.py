@@ -11,21 +11,24 @@ import pytest
 from repro.core import (
     Brokerd,
     CellBricksAgw,
+    CellBricksAmf,
     CellBricksUe,
+    CellBricksUe5G,
     QosCapabilities,
     QosInfo,
     UeSapCredentials,
 )
 from repro.crypto import CertificateAuthority
 from repro.crypto.keypool import pooled_keypair
+from repro.fivegc import Smf
 from repro.lte import ENodeB
 from repro.net import Host, Link, Simulator
 
 SIG_BW = 1e9
 
 
-def build_shared_cell(broker_count=2, ues_per_broker=2):
-    """One bTelco site; N brokers each with M subscribers."""
+def build_shared_cell(broker_count=2, ues_per_broker=2, rat="lte"):
+    """One bTelco site (AGW or AMF); N brokers each with M subscribers."""
     sim = Simulator()
     ca = CertificateAuthority(key=pooled_keypair(860))
 
@@ -38,11 +41,21 @@ def build_shared_cell(broker_count=2, ues_per_broker=2):
 
     telco_key = pooled_keypair(861)
     certificate = ca.issue("shared-cell", "btelco", telco_key.public_key)
-    agw = CellBricksAgw(agw_host, broker_ip="", id_t="shared-cell",
-                        key=telco_key, certificate=certificate,
-                        ca_public_key=ca.public_key,
-                        qos_capabilities=QosCapabilities(
-                            supported_qcis=(8, 9)))
+    site = dict(broker_ip="", id_t="shared-cell", key=telco_key,
+                certificate=certificate, ca_public_key=ca.public_key,
+                qos_capabilities=QosCapabilities(supported_qcis=(8, 9)))
+    if rat == "lte":
+        agw = CellBricksAgw(agw_host, **site)
+        ue_class = CellBricksUe
+    else:
+        smf_host = Host(sim, "smf", address="10.252.0.1")
+        smf_link = Link(sim, "smf-link", agw_host, smf_host,
+                        bandwidth_bps=SIG_BW, delay_s=0.0002)
+        agw_host.add_route("10.252.0", smf_link)
+        smf_host.add_route("10.251.0", smf_link)
+        Smf(smf_host)
+        agw = CellBricksAmf(agw_host, smf_ip=smf_host.address, **site)
+        ue_class = CellBricksUe5G
     enb = ENodeB(enb_host, agw_ip=agw_host.address)
 
     brokers = []
@@ -72,9 +85,8 @@ def build_shared_cell(broker_count=2, ues_per_broker=2):
             credentials = UeSapCredentials(
                 id_u=subscriber, id_b=f"broker-{b}", ue_key=ue_key,
                 broker_public_key=brokerd.public_key)
-            ue = CellBricksUe(ue_host, enb_host.address, credentials,
-                              target_id_t="shared-cell",
-                              name=f"ue-{index}")
+            ue = ue_class(ue_host, enb_host.address, credentials,
+                          target_id_t="shared-cell", name=f"ue-{index}")
             ues.append((brokerd, ue))
     return sim, agw, enb, brokers, ues
 
@@ -115,3 +127,31 @@ class TestSharedCell:
         ambrs = sorted(bearer.ambr_dl_bps
                        for bearer in agw.spgw.bearers.values())
         assert ambrs == [2e6, 2e6, 50e6, 50e6]
+
+
+@pytest.mark.parametrize("rat", ["lte", "5g"])
+def test_each_broker_authorizes_its_own_users_on_either_rat(rat):
+    """§3.1 says nothing about the generation: the same shared cell,
+    as an AGW or as an AMF, routes each authReqU to the broker it names
+    and admits the user under that broker's QoS."""
+    sim, site, enb, brokers, ues = build_shared_cell(rat=rat)
+    for subscriber in brokers[0].sap.subscribers.values():
+        subscriber.qos_plan = QosInfo(qci=8, ambr_dl_bps=50e6,
+                                      ambr_ul_bps=20e6)
+    for subscriber in brokers[1].sap.subscribers.values():
+        subscriber.qos_plan = QosInfo(qci=9, ambr_dl_bps=2e6,
+                                      ambr_ul_bps=1e6)
+    results = []
+    for offset, (brokerd, ue) in enumerate(ues):
+        ue.on_attach_done = results.append
+        sim.schedule(0.01 * offset, ue.attach)
+    sim.run(until=3.0)
+    assert len(results) == len(ues) and all(r.success for r in results)
+    for brokerd in brokers:
+        assert brokerd.requests_approved == 2
+    granted = sorted(
+        (site.session_brokers[session_id], session.qos_info.qci,
+         session.qos_info.ambr_dl_bps)
+        for session_id, session in site.sessions.items())
+    assert granted == [("broker-0", 8, 50e6), ("broker-0", 8, 50e6),
+                       ("broker-1", 9, 2e6), ("broker-1", 9, 2e6)]
