@@ -180,8 +180,9 @@ def _run_churn(attaches: int):
             # Revoke the subscriber that just attached: its live grants
             # must vanish now, not at natural expiry.
             revoked_grants = len(broker.revoke(f"sub-{index}"))
-        peak_nonces = max(peak_nonces, len(broker._seen_nonces))
-        peak_grants = max(peak_grants, len(broker.grants))
+        peak_nonces = max(peak_nonces,
+                          broker.stats()["replay_cache_size"])
+        peak_grants = max(peak_grants, broker.grants_active)
     return dict(stats=broker.stats(), peak_nonces=peak_nonces,
                 peak_grants=peak_grants, revoked_grants=revoked_grants,
                 denied_after_revoke=denied_after_revoke,

@@ -53,7 +53,7 @@ def main() -> None:
                       f"(reputation {score:.2f})")
                 continue
             session_id = ue.session_id
-            grant = brokerd.sap.grants[session_id]
+            grant = brokerd.sap.shard_of("alice").grants[session_id]
 
             # Simulate a usage session: both meters observe the traffic,
             # the dishonest bTelco scales what it reports.

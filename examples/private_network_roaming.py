@@ -25,7 +25,7 @@ def main() -> None:
         sim, site_names=(PUBLIC, PRIVATE), subscriber_id="employee-7",
         with_data_path=True)
     # The broker provisions a premium plan used when capacity allows.
-    network.brokerd.sap.subscribers["employee-7"].qos_plan = QosInfo(
+    network.brokerd.sap.subscriber("employee-7").qos_plan = QosInfo(
         qci=8, ambr_dl_bps=50e6, ambr_ul_bps=20e6)
 
     path = network.data_path

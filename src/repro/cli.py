@@ -837,8 +837,9 @@ def _cmd_churn(args: argparse.Namespace) -> int:
             # the slot so the churn keeps exercising the same pool.
             broker.enroll(BrokerSubscriber(id_u=f"sub-{index}",
                                            public_key=ue_key.public_key))
-        peak_nonces = max(peak_nonces, len(broker._seen_nonces))
-        peak_grants = max(peak_grants, len(broker.grants))
+        peak_nonces = max(peak_nonces,
+                          broker.stats()["replay_cache_size"])
+        peak_grants = max(peak_grants, broker.grants_active)
 
     stats = broker.stats()
     active_bound = int(args.ttl / args.interval) + 1

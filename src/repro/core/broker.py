@@ -7,7 +7,7 @@ report collection, cross-checking, reputation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto import PrivateKey, PublicKey
@@ -486,17 +486,14 @@ class Brokerd(SignalingNode):
             sealed_t, sealed_u, grant = self.sap.process_request(
                 request.auth_req_t, now=self.sim.now)
         except SapError as exc:
-            self.requests_denied += 1
-            self.send(src_ip, BrokerAuthResponse(
-                approved=False, cause=str(exc),
-                reply_token=request.reply_token), size=96)
+            self._deny(src_ip, request, str(exc))
             return
         self._approve(src_ip, request, sealed_t, sealed_u, grant)
 
     def _approve(self, src_ip: str, request: BrokerAuthRequest,
                  sealed_t, sealed_u, grant: SapGrant,
                  deferred=None) -> None:
-        """Bookkeeping + response for an approved attach (both paths)."""
+        """Bookkeeping + response for an approved attach (every path)."""
         self.requests_approved += 1
         self._session_btelco[grant.session_id] = src_ip
         self._btelco_keys[src_ip] = \
@@ -508,14 +505,27 @@ class Brokerd(SignalingNode):
                 grant,
                 ue_public_key=self.sap.subscriber(grant.id_u).public_key,
                 btelco_public_key=request.auth_req_t.t_certificate.public_key)
-        response = BrokerAuthResponse(
+        self._reply(src_ip, BrokerAuthResponse(
             approved=True, auth_resp_t=sealed_t, auth_resp_u=sealed_u,
-            reply_token=request.reply_token)
-        size = sealed_t.wire_size + sealed_u.wire_size + 64
+            reply_token=request.reply_token),
+            sealed_t.wire_size + sealed_u.wire_size + 64, deferred)
+
+    def _deny(self, src_ip: str, request: BrokerAuthRequest, cause: str,
+              retryable: bool = False, deferred=None) -> None:
+        """Count + response for a denied attach (every path)."""
+        self.requests_denied += 1
+        self._reply(src_ip, BrokerAuthResponse(
+            approved=False, cause=cause, retryable=retryable,
+            reply_token=request.reply_token), 96, deferred)
+
+    def _reply(self, dst: str, message: object, size: int,
+               deferred) -> None:
+        """Answer in the handler, or later through the deferred reply
+        captured when the request arrived."""
         if deferred is None:
-            self.send(src_ip, response, size=size)
+            self.send(dst, message, size=size)
         else:
-            deferred.send(src_ip, response, size=size)
+            deferred.send(dst, message, size=size)
             deferred.complete()
 
     # -- the batching pipeline ------------------------------------------------
@@ -584,9 +594,7 @@ class Brokerd(SignalingNode):
             if cached is not None:
                 # Idempotent re-serve of a duplicate (fresh correlation,
                 # bit-identical request): no verify pass, reply now.
-                sealed_t, sealed_u, grant = cached
-                self._schedule_completion(item, now, approved=(
-                    sealed_t, sealed_u, grant))
+                self._schedule_completion(item, now, approved=cached)
                 continue
             # -- stage A: parallel verification ---------------------------
             fingerprint = item.request.auth_req_t.t_certificate \
@@ -606,48 +614,37 @@ class Brokerd(SignalingNode):
             self._worker_free[worker] = end_a
             self.charge(cost_a)
             ctx = item.deferred.obs_ctx or (0, 0)
+            prepared = denial = None
             try:
                 prepared = sap.prevalidate(request, now)
             except SapError as exc:
-                if tracer is not None:
-                    tracer.begin("sap.broker_verify", self.name,
-                                 self.obs_category, start=start_a,
-                                 end=end_a, trace_id=ctx[0],
-                                 parent_id=ctx[1], corr_id=item.corr_id)
-                self._schedule_completion(item, end_a, cause=str(exc))
-                continue
+                denial = str(exc)
             if tracer is not None:
                 tracer.begin("sap.broker_verify", self.name,
                              self.obs_category, start=start_a, end=end_a,
                              trace_id=ctx[0], parent_id=ctx[1],
                              corr_id=item.corr_id)
+            if prepared is None:
+                self._schedule_completion(item, end_a, cause=denial)
+                continue
             # -- stage B: the shard's serialized replay/mint lane ---------
             start_b = max(end_a, self._shard_free.get(prepared.shard_id,
                                                       0.0))
             try:
-                sealed_t, sealed_u, grant = sap.finish_request(
-                    prepared, start_b)
+                outcome = {"approved": sap.finish_request(prepared, start_b)}
+                cost_b = 2 * SEAL_SIGN_COST * scale
             except SapError as exc:
-                end_b = start_b + DENIAL_FINISH_COST * scale
-                self._shard_free[prepared.shard_id] = end_b
-                self.charge(DENIAL_FINISH_COST * scale)
-                if tracer is not None:
-                    tracer.begin("sap.broker_mint", self.name,
-                                 self.obs_category, start=start_b,
-                                 end=end_b, trace_id=ctx[0],
-                                 parent_id=ctx[1], corr_id=item.corr_id)
-                self._schedule_completion(item, end_b, cause=str(exc))
-                continue
-            end_b = start_b + 2 * SEAL_SIGN_COST * scale
+                outcome = {"cause": str(exc)}
+                cost_b = DENIAL_FINISH_COST * scale
+            end_b = start_b + cost_b
             self._shard_free[prepared.shard_id] = end_b
-            self.charge(2 * SEAL_SIGN_COST * scale)
+            self.charge(cost_b)
             if tracer is not None:
                 tracer.begin("sap.broker_mint", self.name,
                              self.obs_category, start=start_b, end=end_b,
                              trace_id=ctx[0], parent_id=ctx[1],
                              corr_id=item.corr_id)
-            self._schedule_completion(item, end_b, approved=(
-                sealed_t, sealed_u, grant))
+            self._schedule_completion(item, end_b, **outcome)
 
     def _schedule_completion(self, item: _PipelineItem, at: float,
                              approved=None, cause: str = "") -> None:
@@ -657,15 +654,11 @@ class Brokerd(SignalingNode):
     def _complete_auth(self, item: _PipelineItem, approved,
                        cause: str) -> None:
         if approved is None:
-            self.requests_denied += 1
-            item.deferred.send(item.src_ip, BrokerAuthResponse(
-                approved=False, cause=cause,
-                reply_token=item.request.reply_token), size=96)
-            item.deferred.complete()
+            self._deny(item.src_ip, item.request, cause,
+                       deferred=item.deferred)
             return
-        sealed_t, sealed_u, grant = approved
-        self._approve(item.src_ip, item.request, sealed_t, sealed_u,
-                      grant, deferred=item.deferred)
+        self._approve(item.src_ip, item.request, *approved,
+                      deferred=item.deferred)
 
     # -- mobility-scoped attach notices (§4.2) --------------------------------
     def register_btelco(self, certificate, now: Optional[float] = None) -> bool:
@@ -729,14 +722,10 @@ class Brokerd(SignalingNode):
                     notice.certificate.public_key)
         else:
             self.scope_notices_denied += 1
-        ack = ScopeAttachAck(
+        self._reply(src_ip, ScopeAttachAck(
             session_id=notice.session_id, counter=notice.counter,
-            accepted=accepted, retryable=retryable, cause=cause)
-        if deferred is not None:
-            deferred.send(src_ip, ack, size=64)
-            deferred.complete()
-        else:
-            self.send(src_ip, ack, size=64)
+            accepted=accepted, retryable=retryable, cause=cause),
+            64, deferred)
 
     def _handle_report(self, src_ip: str,
                        upload: TrafficReportUpload) -> None:

@@ -427,6 +427,16 @@ class ShardRouter:
         return self._owners[index]
 
 
+_EXPORT_KINDS = ("nonce", "grant", "tombstone", "scope_counter", "response")
+
+
+def _export_order(op: tuple) -> tuple:
+    """Export order: by kind, then by the op's own key (nonce / session
+    id / digest)."""
+    return _EXPORT_KINDS.index(op[0]), \
+        op[1].session_id if op[0] == "grant" else op[1]
+
+
 class SapShard:
     """One consistent-hash partition of the broker's SAP state.
 
@@ -457,6 +467,13 @@ class SapShard:
         #: mobility-scoped re-attaches (replicated by shard hosts, moved
         #: with the subscriber on rebalance).
         self.scope_counters: dict[str, int] = {}
+        #: idempotency cache: request digest -> (minted response triple,
+        #: end of its re-serve window), so a *retransmitted* request
+        #: (bit-identical, thus the same nonce) re-serves the original
+        #: grant instead of tripping the replay window; a *different*
+        #: request reusing the nonce still lands in the replay check.
+        self._response_cache: dict[bytes, tuple] = {}
+        self._response_cache_expiry: list[tuple[float, bytes]] = []  # heap
         label = str(shard_id)
         self.attach_ok = metrics.counter("sap.shard.attach_ok", shard=label)
         self.replay_hits = metrics.counter(
@@ -468,10 +485,134 @@ class SapShard:
         self.scope_attaches = metrics.counter(
             "sap.shard.scope_attaches", shard=label)
 
-    def evict_nonces(self, now: float) -> None:
-        """Drop nonces whose replay window has closed (monotone sweep).
+    # -- the one writer ---------------------------------------------------------
+    def apply(self, op: tuple) -> None:
+        """Apply one state op (see :meth:`BrokerSap.apply` for the
+        vocabulary).  Every op is idempotent, so a duplicated or
+        replayed batch leaves the shard unchanged."""
+        kind = op[0]
+        if kind == "nonce":
+            _, nonce, id_u, window_end = op
+            if nonce not in self.seen_nonces:
+                self.seen_nonces[nonce] = (window_end, id_u)
+                heapq.heappush(self.nonce_expiry, (window_end, nonce))
+        elif kind == "grant":
+            grant = op[1]
+            if grant.session_id in self.grants \
+                    or grant.session_id in self.revoked_sessions:
+                return
+            self.grants[grant.session_id] = grant
+            self.sessions_by_ue.setdefault(grant.id_u, set()).add(
+                grant.session_id)
+            heapq.heappush(self.grant_expiry,
+                           (grant.expires_at, grant.session_id))
+        elif kind == "response":
+            _, digest, triple, expires_at = op
+            # Like a grant, an approval never lands on top of its own
+            # session's tombstone (replayed ops must not un-revoke).
+            if digest not in self._response_cache \
+                    and triple[2].session_id not in self.revoked_sessions:
+                self._response_cache[digest] = (triple, expires_at)
+                heapq.heappush(self._response_cache_expiry,
+                               (expires_at, digest))
+        elif kind == "tombstone":
+            _, session_id, id_u, expires_at = op
+            if self.grants.pop(session_id, None) is not None:
+                self._unindex_session(id_u, session_id)
+            self.revoked_sessions[session_id] = (id_u, expires_at)
+            heapq.heappush(self.grant_expiry, (expires_at, session_id))
+            # A revoked session's approval must not be re-served to a
+            # retransmission: the request is judged afresh (and denied).
+            self._evict_responses(
+                lambda grant: grant.session_id == session_id)
+        elif kind == "scope_counter":
+            _, session_id, counter = op
+            # Max-merge: duplicated / reordered batches never regress
+            # the replay floor.  A counter for a session this shard does
+            # not hold protects nothing, and nothing would ever evict it.
+            if counter > self.scope_counters.get(session_id, 0) \
+                    and self.owner_of(session_id) is not None:
+                self.scope_counters[session_id] = counter
+        elif kind == "forget":
+            self._forget(op[1])
+        elif kind == "reset":
+            for table in (self.seen_nonces, self.nonce_expiry, self.grants,
+                          self.grant_expiry, self.sessions_by_ue,
+                          self.revoked_sessions, self.scope_counters,
+                          self._response_cache,
+                          self._response_cache_expiry):
+                table.clear()
+        else:
+            raise ValueError(f"unknown shard state op {kind!r}")
 
-        Heap entries whose nonce has moved to another shard (rebalance)
+    def _unindex_session(self, id_u: str, session_id: str) -> None:
+        sessions = self.sessions_by_ue.get(id_u)
+        if sessions is not None:
+            sessions.discard(session_id)
+            if not sessions:
+                del self.sessions_by_ue[id_u]
+
+    def _evict_responses(self, doomed: Callable[[SapGrant], bool]) -> None:
+        for digest in [d for d, (triple, _) in self._response_cache.items()
+                       if doomed(triple[2])]:
+            del self._response_cache[digest]
+
+    def _forget(self, id_u: str) -> None:
+        """Drop a subscriber's session state (it moved).  Heap entries
+        left behind go stale and are skipped by the lazy sweeps."""
+        for nonce in [n for n, (_, owner) in self.seen_nonces.items()
+                      if owner == id_u]:
+            del self.seen_nonces[nonce]
+        owned = self.sessions_by_ue.pop(id_u, set()) | {
+            s for s, (owner, _) in self.revoked_sessions.items()
+            if owner == id_u}
+        for session_id in owned:
+            self.grants.pop(session_id, None)
+            self.revoked_sessions.pop(session_id, None)
+            self.scope_counters.pop(session_id, None)
+        self._evict_responses(lambda grant: grant.id_u == id_u)
+
+    # -- the one reader ---------------------------------------------------------
+    def export(self, owners: Optional[set] = None) -> list:
+        """The ops that rebuild this shard's session state — all of it,
+        or the slice owned by the subscribers in ``owners`` — sorted
+        (nonces, grants, tombstones, scope counters, responses), so
+        identically-seeded runs chunk identically."""
+        def mine(id_u: Optional[str]) -> bool:
+            return owners is None or id_u in owners
+        ops: list = [("nonce", nonce, id_u, window_end)
+                     for nonce, (window_end, id_u)
+                     in self.seen_nonces.items() if mine(id_u)]
+        ops += [("grant", grant) for grant in self.grants.values()
+                if mine(grant.id_u)]
+        ops += [("tombstone", session_id, id_u, expires_at)
+                for session_id, (id_u, expires_at)
+                in self.revoked_sessions.items() if mine(id_u)]
+        # Scope counters ride with their session (live grant or
+        # tombstone): the replay floor must survive the move.
+        ops += [("scope_counter", session_id, counter)
+                for session_id, counter in self.scope_counters.items()
+                if mine(self.owner_of(session_id))]
+        ops += [("response", digest, triple, expires_at)
+                for digest, (triple, expires_at)
+                in self._response_cache.items() if mine(triple[2].id_u)]
+        return sorted(ops, key=_export_order)
+
+    def owner_of(self, session_id: str) -> Optional[str]:
+        """The subscriber behind a session this shard holds (live grant
+        or unexpired tombstone)."""
+        grant = self.grants.get(session_id)
+        if grant is not None:
+            return grant.id_u
+        tombstone = self.revoked_sessions.get(session_id)
+        return tombstone[0] if tombstone is not None else None
+
+    # -- lifetime sweeps (each host runs them on its own clock) -----------------
+    def evict(self, now: float) -> None:
+        """Drop nonces whose replay window has closed and responses
+        past their re-serve window (monotone sweeps).
+
+        Heap entries whose key has moved to another shard (rebalance)
         or was already evicted are skipped — stale entries are lazily
         discarded rather than eagerly rewritten at handoff time.
         """
@@ -481,10 +622,28 @@ class SapShard:
             entry = self.seen_nonces.get(nonce)
             if entry is not None and entry[0] <= now:
                 del self.seen_nonces[nonce]
+        heap = self._response_cache_expiry
+        while heap and heap[0][0] <= now:
+            _, digest = heapq.heappop(heap)
+            self._response_cache.pop(digest, None)
 
-    def note_nonce(self, nonce: bytes, id_u: str, window_end: float) -> None:
-        self.seen_nonces[nonce] = (window_end, id_u)
-        heapq.heappush(self.nonce_expiry, (window_end, nonce))
+    def expire(self, now: float):
+        """Drop grants past their authorization lifetime (yielded), and
+        revoked-session tombstones once the session's original lifetime
+        has passed (a bTelco would reject it as expired anyway)."""
+        heap = self.grant_expiry
+        while heap and heap[0][0] <= now:
+            _, session_id = heapq.heappop(heap)
+            if self.revoked_sessions.pop(session_id, None) is not None:
+                self.scope_counters.pop(session_id, None)
+            grant = self.grants.get(session_id)
+            if grant is None or grant.expires_at > now:
+                continue
+            del self.grants[session_id]
+            self.scope_counters.pop(session_id, None)
+            self._unindex_session(grant.id_u, session_id)
+            self.grants_expired.inc()
+            yield grant
 
     def stats(self) -> dict:
         return {
@@ -536,9 +695,14 @@ class BrokerSap:
     shards concurrently and rebalance them online
     (:meth:`add_shard` / :meth:`remove_shard` hand state off with replay
     windows intact).  ``num_shards=1`` (the default) is behaviorally
-    identical to the historical unsharded broker, and the legacy
-    attribute surface (``subscribers``, ``grants``, ``_seen_nonces``,
-    ...) is preserved as merged views over the shards.
+    identical to the historical unsharded broker.
+
+    Session state has one writer and one reader: :meth:`apply` is the
+    only way an entry enters or leaves a shard (request path, revocation,
+    a replica applying its primary's stream, a handoff target) and hands
+    each op to :attr:`journal`; :meth:`export` returns the ops that
+    rebuild the state, whole (resync) or one subscriber slice of it
+    (network handoff, in-process rebalance).
 
     The request path is split into two stages so a batching daemon can
     overlap work: :meth:`prevalidate` (certificate + signature checks
@@ -593,16 +757,6 @@ class BrokerSap:
             self._shards[shard_id] = SapShard(shard_id, self.metrics)
             self.router.add(shard_id)
         self._next_shard_id = num_shards
-        #: idempotency cache: request digest -> the minted response
-        #: triple, so a *retransmitted* request (bit-identical, thus the
-        #: same nonce) re-serves the original grant instead of tripping
-        #: the replay window.  A *different* request reusing the nonce
-        #: (different digest) still lands in the replay check.  Kept at
-        #: the router level: the digest is known before the authVec is
-        #: decrypted (i.e. before the owning shard is), and duplicates
-        #: must short-circuit ahead of any shard work.
-        self._response_cache: dict[bytes, tuple] = {}
-        self._response_cache_expiry: list[tuple[float, bytes]] = []  # heap
         #: bTelco directory for mobility scopes: id_t -> public key of
         #: every CA-validated site the broker has seen (explicitly via
         #: :meth:`register_btelco` or implicitly from processed
@@ -614,6 +768,9 @@ class BrokerSap:
         #: lifecycle hooks for the hosting broker daemon.
         self.on_grant_expired: Optional[Callable[[SapGrant], None]] = None
         self.on_grant_revoked: Optional[Callable[[SapGrant], None]] = None
+        #: receives every op :meth:`apply` applies, in order (a shard
+        #: host's replication stream).
+        self.journal: Optional[Callable[[tuple], None]] = None
         # -- lifecycle counters (see stats()) --
         self.attach_ok = 0
         #: DenialCause value -> n, as a registry-backed counter family
@@ -639,16 +796,25 @@ class BrokerSap:
         return self._shards[self.router.shard_for(id_u)]
 
     def subscriber(self, id_u: str) -> Optional[BrokerSubscriber]:
-        """O(1) subscriber lookup (use instead of the merged view)."""
+        """O(1) subscriber lookup."""
         return self.shard_of(id_u).subscribers.get(id_u)
 
-    def shard_for_session(self, session_id: str) -> Optional[int]:
-        """Which shard owns a session (live grant or revoked tombstone)."""
+    def enrolled(self):
+        """Every subscriber record, shard by shard (provisioning plane)."""
         for shard in self.shards:
-            if session_id in shard.grants \
-                    or session_id in shard.revoked_sessions:
-                return shard.shard_id
+            yield from shard.subscribers.values()
+
+    def _session_shard(self, session_id: str) -> Optional[SapShard]:
+        for shard in self.shards:
+            if shard.owner_of(session_id) is not None:
+                return shard
         return None
+
+    def session_owner(self, session_id: str) -> Optional[str]:
+        """The subscriber behind a session (live grant or unexpired
+        revocation tombstone); None once neither is held."""
+        shard = self._session_shard(session_id)
+        return shard.owner_of(session_id) if shard is not None else None
 
     def add_shard(self) -> int:
         """Grow the ring by one shard and hand off the state it now owns."""
@@ -699,93 +865,58 @@ class BrokerSap:
 
     def _move_subscriber(self, id_u: str, source: SapShard,
                          target: SapShard) -> None:
-        """Hand one subscriber's state to its new shard.
-
-        Replay-window entries move with their windows intact (a nonce
-        seen before the rebalance is still denied after it), and revoked
-        tombstones keep their original eviction deadline.  Heap entries
-        left behind in the source become stale and are skipped by the
-        lazy sweeps.
+        """Hand one subscriber's state to its new shard: the export
+        slice a network handoff ships, applied at the target and
+        forgotten at the source.  Replay-window entries move with their
+        windows intact (a nonce seen before the rebalance is still
+        denied after it), and revoked tombstones keep their original
+        eviction deadline.  Heap entries left behind in the source
+        become stale and are skipped by the lazy sweeps.  Not journaled:
+        which shard holds an entry is not part of the broker's state
+        (``export()`` reads the same before and after).
         """
         target.subscribers[id_u] = source.subscribers.pop(id_u)
-        sessions = source.sessions_by_ue.pop(id_u, None)
-        if sessions:
-            target.sessions_by_ue[id_u] = sessions
-            for session_id in sorted(sessions):
-                grant = source.grants.pop(session_id, None)
-                if grant is not None:
-                    target.grants[session_id] = grant
-                    heapq.heappush(target.grant_expiry,
-                                   (grant.expires_at, session_id))
-        tombstones = sorted(
-            session_id
-            for session_id, (owner, _) in source.revoked_sessions.items()
-            if owner == id_u)
-        for session_id in tombstones:
-            owner, expires_at = source.revoked_sessions.pop(session_id)
-            target.revoked_sessions[session_id] = (owner, expires_at)
-            heapq.heappush(target.grant_expiry, (expires_at, session_id))
-        # Scope counters ride with their session (live grant or
-        # tombstone): the replay floor must survive the handoff.
-        for session_id in sorted(sessions or ()) + tombstones:
-            counter = source.scope_counters.pop(session_id, None)
-            if counter is not None:
-                target.scope_counters[session_id] = counter
-        moved_nonces = sorted(
-            nonce for nonce, (_, owner) in source.seen_nonces.items()
-            if owner == id_u)
-        for nonce in moved_nonces:
-            window_end, owner = source.seen_nonces.pop(nonce)
-            target.note_nonce(nonce, owner, window_end)
+        for op in source.export({id_u}):
+            target.apply(op)
+        source.apply(("forget", id_u))
 
-    # -- legacy views ------------------------------------------------------------
-    # The unsharded broker exposed flat dicts; tests, benches, and the
-    # CLI read them.  Each is now a merged copy over the shards (records
-    # are shared, so mutating a looked-up subscriber still works).  Hot
-    # paths use the per-shard structures directly.
-    @property
-    def subscribers(self) -> dict[str, BrokerSubscriber]:
-        merged: dict[str, BrokerSubscriber] = {}
-        for shard in self.shards:
-            merged.update(shard.subscribers)
-        return merged
+    # -- the op vocabulary ------------------------------------------------------
+    def apply(self, op: tuple) -> None:
+        """The one writer of shard session state.  Ops are plain tuples,
+        every one idempotent (merge rules: DESIGN.md, "The shard state
+        op vocabulary"): ``("nonce", nonce, id_u, window_end)``,
+        ``("grant", grant)``, ``("response", digest, triple,
+        expires_at)``, ``("tombstone", session_id, id_u, expires_at)``,
+        ``("scope_counter", session_id, counter)``, ``("forget", id_u)``
+        and ``("reset",)``.  Each goes to its owner's shard, then to
+        :attr:`journal`.
+        """
+        kind = op[0]
+        if kind == "reset":
+            targets = self.shards
+        elif kind == "scope_counter":
+            shard = self._session_shard(op[1])
+            targets = () if shard is None else (shard,)
+        else:
+            # The owner: on the grant itself (also inside a response
+            # triple), third for nonce / tombstone, second for forget.
+            owner = op[1].id_u if kind == "grant" \
+                else op[2][2].id_u if kind == "response" \
+                else op[1] if kind == "forget" else op[2]
+            targets = (self.shard_of(owner),)
+        for shard in targets:
+            shard.apply(op)
+        if self.journal is not None:
+            self.journal(op)
 
-    @property
-    def grants(self) -> dict[str, SapGrant]:
-        merged: dict[str, SapGrant] = {}
-        for shard in self.shards:
-            merged.update(shard.grants)
-        return merged
-
-    @property
-    def revoked_sessions(self) -> set[str]:
-        merged: set[str] = set()
-        for shard in self.shards:
-            merged.update(shard.revoked_sessions)
-        return merged
-
-    @property
-    def _seen_nonces(self) -> dict[bytes, float]:
-        return {nonce: window_end
-                for shard in self.shards
-                for nonce, (window_end, _) in shard.seen_nonces.items()}
-
-    @property
-    def _nonce_expiry(self) -> list[tuple[float, bytes]]:
-        return sorted(entry for shard in self.shards
-                      for entry in shard.nonce_expiry)
-
-    @property
-    def _grant_expiry(self) -> list[tuple[float, str]]:
-        return sorted(entry for shard in self.shards
-                      for entry in shard.grant_expiry)
-
-    @property
-    def _sessions_by_ue(self) -> dict[str, set[str]]:
-        merged: dict[str, set[str]] = {}
-        for shard in self.shards:
-            merged.update(shard.sessions_by_ue)
-        return merged
+    def export(self, owners: Optional[set] = None) -> list:
+        """The one reader: the sorted ops that rebuild the session state
+        (of the subscribers in ``owners``, or everything), ordered
+        nonces, grants, tombstones, scope counters, responses.  Two
+        brokers hold the same state iff their exports are equal."""
+        return list(heapq.merge(*(shard.export(owners)
+                                  for shard in self.shards),
+                                key=_export_order))
 
     # -- provisioning -----------------------------------------------------------
     def enroll(self, subscriber: BrokerSubscriber) -> None:
@@ -820,11 +951,9 @@ class BrokerSap:
         if subscriber is not None:
             subscriber.suspended = True
         revoked: list[SapGrant] = []
-        for session_id in sorted(shard.sessions_by_ue.pop(id_u, ())):
-            grant = shard.grants.pop(session_id, None)
-            if grant is None:
-                continue
-            shard.revoked_sessions[session_id] = (id_u, grant.expires_at)
+        for session_id in sorted(shard.sessions_by_ue.get(id_u, ())):
+            grant = shard.grants[session_id]
+            self.apply(("tombstone", session_id, id_u, grant.expires_at))
             self.grants_revoked += 1
             shard.grants_revoked.inc()
             revoked.append(grant)
@@ -853,17 +982,13 @@ class BrokerSap:
             "dup_requests_served": self.dup_requests_served,
             "replay_cache_size": sum(
                 len(shard.seen_nonces) for shard in self.shards),
-            "response_cache_size": len(self._response_cache),
+            "response_cache_size": sum(
+                len(shard._response_cache) for shard in self.shards),
             "subscribers": sum(
                 len(shard.subscribers) for shard in self.shards),
             "num_shards": self.num_shards,
             "shards": [shard.stats() for shard in self.shards],
         }
-
-    def _evict_nonces(self, now: float) -> None:
-        """Drop nonces whose replay window has closed (monotone sweep)."""
-        for shard in self.shards:
-            shard.evict_nonces(now)
 
     @staticmethod
     def _request_digest(request: AuthReqT) -> bytes:
@@ -873,39 +998,18 @@ class BrokerSap:
         return hashlib.sha256(request.signed_bytes()
                               + request.sig_t).digest()
 
-    def _evict_response_cache(self, now: float) -> None:
-        heap = self._response_cache_expiry
-        while heap and heap[0][0] <= now:
-            _, digest = heapq.heappop(heap)
-            self._response_cache.pop(digest, None)
-
     def expire_grants(self, now: float) -> list[SapGrant]:
         """Garbage-collect grants past their authorization lifetime.
 
         Also forgets revoked-session tombstones once the session's
-        original lifetime has passed (a bTelco would reject it as expired
-        anyway), keeping every lifecycle structure O(active sessions).
-        Shards are swept in id order so callback order is deterministic.
+        original lifetime has passed, keeping every lifecycle structure
+        O(active sessions).  Shards are swept in id order so callback
+        order is deterministic.
         """
         expired: list[SapGrant] = []
         for shard in self.shards:
-            heap = shard.grant_expiry
-            while heap and heap[0][0] <= now:
-                _, session_id = heapq.heappop(heap)
-                if shard.revoked_sessions.pop(session_id, None) is not None:
-                    shard.scope_counters.pop(session_id, None)
-                grant = shard.grants.get(session_id)
-                if grant is None or grant.expires_at > now:
-                    continue
-                del shard.grants[session_id]
-                shard.scope_counters.pop(session_id, None)
-                sessions = shard.sessions_by_ue.get(grant.id_u)
-                if sessions is not None:
-                    sessions.discard(session_id)
-                    if not sessions:
-                        del shard.sessions_by_ue[grant.id_u]
+            for grant in shard.expire(now):
                 self.grants_expired += 1
-                shard.grants_expired.inc()
                 expired.append(grant)
                 if self.on_grant_expired is not None:
                     self.on_grant_expired(grant)
@@ -922,17 +1026,21 @@ class BrokerSap:
     # -- the handler of Fig 3 (bottom) --------------------------------------------
     def begin_window(self, now: float) -> None:
         """Amortized lifecycle sweeps that precede request processing."""
-        self._evict_nonces(now)
-        self._evict_response_cache(now)
+        for shard in self.shards:
+            shard.evict(now)
         self.expire_grants(now)
 
     def lookup_cached(self, digest: bytes) -> Optional[tuple]:
         """Serve a bit-identical retransmission from the idempotency
-        cache (counts as a dup, not a new attach)."""
-        cached = self._response_cache.get(digest)
-        if cached is not None:
-            self.dup_requests_served += 1
-        return cached
+        cache (counts as a dup, not a new attach).  The digest is known
+        before the authVec is decrypted — i.e. before the owning shard
+        is — so every shard is asked, ahead of any other shard work."""
+        for shard in self.shards:
+            cached = shard._response_cache.get(digest)
+            if cached is not None:
+                self.dup_requests_served += 1
+                return cached[0]
+        return None
 
     def process_request(self, request: AuthReqT, now: float
                         ) -> tuple[SealedResponse, SealedResponse, SapGrant]:
@@ -1024,8 +1132,8 @@ class BrokerSap:
             if auth_vec.nonce in shard.seen_nonces:
                 shard.replay_hits.inc()
                 self._deny(DenialCause.REPLAY, "replayed nonce")
-            shard.note_nonce(auth_vec.nonce, auth_vec.id_u,
-                             now + self.session_ttl)
+            self.apply(("nonce", auth_vec.nonce, auth_vec.id_u,
+                        now + self.session_ttl))
 
             # 3. Authorization policy (profiles, reputation, ...).
             cause = self.authorize_btelco(request.id_t)
@@ -1072,17 +1180,12 @@ class BrokerSap:
                          id_t=request.id_t, session_id=session_id, ss=ss,
                          qos_info=qos_info, granted_at=now,
                          expires_at=expires_at)
-        shard.grants[session_id] = grant
-        shard.sessions_by_ue.setdefault(grant.id_u, set()).add(session_id)
-        heapq.heappush(shard.grant_expiry, (expires_at, session_id))
         result = (sealed_t, sealed_u, grant)
+        self.apply(("grant", grant))
+        self.apply(("response", prepared.digest, result,
+                    now + min(self.response_cache_ttl, self.session_ttl)))
         self.attach_ok += 1
         shard.attach_ok.inc()
-        self._response_cache[prepared.digest] = result
-        heapq.heappush(
-            self._response_cache_expiry,
-            (now + min(self.response_cache_ttl, self.session_ttl),
-             prepared.digest))
         return result
 
     # -- mobility scopes (§4.2 grant reuse) ---------------------------------------
@@ -1130,19 +1233,18 @@ class BrokerSap:
         highest-seen floor cannot catch) is denied here, and the
         notifying bTelco then tears the session down.
         """
-        for shard in self.shards:
-            if session_id in shard.revoked_sessions:
-                return False, False, DenialCause.REVOKED.value
-            grant = shard.grants.get(session_id)
-            if grant is None:
-                continue
-            if grant.expires_at <= now:
-                return False, False, DenialCause.EXPIRED.value
-            if counter <= shard.scope_counters.get(session_id, 0):
-                self.replay_hits += 1
-                shard.replay_hits.inc()
-                return False, False, DenialCause.REPLAY.value
-            shard.scope_counters[session_id] = counter
-            shard.scope_attaches.inc()
-            return True, False, ""
-        return False, False, DenialCause.UNKNOWN_SUBSCRIBER.value
+        shard = self._session_shard(session_id)
+        if shard is None:
+            return False, False, DenialCause.UNKNOWN_SUBSCRIBER.value
+        grant = shard.grants.get(session_id)
+        if grant is None:
+            return False, False, DenialCause.REVOKED.value
+        if grant.expires_at <= now:
+            return False, False, DenialCause.EXPIRED.value
+        if counter <= shard.scope_counters.get(session_id, 0):
+            self.replay_hits += 1
+            shard.replay_hits.inc()
+            return False, False, DenialCause.REPLAY.value
+        self.apply(("scope_counter", session_id, counter))
+        shard.scope_attaches.inc()
+        return True, False, ""

@@ -8,8 +8,8 @@ apply to the broker's own internals end-to-end:
 * :class:`ShardHost` — a :class:`~repro.lte.signaling.SignalingNode`
   wrapping a single-shard :class:`~repro.core.sap.BrokerSap`.  Each
   shard runs as a primary + a warm standby replica pair; the primary
-  streams its session-state mutations (replay-window nonces, grants,
-  idempotency-cache entries) to the replica as sequenced, idempotent
+  streams the state ops its SAP applies (see
+  :meth:`~repro.core.sap.BrokerSap.apply`) to the replica as sequenced
   :class:`ReplicaUpdate` batches.  ``crash()`` is fail-stop: all state
   is lost and every datagram is dropped until ``restart()``.
 
@@ -42,7 +42,6 @@ over the wire.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -56,7 +55,6 @@ from .broker import (
 )
 from .messages import (
     AuthVec,
-    BrokerAuthResponse,
     DenialCause,
     MessageError,
 )
@@ -143,14 +141,9 @@ class ShardHeartbeatAck:
 
 @dataclass(frozen=True)
 class ReplicaUpdate:
-    """Primary -> replica: one sequenced batch of idempotent state ops.
-
-    Ops are tuples: ``("nonce", nonce, id_u, window_end)``,
-    ``("grant", grant)``, ``("response", digest, triple, expires_at)``,
-    ``("tombstone", session_id, id_u, expires_at)``,
-    ``("scope_counter", session_id, counter)``,
-    ``("forget", id_u)``, ``("reset",)``.
-    """
+    """Primary -> replica: one sequenced batch of the idempotent state
+    ops of :meth:`repro.core.sap.BrokerSap.apply`, in the order the
+    primary applied them."""
 
     shard_id: int
     seq: int
@@ -347,8 +340,8 @@ class ShardHost(SignalingNode):
         # -- replication: replica side -----------------------------------
         self._applied_seq = 0
         # -- handoff state ------------------------------------------------
-        #: outbound: handoff_id -> {"chunks": [...], "next": int}
-        self._handoffs_out: dict[int, dict] = {}
+        #: outbound: handoff_id -> chunks not yet acked, in order
+        self._handoffs_out: dict[int, list] = {}
         #: inbound dedup: (handoff_id, seq) pairs already applied.
         self._chunks_applied: set = set()
         self.auths_served = 0
@@ -388,6 +381,8 @@ class ShardHost(SignalingNode):
                         metrics=self.metrics, num_shards=1,
                         session_prefix=self._session_prefix())
         sap.authorize_btelco = self._authorize_proxy
+        # Everything the SAP applies is what the standby must apply.
+        sap.journal = self._queue_op
         return sap
 
     def _authorize_proxy(self, id_t: str) -> Optional[str]:
@@ -439,35 +434,16 @@ class ShardHost(SignalingNode):
             return
         super()._on_datagram(src_ip, src_port, body, sent_at)
 
-    def _clear_session_state(self) -> None:
-        shard = self.sap.shards[0]
-        shard.seen_nonces.clear()
-        shard.nonce_expiry.clear()
-        shard.grants.clear()
-        shard.grant_expiry.clear()
-        shard.sessions_by_ue.clear()
-        shard.revoked_sessions.clear()
-        shard.scope_counters.clear()
-        self.sap._response_cache.clear()
-        self.sap._response_cache_expiry.clear()
-
     # -- auth serving --------------------------------------------------------
     def _handle_auth(self, src_ip: str, request: ShardAuthRequest) -> None:
         now = self.sim.now
         sap = self.sap
         sap.begin_window(now)
-        digest = sap._request_digest(request.auth_req_t)
-        cached = sap.lookup_cached(digest)
-        if cached is not None:
-            sealed_t, sealed_u, grant = cached
+        triple = sap.lookup_cached(sap._request_digest(request.auth_req_t))
+        cached = triple is not None
+        if cached:
             self.cache_serves += 1
-            self.send(src_ip, ShardAuthResponse(
-                approved=True, reply_token=request.reply_token,
-                auth_resp_t=sealed_t, auth_resp_u=sealed_u, grant=grant,
-                cached=True),
-                size=sealed_t.wire_size + sealed_u.wire_size + 96)
-            return
-        if self.is_replica:
+        elif self.is_replica:
             # Unpromoted standby: degraded mode serves only the
             # replicated idempotency cache; fresh auths fail fast with
             # a retryable cause so the UE backs off instead of timing
@@ -479,38 +455,22 @@ class ShardHost(SignalingNode):
                        f"{self.shard_id} failing over"),
                 retryable=True), size=96)
             return
-        try:
-            prepared = sap.prevalidate(request.auth_req_t, now)
-        except SapError as exc:
-            self.auths_denied += 1
-            self.send(src_ip, ShardAuthResponse(
-                approved=False, reply_token=request.reply_token,
-                cause=str(exc)), size=96)
-            return
-        nonce = prepared.auth_vec.nonce
-        id_u = prepared.auth_vec.id_u
-        try:
-            sealed_t, sealed_u, grant = sap.finish_request(prepared, now)
-        except SapError as exc:
-            # A policy denial still consumed the nonce: replicate the
-            # replay-window entry so the denial survives a failover.
-            entry = sap.shards[0].seen_nonces.get(nonce)
-            if entry is not None:
-                self._queue_op(("nonce", nonce, id_u, entry[0]))
-            self.auths_denied += 1
-            self.send(src_ip, ShardAuthResponse(
-                approved=False, reply_token=request.reply_token,
-                cause=str(exc)), size=96)
-            return
-        self.auths_served += 1
-        self._queue_op(("nonce", nonce, id_u, now + sap.session_ttl))
-        self._queue_op(("grant", grant))
-        self._queue_op(("response", digest, (sealed_t, sealed_u, grant),
-                        now + min(sap.response_cache_ttl,
-                                  sap.session_ttl)))
+        else:
+            try:
+                triple = sap.finish_request(
+                    sap.prevalidate(request.auth_req_t, now), now)
+            except SapError as exc:
+                self.auths_denied += 1
+                self.send(src_ip, ShardAuthResponse(
+                    approved=False, reply_token=request.reply_token,
+                    cause=str(exc)), size=96)
+                return
+            self.auths_served += 1
+        sealed_t, sealed_u, grant = triple
         self.send(src_ip, ShardAuthResponse(
             approved=True, reply_token=request.reply_token,
-            auth_resp_t=sealed_t, auth_resp_u=sealed_u, grant=grant),
+            auth_resp_t=sealed_t, auth_resp_u=sealed_u, grant=grant,
+            cached=cached),
             size=sealed_t.wire_size + sealed_u.wire_size + 96)
 
     def _handle_scope_notice(self, src_ip: str,
@@ -521,21 +481,16 @@ class ShardHost(SignalingNode):
         if self.is_replica:
             # Same degraded posture as fresh auths: the bTelco's
             # reliable notice retries until the failover settles.
-            self.send(src_ip, ShardScopeAck(
-                session_id=notice.session_id, counter=notice.counter,
-                reply_token=notice.reply_token, accepted=False,
-                retryable=True,
-                cause=(f"{DenialCause.DEGRADED.value}: shard "
-                       f"{self.shard_id} failing over")), size=64)
-            return
-        accepted, retryable, cause = self.sap.note_scope_attach(
-            notice.session_id, notice.counter, self.sim.now)
-        if accepted:
-            self.scope_advances += 1
-            self._queue_op(("scope_counter", notice.session_id,
-                            notice.counter))
+            accepted, retryable, cause = False, True, (
+                f"{DenialCause.DEGRADED.value}: shard "
+                f"{self.shard_id} failing over")
         else:
-            self.scope_nacks += 1
+            accepted, retryable, cause = self.sap.note_scope_attach(
+                notice.session_id, notice.counter, self.sim.now)
+            if accepted:
+                self.scope_advances += 1
+            else:
+                self.scope_nacks += 1
         self.send(src_ip, ShardScopeAck(
             session_id=notice.session_id, counter=notice.counter,
             reply_token=notice.reply_token, accepted=accepted,
@@ -638,123 +593,40 @@ class ShardHost(SignalingNode):
     def start_resync(self) -> None:
         """Snapshot the full session state and restart the replication
         stream from seq 1 (the peer rejoined empty)."""
-        shard = self.sap.shards[0]
-        ops: list = [("reset",)]
-        for nonce in sorted(shard.seen_nonces):
-            window_end, id_u = shard.seen_nonces[nonce]
-            ops.append(("nonce", nonce, id_u, window_end))
-        for session_id in sorted(shard.grants):
-            ops.append(("grant", shard.grants[session_id]))
-        for session_id in sorted(shard.revoked_sessions):
-            id_u, expires_at = shard.revoked_sessions[session_id]
-            ops.append(("tombstone", session_id, id_u, expires_at))
-        for session_id in sorted(shard.scope_counters):
-            ops.append(("scope_counter", session_id,
-                        shard.scope_counters[session_id]))
-        for digest in sorted(self.sap._response_cache):
-            triple = self.sap._response_cache[digest]
-            ops.append(("response", digest, triple,
-                        self.sim.now + self.sap.response_cache_ttl))
         self._repl_seq = 0
         self._repl_inflight = None
-        self._repl_log = ops
+        self._repl_log = [("reset",)] + self.sap.export()
         self._repl_last_ack_at = self.sim.now
         self.replicating = True
         if self._repl_timer is None:
             self._repl_timer = self.sim.schedule(0.0, self._flush_repl)
 
     def _handle_resync(self, src_ip: str, order: ResyncPeer) -> None:
-        self.start_resync()
+        # An order that crossed a failover reaches the demoted host:
+        # only a primary streams, or its reset would wipe the new one.
+        if not self.is_replica:
+            self.start_resync()
         self.send(src_ip, ResyncAck(shard_id=self.shard_id,
                                     epoch=order.epoch), size=32)
 
     # -- replication: replica side ------------------------------------------
     def _handle_replica_update(self, src_ip: str,
                                update: ReplicaUpdate) -> None:
-        if update.seq <= self._applied_seq:
-            # App-level duplicate (give-up + retransmit under a new
-            # correlation id): already applied, just re-ack.
-            self.send(src_ip, ReplicaUpdateAck(
-                shard_id=update.shard_id, seq=update.seq), size=32)
-            return
-        if update.seq == self._applied_seq + 1 or update.ops[:1] == (
-                ("reset",),):
+        if update.seq > self._applied_seq:
+            if update.seq != self._applied_seq + 1 \
+                    and update.ops[:1] != (("reset",),):
+                # A gap (seq > applied + 1 without a reset) is
+                # unsatisfiable with the serialized stream; drop and
+                # let the sender retry.
+                return
             for op in update.ops:
-                self._apply_op(op)
+                self.sap.apply(op)
                 self.repl_ops_applied += 1
             self._applied_seq = update.seq
-            self.send(src_ip, ReplicaUpdateAck(
-                shard_id=update.shard_id, seq=update.seq), size=32)
-        # A gap (seq > applied + 1 without a reset) is unsatisfiable
-        # with the serialized stream; drop and let the sender retry.
-
-    def _apply_op(self, op: tuple) -> None:
-        kind = op[0]
-        sap = self.sap
-        shard = sap.shards[0]
-        if kind == "reset":
-            self._clear_session_state()
-        elif kind == "nonce":
-            _, nonce, id_u, window_end = op
-            if nonce not in shard.seen_nonces:
-                shard.note_nonce(nonce, id_u, window_end)
-        elif kind == "grant":
-            grant = op[1]
-            if grant.session_id in shard.grants \
-                    or grant.session_id in shard.revoked_sessions:
-                return
-            shard.grants[grant.session_id] = grant
-            shard.sessions_by_ue.setdefault(grant.id_u, set()).add(
-                grant.session_id)
-            heapq.heappush(shard.grant_expiry,
-                           (grant.expires_at, grant.session_id))
-        elif kind == "response":
-            _, digest, triple, expires_at = op
-            if digest not in sap._response_cache:
-                sap._response_cache[digest] = triple
-                heapq.heappush(sap._response_cache_expiry,
-                               (expires_at, digest))
-        elif kind == "tombstone":
-            _, session_id, id_u, expires_at = op
-            grant = shard.grants.pop(session_id, None)
-            if grant is not None:
-                sessions = shard.sessions_by_ue.get(id_u)
-                if sessions is not None:
-                    sessions.discard(session_id)
-                    if not sessions:
-                        del shard.sessions_by_ue[id_u]
-            shard.revoked_sessions[session_id] = (id_u, expires_at)
-            heapq.heappush(shard.grant_expiry, (expires_at, session_id))
-        elif kind == "scope_counter":
-            _, session_id, counter = op
-            # Max-merge: duplicated / reordered batches never regress
-            # the replay floor.
-            if counter > shard.scope_counters.get(session_id, 0):
-                shard.scope_counters[session_id] = counter
-        elif kind == "forget":
-            self._drop_subscriber_state(op[1])
-
-    def _drop_subscriber_state(self, id_u: str) -> None:
-        """Forget one subscriber's session state (post-handoff commit).
-        Heap entries left behind go stale and are skipped lazily."""
-        sap = self.sap
-        shard = sap.shards[0]
-        for nonce in [n for n, (_, owner) in shard.seen_nonces.items()
-                      if owner == id_u]:
-            del shard.seen_nonces[nonce]
-        owned = set(shard.sessions_by_ue.pop(id_u, set()))
-        for session_id in sorted(owned):
-            shard.grants.pop(session_id, None)
-        for session_id in [s for s, (owner, _)
-                           in shard.revoked_sessions.items()
-                           if owner == id_u]:
-            owned.add(session_id)
-            del shard.revoked_sessions[session_id]
-        for session_id in owned:
-            shard.scope_counters.pop(session_id, None)
-        for digest in [d for d, triple in sap._response_cache.items()
-                       if triple[2].id_u == id_u]:
-            del sap._response_cache[digest]
+        # else an app-level duplicate (give-up + retransmit under a new
+        # correlation id): already applied, just re-ack.
+        self.send(src_ip, ReplicaUpdateAck(
+            shard_id=update.shard_id, seq=update.seq), size=32)
 
     # -- promotion -----------------------------------------------------------
     def _handle_promote(self, src_ip: str, order: PromoteReplica) -> None:
@@ -764,48 +636,19 @@ class ShardHost(SignalingNode):
             # The old primary is presumed dead; no peer to stream to
             # until the frontend orders a resync.
             self.replicating = False
+            # A revocation issued while the shard had no live primary
+            # reached no stream: catch up from the subscriber DB.
+            for subscriber in self.sap.enrolled():
+                if subscriber.suspended:
+                    self.sap.revoke(subscriber.id_u)
         self.send(src_ip, PromoteAck(
             shard_id=self.shard_id, epoch=order.epoch,
             applied_seq=self._applied_seq), size=32)
 
     # -- handoff: source side ------------------------------------------------
-    def _collect_handoff(self, moving: set) -> list:
-        """Deterministic snapshot of the session state owned by the
-        moving subscribers (sorted iteration -> identical chunking on
-        identically-seeded runs)."""
-        sap = self.sap
-        shard = sap.shards[0]
-        entries: list = []
-        for nonce in sorted(n for n, (_, owner)
-                            in shard.seen_nonces.items()
-                            if owner in moving):
-            window_end, owner = shard.seen_nonces[nonce]
-            entries.append(("nonce", nonce, owner, window_end))
-        for session_id in sorted(s for s, g in shard.grants.items()
-                                 if g.id_u in moving):
-            entries.append(("grant", shard.grants[session_id]))
-        for session_id in sorted(s for s, (owner, _)
-                                 in shard.revoked_sessions.items()
-                                 if owner in moving):
-            owner, expires_at = shard.revoked_sessions[session_id]
-            entries.append(("tombstone", session_id, owner, expires_at))
-        owned = {s for s, g in shard.grants.items() if g.id_u in moving}
-        owned |= {s for s, (owner, _) in shard.revoked_sessions.items()
-                  if owner in moving}
-        for session_id in sorted(owned & shard.scope_counters.keys()):
-            entries.append(("scope_counter", session_id,
-                            shard.scope_counters[session_id]))
-        for digest in sorted(d for d, triple
-                             in sap._response_cache.items()
-                             if triple[2].id_u in moving):
-            entries.append(("response", digest,
-                            sap._response_cache[digest],
-                            self.sim.now + sap.response_cache_ttl))
-        return entries
-
     def _handle_handoff_begin(self, src_ip: str,
                               begin: HandoffBegin) -> None:
-        entries = self._collect_handoff(set(begin.moving_ids))
+        entries = self.sap.export(set(begin.moving_ids))
         per = self.handoff_chunk_entries
         slices = [tuple(entries[i:i + per])
                   for i in range(0, len(entries), per)] or [()]
@@ -816,19 +659,16 @@ class ShardHost(SignalingNode):
                                last=(index == len(slices) - 1),
                                entries=chunk_entries)
                   for index, chunk_entries in enumerate(slices)]
-        self._handoffs_out[begin.handoff_id] = {
-            "chunks": chunks, "next": 0}
+        self._handoffs_out[begin.handoff_id] = chunks
         self.send(src_ip, HandoffBeginAck(
             handoff_id=begin.handoff_id, entries=len(entries)), size=32)
         self._send_next_chunk(begin.handoff_id)
 
     def _send_next_chunk(self, handoff_id: int) -> None:
-        state = self._handoffs_out.get(handoff_id)
-        if state is None or self.crashed:
-            return
-        if state["next"] >= len(state["chunks"]):
-            return   # all chunks acked; waiting for the commit
-        chunk = state["chunks"][state["next"]]
+        chunks = self._handoffs_out.get(handoff_id)
+        if not chunks or self.crashed:
+            return   # unknown, or all chunks acked; waiting for the commit
+        chunk = chunks[0]
         self.handoff_chunks_sent += 1
         self.send_request(
             self.frontend_ip, chunk, size=64 + 96 * len(chunk.entries),
@@ -849,13 +689,9 @@ class ShardHost(SignalingNode):
 
     def _handle_handoff_chunk_ack(self, src_ip: str,
                                   ack: HandoffChunkAck) -> None:
-        state = self._handoffs_out.get(ack.handoff_id)
-        if state is None:
-            return
-        chunks = state["chunks"]
-        if state["next"] < len(chunks) \
-                and chunks[state["next"]].seq == ack.seq:
-            state["next"] += 1
+        chunks = self._handoffs_out.get(ack.handoff_id)
+        if chunks and chunks[0].seq == ack.seq:
+            del chunks[0]
             self._send_next_chunk(ack.handoff_id)
 
     # -- handoff: target side ------------------------------------------------
@@ -864,11 +700,10 @@ class ShardHost(SignalingNode):
         key = (chunk.handoff_id, chunk.seq)
         if key not in self._chunks_applied:
             self._chunks_applied.add(key)
+            # Journaled like any other op, so the target's own standby
+            # inherits the state too.
             for op in chunk.entries:
-                self._apply_op(op)
-                # The target replicates inherited state to its own
-                # standby like any other mutation.
-                self._queue_op(op)
+                self.sap.apply(op)
         self.send(src_ip, HandoffChunkAck(
             handoff_id=chunk.handoff_id, seq=chunk.seq,
             last=chunk.last), size=32)
@@ -878,8 +713,7 @@ class ShardHost(SignalingNode):
         if commit.handoff_id in self._handoffs_out:
             del self._handoffs_out[commit.handoff_id]
             for id_u in sorted(commit.moving_ids):
-                self._drop_subscriber_state(id_u)
-                self._queue_op(("forget", id_u))
+                self.sap.apply(("forget", id_u))
         self.send(src_ip, HandoffCommitAck(
             handoff_id=commit.handoff_id), size=32)
 
@@ -947,9 +781,11 @@ class ShardFrontend:
 
     Lives inside ``brokerd`` (all its I/O goes through the daemon's
     signaling socket); holds the consistent-hash ring, the pending-attach
-    table, the failure detector, and the billing/revocation mirror that
-    keeps ``revoke_subscriber`` synchronous at the frontend while session
-    state lives on the shard hosts.
+    table and the failure detector.  Every approved grant is also
+    applied to the daemon's own ``brokerd.sap``, which keeps
+    ``revoke_subscriber``, grant expiry and scope-notice routing
+    synchronous at the frontend while session state lives on the shard
+    hosts.
     """
 
     heartbeat_interval = 0.2
@@ -1004,12 +840,6 @@ class ShardFrontend:
         #: reply_token -> (src_ip, notice, deferred) scope notices
         #: forwarded to their owning shard and awaiting the verdict.
         self._pending_scope: dict[int, tuple] = {}
-        #: session_id -> id_u, for routing scope notices to the shard
-        #: that owns the grant (notices carry only the session id).
-        self._session_owner: dict[str, str] = {}
-        #: id_u -> {session_id: grant} mirror for synchronous revocation.
-        self._grants_by_ue: dict[str, dict] = {}
-        self._expiry_heap: list = []
         #: recent approved auths (for drills probing replay-across-
         #: failover): dicts with at/auth_req_u/id_t/id_u/shard.
         self.recent_auths: list = []
@@ -1174,9 +1004,11 @@ class ShardFrontend:
             size=32, timeout=0.3, max_attempts=6)
 
     def _reprovision(self, host: ShardHost) -> None:
-        """Re-push the provisioning plane (subscriber DB, LI mandates)
-        into a host that rejoined empty."""
-        for subscriber in self.brokerd.sap.subscribers.values():
+        """Push the provisioning plane into a new (or rejoined-empty)
+        host: subscriber DB, LI mandates, and the bTelco directory (same
+        trust domain: scope tokens minted at any shard can seal session
+        keys for every registered site)."""
+        for subscriber in self.brokerd.sap.enrolled():
             host.sap.enroll(subscriber)
         host.sap.li_targets = self.brokerd.sap.li_targets
         host.sap.btelco_directory = self.brokerd.sap.btelco_directory
@@ -1189,7 +1021,9 @@ class ShardFrontend:
     def handle_auth(self, src_ip: str, request) -> None:
         """Entry point from ``Brokerd._handle_auth_request``."""
         self.notify_activity()
-        self._sweep_expiries(self.sim.now)
+        # Expired grants close their billing and revocation routing
+        # through the daemon's own on_grant_expired hook.
+        self.brokerd.sap.expire_grants(self.sim.now)
         deferred = self.brokerd.defer_reply()
         scale = self.brokerd._cost_scale()
         self.brokerd.charge(AUTHVEC_DECRYPT_COST * scale)
@@ -1208,6 +1042,10 @@ class ShardFrontend:
             self._rebalance["parked"].append(
                 (src_ip, request, deferred, id_u))
             return
+        self._forward(src_ip, request, deferred, id_u)
+
+    def _forward(self, src_ip: str, request, deferred,
+                 id_u: Optional[str]) -> None:
         shard_id = self.ring.shard_for(id_u) if id_u is not None \
             else self.active_ids[0]
         token = self._next_token
@@ -1261,20 +1099,15 @@ class ShardFrontend:
             self._deny_degraded(record)
 
     def _deny_degraded(self, record: _PendingAttach) -> None:
-        self.brokerd.requests_denied += 1
         self.degraded_denials.inc()
         self._obs_instant(
             "attach.degraded_denial",
             ctx=getattr(record.deferred, "obs_ctx", None),
             shard=record.shard_id, attempts=record.attempts)
-        response = BrokerAuthResponse(
-            approved=False,
-            cause=(f"{DenialCause.DEGRADED.value}: shard "
-                   f"{record.shard_id} unavailable"),
-            retryable=True,
-            reply_token=record.request.reply_token)
-        record.deferred.send(record.src_ip, response, size=96)
-        record.deferred.complete()
+        self.brokerd._deny(
+            record.src_ip, record.request,
+            f"{DenialCause.DEGRADED.value}: shard {record.shard_id} "
+            f"unavailable", retryable=True, deferred=record.deferred)
 
     def _on_shard_auth_response(self, src_ip: str,
                                 resp: ShardAuthResponse) -> None:
@@ -1284,34 +1117,16 @@ class ShardFrontend:
         if resp.approved:
             self._complete_approved(record, resp)
             return
-        self.brokerd.requests_denied += 1
         if resp.cause.startswith(DenialCause.DEGRADED.value):
             self.degraded_denials.inc()
-        response = BrokerAuthResponse(
-            approved=False, cause=resp.cause, retryable=resp.retryable,
-            reply_token=record.request.reply_token)
-        record.deferred.send(record.src_ip, response, size=96)
-        record.deferred.complete()
+        self.brokerd._deny(record.src_ip, record.request, resp.cause,
+                           retryable=resp.retryable,
+                           deferred=record.deferred)
 
     def _complete_approved(self, record: _PendingAttach,
                            resp: ShardAuthResponse) -> None:
-        brokerd = self.brokerd
         grant = resp.grant
-        brokerd.requests_approved += 1
-        brokerd._session_btelco[grant.session_id] = record.src_ip
-        brokerd._btelco_keys[record.src_ip] = \
-            record.request.auth_req_t.t_certificate.public_key
-        subscriber = brokerd.sap.subscriber(grant.id_u)
-        if grant.session_id not in brokerd.billing.sessions \
-                and subscriber is not None:
-            brokerd.billing.open_session(
-                grant, ue_public_key=subscriber.public_key,
-                btelco_public_key=brokerd._btelco_keys[record.src_ip])
-        self._grants_by_ue.setdefault(grant.id_u, {})[grant.session_id] \
-            = grant
-        self._session_owner[grant.session_id] = grant.id_u
-        heapq.heappush(self._expiry_heap,
-                       (grant.expires_at, grant.session_id, grant.id_u))
+        self.brokerd.sap.apply(("grant", grant))
         if not resp.cached:
             self.recent_auths.append({
                 "at": self.sim.now,
@@ -1323,15 +1138,9 @@ class ShardFrontend:
             if len(self.recent_auths) > self.recent_auth_cap:
                 del self.recent_auths[:len(self.recent_auths)
                                       - self.recent_auth_cap]
-        response = BrokerAuthResponse(
-            approved=True, auth_resp_t=resp.auth_resp_t,
-            auth_resp_u=resp.auth_resp_u,
-            reply_token=record.request.reply_token)
-        record.deferred.send(
-            record.src_ip, response,
-            size=resp.auth_resp_t.wire_size
-            + resp.auth_resp_u.wire_size + 64)
-        record.deferred.complete()
+        self.brokerd._approve(
+            record.src_ip, record.request, resp.auth_resp_t,
+            resp.auth_resp_u, grant, deferred=record.deferred)
 
     # -- scope notices -------------------------------------------------------
     def handle_scope_notice(self, src_ip: str, notice) -> None:
@@ -1340,9 +1149,9 @@ class ShardFrontend:
         owning the grant and ack the bTelco with its verdict."""
         self.notify_activity()
         deferred = self.brokerd.defer_reply()
-        id_u = self._session_owner.get(notice.session_id)
+        id_u = self.brokerd.sap.session_owner(notice.session_id)
         if id_u is None:
-            # No live grant behind this session id anywhere: terminal,
+            # No grant or tombstone behind this session id: terminal,
             # the bTelco must tear the scope-local session down.
             self.brokerd._finish_scope_notice(
                 src_ip, notice, False, False,
@@ -1399,19 +1208,6 @@ class ShardFrontend:
             orig_src_ip, notice, ack.accepted, ack.retryable, ack.cause,
             deferred=deferred)
 
-    def _sweep_expiries(self, now: float) -> None:
-        while self._expiry_heap and self._expiry_heap[0][0] <= now:
-            _, session_id, id_u = heapq.heappop(self._expiry_heap)
-            grants = self._grants_by_ue.get(id_u)
-            if grants is None or session_id not in grants:
-                continue   # revoked earlier; nothing left to close
-            del grants[session_id]
-            if not grants:
-                del self._grants_by_ue[id_u]
-            self._session_owner.pop(session_id, None)
-            self.brokerd._session_btelco.pop(session_id, None)
-            self.brokerd.billing.close_session(session_id)
-
     # -- provisioning plane --------------------------------------------------
     def enroll(self, subscriber) -> None:
         """Provision a subscriber on every host (strongly-consistent
@@ -1421,14 +1217,13 @@ class ShardFrontend:
                 st.hosts[addr].sap.enroll(subscriber)
 
     def revoke(self, id_u: str) -> list:
-        """Suspend ``id_u`` everywhere and return its live grants (from
-        the frontend mirror) for the daemon's revocation push."""
-        self.brokerd.sap.revoke(id_u)   # directory: suspends the shared
-        # subscriber object, so every host sees it instantly.
+        """Suspend ``id_u`` everywhere and return its live grants for
+        the daemon's revocation push.  Primaries tombstone their own
+        sessions; a standby learns of it only from its primary's stream,
+        ordered after the grants it kills."""
         for _, st in sorted(self.states.items()):
-            for addr in (st.primary_addr, st.standby_addr):
-                st.hosts[addr].sap.revoke(id_u)
-        return list(self._grants_by_ue.pop(id_u, {}).values())
+            st.hosts[st.primary_addr].sap.revoke(id_u)
+        return self.brokerd.sap.revoke(id_u)
 
     # -- rebalancing ---------------------------------------------------------
     def set_shard_count(self, count: int) -> None:
@@ -1469,7 +1264,7 @@ class ShardFrontend:
         for sid in new_active:
             new_ring.add(sid)
         moves: dict = {}
-        for id_u in sorted(self.brokerd.sap.subscribers):
+        for id_u in sorted(sub.id_u for sub in self.brokerd.sap.enrolled()):
             old_sid = self.ring.shard_for(id_u)
             new_sid = new_ring.shard_for(id_u)
             if old_sid != new_sid and old_sid in self.active_ids:
@@ -1601,14 +1396,8 @@ class ShardFrontend:
             "parked": len(parked),
             "active": list(self.active_ids),
         })
-        for src_ip, request, deferred, id_u in parked:
-            shard_id = self.ring.shard_for(id_u)
-            token = self._next_token
-            self._next_token += 1
-            self._pending[token] = _PendingAttach(
-                src_ip=src_ip, request=request, deferred=deferred,
-                id_u=id_u, shard_id=shard_id)
-            self._transmit_forward(token)
+        for parked_attach in parked:
+            self._forward(*parked_attach)
 
     def note_retransmitted(self, message) -> None:
         """Fed from ``Brokerd.note_retransmitted_request``."""
@@ -1680,13 +1469,6 @@ def deploy_shard_hosts(network, *, num_shards: int = 2, spares: int = 0,
         for host in (primary, replica):
             host.replication_interval = replication_interval
             host.authorize_btelco = brokerd._btelco_policy
-            host.sap.li_targets = brokerd.sap.li_targets
-            # Shared bTelco directory (same trust domain as the
-            # subscriber DB): scope tokens minted at any shard can
-            # seal session keys for every registered site.
-            host.sap.btelco_directory = brokerd.sap.btelco_directory
-            for subscriber in brokerd.sap.subscribers.values():
-                host.sap.enroll(subscriber)
         uplink = Link(sim, f"shard{sid}-broker", broker_host,
                       primary_host, bandwidth_bps, link_delay)
         uplink_r = Link(sim, f"shard{sid}r-broker", broker_host,
@@ -1717,6 +1499,8 @@ def deploy_shard_hosts(network, *, num_shards: int = 2, spares: int = 0,
         shard_hosts[replica.name] = replica
     frontend = ShardFrontend(
         brokerd, states, active=list(range(num_shards)))
+    for host in shard_hosts.values():
+        frontend._reprovision(host)
     frontend.heartbeat_interval = heartbeat_interval
     frontend.detection_timeout = detection_timeout
     brokerd.configure_distributed(frontend)

@@ -144,7 +144,7 @@ class TestHostDrivenMobility:
 
         sim = Simulator()
         net = build_cellbricks_network(sim, with_data_path=True)
-        net.brokerd.sap.subscribers["alice"].qos_plan = QosInfo(
+        net.brokerd.sap.subscriber("alice").qos_plan = QosInfo(
             qci=9, ambr_dl_bps=5e6, ambr_ul_bps=2e6)
         manager = MobilityManager(net, enforce_qos=True)
         IperfServer(KIND_MPTCP, net.data_path.server)

@@ -116,7 +116,7 @@ class TestFailedSwitchRecovery:
         assert manager.current_site.name == "btelco-a"
         assert manager.target_site is None
 
-        net.brokerd.sap.subscribers["alice"].suspended = False
+        net.brokerd.sap.subscriber("alice").suspended = False
         manager.reattach()
         sim.run(until=sim.now + 2.0)
         assert manager.ue.state == "ATTACHED"
@@ -143,7 +143,7 @@ class TestFailedSwitchRecovery:
         assert manager.current_site.name == "btelco-a"
         assert manager.target_site is None
 
-        net.brokerd.sap.subscribers["alice"].suspended = False
+        net.brokerd.sap.subscriber("alice").suspended = False
         manager.reattach()
         sim.run(until=sim.now + 2.0)
         assert manager.ue.state == "REGISTERED"
@@ -208,7 +208,8 @@ class TestShardFailoverReplay:
 
         grant = manager.ue.mobility_grant
         sid = grant.session_id
-        shard_id = frontend.ring.shard_for(frontend._session_owner[sid])
+        shard_id = frontend.ring.shard_for(
+            net.brokerd.sap.session_owner(sid))
         state = frontend.states[shard_id]
         primary = state.hosts[state.primary_addr]
         replica = state.hosts[state.standby_addr]

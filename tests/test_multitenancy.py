@@ -113,10 +113,10 @@ class TestSharedCell:
     def test_per_broker_qos_applied_on_shared_cell(self):
         sim, agw, enb, brokers, ues = build_shared_cell()
         # Broker 0 sells premium (QCI 8 / 50 Mbps), broker 1 budget.
-        for subscriber in brokers[0].sap.subscribers.values():
+        for subscriber in brokers[0].sap.enrolled():
             subscriber.qos_plan = QosInfo(qci=8, ambr_dl_bps=50e6,
                                           ambr_ul_bps=20e6)
-        for subscriber in brokers[1].sap.subscribers.values():
+        for subscriber in brokers[1].sap.enrolled():
             subscriber.qos_plan = QosInfo(qci=9, ambr_dl_bps=2e6,
                                           ambr_ul_bps=1e6)
         for offset, (brokerd, ue) in enumerate(ues):
@@ -135,10 +135,10 @@ def test_each_broker_authorizes_its_own_users_on_either_rat(rat):
     as an AGW or as an AMF, routes each authReqU to the broker it names
     and admits the user under that broker's QoS."""
     sim, site, enb, brokers, ues = build_shared_cell(rat=rat)
-    for subscriber in brokers[0].sap.subscribers.values():
+    for subscriber in brokers[0].sap.enrolled():
         subscriber.qos_plan = QosInfo(qci=8, ambr_dl_bps=50e6,
                                       ambr_ul_bps=20e6)
-    for subscriber in brokers[1].sap.subscribers.values():
+    for subscriber in brokers[1].sap.enrolled():
         subscriber.qos_plan = QosInfo(qci=9, ambr_dl_bps=2e6,
                                       ambr_ul_bps=1e6)
     results = []

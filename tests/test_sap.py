@@ -72,7 +72,7 @@ class TestHappyPath:
         assert b"alice" not in req_u.auth_vec_encrypted
 
     def test_qos_clamped_to_btelco_capability(self, world):
-        world["broker"].subscribers["alice"].qos_plan = QosInfo(
+        world["broker"].subscriber("alice").qos_plan = QosInfo(
             qci=8, ambr_dl_bps=500e6, ambr_ul_bps=300e6)
         try:
             ue, _, _, sealed_t, _, grant = full_run(world)
@@ -80,7 +80,7 @@ class TestHappyPath:
             assert grant.qos_info.ambr_dl_bps <= caps.max_ambr_dl_bps
             assert grant.qos_info.qci in caps.supported_qcis
         finally:
-            world["broker"].subscribers["alice"].qos_plan = QosInfo()
+            world["broker"].subscriber("alice").qos_plan = QosInfo()
 
     def test_distinct_sessions_get_distinct_secrets(self, world):
         *_, grant1 = full_run(world)
@@ -142,7 +142,7 @@ class TestBrokerChecks:
             with pytest.raises(SapError, match="suspended"):
                 world["broker"].process_request(req_t, now=10.0)
         finally:
-            world["broker"].subscribers["alice"].suspended = False
+            world["broker"].subscriber("alice").suspended = False
 
     def test_forged_ue_signature_denied(self, world):
         req_u = UeSap(world["creds"]).craft_request("t1.example")
@@ -307,11 +307,11 @@ class TestSessionLifecycle:
         peak = 0
         for step in range(40):
             attach(world, broker, now=float(step))
-            peak = max(peak, len(broker._seen_nonces))
+            peak = max(peak, len(broker.shards[0].seen_nonces))
         # ttl=5, one attach per second: never more than 6 live nonces,
         # despite 40 total attaches.
         assert peak <= 6
-        assert len(broker._nonce_expiry) <= 6
+        assert len(broker.shards[0].nonce_expiry) <= 6
 
     def test_grant_gc_bounds_state_under_churn(self, world):
         broker = fresh_broker(world, session_ttl=5.0)
@@ -319,14 +319,15 @@ class TestSessionLifecycle:
         broker.on_grant_expired = expired.append
         for step in range(40):
             attach(world, broker, now=float(step))
-            assert len(broker.grants) <= 6
+            assert broker.grants_active <= 6
         assert broker.grants_expired == len(expired) > 0
-        assert broker.grants_expired + len(broker.grants) == 40
+        assert broker.grants_expired + broker.grants_active == 40
         # Explicit sweep far in the future drains everything.
         broker.expire_grants(now=1e6)
-        assert broker.grants == {}
-        assert broker._sessions_by_ue == {}
-        assert broker._grant_expiry == []
+        shard, = broker.shards
+        assert shard.grants == {}
+        assert shard.sessions_by_ue == {}
+        assert shard.grant_expiry == []
 
     def test_revocation_cascades_to_outstanding_grants(self, world):
         broker = fresh_broker(world)
@@ -338,8 +339,9 @@ class TestSessionLifecycle:
         assert {g.session_id for g in revoked} == \
             {grant1.session_id, grant2.session_id}
         assert hooked == revoked
-        assert broker.grants == {}
-        assert broker.revoked_sessions == \
+        shard, = broker.shards
+        assert shard.grants == {}
+        assert set(shard.revoked_sessions) == \
             {grant1.session_id, grant2.session_id}
         # The subscriber is suspended: re-attach is denied.
         with pytest.raises(SapError, match="suspended"):
@@ -348,7 +350,7 @@ class TestSessionLifecycle:
         # Tombstones are themselves garbage-collected after the grants'
         # natural lifetime.
         broker.expire_grants(now=grant2.expires_at + 1)
-        assert broker.revoked_sessions == set()
+        assert shard.revoked_sessions == {}
 
     def test_btelco_rejects_revoked_session(self, world):
         broker = fresh_broker(world)

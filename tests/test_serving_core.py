@@ -130,7 +130,7 @@ class Lifecycle:
             states_at_revoke=states, served=self.ue.state in SERVED,
             sessions=len(self.a.sessions), holding=self.holding(self.a),
             acks=self.a.revocation_acks_sent)
-        self.brokerd.sap.subscribers["alice"].suspended = False
+        self.brokerd.sap.subscriber("alice").suspended = False
 
     def grant_expiry(self):
         self.brokerd.sap.session_ttl = 5.0

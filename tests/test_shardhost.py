@@ -111,7 +111,7 @@ class TestRoutingAndReplication:
         # response for the auth its primary just served.
         assert len(standby.sap.shards[0].seen_nonces) == 1
         assert len(standby.sap.shards[0].grants) == 1
-        assert len(standby.sap._response_cache) == 1
+        assert standby.sap.stats()["response_cache_size"] == 1
 
     def test_duplicate_request_served_from_idempotency_cache(self):
         sim, net, frontend = build_distributed()
