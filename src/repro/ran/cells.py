@@ -8,22 +8,24 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .geometry import Point
-from .propagation import (
-    DEFAULT_TX_POWER_DBM,
-    ShadowingField,
-    rsrp_dbm,
-)
+from .propagation import DEFAULT_TX_POWER_DBM
 
 _cell_ids = itertools.count(1)
 
 
 @dataclass
 class Cell:
-    """One cell site.
+    """One cell site: where it is, who runs it, how it radiates.
 
     ``operator`` is the owning bTelco's identity — in CellBricks adjacent
     cells routinely belong to *different* operators, which is what makes
     "switching towers often implies switching bTelcos" (§4.2).
+
+    A cell holds no per-UE state.  What a UE receives from it is
+    computed by that UE's :class:`~repro.ran.selection.CellSelector`,
+    which owns the shadowing realisation; ``tx_power_dbm`` is read
+    live on every measurement, the other fields when a selector is
+    built.
     """
 
     position: Point
@@ -35,10 +37,7 @@ class Cell:
     #: dense urban canyons.
     shadowing_sigma_db: float = 7.0
 
-    def __post_init__(self):
-        self._shadowing: dict[int, ShadowingField] = {}
-
-    def _identity_salt(self) -> int:
+    def identity_salt(self) -> int:
         """A seed salt stable across processes and allocation order.
 
         Derived from the cell's position (PCIs come from a global counter
@@ -49,54 +48,43 @@ class Cell:
         y = int(self.position.y * 1000)
         return ((x * 2654435761) ^ (y * 40503)) & 0xFFFFFFFF
 
-    def shadowing_for(self, ue_id: int, seed: int = 0) -> ShadowingField:
-        if ue_id not in self._shadowing:
-            self._shadowing[ue_id] = ShadowingField(
-                sigma_db=self.shadowing_sigma_db,
-                seed=seed ^ self._identity_salt() ^ ue_id)
-        return self._shadowing[ue_id]
-
-    def rsrp_at(self, position: Point, ue_id: int = 0,
-                seed: int = 0) -> float:
-        shadow = self.shadowing_for(ue_id, seed).sample(position)
-        return rsrp_dbm(self.tx_power_dbm,
-                        self.position.distance_to(position), shadow,
-                        self.path_loss_exponent)
-
 
 @dataclass
 class Deployment:
-    """A set of cells covering an area."""
+    """A set of cells covering an area: topology only (PCI lookup and
+    the neighbour list).  Measuring it is the selector's job."""
 
     cells: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self._by_pci: dict[int, Cell] = {}
+        for cell in self.cells:
+            self._by_pci.setdefault(cell.pci, cell)
+        #: pci -> every other cell, nearest first (``neighbors_of``).
+        self._neighbors: dict[int, list] = {}
+
     def add(self, cell: Cell) -> Cell:
         self.cells.append(cell)
+        self._by_pci.setdefault(cell.pci, cell)
+        self._neighbors.clear()
         return cell
 
-    def measure(self, position: Point, ue_id: int = 0,
-                seed: int = 0) -> dict:
-        """RSRP of every cell at ``position`` (the UE's measurement
-        report)."""
-        return {cell.pci: cell.rsrp_at(position, ue_id, seed)
-                for cell in self.cells}
-
     def cell(self, pci: int) -> Optional[Cell]:
-        for cell in self.cells:
-            if cell.pci == pci:
-                return cell
-        return None
+        return self._by_pci.get(pci)
 
     def neighbors_of(self, pci: int, count: int = 6) -> list:
         """The network-provided neighbor list (§4.2's 'network-assisted'
         hint): the geographically closest cells."""
-        serving = self.cell(pci)
-        if serving is None:
-            return []
-        others = [cell for cell in self.cells if cell.pci != pci]
-        others.sort(key=lambda cell:
-                    cell.position.distance_to(serving.position))
-        return others[:count]
+        ranked = self._neighbors.get(pci)
+        if ranked is None:
+            serving = self.cell(pci)
+            if serving is None:
+                return []
+            ranked = [cell for cell in self.cells if cell.pci != pci]
+            ranked.sort(key=lambda cell:
+                        cell.position.distance_to(serving.position))
+            self._neighbors[pci] = ranked
+        return ranked[:count]
 
 
 def corridor_deployment(length_m: float, inter_site_distance_m: float,

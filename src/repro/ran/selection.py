@@ -16,12 +16,18 @@ stochastic processes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from math import exp, hypot, log10, sqrt
 from typing import Optional
 
 from .cells import Cell, Deployment
 from .geometry import Trajectory
-from .propagation import capacity_bps
+from .propagation import (
+    DEFAULT_REFERENCE_LOSS_DB,
+    DEFAULT_SHADOW_CORRELATION_M,
+    capacity_bps,
+)
 
 DEFAULT_HYSTERESIS_DB = 3.0
 DEFAULT_TIME_TO_TRIGGER_S = 0.64   # a standard LTE TTT value
@@ -98,7 +104,16 @@ class DriveLog:
 
 
 class CellSelector:
-    """The UE's measurement + A3 decision state machine."""
+    """The UE's measurement + A3 decision state machine.
+
+    Measurement lives here, not on the cells: a selector owns its UE's
+    shadowing realisation (one correlated field per cell, seeded
+    ``seed ^ cell.identity_salt() ^ ue_id``) and the position it was
+    last sampled at, so a new selector is a new drive whatever the
+    deployment was used for before.  :meth:`step` is the per-tick
+    entry; it samples every cell through :meth:`measure_rsrp` exactly
+    once.
+    """
 
     def __init__(self, deployment: Deployment,
                  hysteresis_db: float = DEFAULT_HYSTERESIS_DB,
@@ -114,11 +129,64 @@ class CellSelector:
         self.serving: Optional[Cell] = None
         self._candidate_pci: Optional[int] = None
         self._candidate_since: Optional[float] = None
+        # Sampling kernel state.  Per cell, in deployment order: a
+        # (cell, x, y, 10*exponent, sigma, gauss) row and the current
+        # shadow value.  Per UE: the position last sampled at.
+        self._plan = [
+            (cell, cell.position.x, cell.position.y,
+             10.0 * cell.path_loss_exponent, cell.shadowing_sigma_db,
+             random.Random(seed ^ cell.identity_salt() ^ ue_id).gauss)
+            for cell in deployment.cells]
+        self._shadows = [gauss(0.0, sigma)
+                         for *_, sigma, gauss in self._plan]
+        self._index_of = {row[0].pci: index
+                          for index, row in enumerate(self._plan)}
+        self._last_xy: Optional[tuple] = None
 
-    def _candidates(self) -> list:
-        if self.use_neighbor_list and self.serving is not None:
-            return self.deployment.neighbors_of(self.serving.pci)
-        return self.deployment.cells
+    def measure_rsrp(self, position) -> list:
+        """RSRP of every cell at ``position`` (the UE's measurement
+        report), in ``deployment.cells`` order.
+
+        One call is one tick: it moves this UE's shadow fields on by
+        the distance from the previous call's position, so drives go
+        through :meth:`step`, which calls it once.  Arithmetic and draws
+        (one ``gauss`` per cell per call after the first) are
+        :class:`ShadowingField` + :func:`rsrp_dbm` exactly; what is the
+        same for every cell — distance moved, ``rho``, the innovation
+        root — is computed once per call.
+        """
+        x, y = position.x, position.y
+        first = self._last_xy is None
+        if first:
+            rho = root = 0.0
+        else:
+            last_x, last_y = self._last_xy
+            rho = exp(-hypot(x - last_x, y - last_y)
+                      / DEFAULT_SHADOW_CORRELATION_M)
+            root = sqrt(max(0.0, 1 - rho ** 2))
+        self._last_xy = (x, y)
+        shadows = self._shadows
+        report = []
+        append = report.append
+        for i, (cell, cell_x, cell_y, slope, sigma, gauss) \
+                in enumerate(self._plan):
+            if first:
+                shadow = shadows[i]
+            else:
+                shadows[i] = shadow = \
+                    rho * shadows[i] + gauss(0, sigma * root)
+            distance = hypot(cell_x - x, cell_y - y)
+            append((cell.tx_power_dbm
+                    - (DEFAULT_REFERENCE_LOSS_DB + slope * log10(
+                        distance if distance > 1.0 else 1.0))) + shadow)
+        return report
+
+    def _candidates(self):
+        """Plan indices of the cells A3 may hand over to."""
+        if self.use_neighbor_list:
+            return [self._index_of[cell.pci] for cell in
+                    self.deployment.neighbors_of(self.serving.pci)]
+        return range(len(self._plan))
 
     def step(self, t: float, position) -> tuple:
         """One measurement cycle.
@@ -126,25 +194,25 @@ class CellSelector:
         Returns ``(serving_rsrp, handover_to)``: the serving RSRP after
         this cycle, and the Cell switched to (or None).
         """
-        measurements = self.deployment.measure(position, self.ue_id,
-                                               self.seed)
+        report = self.measure_rsrp(position)
         if self.serving is None:
-            best_pci = max(measurements, key=measurements.get)
-            self.serving = self.deployment.cell(best_pci)
-            return measurements[best_pci], self.serving
+            best_rsrp = max(report)
+            self.serving = self._plan[report.index(best_rsrp)][0]
+            return best_rsrp, self.serving
 
-        serving_rsrp = measurements[self.serving.pci]
-        best_candidate = None
+        serving_rsrp = report[self._index_of[self.serving.pci]]
+        best_index = None
         best_rsrp = serving_rsrp + self.hysteresis_db
-        for cell in self._candidates():
-            rsrp = measurements.get(cell.pci)
-            if rsrp is not None and rsrp > best_rsrp:
-                best_candidate, best_rsrp = cell, rsrp
+        for index in self._candidates():
+            rsrp = report[index]
+            if rsrp > best_rsrp:
+                best_index, best_rsrp = index, rsrp
 
-        if best_candidate is None:
+        if best_index is None:
             self._candidate_pci = None
             self._candidate_since = None
             return serving_rsrp, None
+        best_candidate = self._plan[best_index][0]
 
         if self._candidate_pci != best_candidate.pci:
             # A3 entered for a (new) candidate: start the TTT clock.

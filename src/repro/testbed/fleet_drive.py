@@ -46,7 +46,6 @@ from repro.crypto.keypool import pooled_keypair, warm
 from repro.net import Host, Link, Simulator
 from repro.ran.cells import corridor_deployment
 from repro.ran.geometry import Point, Trajectory, Waypoint
-from repro.ran.propagation import capacity_bps
 from repro.ran.selection import (DEFAULT_SAMPLE_INTERVAL_S, CellSelector,
                                  DriveLog, HandoverRecord)
 
@@ -157,9 +156,7 @@ class _FleetDriver:
         for ue in self.fleet:
             pos = ue.trajectory.position_at(t_rel)
             prev = ue.selector.serving
-            rsrp, switched = ue.selector.step(now, pos)
-            ue.log.samples.append((now, ue.selector.serving.pci, rsrp,
-                                   capacity_bps(rsrp)))
+            _, switched = ue.selector.step(now, pos)
             if switched is None:
                 continue
             if prev is None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ran import (
     Cell,
+    CellSelector,
     Deployment,
     Point,
     Trajectory,
@@ -105,8 +106,9 @@ class TestDeployment:
 
     def test_measurements_cover_all_cells(self):
         deployment = corridor_deployment(2000, 500)
-        report = deployment.measure(Point(1000, 0))
-        assert set(report) == {c.pci for c in deployment.cells}
+        report = CellSelector(deployment).measure_rsrp(Point(1000, 0))
+        assert len(report) == len(deployment.cells)
+        assert all(math.isfinite(rsrp) for rsrp in report)
 
     def test_neighbor_list_is_closest_cells(self):
         deployment = corridor_deployment(10000, 500,
@@ -190,6 +192,34 @@ class TestDriveSimulation:
                              use_neighbor_list=True, seed=18)
         # With assisted selection the UE still progresses down the road.
         assert log.handover_count >= 4
+
+    def test_neighbor_list_drive_pinned(self):
+        """Handover times of the drive above, taken before the PCI index
+        and the memoised neighbour ranking replaced scan-and-sort."""
+        deployment = corridor_deployment(8000, 700, rng=random.Random(17))
+        log = simulate_drive(deployment, straight_drive(8000, 15.0),
+                             use_neighbor_list=True, seed=18)
+        first = deployment.cells[0].pci
+        assert [round(h.at, 1) for h in log.handovers] == [
+            52.0, 100.8, 136.2, 194.4, 223.6, 275.2, 279.4, 284.2, 326.6,
+            368.8, 411.0, 416.4, 424.2, 460.0, 508.8, 517.2, 518.6]
+        assert [h.to_pci - first for h in log.handovers] == [
+            1, 2, 3, 4, 5, 6, 5, 6, 7, 8, 9, 8, 9, 10, 11, 10, 11]
+
+    def test_drive_is_a_pure_function_of_its_arguments(self):
+        """Shadow state belongs to the drive's selector, not to the
+        cells: a reused deployment neither continues the previous
+        drive's fields nor ignores the new seed."""
+        def handovers(deployment, seed):
+            log = simulate_drive(deployment, straight_drive(10000, 15.0),
+                                 seed=seed)
+            return [(h.at, h.to_pci - deployment.cells[0].pci)
+                    for h in log.handovers]
+
+        used = corridor_deployment(10000, 600, rng=random.Random(9))
+        assert handovers(used, 10) == handovers(used, 10)
+        fresh = corridor_deployment(10000, 600, rng=random.Random(9))
+        assert handovers(used, 99) == handovers(fresh, 99)
 
     @given(speed=st.floats(min_value=8.0, max_value=40.0),
            isd=st.floats(min_value=300.0, max_value=1500.0))
