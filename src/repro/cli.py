@@ -24,16 +24,15 @@ import sys
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    from repro.testbed import run_figure7, run_figure7_5g
+    from repro.testbed import run_figure7
 
     if args.trace:
         return _fig7_traced(args)
-    figure7 = run_figure7_5g if args.rat == "5g" else run_figure7
     print(f"Fig 7 - attachment latency breakdown ({args.trials} trials, "
           f"{args.rat})")
     print(f"{'placement':11s} {'arch':4s} {'total':>8s} {'agw+brokerd':>12s} "
           f"{'enb':>6s} {'ue':>6s} {'other':>8s}")
-    for result in figure7(trials=args.trials):
+    for result in run_figure7(trials=args.trials, rat=args.rat):
         print(f"{result.placement:11s} {result.arch:4s} "
               f"{result.total_ms:8.2f} {result.agw_brokerd_ms:12.2f} "
               f"{result.enb_ms:6.2f} {result.ue_ms:6.2f} "
@@ -51,9 +50,8 @@ def _fig7_traced(args: argparse.Namespace) -> int:
     from repro.analysis import percentile
     from repro.obs.export import LEG_NAMES, attach_leg_breakdown, \
         mean_leg_breakdown
-    from repro.testbed import run_traced_attach, run_traced_attach_5g
+    from repro.testbed import run_traced_attach
 
-    traced = run_traced_attach_5g if args.rat == "5g" else run_traced_attach
     print(f"Fig 7 - traced per-leg breakdown ({args.trials} trials, "
           f"{args.rat})")
     print(f"{'placement':11s} {'arch':4s} {'total':>8s} {'ue':>7s} "
@@ -61,8 +59,8 @@ def _fig7_traced(args: argparse.Namespace) -> int:
     bench: dict = {}
     for placement in ("local", "us-west-1", "us-east-1"):
         for arch in ("BL", "CB"):
-            _, obs, _ = traced(arch=arch, placement=placement,
-                               trials=args.trials)
+            _, obs, _ = run_traced_attach(arch=arch, placement=placement,
+                                          trials=args.trials, rat=args.rat)
             breakdowns = attach_leg_breakdown(obs.tracer.spans())
             legs = mean_leg_breakdown(breakdowns)
             if legs is None:
@@ -116,12 +114,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     obs = Obs()
     if args.scenario == "attach":
-        from repro.testbed import run_traced_attach, run_traced_attach_5g
+        from repro.testbed import run_traced_attach
 
-        traced = run_traced_attach_5g if args.rat == "5g" \
-            else run_traced_attach
-        traced(arch=args.arch, placement=args.placement,
-               trials=args.trials, seed=args.seed, obs=obs)
+        run_traced_attach(arch=args.arch, placement=args.placement,
+                          trials=args.trials, seed=args.seed, obs=obs,
+                          rat=args.rat)
     else:
         _chaos_obs_run(args, obs)
 
@@ -163,12 +160,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     obs = Obs(tracing=False)
     if args.scenario == "attach":
-        from repro.testbed import run_traced_attach, run_traced_attach_5g
+        from repro.testbed import run_traced_attach
 
-        traced = run_traced_attach_5g if args.rat == "5g" \
-            else run_traced_attach
-        traced(arch=args.arch, placement=args.placement,
-               trials=args.trials, seed=args.seed, obs=obs)
+        run_traced_attach(arch=args.arch, placement=args.placement,
+                          trials=args.trials, seed=args.seed, obs=obs,
+                          rat=args.rat)
     else:
         _chaos_obs_run(args, obs)
     print(json.dumps(obs.metrics.snapshot(), indent=2, sort_keys=True))
@@ -176,11 +172,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_attach(args: argparse.Namespace) -> int:
-    from repro.testbed import run_attach_benchmark, run_attach_benchmark_5g
+    from repro.testbed import run_attach_benchmark
 
-    benchmark = run_attach_benchmark_5g if args.rat == "5g" \
-        else run_attach_benchmark
-    result = benchmark(args.arch, args.placement, trials=args.trials)
+    result = run_attach_benchmark(args.arch, args.placement,
+                                  trials=args.trials, rat=args.rat)
     print(f"{args.arch} @ {args.placement} ({args.rat}): "
           f"{result.total_ms:.2f} ms "
           f"(agw+brokerd {result.agw_brokerd_ms:.2f}, enb "

@@ -15,22 +15,20 @@ from typing import Optional
 
 from repro.crypto import Certificate, PrivateKey, PublicKey
 from repro.lte import s6a
-from repro.lte.agw import Agw, UeContext
-from repro.lte.enodeb import S1UeContextRelease, S1UplinkNas
+from repro.lte.agw import BASELINE_COSTS, Agw, UeContext
 from repro.lte.nas import (
-    AttachComplete,
     DetachRequest,
     SapAttachChallenge,
     SapAttachReject,
     SapAttachRequest,
     SapScopedAttachRequest,
-    SecurityModeComplete,
 )
+from repro.lte.serving_base import Leg
 from repro.lte.signaling import CounterAttr
 from repro.net import Host
 
 from .billing import Meter, REPORTER_BTELCO
-from .btelco_core import SapServingCore
+from .btelco_core import SAP_MESSAGE_LEGS, SapServingCore, sap_nas_legs
 from .intercept import LawfulInterceptFunction
 from .messages import ReportAck
 from .qos import QosCapabilities
@@ -55,13 +53,15 @@ CELLBRICKS_COSTS = {
 class CellBricksAgw(SapServingCore, Agw):
     """A bTelco site: AGW with SAP in place of EPS-AKA + S6a."""
 
-    sap_request = SapAttachRequest
-    sap_scoped_request = SapScopedAttachRequest
     sap_challenge = SapAttachChallenge
-    sap_request_cost = "sap_attach_request"
-    sap_scoped_cost = "scoped_attach_request"
-    live_states = ("ATTACHED",)
-    attempt_clock = "attach_started_at"
+    cost_table = {**BASELINE_COSTS, **CELLBRICKS_COSTS}
+    nas_legs = {**Agw.nas_legs,
+                **sap_nas_legs(SapAttachRequest, SapScopedAttachRequest,
+                               "sap_attach_request",
+                               "scoped_attach_request")}
+    message_legs = {**Agw.message_legs, **SAP_MESSAGE_LEGS,
+                    ReportAck: Leg("_handle_report_ack",
+                                   "billing.report_ack")}
 
     reports_retried = CounterAttr("btelco.reports_retried")
     reports_lost = CounterAttr("btelco.reports_lost")
@@ -85,21 +85,6 @@ class CellBricksAgw(SapServingCore, Agw):
         self.reports_retried = 0
         self.reports_lost = 0
         self.reports_acked = 0
-        self.sap_costs = dict(CELLBRICKS_COSTS)
-        self.on(ReportAck, self._handle_report_ack)
-
-    def span_name(self, message: object) -> str:
-        if isinstance(message, ReportAck):
-            return "billing.report_ack"
-        return super().span_name(message)
-
-    def processing_cost(self, message: object) -> float:
-        if isinstance(message, S1UplinkNas):
-            if isinstance(message.nas, SecurityModeComplete):
-                return self.sap_costs["smc_complete"]
-            if isinstance(message.nas, AttachComplete):
-                return self.sap_costs["attach_complete"]
-        return super().processing_cost(message)
 
     # -- serving-core hooks -------------------------------------------------------
     def reject_sap(self, context: UeContext, cause: str,
@@ -127,21 +112,16 @@ class CellBricksAgw(SapServingCore, Agw):
     def after_security_established(self, context: UeContext) -> None:
         """No ULR: straight to session establishment (the Fig 7 win)."""
         self.establish_session(context)
-        self._enforce_grant_lifetime(context, context.enb_ue_id)
+        self._enforce_grant_lifetime(context)
 
     def _teardown_session(self, context: UeContext, session_id: str) -> None:
         """Network-initiated detach: release the session's every resource."""
-        self._forget_session(session_id)
         self.downlink_protected(context, DetachRequest())
-        if context.bearer is not None and context.bearer.active:
-            self.spgw.delete_bearer(context.bearer.ebi)
         context.state = "DETACHED"
-        self.send(context.enb_ip,
-                  S1UeContextRelease(enb_ue_id=context.enb_ue_id), size=32)
-        self.contexts.pop(context.enb_ue_id, None)
+        self._release_ue(context)
 
-    def _on_attach_complete(self, context: UeContext) -> None:
-        super()._on_attach_complete(context)
+    def _on_attach_complete(self, context: UeContext, complete) -> None:
+        super()._on_attach_complete(context, complete)
         session = context.sap_session
         if session is None or context.state != "ATTACHED" \
                 or self._refuse_if_revoked(context):
@@ -158,15 +138,6 @@ class CellBricksAgw(SapServingCore, Agw):
             # advertised the capability, so activate it now.
             self.li.activate(session.session_id, self.sim.now,
                              session.id_u_opaque)
-
-    # -- terminal cleanup ---------------------------------------------------------
-    def _on_detach(self, context: UeContext, request=None) -> None:
-        self._release_sap_state(context)
-        super()._on_detach(context, request)
-
-    def _abandon_attach(self, context: UeContext) -> None:
-        self._release_sap_state(context)
-        super()._abandon_attach(context)
 
     # -- billing ------------------------------------------------------------------------
     def upload_reports(self) -> int:

@@ -19,12 +19,11 @@ from typing import Optional
 
 from repro.crypto import Certificate, PrivateKey, PublicKey
 from repro.fivegc import nas5g
-from repro.fivegc.nf import Amf, UeContext5G
+from repro.fivegc.nf import AMF_COSTS, Amf, UeContext5G
 from repro.fivegc.ue5g import Ue5G
-from repro.lte.nas import NasMessage
 from repro.net import Host
 
-from .btelco_core import SapServingCore
+from .btelco_core import SAP_MESSAGE_LEGS, SapServingCore, sap_nas_legs
 from .qos import QosCapabilities
 from .sap import AuthorizedSession, UeSapCredentials
 from .ue_agent import SapUeAgent
@@ -40,13 +39,15 @@ CB_AMF_COSTS = {
 class CellBricksAmf(SapServingCore, Amf):
     """A 5G bTelco site: AMF with SAP, no AUSF/UDM dependency."""
 
-    sap_request = nas5g.SapRegistrationRequest
-    sap_scoped_request = nas5g.SapScopedRegistrationRequest
     sap_challenge = nas5g.SapRegistrationChallenge
-    sap_request_cost = "sap_registration"
-    sap_scoped_cost = "scoped_registration"
-    live_states = ("REGISTERED", "WAIT_SMF")
-    attempt_clock = "registration_started_at"
+    cost_table = {**AMF_COSTS, **CB_AMF_COSTS}
+    nas_legs = {**Amf.nas_legs,
+                **sap_nas_legs(nas5g.SapRegistrationRequest,
+                               nas5g.SapScopedRegistrationRequest,
+                               "sap_registration", "scoped_registration")}
+    message_legs = {**Amf.message_legs, **SAP_MESSAGE_LEGS}
+    initiating_nas = Amf.initiating_nas + (
+        nas5g.SapRegistrationRequest, nas5g.SapScopedRegistrationRequest)
 
     def __init__(self, host: Host, broker_ip: str, smf_ip: str, id_t: str,
                  key: PrivateKey, certificate: Certificate,
@@ -58,18 +59,11 @@ class CellBricksAmf(SapServingCore, Amf):
                          ca_public_key=ca_public_key,
                          qos_capabilities=qos_capabilities,
                          ausf_ip="0.0.0.0", smf_ip=smf_ip, name=name)
-        self.sap_costs = dict(CB_AMF_COSTS)
-
-    def nas_initiates(self, nas: NasMessage) -> bool:
-        return super().nas_initiates(nas) \
-            or isinstance(nas, (self.sap_request, self.sap_scoped_request))
 
     # -- serving-core hooks -------------------------------------------------------
     # A 5GS reject is terminal for the context: Amf.reject releases it
     # (and with it, via context_released, the broker leg and session).
     reject_sap = Amf.reject
-    send_smc = Amf.send_smc5g
-    _watch_attempt = Amf._watch_registration
 
     def _install_identity(self, context: UeContext5G,
                           session: AuthorizedSession) -> None:
@@ -77,26 +71,21 @@ class CellBricksAmf(SapServingCore, Amf):
 
     def after_security_established(self, context: UeContext5G) -> None:
         super().after_security_established(context)
-        self._enforce_grant_lifetime(context, context.ran_ue_id)
+        self._enforce_grant_lifetime(context)
 
     def _teardown_session(self, context: UeContext5G,
                           session_id: str) -> None:
         """Network-initiated deregistration: drop every resource the
         session holds (the downlink precedes the S1 release so it still
         routes through the gNB's ue-id mapping)."""
-        self._forget_session(session_id)
-        context.sap_session = None
         self.downlink(context, nas5g.DeregistrationRequest5G())
         context.state = "DEREGISTERED"
         self._release_ue(context)
 
-    def _on_registration_complete(self, context: UeContext5G) -> None:
-        super()._on_registration_complete(context)
+    def _on_registration_complete(self, context: UeContext5G,
+                                  complete) -> None:
+        super()._on_registration_complete(context, complete)
         self._refuse_if_revoked(context)
-
-    def context_released(self, context: UeContext5G) -> None:
-        self._release_sap_state(context)
-        super().context_released(context)
 
     # -- introspection ------------------------------------------------------------
     def stats(self) -> dict:
@@ -127,29 +116,12 @@ class CellBricksUe5G(SapUeAgent, Ue5G):
     sap_scoped_request = nas5g.SapScopedRegistrationRequest
     sap_challenge = nas5g.SapRegistrationChallenge
     sap_ue_costs = CB_UE5G_COSTS
-    attaching_state = "REGISTERING"
     _SPAN_NAMES = dict(Ue5G._SPAN_NAMES)
     _SPAN_NAMES[nas5g.SapRegistrationChallenge] = "sap.ue_verify"
 
-    def __init__(self, host: Host, gnb_ip: str,
+    def __init__(self, host: Host, ran_ip: str,
                  credentials: UeSapCredentials, target_id_t: str,
                  name: str = "cb-ue5g"):
-        super().__init__(host, gnb_ip, credentials, target_id_t,
+        super().__init__(host, ran_ip, credentials, target_id_t,
                          supi=None, usim=None, home_network_key=None,
                          name=name)
-
-    _stop_supervision = Ue5G._stop_registration_supervision
-
-    def register(self) -> None:
-        # A fresh attempt must not inherit the previous session's id (the
-        # security context is already cleared by the base class).
-        self.session_id = None
-        super().register()
-
-    def _on_registration_give_up(self) -> None:
-        super()._on_registration_give_up()
-        self._abandon_sap()
-
-    def retarget(self, gnb_ip: str, serving_network: str) -> None:
-        super().retarget(gnb_ip, serving_network)
-        self.target_id_t = serving_network

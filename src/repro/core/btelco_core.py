@@ -23,7 +23,10 @@ changes onto Magma (§5).  Key behavioural differences from the baseline:
 The core never asks which generation it serves: what differs is supplied
 by the adapter as class attributes and overridden hooks (listed on the
 class; DESIGN.md "Serving core and its two adapters" says why each one
-differs).
+differs).  Everything below SAP — contexts, NAS dispatch, SMC, accept
+supervision, the attempt deadline — is the substrate's
+(:class:`repro.lte.serving_base.ServingNodeBase`), one implementation
+under both adapters.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import itertools
 from typing import Optional
 
 from repro.crypto import Certificate, PrivateKey, PublicKey
-from repro.lte.nas import NasMessage
 from repro.lte.security import SecurityContext
+from repro.lte.serving_base import Leg
 from repro.lte.signaling import CounterAttr
 from repro.net import Host
 
@@ -51,23 +54,41 @@ from .qos import QosCapabilities
 from .sap import AuthorizedSession, BtelcoSap, BtelcoSapConfig, SapError
 
 
+#: message-table rows every CellBricks adapter adds to its substrate's.
+SAP_MESSAGE_LEGS = {
+    BrokerAuthResponse: Leg("_handle_broker_response", "sap.btelco_verify",
+                            "broker_auth_response"),
+    ScopeAttachAck: Leg("_handle_scope_ack"),
+    SessionRevocationBatch: Leg("_handle_revocation_batch",
+                                "revocation.btelco_batch"),
+}
+
+
+def sap_nas_legs(request: type, scoped_request: type, request_cost: str,
+                 scoped_cost: str) -> dict:
+    """Uplink NAS-table rows for an adapter's two SAP request classes
+    (``*_cost``: their keys in the adapter's cost table)."""
+    return {
+        request: Leg("_on_sap_request", "sap.btelco_sign", request_cost),
+        scoped_request: Leg("_on_sap_scoped_request",
+                            "sap.btelco_scope_validate", scoped_cost),
+    }
+
+
 class SapServingCore:
     """SAP relay, grant lifecycle, revocation cascade and scoped
     re-attach for one bTelco site, over whichever serving node follows
     it in the MRO.
 
-    The adapter supplies, as class attributes: ``sap_request`` /
-    ``sap_scoped_request`` / ``sap_challenge`` (its NAS classes),
-    ``sap_request_cost`` / ``sap_scoped_cost`` (their keys in the
-    ``sap_costs`` table it installs), ``live_states`` (context states in
-    which service is being rendered) and ``attempt_clock`` (the context
-    field its attempt supervision reads); as methods: :meth:`reject_sap`,
-    :meth:`_install_identity`, ``send_smc``, ``_teardown_session`` and,
-    where the substrate has them, :meth:`_watch_attempt` /
-    :meth:`_forget_session` extensions.  It calls
-    :meth:`_enforce_grant_lifetime` once security is established,
-    :meth:`_refuse_if_revoked` on attach completion and
-    :meth:`_release_sap_state` from each of its terminal paths.
+    The adapter supplies, as class attributes: ``sap_challenge`` (its
+    NAS class) and its substrate's tables extended with
+    :data:`SAP_MESSAGE_LEGS` / :func:`sap_nas_legs`; as methods:
+    :meth:`reject_sap`, :meth:`_install_identity`, ``_teardown_session``
+    and a :meth:`_forget_session` extension where it keeps per-session
+    resources.  It calls :meth:`_enforce_grant_lifetime` once security
+    is established and :meth:`_refuse_if_revoked` on attach completion;
+    the substrate's ``context_released`` hook reclaims SAP state on
+    every terminal path.
     """
 
     # One metric name per counter in both generations, so fleet-wide
@@ -131,9 +152,6 @@ class SapServingCore:
         #: session_id -> (token, counter, attempt) notices still awaiting
         #: a broker verdict (retryable nacks re-notify with backoff).
         self._scope_notice_pending: dict[str, tuple] = {}
-        self.on(BrokerAuthResponse, self._handle_broker_response)
-        self.on(ScopeAttachAck, self._handle_scope_ack)
-        self.on(SessionRevocationBatch, self._handle_revocation_batch)
 
     # -- adapter hooks ------------------------------------------------------------
     def reject_sap(self, context, cause: str,
@@ -146,41 +164,11 @@ class SapServingCore:
         profile the substrate keeps) on the UE context."""
         raise NotImplementedError
 
-    def _watch_attempt(self, context) -> None:
-        """Arm the substrate's attempt-deadline GC, if it has one."""
-
     def _forget_session(self, session_id: str) -> None:
         """Drop a session's bookkeeping (adapters extend this with their
         per-session resources)."""
         self.sessions.pop(session_id, None)
         self.session_brokers.pop(session_id, None)
-
-    # -- tracing + cost model -----------------------------------------------------
-    def nas_span_name(self, nas: NasMessage) -> str:
-        if isinstance(nas, self.sap_request):
-            return "sap.btelco_sign"
-        if isinstance(nas, self.sap_scoped_request):
-            return "sap.btelco_scope_validate"
-        return super().nas_span_name(nas)
-
-    def span_name(self, message: object) -> str:
-        if isinstance(message, BrokerAuthResponse):
-            return "sap.btelco_verify"
-        if isinstance(message, SessionRevocationBatch):
-            return "revocation.btelco_batch"
-        return super().span_name(message)
-
-    def nas_processing_cost(self, nas: NasMessage) -> float:
-        if isinstance(nas, self.sap_request):
-            return self.sap_costs[self.sap_request_cost]
-        if isinstance(nas, self.sap_scoped_request):
-            return self.sap_costs[self.sap_scoped_cost]
-        return super().nas_processing_cost(nas)
-
-    def processing_cost(self, message: object) -> float:
-        if isinstance(message, BrokerAuthResponse):
-            return self.sap_costs["broker_auth_response"]
-        return super().processing_cost(message)
 
     # -- broker trust bootstrap ---------------------------------------------------
     def trust_broker(self, id_b: str, public_key: PublicKey,
@@ -197,12 +185,6 @@ class SapServingCore:
         return self.broker_endpoints.get(id_b, self.broker_ip)
 
     # -- SAP flow -----------------------------------------------------------------
-    def handle_extension_nas(self, context, nas: NasMessage) -> None:
-        if isinstance(nas, self.sap_request):
-            self._on_sap_request(context, nas)
-        elif isinstance(nas, self.sap_scoped_request):
-            self._on_sap_scoped_request(context, nas)
-
     def _drop_broker_leg(self, context) -> None:
         if context.broker_token is not None:
             self._pending_sap.pop(context.broker_token, None)
@@ -216,7 +198,7 @@ class SapServingCore:
         context.sap_request_key = key
         context.sap_challenge = None
         context.sap_session = None
-        setattr(context, self.attempt_clock, self.sim.now)
+        context.attempt_started_at = self.sim.now
         context.broker_id = id_b
 
     def _on_sap_request(self, context, request) -> None:
@@ -236,7 +218,7 @@ class SapServingCore:
             return
         self._begin_attempt(context, key, request.auth_req_u.id_b)
         context.state = "WAIT_BROKER"
-        self._watch_attempt(context)
+        self._arm_deadline(context)
         auth_req_t = self.sap.augment_request(request.auth_req_u)
         token = next(self._tokens)
         self._pending_sap[token] = context
@@ -332,7 +314,7 @@ class SapServingCore:
         # probes cannot burn counters.
         self._scope_counters[token.session_id] = request.counter
         self.scoped_attaches += 1
-        self._watch_attempt(context)
+        self._arm_deadline(context)
         self._install_session(context, session)
         # Both sides already hold ss: skip the challenge downlink and go
         # straight to SMC.
@@ -406,17 +388,17 @@ class SapServingCore:
             # and the broker's veto was unauthorized — account for it
             # (the fleet-drive gate requires this stays 0).
             self.scope_unauthorized_session_s += max(
-                0.0, self.sim.now - getattr(context, self.attempt_clock))
+                0.0, self.sim.now - context.attempt_started_at)
 
     # -- grant lifecycle ----------------------------------------------------------
-    def _enforce_grant_lifetime(self, context, ue_id: int) -> None:
+    def _enforce_grant_lifetime(self, context) -> None:
         session = context.sap_session
         if session is not None:
             # The broker's authorization has a lifetime; serving past it
             # would be unauthorized service.  Schedule enforcement.
             delay = max(0.0, session.expires_at - self.sim.now)
             self.sim.schedule(delay, self._expire_session,
-                              session.session_id, ue_id)
+                              session.session_id, context.ran_ue_id)
 
     def _expire_session(self, session_id: str, ue_id: int) -> None:
         """Authorization lifetime reached: network-initiated detach."""
@@ -441,17 +423,18 @@ class SapServingCore:
         self._teardown_session(context, session.session_id)
         return True
 
-    def _release_sap_state(self, context) -> None:
-        """Any terminal transition (reject, abandon, UE-initiated detach,
-        deadline GC) reclaims the broker leg and the session bookkeeping,
-        so ``_pending_sap``/``sessions`` cannot grow with every
-        detach-reattach cycle (and unauthorized-session accounting never
-        reads stale entries)."""
+    def context_released(self, context) -> None:
+        """Every terminal transition (a releasing reject, abandon,
+        detach, teardown, deadline GC) reclaims the broker leg and the
+        session bookkeeping, so ``_pending_sap``/``sessions`` cannot grow
+        with every detach-reattach cycle (and unauthorized-session
+        accounting never reads stale entries)."""
         self._drop_broker_leg(context)
         session = context.sap_session
         if session is not None:
             self._forget_session(session.session_id)
             context.sap_session = None
+        super().context_released(context)
 
     # -- revocation cascade -------------------------------------------------------
     def _handle_revocation_batch(self, src_ip: str,

@@ -12,23 +12,28 @@ loop end to end:
    the replacement subflow).
 
 :func:`build_cellbricks_network` assembles a complete multi-bTelco
-network — CA, broker, N bTelco sites, one UE — used by the integration
-tests and the marketplace example.
+network — CA, broker, N bTelco sites, one UE — on either RAT, used by the
+integration tests, the chaos / fleet / traced drives and the marketplace
+example.  Sites come from :func:`build_btelco_site`, the one place a
+CellBricks serving node is constructed outside the Fig 7 bench; what
+differs between the generations there is the :data:`RATS` table.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from repro.crypto import CertificateAuthority
+from repro.crypto import CertificateAuthority, PrivateKey
 from repro.crypto.keypool import pooled_keypair, warm
+from repro.fivegc.nf import Smf
 from repro.lte import ENodeB
 from repro.net import CellularPath, Host, Link, Simulator
 
 from .broker import Brokerd
 from .btelco import CellBricksAgw
+from .btelco5g import CellBricksAmf, CellBricksUe5G
+from .btelco_core import SapServingCore
 from .qos import QosCapabilities
 from .sap import UeSapCredentials
 from .ue_agent import CellBricksUe
@@ -38,18 +43,108 @@ SIGNALING_BANDWIDTH = 1e9
 
 @dataclass
 class BtelcoSite:
-    """One bTelco deployment: eNodeB + AGW (+ their hosts and prefix)."""
+    """One bTelco deployment: base station + serving node (+ the local
+    SMF a 5G site runs), their hosts and address pool.  The LTE names
+    are the neutral ones: ``enb`` is the gNB and ``agw`` the AMF on a
+    5G site."""
 
     name: str
     enb_host: Host
     agw_host: Host
     enb: ENodeB
-    agw: CellBricksAgw
+    agw: SapServingCore
     pool_prefix: str
+    smf_host: Optional[Host] = None
+    smf: Optional[Smf] = None
 
     @property
     def enb_address(self) -> str:
         return self.enb_host.address
+
+
+def signaling_link(sim: Simulator, name: str, a: Host, b: Host,
+                   delay_s: float) -> Link:
+    """A control-plane link with each end routed to the other's /24."""
+    link = Link(sim, name, a, b, bandwidth_bps=SIGNALING_BANDWIDTH,
+                delay_s=delay_s)
+    a.add_route(b.address.rsplit(".", 1)[0], link)
+    b.add_route(a.address.rsplit(".", 1)[0], link)
+    return link
+
+
+def _lte_core(site: BtelcoSite, smf_address: str, **sap) -> None:
+    site.agw = CellBricksAgw(site.agw_host, ue_pool_prefix=site.pool_prefix,
+                             **sap)
+
+
+def _5g_core(site: BtelcoSite, smf_address: str, **sap) -> None:
+    sim = site.agw_host.sim
+    site.smf_host = Host(sim, f"{site.name}-smf", address=smf_address)
+    site.smf = Smf(site.smf_host, name=f"{site.name}-smf",
+                   ue_pool_prefix=site.pool_prefix)
+    site.agw = CellBricksAmf(site.agw_host, smf_ip=smf_address, **sap)
+    signaling_link(sim, f"{site.name}-smf", site.agw_host, site.smf_host,
+                   0.0002)
+
+
+class Rat(NamedTuple):
+    """What building a bTelco site and its UE needs to know about a
+    generation."""
+
+    ue_class: type
+    ue_name: str        # UE node-name stem
+    ran: str            # base-station name suffix
+    core: str           # serving-node name suffix
+    build_core: Callable
+
+
+RATS = {
+    "lte": Rat(CellBricksUe, "cb-ue", "enb", "agw", _lte_core),
+    "5g": Rat(CellBricksUe5G, "cb-ue5g", "gnb", "amf", _5g_core),
+}
+
+
+def rat_profile(rat: str) -> Rat:
+    if rat not in RATS:
+        raise ValueError(f"unknown rat {rat!r} (expected 'lte' or '5g')")
+    return RATS[rat]
+
+
+def build_btelco_site(sim: Simulator, rat: str, name: str, *,
+                      ca: CertificateAuthority, key: PrivateKey,
+                      brokerd: Brokerd, addresses: tuple, pool_prefix: str,
+                      id_t: Optional[str] = None,
+                      broker_delay: float = 0.0025) -> BtelcoSite:
+    """One bTelco site of generation ``rat``, wired to ``brokerd``.
+
+    ``name`` prefixes every host, node and link (``<name>-enb`` /
+    ``-agw`` on LTE, ``-gnb`` / ``-amf`` / ``-smf`` on 5G; links
+    ``<name>-backhaul`` / ``-smf`` / ``-broker``); ``addresses`` are the
+    base-station, serving-node and SMF hosts' (the last unused on LTE);
+    ``id_t`` is the identity the CA certifies (default ``name``).  The
+    serving node trusts ``brokerd``; radio links are the caller's.
+    """
+    profile = rat_profile(rat)
+    ran_address, core_address, smf_address = addresses
+    id_t = id_t or name
+    enb_host = Host(sim, f"{name}-{profile.ran}", address=ran_address)
+    agw_host = Host(sim, f"{name}-{profile.core}", address=core_address)
+    site = BtelcoSite(
+        name=name, enb_host=enb_host, agw_host=agw_host,
+        enb=ENodeB(enb_host, agw_ip=core_address,
+                   name=f"{name}-{profile.ran}"),
+        agw=None, pool_prefix=pool_prefix)
+    signaling_link(sim, f"{name}-backhaul", enb_host, agw_host, 0.00015)
+    profile.build_core(
+        site, smf_address, broker_ip=brokerd.host.address, id_t=id_t,
+        key=key, certificate=ca.issue(id_t, "btelco", key.public_key),
+        ca_public_key=ca.public_key,
+        qos_capabilities=QosCapabilities(supported_qcis=(1, 8, 9)),
+        name=f"{name}-{profile.core}")
+    site.agw.trust_broker(brokerd.id_b, brokerd.public_key)
+    signaling_link(sim, f"{name}-broker", agw_host, brokerd.host,
+                   broker_delay)
+    return site
 
 
 @dataclass
@@ -65,11 +160,18 @@ class CellBricksNetwork:
     credentials: UeSapCredentials
     data_path: Optional[CellularPath] = None
     #: every signaling link by name (``<site>-sig-radio``,
-    #: ``<site>-backhaul``, ``<site>-broker``) — the fault-injection
-    #: surface the chaos harness drives.  Defaults to an empty dict (a
-    #: bare ``None`` here used to crash chaos-harness callers iterating
-    #: a hand-constructed network's links).
+    #: ``<site>-backhaul``, ``<site>-broker``, on 5G ``<site>-smf``) —
+    #: the fault-injection surface the chaos harness drives.  Defaults
+    #: to an empty dict (a bare ``None`` here used to crash
+    #: chaos-harness callers iterating a hand-constructed network's
+    #: links).
     links: dict[str, Link] = field(default_factory=dict)
+    rat: str = "lte"
+
+    @property
+    def ue_class(self) -> type:
+        """The CellBricks UE that attaches to this network's sites."""
+        return RATS[self.rat].ue_class
 
 
 def build_cellbricks_network(
@@ -78,15 +180,16 @@ def build_cellbricks_network(
         broker_id: str = "brokerd.example",
         with_data_path: bool = False,
         broker_link_delay: float = 0.0025,
-        seed: int = 7) -> CellBricksNetwork:
+        seed: int = 7, rat: str = "lte") -> CellBricksNetwork:
     """Assemble a CA, a broker, N bTelco sites, and one enrolled UE.
 
     Every bTelco gets a CA-signed certificate and its own UE address pool
     (``10.<128+i>.0/24``); none of them knows the subscriber — only the
-    broker does.  The UE host is connected to every site's eNodeB (as if
-    all towers were in radio range) so tests can switch at will.
+    broker does.  The UE host is connected to every site's base station
+    (as if all towers were in radio range) so tests can switch at will.
+    The same brokerd serves 4G and 5G bTelcos — SAP is RAT-agnostic, so
+    nothing broker-side knows which NAS dialect a site speaks.
     """
-    rng = random.Random(seed)
     # CA, broker, UE, then one slot per site.
     warm(range(seed * 100, seed * 100 + 3 + len(site_names)))
     ca = CertificateAuthority(key=pooled_keypair(seed * 100))
@@ -107,46 +210,23 @@ def build_cellbricks_network(
     sites: dict[str, BtelcoSite] = {}
     links: dict[str, Link] = {}
     for index, name in enumerate(site_names):
-        enb_host = Host(sim, f"{name}-enb",
-                        address=f"10.25{index}.0.1")
-        agw_host = Host(sim, f"{name}-agw",
-                        address=f"10.24{index}.0.1")
-        key = pooled_keypair(seed * 100 + 3 + index)
-        certificate = ca.issue(name, "btelco", key.public_key)
-        agw = CellBricksAgw(
-            agw_host, broker_ip=broker_host.address, id_t=name,
-            key=key, certificate=certificate, ca_public_key=ca.public_key,
-            qos_capabilities=QosCapabilities(supported_qcis=(1, 8, 9)),
-            name=f"{name}-agw", ue_pool_prefix=f"10.{128 + index}.0")
-        agw.trust_broker(broker_id, brokerd.public_key)
+        site = build_btelco_site(
+            sim, rat, name, ca=ca, key=pooled_keypair(seed * 100 + 3 + index),
+            brokerd=brokerd, pool_prefix=f"10.{128 + index}.0",
+            addresses=(f"10.25{index}.0.1", f"10.24{index}.0.1",
+                       f"10.23{index}.0.1"),
+            broker_delay=broker_link_delay)
         # Pre-register the site in the broker's bTelco directory so a
         # UE can request a mobility scope covering it before ever
         # attaching there (§4.2 scoped grants).
-        brokerd.register_btelco(certificate, 0.0)
-        enb = ENodeB(enb_host, agw_ip=agw_host.address, name=f"{name}-enb")
-
-        # Signaling links: UE <-> eNB, eNB <-> AGW, AGW <-> broker.
-        radio = Link(sim, f"{name}-sig-radio", ue_host, enb_host,
-                     bandwidth_bps=SIGNALING_BANDWIDTH, delay_s=0.0001)
-        backhaul = Link(sim, f"{name}-backhaul", enb_host, agw_host,
-                        bandwidth_bps=SIGNALING_BANDWIDTH, delay_s=0.00015)
-        broker_link = Link(sim, f"{name}-broker", agw_host, broker_host,
-                           bandwidth_bps=SIGNALING_BANDWIDTH,
-                           delay_s=broker_link_delay)
-        ue_host.add_route(enb_host.address.rsplit(".", 1)[0], radio)
-        enb_host.add_route(agw_host.address.rsplit(".", 1)[0], backhaul)
-        enb_host.add_route(ue_host.address.rsplit(".", 1)[0], radio)
-        agw_host.add_route(enb_host.address.rsplit(".", 1)[0], backhaul)
-        agw_host.add_route(broker_host.address.rsplit(".", 1)[0], broker_link)
-        broker_host.add_route(agw_host.address.rsplit(".", 1)[0], broker_link)
-
-        links[radio.name] = radio
-        links[backhaul.name] = backhaul
-        links[broker_link.name] = broker_link
-
-        sites[name] = BtelcoSite(name=name, enb_host=enb_host,
-                                 agw_host=agw_host, enb=enb, agw=agw,
-                                 pool_prefix=f"10.{128 + index}.0")
+        brokerd.register_btelco(site.agw.sap.config.certificate, 0.0)
+        radio = signaling_link(sim, f"{name}-sig-radio", ue_host,
+                               site.enb_host, 0.0001)
+        # The radio, then the serving node's own links in the order the
+        # site factory wired them (backhaul, SMF, broker).
+        for link in (radio, *site.agw_host.links):
+            links[link.name] = link
+        sites[name] = site
 
     data_path = None
     if with_data_path:
@@ -155,7 +235,7 @@ def build_cellbricks_network(
     return CellBricksNetwork(sim=sim, ca=ca, broker_host=broker_host,
                              brokerd=brokerd, sites=sites, ue_host=ue_host,
                              credentials=credentials, data_path=data_path,
-                             links=links)
+                             links=links, rat=rat)
 
 
 class MobilityManager:
@@ -169,18 +249,14 @@ class MobilityManager:
     def __init__(self, network: CellBricksNetwork,
                  data_path: Optional[CellularPath] = None,
                  detach_interruption: float = 0.05,
-                 enforce_qos: bool = False,
-                 ue_class: Optional[type] = None):
+                 enforce_qos: bool = False):
         self.network = network
         self.sim = network.sim
-        # ``network`` may be the 5G dataclass (same site/ue_host shape via
-        # its RAT-generic aliases); it carries no data_path field.
-        self.data_path = data_path or getattr(network, "data_path", None)
-        #: UE agent class — defaults to the LTE CellBricks UE; pass
-        #: ``CellBricksUe5G`` with a 5G network for host-driven mobility
-        #: across gNB sites (both classes share the attach()/retarget()/
-        #: detach_and_forget()/on_attach_done surface).
-        self.ue_class = ue_class or CellBricksUe
+        self.data_path = data_path or network.data_path
+        #: UE agent class: the network's RAT decides (both classes share
+        #: the attach()/retarget()/detach_and_forget()/on_attach_done
+        #: surface).
+        self.ue_class = network.ue_class
         self.detach_interruption = detach_interruption
         #: when True, the serving bTelco's PGW polices the UE's downlink
         #: to the broker-assigned AMBR (the qosInfo enforcement of §4.1).
@@ -345,6 +421,9 @@ class MobilityManager:
         """5G PDU-session completion: the point the bearer is usable."""
         site = self.target_site or self.current_site
         if not session_result.success:
+            # Registered but bearer-less is attached nowhere: leave the
+            # AMF cleanly so the drive can reattach() or switch on.
+            self.ue.detach_and_forget()
             self._attach_failed(site, session_result,
                                 default_cause="session")
             return

@@ -35,9 +35,9 @@ class SapUeAgent:
     """UE-side SAP over whichever baseline UE follows it in the MRO.
 
     The adapter supplies its NAS classes (``sap_request`` /
-    ``sap_scoped_request`` / ``sap_challenge``), ``sap_ue_costs`` (craft
-    and challenge-check costs), ``attaching_state`` and
-    :meth:`_stop_supervision`.
+    ``sap_scoped_request`` / ``sap_challenge``) and ``sap_ue_costs``
+    (craft and challenge-check costs); state names and leg supervision
+    come from the substrate (:class:`repro.lte.ue_base.NasUeBase`).
     """
 
     craft_span_name = "sap.ue_craft"
@@ -65,9 +65,16 @@ class SapUeAgent:
             self.sap_ue_costs[self.sap_challenge]
         self.on(self.sap_challenge, self._on_sap_challenge)
 
-    def _stop_supervision(self) -> None:
-        """Stop the substrate's retransmission timer for this attempt."""
-        raise NotImplementedError
+    def attach(self) -> None:
+        # A fresh attempt must not inherit the previous session's id (the
+        # substrate clears the security context).
+        self.session_id = None
+        super().attach()
+
+    def retarget(self, ran_ip: str, id_t: str) -> None:
+        """Point the UE at a different bTelco (host-driven mobility)."""
+        super().retarget(ran_ip, id_t)
+        self.target_id_t = id_t
 
     def _grant_covers_target(self) -> bool:
         grant = self.mobility_grant
@@ -116,12 +123,13 @@ class SapUeAgent:
             self.scoped_fallbacks += 1
             self.session_id = None
             self.security = None
-            self._stop_supervision()
+            self._stop()
             self.sim.schedule(0.0, self._retry_after_reject)
             return
         super()._on_reject(src_ip, reject)
 
-    def _abandon_sap(self) -> None:
+    def _on_attach_give_up(self) -> None:
+        super()._on_attach_give_up()
         # Abandon the outstanding SAP nonce: a late response must not
         # validate, and the next attach crafts a fresh request.
         self.sap.abandon()
@@ -172,43 +180,16 @@ class CellBricksUe(SapUeAgent, UeNas):
     sap_scoped_request = SapScopedAttachRequest
     sap_challenge = SapAttachChallenge
     sap_ue_costs = CB_UE_COSTS
-    attaching_state = "ATTACHING"
     _SPAN_NAMES = dict(UeNas._SPAN_NAMES)
     _SPAN_NAMES[SapAttachChallenge] = "sap.ue_verify"
 
-    def __init__(self, host: Host, enb_ip: str,
+    def __init__(self, host: Host, ran_ip: str,
                  credentials: UeSapCredentials, target_id_t: str,
                  name: str = "cb-ue"):
-        super().__init__(host, enb_ip, credentials, target_id_t,
+        super().__init__(host, ran_ip, credentials, target_id_t,
                          imsi=credentials.id_u, usim=None, name=name)
         self.meter: Optional[Meter] = None
         self.on(SapAttachReject, self._on_reject)
-
-    _stop_supervision = UeNas._stop_attach_supervision
-
-    def attach(self) -> None:
-        """SAP attach: the latency clock starts here, as in §6.1."""
-        if self.state not in ("DEREGISTERED", "REJECTED"):
-            raise RuntimeError(f"attach() in state {self.state}")
-        self.state = "ATTACHING"
-        self.attach_started_at = self.sim.now
-        self.security = None  # fresh EMM state for the new attempt
-        self.session_id = None
-        self._reject_retries = 0
-        craft = self.craft_cost()
-        self.charge(craft)
-        self._obs_begin_attach(craft)
-        self.sim.schedule(craft, self._send_attach_request)
-
-    def _on_attach_give_up(self) -> None:
-        super()._on_attach_give_up()
-        self._abandon_sap()
-
-    def retarget(self, enb_ip: str, id_t: str) -> None:
-        """Point the UE at a different bTelco (host-driven mobility)."""
-        self.enb_ip = enb_ip
-        self.target_id_t = id_t
-        self.serving_network = id_t
 
     def _on_attach_accept(self, src_ip: str, accept) -> None:
         was_attached = self.state == "ATTACHED"

@@ -471,16 +471,10 @@ def run_chaos(attaches: int = 200,
     sim = Simulator()
     if obs is not None:
         install_obs(sim, obs)
-    if rat == "5g":
-        from repro.core.btelco5g import CellBricksUe5G as UeClass
-        from repro.fivegc.network5g import \
-            build_cellbricks_network_5g as build
-    elif rat == "lte":
-        from repro.core.mobility import build_cellbricks_network as build
-        from repro.core.ue_agent import CellBricksUe as UeClass
-    else:
-        raise ValueError(f"unknown rat {rat!r} (expected 'lte' or '5g')")
-    network = build(sim, site_names=site_names, seed=seed)
+    from repro.core.mobility import build_cellbricks_network
+
+    network = build_cellbricks_network(sim, site_names=site_names,
+                                       seed=seed, rat=rat)
     if base_loss:
         for link in network.links.values():
             link.a_to_b.loss_rate = base_loss
@@ -489,8 +483,8 @@ def run_chaos(attaches: int = 200,
         on_network_built(network)
 
     first = network.sites[site_names[0]]
-    ue = UeClass(network.ue_host, first.enb_address,
-                 network.credentials, target_id_t=first.name)
+    ue = network.ue_class(network.ue_host, first.enb_address,
+                          network.credentials, target_id_t=first.name)
     churn = _AttachChurn(network, ue, think_time=think_time,
                          attaches=attaches, revoke_every=revoke_every,
                          revoke_hold=revoke_hold,

@@ -13,9 +13,9 @@ its handler (AUSF→UDM, AMF→AUSF confirmation, AMF→SMF) ride
 under loss, while the AMF→AUSF *authenticate* leg — whose answer waits
 on the UDM round trip and so cannot be reply-captured — stays a plain
 datagram re-driven by the UE's NAS retransmission of the initial
-request.  The AMF also supervises its RegistrationAccept (the one
-downlink whose loss the UE cannot detect mid-registration) and holds a
-registration deadline so stragglers never pin contexts forever.
+request.  Accept supervision, the attempt deadline and the orphan-uplink
+guard come from :class:`repro.lte.serving_base.ServingNodeBase`, the
+skeleton the LTE AGW runs too.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto import PrivateKey
-from repro.lte.agw import smc_mac
 from repro.lte.bearer import SgwPgw
-from repro.lte.enodeb import S1DownlinkNas, S1UeContextRelease, S1UplinkNas
 from repro.lte.identifiers import Plmn, TEST_PLMN
-from repro.lte.nas import NasMessage, message_size
 from repro.lte.security import SecurityContext
+from repro.lte.serving_base import Leg, ServingContext, ServingNodeBase
 from repro.lte.signaling import CounterAttr, SignalingNode
 from repro.net import Host
 
@@ -74,11 +72,7 @@ class Udm(SignalingNode):
 
     processing_costs = {nas5g.UdmAuthDataRequest: UDM_AUTH_PROCESSING}
     obs_category = "cloud"
-
-    def span_name(self, message: object) -> str:
-        if isinstance(message, nas5g.UdmAuthDataRequest):
-            return "sbi.udm_auth_data"
-        return super().span_name(message)
+    _SPAN_NAMES = {nas5g.UdmAuthDataRequest: "sbi.udm_auth_data"}
 
     def __init__(self, host: Host, home_network_key: PrivateKey,
                  name: str = "udm"):
@@ -140,10 +134,6 @@ class Ausf(SignalingNode):
         nas5g.AusfConfirmRequest: "sbi.ausf_confirm",
     }
     pending_expired = CounterAttr("ausf.pending_expired")
-
-    def span_name(self, message: object) -> str:
-        name = self._SPAN_NAMES.get(type(message))
-        return name if name is not None else super().span_name(message)
 
     def __init__(self, host: Host, udm_ip: str, name: str = "ausf"):
         super().__init__(host, name)
@@ -241,12 +231,10 @@ class Smf(SignalingNode):
     sessions_released = CounterAttr("smf.sessions_released")
     release_misses = CounterAttr("smf.release_misses")
 
-    def span_name(self, message: object) -> str:
-        if isinstance(message, nas5g.SmfCreateSessionRequest):
-            return "sbi.smf_create"
-        if isinstance(message, nas5g.SmfReleaseSessionRequest):
-            return "sbi.smf_release"
-        return super().span_name(message)
+    _SPAN_NAMES = {
+        nas5g.SmfCreateSessionRequest: "sbi.smf_create",
+        nas5g.SmfReleaseSessionRequest: "sbi.smf_release",
+    }
 
     def __init__(self, host: Host, name: str = "smf",
                  ue_pool_prefix: str = "10.128.0"):
@@ -297,12 +285,9 @@ class Smf(SignalingNode):
 
 
 @dataclass
-class UeContext5G:
+class UeContext5G(ServingContext):
     """Per-UE AMF registration state."""
 
-    ran_ue_id: int
-    ran_ip: str
-    state: str = "INITIAL"
     suci: object = None
     supi: Optional[str] = None
     correlation: int = 0
@@ -312,22 +297,15 @@ class UeContext5G:
     kseaf: bytes = b""
     res_star: bytes = b""
     pdu_session_id: int = 0
-    security: Optional[SecurityContext] = None
+    #: the accept of the established PDU session, replayed verbatim for
+    #: a retransmitted request.
+    pdu_accept: object = None
     guti: Optional[Guti5G] = None
     ue_ip: Optional[str] = None
-    registration_started_at: float = 0.0
-    broker_id: str = ""         # CellBricks: which broker authorized us
-    sap_session: object = None  # CellBricks: the authorized session
-    # -- retransmission / reliability bookkeeping --
-    sap_request_key: Optional[bytes] = None  # dedup key for SAP attaches
-    sap_challenge: object = None      # cached challenge for leg replay
-    broker_token: Optional[int] = None     # outstanding broker reply token
-    broker_corr_id: int = 0                # reliable broker correlation id
     sbi_corr_id: int = 0              # outstanding AUSF-confirm/SMF corr id
-    accept_retx: int = 0              # RegistrationAccept retransmissions
 
 
-class Amf(SignalingNode):
+class Amf(ServingNodeBase):
     """Access and Mobility Function (+SEAF): the visited-network anchor.
 
     Registration: SUCI in, AUSF/UDM round trip, challenge, HRES* local
@@ -339,68 +317,66 @@ class Amf(SignalingNode):
     cannot grow ``contexts``/``_by_correlation`` without bound.
     """
 
-    # RegistrationAccept retransmission supervision: the accept is the
-    # one downlink whose loss the UE cannot detect by itself (it stops
-    # resending SMC complete the moment the accept leaves our queue).
-    accept_retx_timeout = 0.4
-    accept_retx_backoff = 2.0
-    accept_max_retx = 3
-    #: hard ceiling on how long a context may sit mid-registration; a
-    #: straggler uplink that recreates state after the UE gave up is
-    #: garbage-collected once this deadline passes.
-    registration_ttl = 30.0
-    obs_category = "agw"
-    _NAS_SPAN_NAMES = {
-        nas5g.RegistrationRequest: "nas.amf_reg_req",
-        nas5g.AuthenticationResponse5G: "nas.amf_auth_resp",
-        nas5g.SecurityModeComplete5G: "nas.amf_smc_complete",
-        nas5g.RegistrationComplete: "nas.amf_reg_complete",
-        nas5g.DeregistrationRequest5G: "nas.amf_dereg",
-        nas5g.PduSessionEstablishmentRequest: "nas.amf_pdu_req",
+    span_prefix = "amf"
+    context_class = UeContext5G
+    smc_command = nas5g.SecurityModeCommand5G
+    accept_wait_state = "WAIT_REGISTRATION_COMPLETE"
+    live_states = ("REGISTERED", "WAIT_SMF")
+    initiating_nas = (nas5g.RegistrationRequest,)
+    # The ack of a network-initiated deregistration lands after we
+    # released the context — expected, not orphaned.
+    late_ack_nas = (nas5g.DeregistrationAccept5G,)
+    cost_table = AMF_COSTS
+    nas_legs = {
+        nas5g.RegistrationRequest:
+            Leg("_on_registration_request", "nas.amf_reg_req",
+                "registration_request"),
+        nas5g.AuthenticationResponse5G:
+            Leg("_on_auth_response", "nas.amf_auth_resp", "auth_response"),
+        nas5g.SecurityModeComplete5G:
+            Leg("_on_smc_complete", "nas.amf_smc_complete", "smc_complete"),
+        nas5g.RegistrationComplete:
+            Leg("_on_registration_complete", "nas.amf_reg_complete",
+                "registration_complete"),
+        nas5g.DeregistrationRequest5G:
+            Leg("_on_deregistration", "nas.amf_dereg", "deregistration"),
+        nas5g.PduSessionEstablishmentRequest:
+            Leg("_on_pdu_request", "nas.amf_pdu_req", "pdu_request"),
+    }
+    message_legs = {
+        nas5g.AusfAuthenticateResponse:
+            Leg("_handle_ausf_response", "sbi.amf_ausf_auth",
+                "ausf_response"),
+        nas5g.AusfConfirmResponse:
+            Leg("_handle_ausf_confirm", "sbi.amf_ausf_confirm",
+                "ausf_confirm"),
+        nas5g.SmfCreateSessionResponse:
+            Leg("_handle_smf_response", "sbi.amf_smf", "smf_response"),
+        nas5g.SmfReleaseSessionResponse:
+            Leg("_handle_smf_release_response"),
     }
     registrations_completed = CounterAttr("amf.registrations_completed")
     registrations_rejected = CounterAttr("amf.registrations_rejected")
     accept_retransmissions = CounterAttr("amf.accept_retransmissions")
     accept_give_ups = CounterAttr("amf.accept_give_ups")
-    registrations_expired = CounterAttr("amf.registrations_expired")
+    attempts_expired = CounterAttr("amf.registrations_expired")
     orphan_uplinks = CounterAttr("amf.orphan_uplinks")
     deregistrations = CounterAttr("amf.deregistrations")
     smf_releases_sent = CounterAttr("amf.smf_releases_sent")
     smf_release_give_ups = CounterAttr("amf.smf_release_give_ups")
 
-    def span_name(self, message: object) -> str:
-        if isinstance(message, S1UplinkNas):
-            name = self._NAS_SPAN_NAMES.get(type(message.nas))
-            return name if name is not None else \
-                self.nas_span_name(message.nas)
-        if isinstance(message, nas5g.AusfAuthenticateResponse):
-            return "sbi.amf_ausf_auth"
-        if isinstance(message, nas5g.AusfConfirmResponse):
-            return "sbi.amf_ausf_confirm"
-        if isinstance(message, nas5g.SmfCreateSessionResponse):
-            return "sbi.amf_smf"
-        return super().span_name(message)
-
-    def nas_span_name(self, nas: NasMessage) -> str:
-        """Span-name hook for NAS types added by subclasses."""
-        return f"nas.amf_{type(nas).__name__}"
-
     def __init__(self, host: Host, ausf_ip: str, smf_ip: str,
                  name: str = "amf", plmn: Plmn = TEST_PLMN):
-        super().__init__(host, name)
+        super().__init__(host, name, plmn)
         self.ausf_ip = ausf_ip
         self.smf_ip = smf_ip
-        self.plmn = plmn
         self.serving_network = f"5G:{plmn}"
-        self.contexts: dict[int, UeContext5G] = {}
         self._by_correlation: dict[int, int] = {}
         self._correlations = itertools.count(1)
         self._tmsi = itertools.count(0x5000)
         self.registrations_completed = 0
         self.registrations_rejected = 0
-        self.accept_retransmissions = 0
-        self.accept_give_ups = 0
-        self.registrations_expired = 0
+        self.attempts_expired = 0
         self.orphan_uplinks = 0
         self.deregistrations = 0
         self.smf_releases_sent = 0
@@ -408,44 +384,8 @@ class Amf(SignalingNode):
         #: DenialCause-style breakdown of terminal rejections/abandons.
         self.rejection_causes = self.metrics.counter_vec(
             "amf.rejections", "cause")
-        self.costs = dict(AMF_COSTS)
         self.on_registered: Optional[Callable[[UeContext5G], None]] = None
         self.on_session: Optional[Callable[[UeContext5G], None]] = None
-
-        self.on(S1UplinkNas, self._handle_uplink)
-        self.on(nas5g.AusfAuthenticateResponse, self._handle_ausf_response)
-        self.on(nas5g.AusfConfirmResponse, self._handle_ausf_confirm)
-        self.on(nas5g.SmfCreateSessionResponse, self._handle_smf_response)
-        self.on(nas5g.SmfReleaseSessionResponse,
-                self._handle_smf_release_response)
-
-    # -- cost model -----------------------------------------------------------
-    def processing_cost(self, message: object) -> float:
-        if isinstance(message, S1UplinkNas):
-            nas = message.nas
-            if isinstance(nas, nas5g.RegistrationRequest):
-                return self.costs["registration_request"]
-            if isinstance(nas, nas5g.AuthenticationResponse5G):
-                return self.costs["auth_response"]
-            if isinstance(nas, nas5g.SecurityModeComplete5G):
-                return self.costs["smc_complete"]
-            if isinstance(nas, nas5g.PduSessionEstablishmentRequest):
-                return self.costs["pdu_request"]
-            if isinstance(nas, nas5g.RegistrationComplete):
-                return self.costs["registration_complete"]
-            if isinstance(nas, nas5g.DeregistrationRequest5G):
-                return self.costs["deregistration"]
-            return self.nas_processing_cost(nas)
-        if isinstance(message, nas5g.AusfAuthenticateResponse):
-            return self.costs["ausf_response"]
-        if isinstance(message, nas5g.AusfConfirmResponse):
-            return self.costs["ausf_confirm"]
-        if isinstance(message, nas5g.SmfCreateSessionResponse):
-            return self.costs["smf_response"]
-        return self.default_processing_cost
-
-    def nas_processing_cost(self, nas: NasMessage) -> float:
-        return self.default_processing_cost
 
     # -- correlation-map hygiene ----------------------------------------------
     def _assign_correlation(self, context: UeContext5G) -> int:
@@ -463,24 +403,22 @@ class Amf(SignalingNode):
             self._by_correlation.pop(context.correlation, None)
             context.correlation = 0
 
-    def _release_ue(self, context: UeContext5G) -> None:
-        """Terminal cleanup shared by reject/abandon/deregister: both
-        AMF maps, any outstanding reliable request, the SMF-held PDU
-        session, and the RAN association all go."""
+    def _cancel_sbi_request(self, context: UeContext5G) -> None:
         if context.sbi_corr_id:
             self.cancel_request(context.sbi_corr_id)
             context.sbi_corr_id = 0
+
+    def _free_resources(self, context: UeContext5G) -> None:
+        """Any outstanding reliable request, the correlation mapping and
+        the SMF-held PDU session."""
+        self._cancel_sbi_request(context)
         self._release_correlation(context)
         if context.ue_ip is not None:
             self._release_pdu_session(context)
-        self.contexts.pop(context.ran_ue_id, None)
-        self.send(context.ran_ip,
-                  S1UeContextRelease(enb_ue_id=context.ran_ue_id), size=32)
-        self.context_released(context)
 
-    def context_released(self, context: UeContext5G) -> None:
-        """Hook: a context left ``self.contexts`` (subclasses drop their
-        per-session state here)."""
+    def _abandon_attach(self, context: UeContext5G, cause: str) -> None:
+        self.rejection_causes[cause] += 1
+        super()._abandon_attach(context, cause)
 
     def _release_pdu_session(self, context: UeContext5G) -> None:
         """Tell the SMF to free the context's bearer + pooled IP.
@@ -507,59 +445,16 @@ class Amf(SignalingNode):
         """The reliable layer already matched the reply; nothing else to
         clean up (the AMF dropped the context when it sent the release)."""
 
-    # -- RAN plumbing ------------------------------------------------------------
-    def downlink(self, context: UeContext5G, nas: NasMessage) -> None:
-        self.send(context.ran_ip,
-                  S1DownlinkNas(enb_ue_id=context.ran_ue_id, nas=nas),
-                  size=message_size(nas) + 24)
-
     def reject(self, context: UeContext5G, cause: str,
                retryable: bool = False) -> None:
+        # A 5GS reject is terminal for the context: it is released with
+        # everything it holds.
         self.registrations_rejected += 1
         self.rejection_causes[cause.split(":")[0]] += 1
         context.state = "REJECTED"
         self.downlink(context, nas5g.RegistrationReject(
             cause=cause, retryable=retryable))
         self._release_ue(context)
-
-    def nas_initiates(self, nas: NasMessage) -> bool:
-        """Whether this uplink NAS may create a fresh UE context.  Only
-        registration-initiating messages qualify; stragglers from torn
-        down UEs are dropped instead of resurrecting half-open state."""
-        return isinstance(nas, nas5g.RegistrationRequest)
-
-    def _handle_uplink(self, ran_ip: str, wrapped: S1UplinkNas) -> None:
-        context = self.contexts.get(wrapped.enb_ue_id)
-        nas = wrapped.nas
-        if context is None:
-            if not self.nas_initiates(nas):
-                # The ack of a network-initiated deregistration lands
-                # after we released the context — expected, not orphaned.
-                if not isinstance(nas, nas5g.DeregistrationAccept5G):
-                    self.orphan_uplinks += 1
-                return
-            context = UeContext5G(ran_ue_id=wrapped.enb_ue_id,
-                                  ran_ip=ran_ip,
-                                  registration_started_at=self.sim.now)
-            self.contexts[wrapped.enb_ue_id] = context
-        if isinstance(nas, nas5g.RegistrationRequest):
-            self._on_registration_request(context, nas)
-        elif isinstance(nas, nas5g.AuthenticationResponse5G):
-            self._on_auth_response(context, nas)
-        elif isinstance(nas, nas5g.SecurityModeComplete5G):
-            self._on_smc_complete(context, nas)
-        elif isinstance(nas, nas5g.RegistrationComplete):
-            self._on_registration_complete(context)
-        elif isinstance(nas, nas5g.DeregistrationRequest5G):
-            self._on_deregistration(context, nas)
-        elif isinstance(nas, nas5g.PduSessionEstablishmentRequest):
-            self._on_pdu_request(context, nas)
-        else:
-            self.handle_extension_nas(context, nas)
-
-    def handle_extension_nas(self, context: UeContext5G,
-                             nas: NasMessage) -> None:
-        """Hook for SAP-over-5G (see repro.core.btelco5g)."""
 
     # -- registration state machine --------------------------------------------------
     def _on_registration_request(self, context: UeContext5G,
@@ -577,9 +472,7 @@ class Amf(SignalingNode):
             return
         # Fresh attempt (first request on this context, or a new SUCI
         # after a prior attempt was abandoned): restart from scratch.
-        if context.sbi_corr_id:
-            self.cancel_request(context.sbi_corr_id)
-            context.sbi_corr_id = 0
+        self._cancel_sbi_request(context)
         context.suci = request.suci
         context.supi = None
         context.security = None
@@ -587,8 +480,8 @@ class Amf(SignalingNode):
         context.autn = b""
         context.res_star = b""
         context.state = "WAIT_AUSF"
-        context.registration_started_at = self.sim.now
-        self._watch_registration(context)
+        context.attempt_started_at = self.sim.now
+        self._arm_deadline(context)
         self._send_authenticate(context)
 
     def _send_authenticate(self, context: UeContext5G) -> None:
@@ -601,22 +494,6 @@ class Amf(SignalingNode):
         self.send(self.ausf_ip, nas5g.AusfAuthenticateRequest(
             suci=context.suci, serving_network=self.serving_network,
             correlation=correlation), size=500)
-
-    def _watch_registration(self, context: UeContext5G) -> None:
-        self.sim.schedule(self.registration_ttl, self._registration_deadline,
-                          context, context.registration_started_at)
-
-    def _registration_deadline(self, context: UeContext5G,
-                               started_at: float) -> None:
-        if self.contexts.get(context.ran_ue_id) is not context \
-                or context.registration_started_at != started_at:
-            return  # superseded by a newer attempt or already released
-        if context.state in ("REGISTERED", "WAIT_SMF"):
-            return
-        self.registrations_expired += 1
-        self.rejection_causes["registration deadline"] += 1
-        context.state = "ABANDONED"
-        self._release_ue(context)
 
     def _context_for(self, correlation: int) -> Optional[UeContext5G]:
         ue_id = self._by_correlation.get(correlation)
@@ -649,7 +526,7 @@ class Amf(SignalingNode):
         if context.state == "WAIT_SMC_COMPLETE" \
                 and response.res_star == context.res_star:
             # Duplicate RES*: our SMC was likely lost — replay it.
-            self.send_smc5g(context)
+            self.send_smc(context)
             return
         if context.state != "WAIT_AUTH_RESPONSE":
             return
@@ -686,69 +563,21 @@ class Amf(SignalingNode):
         kamf = derive_kamf(response.kseaf, response.supi)
         context.security = SecurityContext(kasme=kamf)
         context.state = "WAIT_SMC_COMPLETE"
-        self.send_smc5g(context)
-
-    def send_smc5g(self, context: UeContext5G) -> None:
-        security = context.security
-        self.downlink(context, nas5g.SecurityModeCommand5G(
-            enc_alg=security.enc_alg, int_alg=security.int_alg,
-            mac=smc_mac(security.k_nas_int, security.enc_alg,
-                        security.int_alg)))
-
-    def _on_smc_complete(self, context: UeContext5G,
-                         complete: nas5g.SecurityModeComplete5G) -> None:
-        if context.state == "WAIT_REGISTRATION_COMPLETE" \
-                and context.security is not None:
-            # Duplicate SMC complete: the UE never saw our accept —
-            # re-send it after re-verifying the MAC.
-            if complete.mac == smc_mac(context.security.k_nas_int,
-                                       0xFF, 0xFF):
-                self._send_registration_accept(context)
-            return
-        if context.state != "WAIT_SMC_COMPLETE":
-            return
-        if complete.mac != smc_mac(context.security.k_nas_int, 0xFF, 0xFF):
-            self.reject(context, "SMC integrity failure")
-            return
-        self.after_security_established(context)
+        self.send_smc(context)
 
     def after_security_established(self, context: UeContext5G) -> None:
         """Mint the GUTI and send the supervised RegistrationAccept
         (subclasses hook here for lifecycle scheduling)."""
         context.guti = Guti5G(self.plmn, amf_region=1, amf_set=1,
                               tmsi=next(self._tmsi))
-        context.state = "WAIT_REGISTRATION_COMPLETE"
-        context.accept_retx = 0
-        self._send_registration_accept(context)
-        self.sim.schedule(self.accept_retx_timeout,
-                          self._check_registration_accept, context,
-                          self.accept_retx_timeout)
+        self._send_supervised_accept(context)
 
-    def _send_registration_accept(self, context: UeContext5G) -> None:
+    def _send_accept(self, context: UeContext5G) -> None:
         self.downlink(context, nas5g.RegistrationAccept(guti=context.guti))
 
-    def _check_registration_accept(self, context: UeContext5G,
-                                   timeout: float) -> None:
-        """RegistrationAccept supervision: resend until the complete
-        arrives, then give up and release everything the half-open
-        registration holds."""
-        if self.contexts.get(context.ran_ue_id) is not context \
-                or context.state != "WAIT_REGISTRATION_COMPLETE":
-            return  # completed, torn down, or superseded — nothing to do
-        if context.accept_retx >= self.accept_max_retx:
-            self.accept_give_ups += 1
-            self.rejection_causes["accept unacknowledged"] += 1
-            context.state = "ABANDONED"
-            self._release_ue(context)
-            return
-        context.accept_retx += 1
-        self.accept_retransmissions += 1
-        self._send_registration_accept(context)
-        next_timeout = timeout * self.accept_retx_backoff
-        self.sim.schedule(next_timeout, self._check_registration_accept,
-                          context, next_timeout)
-
-    def _on_registration_complete(self, context: UeContext5G) -> None:
+    def _on_registration_complete(
+            self, context: UeContext5G,
+            complete: nas5g.RegistrationComplete) -> None:
         if context.state != "WAIT_REGISTRATION_COMPLETE":
             return
         # Terminal transition: the SBI conversation is over, so the
@@ -778,6 +607,13 @@ class Amf(SignalingNode):
         if context.state != "REGISTERED":
             self.downlink(context, nas5g.PduSessionEstablishmentReject(
                 session_id=request.session_id, cause="not registered"))
+            return
+        accept = context.pdu_accept
+        if accept is not None and accept.session_id == request.session_id:
+            # Retransmission for a session that is already up: our accept
+            # was lost — replay it (asking the SMF again would allocate a
+            # second session and leak a pooled address).
+            self.downlink(context, accept)
             return
         context.state = "WAIT_SMF"
         context.pdu_session_id = request.session_id
@@ -809,10 +645,11 @@ class Amf(SignalingNode):
         self._release_correlation(context)
         context.state = "REGISTERED"
         context.ue_ip = response.ue_ip
-        self.downlink(context, nas5g.PduSessionEstablishmentAccept(
+        context.pdu_accept = nas5g.PduSessionEstablishmentAccept(
             session_id=response.session_id, ue_ip=response.ue_ip,
             qfi=response.qfi, ambr_dl_bps=response.ambr_dl_bps,
-            ambr_ul_bps=response.ambr_ul_bps))
+            ambr_ul_bps=response.ambr_ul_bps)
+        self.downlink(context, context.pdu_accept)
         if self.on_session is not None:
             self.on_session(context)
 
@@ -823,7 +660,7 @@ class Amf(SignalingNode):
             "registrations_rejected": self.registrations_rejected,
             "accept_retransmissions": self.accept_retransmissions,
             "accept_give_ups": self.accept_give_ups,
-            "registrations_expired": self.registrations_expired,
+            "registrations_expired": self.attempts_expired,
             "orphan_uplinks": self.orphan_uplinks,
             "deregistrations": self.deregistrations,
             "smf_releases_sent": self.smf_releases_sent,

@@ -4,14 +4,10 @@ The CellBricks 5G UE subclasses this in :mod:`repro.core.btelco5g`,
 replacing 5G-AKA with SAP exactly as the 4G UE does — the layering that
 lets the same SIM-resident credentials serve both generations.
 
-Registration legs are supervised the same way the LTE UE's attach legs
-are (:class:`repro.lte.ue.UeNas`): the last uplink NAS message of an
-in-progress registration is re-sent on timeout with capped exponential
-backoff (seeded jitter), duplicate downlinks are absorbed instead of
-re-running one-shot crypto, and the attempt is abandoned cleanly once
-the per-leg budget is spent.  A loss-free registration completes well
-inside the first timeout, so the supervision never fires on the clean
-path and a fault-free run issues zero retransmissions.
+The registration skeleton (supervised legs, reject back-off, SMC) is the
+one the LTE UE runs, :class:`repro.lte.ue_base.NasUeBase`; a fault-free
+run issues zero retransmissions.  The PDU-session leg that follows
+registration rides the same per-leg supervisor.
 """
 
 from __future__ import annotations
@@ -20,11 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto import PublicKey
-from repro.lte.agw import smc_mac
-from repro.lte.aka import AkaError, UsimState
-from repro.lte.nas import message_size
+from repro.lte.aka import UsimState
 from repro.lte.security import SecurityContext
-from repro.lte.signaling import CounterAttr, SignalingNode
+from repro.lte.ue_base import NasUeBase
 from repro.net import Host
 
 from . import nas5g
@@ -50,13 +44,15 @@ class RegistrationResult:
 @dataclass
 class SessionResult:
     success: bool
-    ue_ip: Optional[str]
-    latency: float
+    ue_ip: Optional[str] = None
+    latency: float = 0.0
     cause: Optional[str] = None
 
 
-class Ue5G(SignalingNode):
-    """Baseline 5G UE with supervised registration legs."""
+class Ue5G(NasUeBase):
+    """Baseline 5G UE: the 5GS column of the AKA cheatsheet — SUCI
+    concealment, the K_AUSF → K_SEAF → K_AMF hierarchy, and the
+    PDU-session leg that yields the address."""
 
     processing_costs = {
         nas5g.AuthenticationRequest5G:
@@ -67,67 +63,35 @@ class Ue5G(SignalingNode):
         nas5g.PduSessionEstablishmentAccept:
             UE5G_COSTS[nas5g.PduSessionEstablishmentAccept],
     }
-    obs_category = "ue"
-    #: span name for the initial-request crafting work ("sap.ue_craft"
-    #: on the CellBricks UE).
-    craft_span_name = "nas.ue_craft"
     _SPAN_NAMES = {
         nas5g.AuthenticationRequest5G: "nas.ue_auth",
         nas5g.SecurityModeCommand5G: "nas.ue_smc",
         nas5g.RegistrationAccept: "nas.ue_reg_accept",
         nas5g.PduSessionEstablishmentAccept: "nas.ue_pdu_accept",
     }
-    # Same metric names as the LTE UE so fleet-wide registry merges
-    # aggregate across generations.
-    nas_retransmissions = CounterAttr("ue.nas_retransmissions")
-    attach_timeouts = CounterAttr("ue.attach_timeouts")
-    retryable_rejects = CounterAttr("ue.retryable_rejects")
-    # -- registration retransmission knobs (match the LTE UE) --
-    attach_retx_timeout = 0.4
-    attach_retx_backoff = 2.0
-    attach_retx_max_timeout = 3.0
-    attach_retx_jitter = 0.1
-    attach_max_attempts = 5
-    # -- retryable-reject backoff knobs (degraded broker shard) --
-    reject_backoff = 0.15
-    reject_backoff_factor = 2.0
-    reject_max_retries = 4
+    procedure = "registration"
+    attaching_state = "REGISTERING"
+    attached_state = "REGISTERED"
+    initial_craft_cost = UE5G_COSTS["craft_registration"]
+    smc_complete = nas5g.SecurityModeComplete5G
+    result_type = RegistrationResult
 
-    def __init__(self, host: Host, gnb_ip: str, supi: Supi,
+    def __init__(self, host: Host, ran_ip: str, supi: Supi,
                  usim: Optional[UsimState],
                  home_network_key: Optional[PublicKey],
                  serving_network: str, name: str = "ue5g"):
-        super().__init__(host, name)
-        self.gnb_ip = gnb_ip
+        super().__init__(host, ran_ip, serving_network, name)
         self.supi = supi
         self.usim = usim
         self.home_network_key = home_network_key
-        self.serving_network = serving_network
-        self.state = "DEREGISTERED"
-        self.security: Optional[SecurityContext] = None
         self.kausf: Optional[bytes] = None
-        self.ue_ip: Optional[str] = None
-        self._registration_started: Optional[float] = None
         self._session_started: Optional[float] = None
+        #: the PDU-session request in flight (None: no leg outstanding).
+        self._session_request = None
+        #: 3GPP-named twin of ``on_attach_done``; both fire.
         self.on_registration_done: Optional[Callable] = None
-        #: alias callback with the LTE UE's name, so RAT-generic harnesses
-        #: (mobility, chaos churn) drive both generations identically.
-        self.on_attach_done: Optional[Callable] = None
         self.on_session_done: Optional[Callable] = None
         self.on_deregistered: Optional[Callable] = None
-        # -- registration supervision state --
-        self._reg_resend: Optional[Callable[[], None]] = None
-        self._reg_timer_event = None
-        self._reg_attempts = 0
-        self._reg_timeout_cur = 0.0
-        self._initial_request_cache = None
-        self._last_auth_rand: Optional[bytes] = None
-        self._auth_response = None
-        self._attach_span = None
-        self._reject_retries = 0
-        self.nas_retransmissions = 0
-        self.attach_timeouts = 0
-        self.retryable_rejects = 0
 
         self.on(nas5g.AuthenticationRequest5G, self._on_auth_request)
         self.on(nas5g.SecurityModeCommand5G, self._on_smc)
@@ -138,225 +102,34 @@ class Ue5G(SignalingNode):
         self.on(nas5g.PduSessionEstablishmentAccept, self._on_pdu_accept)
         self.on(nas5g.PduSessionEstablishmentReject, self._on_pdu_reject)
 
-    # -- observability --------------------------------------------------------
-    def span_name(self, message: object) -> str:
-        name = self._SPAN_NAMES.get(type(message))
-        return name if name is not None else super().span_name(message)
-
-    def _obs_begin_attach(self, craft: float) -> None:
-        """Open the root ``attach`` span plus its crafting child; every
-        send in this procedure then carries the root trace context.  The
-        root span is named ``attach`` in both generations so the Fig 7
-        leg-breakdown exporter works on 5G traces unchanged."""
-        obs = self.obs()
-        if obs is None or not obs.tracing:
-            return
-        tracer = obs.tracer
-        # Inside a mobility switch the manager sets ``_obs_parent_ctx``
-        # so the re-auth nests under the migration root (parent_id != 0
-        # keeps these out of the Fig 7 attach breakdowns).
-        root = tracer.start_trace("attach", self.name, self.obs_category,
-                                  start=self.sim.now,
-                                  ctx=getattr(self, "_obs_parent_ctx", None))
-        self._attach_span = root
-        self._obs_ctx = root.context
-        tracer.begin(self.craft_span_name, self.name, self.obs_category,
-                     start=self.sim.now, end=self.sim.now + craft,
-                     trace_id=root.trace_id, parent_id=root.span_id)
-
-    def _obs_end_attach(self, status: str, latency: float) -> None:
-        span = self._attach_span
-        if span is not None:
-            self._attach_span = None
-            obs = self.obs()
-            if obs is not None and obs.tracing:
-                obs.tracer.finish(span, self.sim.now, status=status)
-        if status == "ok":
-            self.metrics.histogram("attach.latency_ms").observe(
-                latency * 1000.0)
-        else:
-            self.metrics.counter("attach.failures").inc()
-
-    def _obs_degraded_retry(self, reject, delay: float) -> None:
-        """Annotate the open attach span when a retryable (degraded
-        shard) denial forces a backoff — the trace then shows *why*
-        this registration was slow, not just that it was."""
-        span = self._attach_span
-        if span is None:
-            return
-        obs = self.obs()
-        if obs is not None and obs.tracing:
-            obs.tracer.instant(
-                "attach.degraded_retry", self.name, self.sim.now,
-                trace_id=span.trace_id, parent_id=span.span_id,
-                category=self.obs_category,
-                data={"retry": self._reject_retries,
-                      "backoff_ms": round(delay * 1000.0, 3),
-                      "cause": getattr(reject, "cause", "") or "degraded"})
-
     # -- registration ------------------------------------------------------------
-    def craft_cost(self) -> float:
-        """Cost of crafting the initial request (SUCI concealment here;
-        the CellBricks UE's authReqU crafting overrides it)."""
-        return UE5G_COSTS["craft_registration"]
-
     def register(self) -> None:
-        if self.state not in ("DEREGISTERED", "REJECTED"):
-            raise RuntimeError(f"register() in state {self.state}")
-        self.state = "REGISTERING"
-        self._registration_started = self.sim.now
-        # A fresh attempt starts from clean MM state: stale keys from an
-        # earlier registration must never validate this one's SMC.
-        self.security = None
-        self.kausf = None
-        self._last_auth_rand = None
-        self._auth_response = None
-        self._reject_retries = 0
-        craft = self.craft_cost()
-        self.charge(craft)
-        self._obs_begin_attach(craft)
-        self.sim.schedule(craft, self._send_registration)
-
-    def attach(self) -> None:
-        """LTE-named alias so RAT-generic harnesses drive both UEs."""
-        self.register()
-
-    def _send_registration(self) -> None:
-        # Crafted ONCE per attempt and the same bytes retransmitted: for
-        # the CellBricks UE this keeps the SAP nonce stable so the
-        # broker's idempotency cache (not its replay window) catches the
-        # duplicate.
-        request = self.initial_request()
-        self._initial_request_cache = request
-        self.send(self.gnb_ip, request, size=message_size(request))
-        self._supervise_registration(self._resend_initial_request)
-
-    def _resend_initial_request(self) -> None:
-        request = self._initial_request_cache
-        if request is not None:
-            self.send(self.gnb_ip, request, size=message_size(request))
+        """3GPP name for :meth:`attach`."""
+        self.attach()
 
     def initial_request(self):
         suci = conceal(self.supi, self.home_network_key)
         return nas5g.RegistrationRequest(suci=suci)
 
-    # -- registration retransmission supervision --------------------------------
-    def _supervise_registration(self, resend: Callable[[], None]) -> None:
-        """(Re)arm the retransmission timer around the given leg.  Each
-        leg (initial request, auth response, SMC complete) gets a fresh
-        attempt budget: downlink progress proves the path was alive."""
-        self._reg_resend = resend
-        self._reg_attempts = 1
-        self._reg_timeout_cur = self.attach_retx_timeout
-        self._arm_reg_timer()
-
-    def _arm_reg_timer(self) -> None:
-        self._cancel_reg_timer()
-        jitter = 1.0 + self.attach_retx_jitter \
-            * (2.0 * self._retx_rng.random() - 1.0)
-        self._reg_timer_event = self.sim.schedule(
-            self._reg_timeout_cur * jitter, self._reg_timer_fired)
-
-    def _cancel_reg_timer(self) -> None:
-        if self._reg_timer_event is not None:
-            self._reg_timer_event.cancel()
-            self._reg_timer_event = None
-
-    def _stop_registration_supervision(self) -> None:
-        self._cancel_reg_timer()
-        self._reg_resend = None
-
-    def _reg_timer_fired(self) -> None:
-        self._reg_timer_event = None
-        if self.state != "REGISTERING" or self._reg_resend is None:
-            return
-        if self._reg_attempts >= self.attach_max_attempts:
-            self.attach_timeouts += 1
-            self._reg_resend = None
-            self._on_registration_give_up()
-            self._fail(f"registration timed out after "
-                       f"{self.attach_max_attempts} attempts")
-            return
-        self._reg_attempts += 1
-        self._reg_timeout_cur = min(
-            self._reg_timeout_cur * self.attach_retx_backoff,
-            self.attach_retx_max_timeout)
-        self.nas_retransmissions += 1
-        obs = self.obs()
-        if obs is not None and obs.tracing and self._attach_span is not None:
-            obs.tracer.instant(
-                "nas.retransmit", self.name, self.sim.now,
-                trace_id=self._attach_span.trace_id,
-                parent_id=self._attach_span.span_id,
-                category=self.obs_category,
-                data={"attempt": self._reg_attempts})
-        self._reg_resend()
-        self._arm_reg_timer()
-
-    def _on_registration_give_up(self) -> None:
-        """Hook: reset MM state when a registration attempt is abandoned."""
-        self.security = None
+    def _clear_mm_state(self) -> None:
+        super()._clear_mm_state()
         self.kausf = None
-        self.ue_ip = None
+        self._session_request = None
+
+    def _deliver(self, result: RegistrationResult) -> None:
+        if self.on_registration_done is not None:
+            self.on_registration_done(result)
+        super()._deliver(result)
 
     # -- 5G-AKA ------------------------------------------------------------------
-    def _on_auth_request(self, src_ip: str,
-                         request: nas5g.AuthenticationRequest5G) -> None:
-        if self.state != "REGISTERING":
-            return  # stale challenge from an abandoned attempt
-        if request.rand == self._last_auth_rand \
-                and self._auth_response is not None:
-            # Duplicate challenge (our response was lost): replay the
-            # stored response instead of re-running 5G-AKA, whose SQN
-            # check would reject the repeated vector.
-            self._resend_auth_response()
-            return
-        try:
-            res_star, kausf = usim_authenticate_5g(
-                self.usim, request.rand, request.autn, self.serving_network)
-        except AkaError as exc:
-            self._fail(str(exc))
-            return
+    def _authenticate(self, request: nas5g.AuthenticationRequest5G):
+        res_star, kausf = usim_authenticate_5g(
+            self.usim, request.rand, request.autn, self.serving_network)
         self.kausf = kausf
         kseaf = derive_kseaf(kausf, self.serving_network)
         kamf = derive_kamf(kseaf, str(self.supi))
         self.security = SecurityContext(kasme=kamf)
-        self._last_auth_rand = request.rand
-        self._auth_response = nas5g.AuthenticationResponse5G(
-            res_star=res_star)
-        self._resend_auth_response()
-        self._supervise_registration(self._resend_auth_response)
-
-    def _resend_auth_response(self) -> None:
-        response = self._auth_response
-        if response is not None:
-            self.send(self.gnb_ip, response, size=message_size(response))
-
-    # -- SMC (shared by baseline and CellBricks) ----------------------------------
-    def _on_smc(self, src_ip: str,
-                command: nas5g.SecurityModeCommand5G) -> None:
-        if self.state != "REGISTERING":
-            return  # stale command from an abandoned attempt
-        if self.security is None:
-            # The key-agreement downlink (AKA challenge / SAP response)
-            # was lost and the SMC overtook its replay: drop it.  Our own
-            # resend of the previous uplink makes the network replay both
-            # legs, so the registration still converges.
-            return
-        expected = smc_mac(self.security.k_nas_int, command.enc_alg,
-                           command.int_alg)
-        if command.mac != expected:
-            self._fail("SMC MAC verification failed")
-            return
-        self._send_smc_complete()
-        self._supervise_registration(self._send_smc_complete)
-
-    def _send_smc_complete(self) -> None:
-        if self.security is None:
-            return
-        reply = nas5g.SecurityModeComplete5G(
-            mac=smc_mac(self.security.k_nas_int, 0xFF, 0xFF))
-        self.send(self.gnb_ip, reply, size=message_size(reply))
+        return nas5g.AuthenticationResponse5G(res_star=res_star)
 
     # -- completion ---------------------------------------------------------------
     def _on_accept(self, src_ip: str,
@@ -364,117 +137,78 @@ class Ue5G(SignalingNode):
         if self.state == "REGISTERED":
             # Duplicate accept: our RegistrationComplete was lost —
             # re-send it without re-firing the completion hook.
-            self._send_registration_complete()
+            self._uplink(nas5g.RegistrationComplete())
             return
         if self.state != "REGISTERING":
             return  # stale accept from an abandoned attempt
-        self._stop_registration_supervision()
+        self._stop()
         self.state = "REGISTERED"
-        self._send_registration_complete()
-        latency = self.sim.now - self._registration_started
-        self._obs_end_attach("ok", latency)
-        self._finish_registration(RegistrationResult(
-            success=True, latency=latency))
-
-    def _send_registration_complete(self) -> None:
-        complete = nas5g.RegistrationComplete()
-        self.send(self.gnb_ip, complete, size=message_size(complete))
-
-    def _finish_registration(self, result: RegistrationResult) -> None:
-        if self.on_registration_done is not None:
-            self.on_registration_done(result)
-        if self.on_attach_done is not None:
-            self.on_attach_done(result)
-
-    def _on_reject(self, src_ip: str, reject) -> None:
-        if self.state != "REGISTERING":
-            return  # stale reject (e.g. we already timed out and moved on)
-        if getattr(reject, "retryable", False) \
-                and self._reject_retries < self.reject_max_retries:
-            # Transient broker-side denial (degraded shard mid-failover):
-            # back off and re-register with a fresh nonce instead of
-            # treating it as a terminal reject.
-            self._reject_retries += 1
-            self.retryable_rejects += 1
-            self._stop_registration_supervision()
-            self._on_registration_give_up()
-            delay = self.reject_backoff * (
-                self.reject_backoff_factor ** (self._reject_retries - 1))
-            delay *= 1.0 + self.attach_retx_jitter \
-                * (2.0 * self._retx_rng.random() - 1.0)
-            self._obs_degraded_retry(reject, delay)
-            self.sim.schedule(delay, self._retry_after_reject)
-            return
-        self._fail(reject.cause)
-
-    def _retry_after_reject(self) -> None:
-        if self.state != "REGISTERING":
-            return  # deregistered or abandoned while backing off
-        self._send_registration()
-
-    def _fail(self, cause: str) -> None:
-        self._stop_registration_supervision()
-        self.state = "REJECTED"
-        latency = (self.sim.now - self._registration_started
-                   if self._registration_started is not None else 0.0)
-        self._obs_end_attach("error", latency)
-        self._finish_registration(RegistrationResult(
-            success=False, latency=latency, cause=cause))
+        self._uplink(nas5g.RegistrationComplete())
+        self._succeed()
 
     # -- deregistration -----------------------------------------------------------
-    def deregister_and_forget(self) -> None:
-        """Switch-off style deregistration (TS 24.501): tell the network
-        we are leaving and drop local state without waiting for an accept
-        — what a CellBricks UE does the instant it decides to move."""
-        if self.state == "REGISTERED":
-            request = nas5g.DeregistrationRequest5G(switch_off=True)
-            self.send(self.gnb_ip, request, size=message_size(request))
-        self.state = "DEREGISTERED"
-        self.ue_ip = None
-        self.security = None
+    #: 3GPP name for the switch-off departure.
+    deregister_and_forget = NasUeBase.detach_and_forget
 
-    def detach_and_forget(self) -> None:
-        """LTE-named alias so RAT-generic harnesses drive both UEs."""
-        self.deregister_and_forget()
+    def _send_switch_off(self) -> None:
+        self._uplink(nas5g.DeregistrationRequest5G(switch_off=True))
 
     def _on_network_deregistration(
             self, src_ip: str,
             request: nas5g.DeregistrationRequest5G) -> None:
         """Network-initiated deregistration (grant expiry / revocation)."""
-        if self.state != "REGISTERED" or src_ip != self.gnb_ip:
+        if self.state != "REGISTERED" or src_ip != self.ran_ip:
             return  # not registered, or a stale network we already left
-        reply = nas5g.DeregistrationAccept5G()
-        self.send(self.gnb_ip, reply, size=message_size(reply))
+        self._uplink(nas5g.DeregistrationAccept5G())
+        session_pending = self._session_request is not None
         self.state = "DEREGISTERED"
-        self.ue_ip = None
-        self.security = None
+        self._clear_mm_state()
+        if session_pending:
+            # Whoever is waiting on the session leg must hear it is off.
+            self._session_done(success=False,
+                               cause="deregistered by the network")
         if self.on_deregistered is not None:
             self.on_deregistered()
 
-    def retarget(self, gnb_ip: str, serving_network: str) -> None:
-        """Point the UE at a different gNB (host-driven mobility)."""
-        self.gnb_ip = gnb_ip
-        self.serving_network = serving_network
-
     # -- PDU session --------------------------------------------------------------
     def establish_session(self, dnn: str = "internet") -> None:
+        """Ask for the PDU session that carries the address.  The leg is
+        supervised like a registration leg; its timer is un-jittered so
+        a fault-free session draws nothing from the jitter stream the
+        registration legs replay from."""
         if self.state != "REGISTERED":
             raise RuntimeError("establish_session() before registration")
         self._session_started = self.sim.now
-        request = nas5g.PduSessionEstablishmentRequest(dnn=dnn)
-        self.send(self.gnb_ip, request, size=message_size(request))
+        self._session_request = nas5g.PduSessionEstablishmentRequest(dnn=dnn)
+        self._resend_session_request()
+        self._supervise(self._resend_session_request,
+                        give_up=self._session_timed_out, jittered=False)
+
+    def _resend_session_request(self) -> None:
+        request = self._session_request
+        if request is not None:
+            self._uplink(request)
+
+    def _session_done(self, **fields) -> None:
+        self._stop()
+        self._session_request = None
+        if self.on_session_done is not None:
+            self.on_session_done(SessionResult(
+                latency=self.sim.now - self._session_started, **fields))
+
+    def _session_timed_out(self) -> None:
+        self._session_done(
+            success=False, cause=f"PDU session timed out after "
+                                 f"{self.attach_max_attempts} attempts")
 
     def _on_pdu_accept(self, src_ip: str,
                        accept: nas5g.PduSessionEstablishmentAccept) -> None:
+        if self._session_request is None or src_ip != self.ran_ip:
+            return  # duplicate, or a session we stopped waiting for
         self.ue_ip = accept.ue_ip
-        if self.on_session_done is not None:
-            self.on_session_done(SessionResult(
-                success=True, ue_ip=accept.ue_ip,
-                latency=self.sim.now - self._session_started))
+        self._session_done(success=True, ue_ip=accept.ue_ip)
 
     def _on_pdu_reject(self, src_ip: str, reject) -> None:
-        if self.on_session_done is not None:
-            self.on_session_done(SessionResult(
-                success=False, ue_ip=None,
-                latency=self.sim.now - (self._session_started or self.sim.now),
-                cause=reject.cause))
+        if self._session_request is None or src_ip != self.ran_ip:
+            return
+        self._session_done(success=False, cause=reject.cause)

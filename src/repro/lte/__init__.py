@@ -7,7 +7,7 @@ changes onto srsUE and Magma's AGW.
 """
 
 from . import aka, nas, s6a
-from .agw import Agw, UeContext, smc_mac
+from .agw import Agw, UeContext
 from .aka import (
     AkaError,
     AuthVector,
@@ -20,7 +20,7 @@ from .bearer import BearerError, EpsBearer, SgwPgw, UsageCounters
 from .enodeb import ENodeB, S1DownlinkNas, S1UeContextRelease, S1UplinkNas
 from .hss import SubscriberDb, SubscriberRecord
 from .identifiers import Guti, Imsi, ImsiGenerator, Plmn, Tai, TEST_PLMN
-from .security import SecurityContext, SecurityError
+from .security import SecurityContext, SecurityError, smc_mac
 from .signaling import SIGNALING_PORT, SignalingEnvelope, SignalingNode
 from .ue import AttachResult, UeNas
 

@@ -15,15 +15,13 @@ module breakdown of Fig 7 (the "AGW + Brokerd Proc." bars).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.crypto import hmac_sha256
 from repro.net import Host
 
 from . import s6a
 from .bearer import EpsBearer, SgwPgw
-from .enodeb import S1DownlinkNas, S1UeContextRelease, S1UplinkNas
 from .identifiers import Guti, Plmn, TEST_PLMN
 from .nas import (
     AttachAccept,
@@ -38,13 +36,13 @@ from .nas import (
     NasMessage,
     SecurityModeCommand,
     SecurityModeComplete,
-    message_size,
 )
 from .nas_transport import ProtectedNas
 from .nas_transport import protect as protect_nas
 from .nas_transport import unprotect as unprotect_nas
-from .security import NAS_MAC_SIZE, SecurityContext, SecurityError
-from .signaling import CounterAttr, SignalingNode
+from .security import SecurityContext, SecurityError
+from .serving_base import Leg, ServingContext, ServingNodeBase
+from .signaling import CounterAttr
 
 # Handler processing costs (seconds) — see DESIGN.md §6 for the
 # calibration that reproduces Fig 7's module breakdown.
@@ -58,158 +56,91 @@ BASELINE_COSTS = {
 }
 
 
-def smc_mac(k_nas_int: bytes, enc_alg: int, int_alg: int) -> bytes:
-    """Integrity tag for the Security Mode Command/Complete exchange."""
-    return hmac_sha256(k_nas_int, bytes([enc_alg, int_alg]))[:NAS_MAC_SIZE]
-
-
 @dataclass
-class UeContext:
+class UeContext(ServingContext):
     """Per-UE MME state."""
 
-    enb_ue_id: int
-    enb_ip: str
-    state: str = "INITIAL"
     imsi: Optional[str] = None
     subscriber_id: Optional[str] = None  # opaque id in CellBricks
     auth_vector: object = None
-    security: Optional[SecurityContext] = None
     guti: Optional[Guti] = None
     bearer: Optional[EpsBearer] = None
     subscription: Optional[s6a.SubscriptionData] = None
-    attach_started_at: float = 0.0
-    sap_session: object = None  # CellBricks: the broker-authorized session
-    broker_id: str = ""         # CellBricks: which broker authorized us
-    # -- retransmission bookkeeping --
-    sap_request_key: Optional[bytes] = None  # dedup key for SAP attaches
-    sap_challenge: object = None      # cached challenge for leg replay
-    broker_token: Optional[int] = None     # outstanding broker reply token
-    broker_corr_id: int = 0                # reliable-request correlation id
-    accept_retx: int = 0                   # AttachAccept retransmissions
 
 
-class Agw(SignalingNode):
-    """Baseline access gateway (MME + SPGW), one per bTelco site."""
+class Agw(ServingNodeBase):
+    """Baseline access gateway (MME + SPGW), one per bTelco site.
 
-    # AttachAccept retransmission supervision: the accept is the one
-    # downlink whose loss the UE cannot detect by itself mid-attach (it
-    # has already stopped resending SMC complete once the accept leaves).
-    accept_retx_timeout = 0.4
-    accept_retx_backoff = 2.0
-    accept_max_retx = 3
-    obs_category = "agw"
-    _NAS_SPAN_NAMES = {
-        AttachRequest: "nas.agw_attach_req",
-        AuthenticationResponse: "nas.agw_auth_resp",
-        SecurityModeComplete: "nas.agw_smc_complete",
-        AttachComplete: "nas.agw_attach_complete",
-        ProtectedNas: "nas.agw_protected",
+    The serving skeleton is :class:`~repro.lte.serving_base.
+    ServingNodeBase`; this class is what EPS does its own way: EPS-AKA
+    against the SubscriberDB (S6a AIR, then ULR), the S/PGW default
+    bearer, the ciphered post-SMC transport, and a reject that keeps the
+    context for the UE's next attempt on the same S1 association.
+    """
+
+    span_prefix = "agw"
+    context_class = UeContext
+    smc_command = SecurityModeCommand
+    accept_wait_state = "WAIT_ATTACH_COMPLETE"
+    live_states = ("ATTACHED",)
+    #: EPS opens a context for any uplink: the first message after an S1
+    #: release (e.g. the DetachAccept of a network-initiated detach)
+    #: opens the association the UE's next AttachRequest reuses.
+    initiating_nas = (NasMessage,)
+    cost_table = BASELINE_COSTS
+    nas_legs = {
+        AttachRequest: Leg("_on_attach_request", "nas.agw_attach_req",
+                           "attach_request"),
+        AuthenticationResponse: Leg("_on_auth_response",
+                                    "nas.agw_auth_resp", "auth_response"),
+        SecurityModeComplete: Leg("_on_smc_complete",
+                                  "nas.agw_smc_complete", "smc_complete"),
+        AttachComplete: Leg("_on_attach_complete",
+                            "nas.agw_attach_complete", "attach_complete"),
+        DetachRequest: Leg("_on_detach"),
+        # Post-SMC envelopes (complete/detach); charged like the
+        # completion handler plus the deciphering it implies.
+        ProtectedNas: Leg("_on_protected", "nas.agw_protected",
+                          "attach_complete"),
+    }
+    message_legs = {
+        s6a.AuthenticationInformationAnswer:
+            Leg("_handle_aia", "s6a.agw_aia", "auth_info_answer"),
+        s6a.UpdateLocationAnswer:
+            Leg("_handle_ula", "s6a.agw_ula", "update_location_answer"),
     }
     attaches_completed = CounterAttr("agw.attaches_completed")
     attaches_rejected = CounterAttr("agw.attaches_rejected")
     accept_retransmissions = CounterAttr("agw.accept_retransmissions")
     accept_give_ups = CounterAttr("agw.accept_give_ups")
-
-    def span_name(self, message: object) -> str:
-        if isinstance(message, S1UplinkNas):
-            name = self._NAS_SPAN_NAMES.get(type(message.nas))
-            return name if name is not None else \
-                self.nas_span_name(message.nas)
-        if isinstance(message, s6a.AuthenticationInformationAnswer):
-            return "s6a.agw_aia"
-        if isinstance(message, s6a.UpdateLocationAnswer):
-            return "s6a.agw_ula"
-        return super().span_name(message)
-
-    def nas_span_name(self, nas: NasMessage) -> str:
-        """Span-name hook for NAS types added by subclasses."""
-        return f"nas.agw_{type(nas).__name__}"
+    attempts_expired = CounterAttr("agw.attaches_expired")
+    orphan_uplinks = CounterAttr("agw.orphan_uplinks")
 
     def __init__(self, host: Host, subscriber_db_ip: str,
                  name: str = "agw", plmn: Plmn = TEST_PLMN,
                  ue_pool_prefix: str = "10.128.0"):
-        super().__init__(host, name)
+        super().__init__(host, name, plmn)
         self.subscriber_db_ip = subscriber_db_ip
-        self.plmn = plmn
         self.spgw = SgwPgw(pool_prefix=ue_pool_prefix)
-        self.contexts: dict[int, UeContext] = {}   # enb_ue_id -> context
         self._by_imsi: dict[str, int] = {}
         self._tmsi_counter = itertools.count(0x1000)
         self.attaches_completed = 0
         self.attaches_rejected = 0
-        self.accept_retransmissions = 0
-        self.accept_give_ups = 0
         #: fired as (context) when an attach completes — the harness uses
         #: it to install the UE's new address on the data plane.
         self.on_attached: Optional[Callable[[UeContext], None]] = None
-        self.costs = dict(BASELINE_COSTS)
 
-        self.on(S1UplinkNas, self._handle_uplink)
-        self.on(s6a.AuthenticationInformationAnswer, self._handle_aia)
-        self.on(s6a.UpdateLocationAnswer, self._handle_ula)
-
-    # Cost model: S1 messages are charged per inner NAS type.
-    def processing_cost(self, message: object) -> float:
-        if isinstance(message, S1UplinkNas):
-            nas = message.nas
-            if isinstance(nas, AttachRequest):
-                return self.costs["attach_request"]
-            if isinstance(nas, AuthenticationResponse):
-                return self.costs["auth_response"]
-            if isinstance(nas, SecurityModeComplete):
-                return self.costs["smc_complete"]
-            if isinstance(nas, AttachComplete):
-                return self.costs["attach_complete"]
-            if isinstance(nas, ProtectedNas):
-                # Post-SMC envelopes (complete/detach); charged like the
-                # completion handler plus the deciphering it implies.
-                return self.costs["attach_complete"]
-            return self.nas_processing_cost(nas)
-        if isinstance(message, s6a.AuthenticationInformationAnswer):
-            return self.costs["auth_info_answer"]
-        if isinstance(message, s6a.UpdateLocationAnswer):
-            return self.costs["update_location_answer"]
-        return self.default_processing_cost
-
-    def nas_processing_cost(self, nas: NasMessage) -> float:
-        """Cost hook for NAS types added by subclasses."""
-        return self.default_processing_cost
-
-    # -- S1 uplink dispatch ---------------------------------------------------
-    def _handle_uplink(self, enb_ip: str, wrapped: S1UplinkNas) -> None:
-        nas = wrapped.nas
-        context = self.contexts.get(wrapped.enb_ue_id)
-        if context is None:
-            context = UeContext(enb_ue_id=wrapped.enb_ue_id, enb_ip=enb_ip,
-                                attach_started_at=self.sim.now)
-            self.contexts[wrapped.enb_ue_id] = context
-        if isinstance(nas, ProtectedNas):
-            if context.security is None:
-                return  # protected NAS before key agreement: drop
-            try:
-                nas = unprotect_nas(context.security, nas, downlink=False)
-            except SecurityError:
-                return  # tampered/replayed: drop silently
-        if isinstance(nas, AttachRequest):
-            self._on_attach_request(context, nas)
-        elif isinstance(nas, AuthenticationResponse):
-            self._on_auth_response(context, nas)
-        elif isinstance(nas, SecurityModeComplete):
-            self._on_smc_complete(context, nas)
-        elif isinstance(nas, AttachComplete):
-            self._on_attach_complete(context)
-        elif isinstance(nas, DetachRequest):
-            self._on_detach(context, nas)
-        else:
-            self.handle_extension_nas(context, nas)
-
-    def handle_extension_nas(self, context: UeContext, nas: NasMessage) -> None:
-        """Hook for NAS messages added by subclasses (SAP)."""
-
-    def downlink(self, context: UeContext, nas: NasMessage) -> None:
-        self.send(context.enb_ip,
-                  S1DownlinkNas(enb_ue_id=context.enb_ue_id, nas=nas),
-                  size=message_size(nas) + 24)
+    # -- protected transport ---------------------------------------------------
+    def _on_protected(self, context: UeContext,
+                      envelope: ProtectedNas) -> None:
+        """Open a post-SMC envelope and dispatch the inner message."""
+        if context.security is None:
+            return  # protected NAS before key agreement: drop
+        try:
+            nas = unprotect_nas(context.security, envelope, downlink=False)
+        except SecurityError:
+            return  # tampered/replayed: drop silently
+        self._dispatch_nas(context, nas)
 
     def downlink_protected(self, context: UeContext,
                            nas: NasMessage) -> None:
@@ -218,7 +149,8 @@ class Agw(SignalingNode):
             nas = protect_nas(context.security, nas, downlink=True)
         self.downlink(context, nas)
 
-    def reject(self, context: UeContext, cause: str) -> None:
+    def reject(self, context: UeContext, cause: str,
+               retryable: bool = False) -> None:
         self.attaches_rejected += 1
         context.state = "REJECTED"
         self.downlink(context, AttachReject(cause=cause))
@@ -229,16 +161,16 @@ class Agw(SignalingNode):
         context.imsi = request.imsi
         context.subscriber_id = request.imsi
         context.state = "WAIT_AUTH_INFO"
-        context.attach_started_at = self.sim.now
-        self._by_imsi[request.imsi] = context.enb_ue_id
+        context.attempt_started_at = self.sim.now
+        self._arm_deadline(context)
+        self._by_imsi[request.imsi] = context.ran_ue_id
         air = s6a.AuthenticationInformationRequest(
             imsi=request.imsi, visited_plmn=str(self.plmn))
         self.send(self.subscriber_db_ip, air, size=s6a.message_size(air))
 
     def _handle_aia(self, src_ip: str,
                     answer: s6a.AuthenticationInformationAnswer) -> None:
-        ue_id = self._by_imsi.get(answer.imsi)
-        context = self.contexts.get(ue_id) if ue_id is not None else None
+        context = self.context_for_imsi(answer.imsi)
         if context is None or context.state != "WAIT_AUTH_INFO":
             return
         if answer.result != "SUCCESS" or not answer.vectors:
@@ -269,30 +201,6 @@ class Agw(SignalingNode):
         context.state = "WAIT_SMC_COMPLETE"
         self.send_smc(context)
 
-    def send_smc(self, context: UeContext) -> None:
-        security = context.security
-        mac = smc_mac(security.k_nas_int, security.enc_alg, security.int_alg)
-        self.downlink(context, SecurityModeCommand(
-            enc_alg=security.enc_alg, int_alg=security.int_alg, mac=mac))
-
-    def _on_smc_complete(self, context: UeContext,
-                         complete: SecurityModeComplete) -> None:
-        if context.state == "WAIT_ATTACH_COMPLETE" \
-                and context.security is not None:
-            # Duplicate SMC complete: the UE never saw our AttachAccept —
-            # re-send it (freshly protected) after re-verifying the MAC.
-            expected = smc_mac(context.security.k_nas_int, 0xFF, 0xFF)
-            if complete.mac == expected:
-                self._send_attach_accept(context)
-            return
-        if context.state != "WAIT_SMC_COMPLETE":
-            return
-        expected = smc_mac(context.security.k_nas_int, 0xFF, 0xFF)
-        if complete.mac != expected:
-            self.reject(context, "SMC integrity failure")
-            return
-        self.after_security_established(context)
-
     def after_security_established(self, context: UeContext) -> None:
         """Baseline: second S6a round-trip (ULR) before admitting the UE.
 
@@ -307,8 +215,7 @@ class Agw(SignalingNode):
 
     def _handle_ula(self, src_ip: str,
                     answer: s6a.UpdateLocationAnswer) -> None:
-        ue_id = self._by_imsi.get(answer.imsi)
-        context = self.contexts.get(ue_id) if ue_id is not None else None
+        context = self.context_for_imsi(answer.imsi)
         if context is None or context.state != "WAIT_LOCATION_UPDATE":
             return
         if answer.result != "SUCCESS":
@@ -328,14 +235,9 @@ class Agw(SignalingNode):
             apn=subscription.apn)
         context.guti = Guti(self.plmn, mme_group=1, mme_code=1,
                             m_tmsi=next(self._tmsi_counter))
-        context.state = "WAIT_ATTACH_COMPLETE"
-        context.accept_retx = 0
-        self._send_attach_accept(context)
-        self.sim.schedule(self.accept_retx_timeout,
-                          self._check_attach_accept, context,
-                          self.accept_retx_timeout)
+        self._send_supervised_accept(context)
 
-    def _send_attach_accept(self, context: UeContext) -> None:
+    def _send_accept(self, context: UeContext) -> None:
         self.downlink_protected(context, AttachAccept(
             guti=context.guti, ue_ip=context.bearer.ue_ip,
             bearer_id=context.bearer.ebi, qci=context.bearer.qci,
@@ -343,37 +245,14 @@ class Agw(SignalingNode):
             ambr_ul_bps=context.bearer.ambr_ul_bps,
             apn=context.bearer.apn))
 
-    def _check_attach_accept(self, context: UeContext,
-                             timeout: float) -> None:
-        """AttachAccept supervision: resend until AttachComplete arrives,
-        then give up and release everything the half-open attach holds."""
-        if self.contexts.get(context.enb_ue_id) is not context \
-                or context.state != "WAIT_ATTACH_COMPLETE":
-            return  # completed, torn down, or superseded — nothing to do
-        if context.accept_retx >= self.accept_max_retx:
-            self.accept_give_ups += 1
-            self._abandon_attach(context)
-            return
-        context.accept_retx += 1
-        self.accept_retransmissions += 1
-        self._send_attach_accept(context)
-        next_timeout = timeout * self.accept_retx_backoff
-        self.sim.schedule(next_timeout, self._check_attach_accept, context,
-                          next_timeout)
-
-    def _abandon_attach(self, context: UeContext) -> None:
-        """Release a half-open attach whose UE went silent (bearer,
-        context, S1 association) so nothing leaks."""
+    def _free_resources(self, context: UeContext) -> None:
         if context.bearer is not None and context.bearer.active:
             self.spgw.delete_bearer(context.bearer.ebi)
-        context.state = "ABANDONED"
-        self.send(context.enb_ip,
-                  S1UeContextRelease(enb_ue_id=context.enb_ue_id), size=32)
-        self.contexts.pop(context.enb_ue_id, None)
         if context.imsi:
             self._by_imsi.pop(context.imsi, None)
 
-    def _on_attach_complete(self, context: UeContext) -> None:
+    def _on_attach_complete(self, context: UeContext,
+                            complete: AttachComplete) -> None:
         if context.state != "WAIT_ATTACH_COMPLETE":
             return
         context.state = "ATTACHED"
@@ -383,18 +262,12 @@ class Agw(SignalingNode):
 
     # -- detach -----------------------------------------------------------------
     def _on_detach(self, context: UeContext,
-                   request: Optional[DetachRequest] = None) -> None:
-        if context.bearer is not None and context.bearer.active:
-            self.spgw.delete_bearer(context.bearer.ebi)
+                   request: DetachRequest) -> None:
         context.state = "DETACHED"
-        if request is None or not request.switch_off:
+        if not request.switch_off:
             # Switch-off detaches expect no acknowledgement (TS 24.301).
             self.downlink_protected(context, DetachAccept())
-        self.send(context.enb_ip,
-                  S1UeContextRelease(enb_ue_id=context.enb_ue_id), size=32)
-        self.contexts.pop(context.enb_ue_id, None)
-        if context.imsi:
-            self._by_imsi.pop(context.imsi, None)
+        self._release_ue(context)
 
     # -- introspection -----------------------------------------------------------
     def context_for_imsi(self, imsi: str) -> Optional[UeContext]:

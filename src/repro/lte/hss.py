@@ -45,13 +45,10 @@ class SubscriberDb(SignalingNode):
         s6a.UpdateLocationRequest: ULR_PROCESSING,
     }
     obs_category = "cloud"
-
-    def span_name(self, message: object) -> str:
-        if isinstance(message, s6a.AuthenticationInformationRequest):
-            return "s6a.hss_air"
-        if isinstance(message, s6a.UpdateLocationRequest):
-            return "s6a.hss_ulr"
-        return super().span_name(message)
+    _SPAN_NAMES = {
+        s6a.AuthenticationInformationRequest: "s6a.hss_air",
+        s6a.UpdateLocationRequest: "s6a.hss_ulr",
+    }
 
     def __init__(self, host: Host, name: str = "subscriberdb",
                  rng: Optional[random.Random] = None):

@@ -34,6 +34,11 @@ class SecurityError(Exception):
     """Raised when a NAS integrity check fails."""
 
 
+def smc_mac(k_nas_int: bytes, enc_alg: int, int_alg: int) -> bytes:
+    """Integrity tag for the Security Mode Command/Complete exchange."""
+    return hmac_sha256(k_nas_int, bytes([enc_alg, int_alg]))[:NAS_MAC_SIZE]
+
+
 @dataclass
 class SecurityContext:
     """An EPS security context: KASME-derived NAS keys and counters."""

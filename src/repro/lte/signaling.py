@@ -192,6 +192,9 @@ class SignalingNode:
     #: span category this node's processing is attributed to in the
     #: Fig 7 leg decomposition ("ue" / "enb" / "agw" / "cloud").
     obs_category = "node"
+    #: message-type -> span name: how a subclass maps its message types
+    #: onto protocol legs (e.g. ``sap.broker_verify``).
+    _SPAN_NAMES: dict = {}
 
     # -- registry-backed counters (attribute style preserved; the node's
     # MetricsRegistry is the single source of truth) ----------------------
@@ -263,10 +266,11 @@ class SignalingNode:
         return getattr(self.sim, "obs", None)
 
     def span_name(self, message: object) -> str:
-        """Span name for processing ``message`` at this node.  Subclasses
-        override to map message types onto protocol legs (e.g.
-        ``sap.broker_verify``)."""
-        return f"handle.{type(message).__name__}"
+        """Span name for processing ``message`` at this node: its
+        ``_SPAN_NAMES`` row, else ``handle.<Type>``."""
+        name = self._SPAN_NAMES.get(type(message))
+        return name if name is not None \
+            else f"handle.{type(message).__name__}"
 
     # -- sending --------------------------------------------------------------
     def send(self, dst_ip: str, message: object, size: int = 256,

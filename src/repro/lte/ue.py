@@ -17,8 +17,7 @@ from typing import Callable, Optional
 
 from repro.net import Host
 
-from .aka import AkaError, UsimState, usim_authenticate
-from .agw import smc_mac
+from .aka import UsimState, usim_authenticate
 from .identifiers import Imsi
 from .nas import (
     AttachAccept,
@@ -32,13 +31,12 @@ from .nas import (
     DetachRequest,
     SecurityModeCommand,
     SecurityModeComplete,
-    message_size,
 )
 from .nas_transport import ProtectedNas
 from .nas_transport import protect as protect_nas
 from .nas_transport import unprotect as unprotect_nas
 from .security import SecurityContext, SecurityError
-from .signaling import CounterAttr, SignalingNode
+from .ue_base import NasUeBase
 
 # UE-side processing costs (seconds); sum ≈ 3.0 ms per baseline attach.
 UE_COSTS = {
@@ -54,21 +52,18 @@ class AttachResult:
     """Outcome of one attach attempt."""
 
     success: bool
-    ue_ip: Optional[str]
-    latency: float
+    ue_ip: Optional[str] = None
+    latency: float = 0.0
     cause: Optional[str] = None
 
 
-class UeNas(SignalingNode):
+class UeNas(NasUeBase):
     """Baseline UE: EPS-AKA + SMC + attach, via the eNodeB.
 
-    Attach legs are supervised by a retransmission timer: the last uplink
-    NAS message of an in-progress attach is re-sent on timeout with
-    capped exponential backoff (seeded jitter), and the attempt is
-    abandoned cleanly — EMM state reset, ``attach_timeouts`` bumped, the
-    failure delivered via ``on_attach_done`` — once the per-leg budget is
-    spent.  A loss-free attach completes well inside the first timeout,
-    so the supervision never fires on the clean path.
+    The attach skeleton (supervised legs, reject back-off, SMC) is
+    :class:`~repro.lte.ue_base.NasUeBase`; this class is the EPS column
+    of the AKA cheatsheet: IMSI in the clear, K_ASME straight from the
+    USIM, and a ciphered post-SMC transport (:class:`ProtectedNas`).
     """
 
     processing_costs = {
@@ -79,57 +74,23 @@ class UeNas(SignalingNode):
         # charged like an accept (deciphering included).
         ProtectedNas: UE_COSTS[AttachAccept],
     }
-    obs_category = "ue"
-    #: span name for the initial-request crafting work ("sap.ue_craft"
-    #: on the CellBricks UE).
-    craft_span_name = "nas.ue_craft"
     _SPAN_NAMES = {
         AuthenticationRequest: "nas.ue_auth",
         SecurityModeCommand: "nas.ue_smc",
         AttachAccept: "nas.ue_attach_accept",
         ProtectedNas: "nas.ue_protected",
     }
-    nas_retransmissions = CounterAttr("ue.nas_retransmissions")
-    attach_timeouts = CounterAttr("ue.attach_timeouts")
-    retryable_rejects = CounterAttr("ue.retryable_rejects")
-    # -- attach retransmission knobs --
-    attach_retx_timeout = 0.4
-    attach_retx_backoff = 2.0
-    attach_retx_max_timeout = 3.0
-    attach_retx_jitter = 0.1
-    attach_max_attempts = 5
-    # -- retryable-reject backoff knobs (degraded broker shard) --
-    reject_backoff = 0.15
-    reject_backoff_factor = 2.0
-    reject_max_retries = 4
+    initial_craft_cost = UE_COSTS["craft_attach_request"]
+    smc_complete = SecurityModeComplete
+    result_type = AttachResult
 
-    def __init__(self, host: Host, enb_ip: str, imsi: Imsi | str,
+    def __init__(self, host: Host, ran_ip: str, imsi: Imsi | str,
                  usim: UsimState, serving_network: str,
                  name: str = "ue-nas"):
-        super().__init__(host, name)
-        self.enb_ip = enb_ip
+        super().__init__(host, ran_ip, serving_network, name)
         self.imsi = str(imsi)
         self.usim = usim
-        self.serving_network = serving_network
-        self.state = "DEREGISTERED"
-        self.security: Optional[SecurityContext] = None
-        self.ue_ip: Optional[str] = None
-        self.attach_started_at: Optional[float] = None
-        self.on_attach_done: Optional[Callable[[AttachResult], None]] = None
         self.on_detached: Optional[Callable[[], None]] = None
-        # -- attach supervision state --
-        self._attach_resend: Optional[Callable[[], None]] = None
-        self._attach_timer_event = None
-        self._attach_attempts = 0
-        self._attach_timeout_cur = 0.0
-        self._initial_request_cache = None
-        self._last_auth_rand: Optional[bytes] = None
-        self._auth_response = None
-        self._attach_span = None
-        self._reject_retries = 0
-        self.nas_retransmissions = 0
-        self.attach_timeouts = 0
-        self.retryable_rejects = 0
 
         self.on(AuthenticationRequest, self._on_auth_request)
         self.on(SecurityModeCommand, self._on_smc)
@@ -140,210 +101,15 @@ class UeNas(SignalingNode):
         self.on(DetachRequest, self._on_network_detach)
         self.on(ProtectedNas, self._on_protected)
 
-    # -- observability --------------------------------------------------------
-    def span_name(self, message: object) -> str:
-        name = self._SPAN_NAMES.get(type(message))
-        return name if name is not None else super().span_name(message)
-
-    def _obs_begin_attach(self, craft: float) -> None:
-        """Open the root ``attach`` span plus its crafting child; every
-        send in this procedure then carries the root trace context."""
-        obs = self.obs()
-        if obs is None or not obs.tracing:
-            return
-        tracer = obs.tracer
-        # Inside a mobility switch the manager sets ``_obs_parent_ctx``
-        # so the re-auth nests under the migration root (parent_id != 0
-        # keeps these out of the Fig 7 attach breakdowns).
-        root = tracer.start_trace("attach", self.name, self.obs_category,
-                                  start=self.sim.now,
-                                  ctx=getattr(self, "_obs_parent_ctx", None))
-        self._attach_span = root
-        self._obs_ctx = root.context
-        tracer.begin(self.craft_span_name, self.name, self.obs_category,
-                     start=self.sim.now, end=self.sim.now + craft,
-                     trace_id=root.trace_id, parent_id=root.span_id)
-
-    def _obs_end_attach(self, status: str, latency: float) -> None:
-        """Close the root span and record the outcome in the registry."""
-        span = self._attach_span
-        if span is not None:
-            self._attach_span = None
-            obs = self.obs()
-            if obs is not None and obs.tracing:
-                obs.tracer.finish(span, self.sim.now, status=status)
-        if status == "ok":
-            self.metrics.histogram("attach.latency_ms").observe(
-                latency * 1000.0)
-        else:
-            self.metrics.counter("attach.failures").inc()
-
-    def _obs_degraded_retry(self, reject, delay: float) -> None:
-        """Annotate the open attach span when a retryable (degraded
-        shard) denial forces a backoff — the trace then shows *why*
-        this attach was slow, not just that it was."""
-        span = self._attach_span
-        if span is None:
-            return
-        obs = self.obs()
-        if obs is not None and obs.tracing:
-            obs.tracer.instant(
-                "attach.degraded_retry", self.name, self.sim.now,
-                trace_id=span.trace_id, parent_id=span.span_id,
-                category=self.obs_category,
-                data={"retry": self._reject_retries,
-                      "backoff_ms": round(delay * 1000.0, 3),
-                      "cause": getattr(reject, "cause", "") or "degraded"})
-
-    # -- attach ---------------------------------------------------------------
-    def attach(self) -> None:
-        """Start the attach procedure (the §6.1 latency clock starts now)."""
-        if self.state not in ("DEREGISTERED", "REJECTED"):
-            raise RuntimeError(f"attach() in state {self.state}")
-        self.state = "ATTACHING"
-        self.attach_started_at = self.sim.now
-        self.security = None  # a fresh attempt starts from clean EMM state
-        self._last_auth_rand = None
-        self._auth_response = None
-        self._reject_retries = 0
-        craft = UE_COSTS["craft_attach_request"]
-        self.charge(craft)
-        self._obs_begin_attach(craft)
-        self.sim.schedule(craft, self._send_attach_request)
-
-    def _send_attach_request(self) -> None:
-        # The request is crafted ONCE per attach attempt and the same
-        # bytes are retransmitted: for the CellBricks UE this keeps the
-        # SAP nonce stable so the broker's idempotency cache (not its
-        # replay window) catches the duplicate.
-        request = self.initial_request()
-        self._initial_request_cache = request
-        self.send(self.enb_ip, request, size=message_size(request))
-        self._supervise_attach(self._resend_initial_request)
-
-    def _resend_initial_request(self) -> None:
-        request = self._initial_request_cache
-        if request is not None:
-            self.send(self.enb_ip, request, size=message_size(request))
-
     def initial_request(self):
-        """The first NAS message (overridden by the CellBricks UE)."""
         return AttachRequest(imsi=self.imsi)
 
-    # -- attach retransmission supervision -------------------------------------
-    def _supervise_attach(self, resend: Callable[[], None]) -> None:
-        """(Re)arm the retransmission timer around the given attach leg.
-
-        Each leg (initial request, auth response, SMC complete) gets a
-        fresh attempt budget: any downlink progress proves the path was
-        recently alive.
-        """
-        self._attach_resend = resend
-        self._attach_attempts = 1
-        self._attach_timeout_cur = self.attach_retx_timeout
-        self._arm_attach_timer()
-
-    def _arm_attach_timer(self) -> None:
-        self._cancel_attach_timer()
-        jitter = 1.0 + self.attach_retx_jitter \
-            * (2.0 * self._retx_rng.random() - 1.0)
-        self._attach_timer_event = self.sim.schedule(
-            self._attach_timeout_cur * jitter, self._attach_timer_fired)
-
-    def _cancel_attach_timer(self) -> None:
-        if self._attach_timer_event is not None:
-            self._attach_timer_event.cancel()
-            self._attach_timer_event = None
-
-    def _stop_attach_supervision(self) -> None:
-        self._cancel_attach_timer()
-        self._attach_resend = None
-
-    def _attach_timer_fired(self) -> None:
-        self._attach_timer_event = None
-        if self.state != "ATTACHING" or self._attach_resend is None:
-            return
-        if self._attach_attempts >= self.attach_max_attempts:
-            self.attach_timeouts += 1
-            self._attach_resend = None
-            self._on_attach_give_up()
-            self._fail(f"attach timed out after "
-                       f"{self.attach_max_attempts} attempts")
-            return
-        self._attach_attempts += 1
-        self._attach_timeout_cur = min(
-            self._attach_timeout_cur * self.attach_retx_backoff,
-            self.attach_retx_max_timeout)
-        self.nas_retransmissions += 1
-        obs = self.obs()
-        if obs is not None and obs.tracing and self._attach_span is not None:
-            obs.tracer.instant(
-                "nas.retransmit", self.name, self.sim.now,
-                trace_id=self._attach_span.trace_id,
-                parent_id=self._attach_span.span_id,
-                category=self.obs_category,
-                data={"attempt": self._attach_attempts})
-        self._attach_resend()
-        self._arm_attach_timer()
-
-    def _on_attach_give_up(self) -> None:
-        """Hook: reset EMM state when an attach attempt is abandoned."""
-        self.security = None
-        self.ue_ip = None
-
     # -- EPS-AKA ------------------------------------------------------------------
-    def _on_auth_request(self, src_ip: str,
-                         request: AuthenticationRequest) -> None:
-        if self.state != "ATTACHING":
-            return  # stale challenge from an abandoned attempt
-        if request.rand == self._last_auth_rand \
-                and self._auth_response is not None:
-            # Duplicate challenge (our response was lost): replaying the
-            # stored response avoids re-running AKA, whose SQN check
-            # would reject the repeated vector.
-            self._resend_auth_response()
-            return
-        try:
-            res, kasme = usim_authenticate(
-                self.usim, request.rand, request.autn, self.serving_network)
-        except AkaError as exc:
-            self._fail(f"network authentication failed: {exc}")
-            return
+    def _authenticate(self, request: AuthenticationRequest):
+        res, kasme = usim_authenticate(
+            self.usim, request.rand, request.autn, self.serving_network)
         self.security = SecurityContext(kasme=kasme)
-        self._last_auth_rand = request.rand
-        self._auth_response = AuthenticationResponse(res=res)
-        self._resend_auth_response()
-        self._supervise_attach(self._resend_auth_response)
-
-    def _resend_auth_response(self) -> None:
-        response = self._auth_response
-        if response is not None:
-            self.send(self.enb_ip, response, size=message_size(response))
-
-    # -- SMC (shared by baseline and CellBricks) -----------------------------------
-    def _on_smc(self, src_ip: str, command: SecurityModeCommand) -> None:
-        if self.state != "ATTACHING":
-            return  # stale command from an abandoned attempt
-        if self.security is None:
-            # The key-agreement downlink (AKA challenge / SAP response)
-            # was lost and the SMC overtook its retransmission: drop it.
-            # Our own resend of the previous uplink makes the network
-            # replay both legs, so the attach still converges.
-            return
-        expected = smc_mac(self.security.k_nas_int,
-                           command.enc_alg, command.int_alg)
-        if command.mac != expected:
-            self._fail("SMC MAC verification failed")
-            return
-        self._send_smc_complete()
-        self._supervise_attach(self._send_smc_complete)
-
-    def _send_smc_complete(self) -> None:
-        if self.security is None:
-            return
-        reply = SecurityModeComplete(
-            mac=smc_mac(self.security.k_nas_int, 0xFF, 0xFF))
-        self.send(self.enb_ip, reply, size=message_size(reply))
+        return AuthenticationResponse(res=res)
 
     # -- protected transport ---------------------------------------------------------
     def _on_protected(self, src_ip: str, envelope: ProtectedNas) -> None:
@@ -362,7 +128,7 @@ class UeNas(SignalingNode):
         """Send an uplink NAS message, protected when keys exist."""
         if self.security is not None:
             nas = protect_nas(self.security, nas, downlink=False)
-        self.send(self.enb_ip, nas, size=message_size(nas))
+        self._uplink(nas)
 
     # -- completion -------------------------------------------------------------------
     def _on_attach_accept(self, src_ip: str, accept: AttachAccept) -> None:
@@ -373,51 +139,11 @@ class UeNas(SignalingNode):
             return
         if self.state != "ATTACHING":
             return  # stale accept from an abandoned attempt
-        self._stop_attach_supervision()
+        self._stop()
         self.ue_ip = accept.ue_ip
         self.state = "ATTACHED"
         self.send_protected(AttachComplete())
-        latency = self.sim.now - self.attach_started_at
-        self._obs_end_attach("ok", latency)
-        if self.on_attach_done is not None:
-            self.on_attach_done(AttachResult(
-                success=True, ue_ip=accept.ue_ip, latency=latency))
-
-    def _on_reject(self, src_ip: str, reject) -> None:
-        if self.state != "ATTACHING":
-            return  # stale reject (e.g. we already timed out and moved on)
-        if getattr(reject, "retryable", False) \
-                and self._reject_retries < self.reject_max_retries:
-            # Transient broker-side denial (degraded shard mid-failover):
-            # back off and re-attach with a fresh nonce instead of
-            # treating it as a terminal EMM reject.
-            self._reject_retries += 1
-            self.retryable_rejects += 1
-            self._stop_attach_supervision()
-            self._on_attach_give_up()
-            delay = self.reject_backoff * (
-                self.reject_backoff_factor ** (self._reject_retries - 1))
-            delay *= 1.0 + self.attach_retx_jitter \
-                * (2.0 * self._retx_rng.random() - 1.0)
-            self._obs_degraded_retry(reject, delay)
-            self.sim.schedule(delay, self._retry_after_reject)
-            return
-        self._fail(getattr(reject, "cause", "rejected"))
-
-    def _retry_after_reject(self) -> None:
-        if self.state != "ATTACHING":
-            return  # detached or abandoned while backing off
-        self._send_attach_request()
-
-    def _fail(self, cause: str) -> None:
-        self._stop_attach_supervision()
-        self.state = "REJECTED"
-        latency = (self.sim.now - self.attach_started_at
-                   if self.attach_started_at is not None else 0.0)
-        self._obs_end_attach("error", latency)
-        if self.on_attach_done is not None:
-            self.on_attach_done(AttachResult(
-                success=False, ue_ip=None, latency=latency, cause=cause))
+        self._succeed(ue_ip=accept.ue_ip)
 
     # -- detach ------------------------------------------------------------------------
     def detach(self) -> None:
@@ -426,33 +152,24 @@ class UeNas(SignalingNode):
         self.state = "DETACHING"
         self.send_protected(DetachRequest())
 
-    def detach_and_forget(self) -> None:
-        """Switch-off style detach (TS 24.301): tell the network we are
-        leaving and deregister locally without waiting for an accept —
-        what a CellBricks UE does the instant it decides to move."""
-        if self.state == "ATTACHED":
-            self.send_protected(DetachRequest(switch_off=True))
-        self.state = "DEREGISTERED"
-        self.ue_ip = None
-        self.security = None
+    def _send_switch_off(self) -> None:
+        self.send_protected(DetachRequest(switch_off=True))
 
     def _on_detach_accept(self, src_ip: str, accept: DetachAccept) -> None:
         if self.state != "DETACHING":
             return
-        self.state = "DEREGISTERED"
-        self.ue_ip = None
-        self.security = None
-        if self.on_detached is not None:
-            self.on_detached()
+        self._detached()
 
     def _on_network_detach(self, src_ip: str,
                            request: DetachRequest) -> None:
         """Network-initiated detach (e.g. the SAP authorization expired)."""
-        if self.state != "ATTACHED" or src_ip != self.enb_ip:
+        if self.state != "ATTACHED" or src_ip != self.ran_ip:
             return  # not attached, or a stale network we already left
         self.send_protected(DetachAccept())
+        self._detached()
+
+    def _detached(self) -> None:
         self.state = "DEREGISTERED"
-        self.ue_ip = None
-        self.security = None
+        self._clear_mm_state()
         if self.on_detached is not None:
             self.on_detached()

@@ -9,11 +9,6 @@ from .attach_bench import (
     run_figure7,
     run_traced_attach,
 )
-from .attach_bench5g import (
-    run_attach_benchmark_5g,
-    run_figure7_5g,
-    run_traced_attach_5g,
-)
 from .megaload import MegaloadWorkload, run_megaload
 from .megaload import run_cell as run_megaload_cell
 from .placement import PLACEMENTS, TestbedTopology
@@ -30,10 +25,7 @@ __all__ = [
     "PLACEMENTS",
     "TestbedTopology",
     "run_attach_benchmark",
-    "run_attach_benchmark_5g",
     "run_figure7",
-    "run_figure7_5g",
     "run_traced_attach",
-    "run_traced_attach_5g",
     "run_traced_drive",
 ]

@@ -10,7 +10,8 @@ cell: p50/p99 attach latency and attaches/sec.
 
 Works for both RATs — ``rat="lte"`` drives CellBricksAgw sites over NAS,
 ``rat="5g"`` drives CellBricksAmf/SMF sites over NAS-5G — against the
-very same brokerd code, since SAP is RAT-agnostic.
+very same brokerd code, since SAP is RAT-agnostic; sites come from
+:func:`repro.core.mobility.build_btelco_site`.
 """
 
 from __future__ import annotations
@@ -18,23 +19,17 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.analysis.stats import mean, percentile
-from repro.core import (
-    Brokerd,
-    CellBricksAgw,
-    CellBricksAmf,
-    CellBricksUe,
-    CellBricksUe5G,
-    UeSapCredentials,
+from repro.core import Brokerd, UeSapCredentials
+from repro.core.mobility import (
+    build_btelco_site,
+    rat_profile,
+    signaling_link,
 )
-from repro.core.qos import QosCapabilities
 from repro.crypto import CertificateAuthority
 from repro.crypto import keypool
-from repro.fivegc import Smf
-from repro.lte import ENodeB
-from repro.net import Host, Link, Simulator
+from repro.net import Host, Simulator
 
 BROKER_ADDRESS = "52.20.0.1"
-SIGNALING_BANDWIDTH = 1e9
 #: pool slots reserved for this bench (clear of scenario builders').
 _SLOT_BASE = 9300
 
@@ -61,14 +56,6 @@ class CellResult:
         return asdict(self)
 
 
-def _link(sim, name, a, b, delay_s):
-    link = Link(sim, name, a, b, bandwidth_bps=SIGNALING_BANDWIDTH,
-                delay_s=delay_s)
-    a.add_route(b.address.rsplit(".", 1)[0], link)
-    b.add_route(a.address.rsplit(".", 1)[0], link)
-    return link
-
-
 def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
              pipeline: bool = True, sites: int = 16,
              arrival_window: float = 0.0, batch_window: float = 0.002,
@@ -83,8 +70,7 @@ def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
     Throughput counts successful attaches over the span from the first
     attach start (t=0) to the last completion.
     """
-    if rat not in ("lte", "5g"):
-        raise ValueError(f"unknown rat {rat!r}")
+    profile = rat_profile(rat)
     # Key generation happens before the timed region; the CRT contexts
     # are precomputed so wall-clock cost lands in the bench loop only.
     keypool.warm(range(_SLOT_BASE, _SLOT_BASE + 3 + sites))
@@ -107,45 +93,15 @@ def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
 
     ue_key = keypool.pooled_keypair(_SLOT_BASE + 2)  # shared (sim-only)
 
-    ran_hosts: list[Host] = []   # the node a UE attaches through
-    for index in range(sites):
-        ran_host = Host(sim, f"site{index}-ran",
-                        address=f"10.{30 + index}.0.1")
-        core_host = Host(sim, f"site{index}-core",
-                         address=f"10.{60 + index}.0.1")
-        key = keypool.pooled_keypair(_SLOT_BASE + 3 + index)
-        certificate = ca.issue(f"t.scale-{index}", "btelco", key.public_key)
-        qos = QosCapabilities(supported_qcis=(1, 8, 9))
-        if rat == "lte":
-            agw = CellBricksAgw(
-                core_host, broker_ip=BROKER_ADDRESS,
-                id_t=f"t.scale-{index}", key=key, certificate=certificate,
-                ca_public_key=ca.public_key, qos_capabilities=qos,
-                name=f"site{index}-agw",
-                ue_pool_prefix=f"10.{128 + index}.0")
-            agw.trust_broker("b.scale", brokerd.public_key)
-            ENodeB(ran_host, agw_ip=core_host.address,
-                   name=f"site{index}-enb")
-        else:
-            smf_host = Host(sim, f"site{index}-smf",
-                            address=f"10.{90 + index}.0.1")
-            smf = Smf(smf_host, name=f"site{index}-smf",
-                      ue_pool_prefix=f"10.{128 + index}.0")
-            amf = CellBricksAmf(
-                core_host, broker_ip=BROKER_ADDRESS,
-                smf_ip=smf_host.address, id_t=f"t.scale-{index}", key=key,
-                certificate=certificate, ca_public_key=ca.public_key,
-                qos_capabilities=qos, name=f"site{index}-amf")
-            amf.trust_broker("b.scale", brokerd.public_key)
-            ENodeB(ran_host, agw_ip=core_host.address,
-                   name=f"site{index}-gnb")
-            _link(sim, f"site{index}-smf-link", core_host, smf_host,
-                  delay_s=0.0002)
-        _link(sim, f"site{index}-backhaul", ran_host, core_host,
-              delay_s=0.00015)
-        _link(sim, f"site{index}-broker", core_host, broker_host,
-              delay_s=0.0025)
-        ran_hosts.append(ran_host)
+    # The node a UE attaches through, per site.
+    ran_hosts = [
+        build_btelco_site(
+            sim, rat, f"site{index}", id_t=f"t.scale-{index}", ca=ca,
+            key=keypool.pooled_keypair(_SLOT_BASE + 3 + index),
+            brokerd=brokerd, pool_prefix=f"10.{128 + index}.0",
+            addresses=(f"10.{30 + index}.0.1", f"10.{60 + index}.0.1",
+                       f"10.{90 + index}.0.1")).enb_host
+        for index in range(sites)]
 
     latencies: list[float] = []
     completions: list[float] = []
@@ -164,27 +120,18 @@ def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
         ue_host = Host(sim, f"ue{index}",
                        address=f"10.{140 + index // 200}.{index % 200}.2")
         ran_host = ran_hosts[site]
-        ran_address = ran_host.address
-        _link(sim, f"radio{index}", ue_host, ran_host, delay_s=0.0001)
+        signaling_link(sim, f"radio{index}", ue_host, ran_host, 0.0001)
         subscriber = f"sub-{index:05d}"
         brokerd.enroll_subscriber(subscriber, ue_key.public_key)
         creds = UeSapCredentials(id_u=subscriber, id_b="b.scale",
                                  ue_key=ue_key,
                                  broker_public_key=brokerd.public_key)
-        if rat == "lte":
-            ue = CellBricksUe(ue_host, ran_address, creds,
+        ue = profile.ue_class(ue_host, ran_host.address, creds,
                               target_id_t=f"t.scale-{site}",
-                              name=f"cb-ue{index}")
-            ue.on_attach_done = _done
-            sim.schedule(arrival_window * index / max(concurrency, 1),
-                         ue.attach)
-        else:
-            ue = CellBricksUe5G(ue_host, ran_address, creds,
-                                target_id_t=f"t.scale-{site}",
-                                name=f"cb-ue5g{index}")
-            ue.on_registration_done = _done
-            sim.schedule(arrival_window * index / max(concurrency, 1),
-                         ue.register)
+                              name=f"{profile.ue_name}{index}")
+        ue.on_attach_done = _done
+        sim.schedule(arrival_window * index / max(concurrency, 1),
+                     ue.attach)
 
     sim.run(until=run_until)
 

@@ -39,11 +39,15 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.mobility import MobilityManager, build_cellbricks_network
+from repro.core.mobility import (
+    MobilityManager,
+    build_cellbricks_network,
+    signaling_link,
+)
 from repro.core.sap import UeSapCredentials
 from repro.core.messages import DenialCause, scope_attach_mac
 from repro.crypto.keypool import pooled_keypair, warm
-from repro.net import Host, Link, Simulator
+from repro.net import Host, Simulator
 from repro.ran.cells import corridor_deployment
 from repro.ran.geometry import Point, Trajectory, Waypoint
 from repro.ran.selection import (DEFAULT_SAMPLE_INTERVAL_S, CellSelector,
@@ -51,7 +55,6 @@ from repro.ran.selection import (DEFAULT_SAMPLE_INTERVAL_S, CellSelector,
 
 from .netaddr import HostPrefixAllocator
 
-SIGNALING_BANDWIDTH = 1e9
 #: stationary warm-up before the drive starts: initial attaches (full
 #: authReqU for everyone, scoped or not) complete here, then the broker
 #: RPC baseline is snapshotted so the drive only counts *handover* load.
@@ -95,34 +98,15 @@ def _fleet_ue_host(sim: Simulator, net, slot: int, seed: int):
     """
     allocator = HostPrefixAllocator(base_octet=64)
     host = Host(sim, f"fleet-ue{slot}", address=allocator.address(slot))
-    ue_prefix = host.address.rsplit(".", 1)[0]
     for name, site in net.sites.items():
-        enb_host = getattr(site, "enb_host", None) or site.gnb_host
-        radio = Link(sim, f"fleet-ue{slot}-{name}-radio", host, enb_host,
-                     bandwidth_bps=SIGNALING_BANDWIDTH, delay_s=0.0001)
-        host.add_route(enb_host.address.rsplit(".", 1)[0], radio)
-        enb_host.add_route(ue_prefix, radio)
+        signaling_link(sim, f"fleet-ue{slot}-{name}-radio", host,
+                       site.enb_host, 0.0001)
     id_u = f"fleet-ue{slot}"
     key = pooled_keypair(seed * 100 + 20 + slot)
     creds = UeSapCredentials(id_u=id_u, id_b=net.brokerd.id_b, ue_key=key,
                              broker_public_key=net.brokerd.public_key)
     net.brokerd.enroll_subscriber(id_u, key.public_key)
     return dataclasses.replace(net, ue_host=host, credentials=creds)
-
-
-def _build_network(sim: Simulator, rat: str, site_names: tuple, seed: int):
-    if rat == "5g":
-        from repro.fivegc.network5g import build_cellbricks_network_5g
-        return build_cellbricks_network_5g(sim, site_names=site_names,
-                                           seed=seed)
-    return build_cellbricks_network(sim, site_names=site_names, seed=seed)
-
-
-def _ue_class(rat: str):
-    if rat == "5g":
-        from repro.core.btelco5g import CellBricksUe5G
-        return CellBricksUe5G
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +204,25 @@ class _FleetDriver:
 # Denial probes
 # ---------------------------------------------------------------------------
 
-def _run_denial_probes(sim: Simulator, net, rat: str, site_names: tuple,
+def _run_denial_probes(sim: Simulator, net, site_names: tuple,
                        seed: int, fleet: list) -> dict:
     """Attach two stationary probe UEs and dry-run each denial class
     against live bTelco state via ``validate_scope_probe`` — read-only,
     so no counters burn and the drive's accounting is untouched."""
     probes: dict = {}
     home, away = site_names[0], site_names[1]
-    ue_cls = _ue_class(rat)
 
     # Probe hosts take the two slots right after the fleet's, so they
     # never collide with a drive UE at any fleet size.
     probe_slot = len(fleet)
     # probe A: scope restricted to its serving site (out-of-scope case).
     view_a = _fleet_ue_host(sim, net, probe_slot, seed)
-    mm_a = MobilityManager(view_a, ue_class=ue_cls)
+    mm_a = MobilityManager(view_a)
     mm_a.start(home)
     mm_a.ue.scope_request = {"telcos": [home], "ttl": 300.0}
     # probe B: a tiny TTL so the grant expires before we probe it.
     view_b = _fleet_ue_host(sim, net, probe_slot + 1, seed)
-    mm_b = MobilityManager(view_b, ue_class=ue_cls)
+    mm_b = MobilityManager(view_b)
     mm_b.start(home)
     mm_b.ue.scope_request = {"telcos": list(site_names), "ttl": 0.5}
     sim.run(until=sim.now + 1.0)
@@ -352,7 +335,8 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
         raise ValueError("ues must be between 1 and 64")
     site_names = tuple(f"site{i}" for i in range(sites))
     sim = Simulator()
-    net = _build_network(sim, rat, site_names, seed)
+    net = build_cellbricks_network(sim, site_names=site_names, seed=seed,
+                                   rat=rat)
     # One key per fleet UE, plus the two denial-probe UEs after them.
     warm(range(seed * 100 + 20,
                seed * 100 + 20 + ues + (2 if probes else 0)))
@@ -363,11 +347,10 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
         length_m, inter_site_distance_m, operators=site_names,
         offset_m=30.0, rng=rng)
 
-    ue_cls = _ue_class(rat)
     fleet: list = []
     for u in range(ues):
         view = _fleet_ue_host(sim, net, u, seed)
-        mm = MobilityManager(view, ue_class=ue_cls)
+        mm = MobilityManager(view)
         # Stagger starting positions and speeds so the fleet spreads
         # over the corridor instead of handing over in lockstep.
         drive_span = duration * speed_mps
@@ -426,7 +409,7 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
 
     probe_report: dict = {}
     if scoped and probes:
-        probe_report = _run_denial_probes(sim, net, rat, site_names, seed,
+        probe_report = _run_denial_probes(sim, net, site_names, seed,
                                           fleet)
 
     # -- aggregate --------------------------------------------------------

@@ -139,7 +139,6 @@ FIXED_WINDOW = 0.002        # the pre-adaptive pipeline constant
 
 # Mixed-fidelity cohort topology constants.
 REAL_BROKER_ADDRESS = "52.30.0.1"
-REAL_SIGNALING_BANDWIDTH = 1e9
 #: keypool slots reserved for the cohort (clear of other harnesses').
 _REAL_SLOT_BASE = 9650
 
@@ -277,25 +276,19 @@ class _RealCohort:
 
     def __init__(self, workload: "MegaloadWorkload", uids, *,
                  rat: str = "lte", sites: int = 4):
-        from repro.core import (
-            Brokerd,
-            CellBricksAgw,
-            CellBricksAmf,
-            CellBricksUe,
-            CellBricksUe5G,
-            UeSapCredentials,
-        )
+        from repro.core import Brokerd, UeSapCredentials
         from repro.core.broker import BrokerAuthRequest
-        from repro.core.qos import QosCapabilities
+        from repro.core.mobility import (
+            build_btelco_site,
+            rat_profile,
+            signaling_link,
+        )
         from repro.crypto import CertificateAuthority, keypool
-        from repro.fivegc import Smf
-        from repro.lte import ENodeB
-        from repro.net import Host, Link
+        from repro.net import Host
 
         from .netaddr import HostPrefixAllocator
 
-        if rat not in ("lte", "5g"):
-            raise ValueError(f"unknown rat {rat!r}")
+        ue_class = rat_profile(rat).ue_class
         self.workload = workload
         self.rat = rat
         self.uids = list(uids)
@@ -329,59 +322,17 @@ class _RealCohort:
             costs[BrokerAuthRequest] = workload.broker.service_cost
             self.brokerd.processing_costs = costs
 
-        def _link(name, a, b, delay_s):
-            link = Link(sim, name, a, b,
-                        bandwidth_bps=REAL_SIGNALING_BANDWIDTH,
-                        delay_s=delay_s)
-            a.add_route(b.address.rsplit(".", 1)[0], link)
-            b.add_route(a.address.rsplit(".", 1)[0], link)
-            return link
-
-        self.ran_hosts: list = []
-        qos = QosCapabilities(supported_qcis=(1, 8, 9))
-        for index in range(self.n_sites):
-            ran_host = Host(sim, f"mega-site{index}-ran",
-                            address=f"10.40.{index}.1")
-            core_host = Host(sim, f"mega-site{index}-core",
-                             address=f"10.41.{index}.1")
-            key = keypool.pooled_keypair(_REAL_SLOT_BASE + 3 + index)
-            certificate = ca.issue(f"t.mega-{index}", "btelco",
-                                   key.public_key)
-            if rat == "lte":
-                agw = CellBricksAgw(
-                    core_host, broker_ip=REAL_BROKER_ADDRESS,
-                    id_t=f"t.mega-{index}", key=key,
-                    certificate=certificate,
-                    ca_public_key=ca.public_key, qos_capabilities=qos,
-                    name=f"mega-site{index}-agw",
-                    ue_pool_prefix=f"10.44.{index}")
-                agw.trust_broker("b.mega", self.brokerd.public_key)
-                ENodeB(ran_host, agw_ip=core_host.address,
-                       name=f"mega-site{index}-enb")
-            else:
-                smf_host = Host(sim, f"mega-site{index}-smf",
-                                address=f"10.42.{index}.1")
-                smf = Smf(smf_host, name=f"mega-site{index}-smf",
-                          ue_pool_prefix=f"10.44.{index}")
-                amf = CellBricksAmf(
-                    core_host, broker_ip=REAL_BROKER_ADDRESS,
-                    smf_ip=smf_host.address, id_t=f"t.mega-{index}",
-                    key=key, certificate=certificate,
-                    ca_public_key=ca.public_key, qos_capabilities=qos,
-                    name=f"mega-site{index}-amf")
-                amf.trust_broker("b.mega", self.brokerd.public_key)
-                ENodeB(ran_host, agw_ip=core_host.address,
-                       name=f"mega-site{index}-gnb")
-                _link(f"mega-site{index}-smf-link", core_host, smf_host,
-                      0.0002)
-            _link(f"mega-site{index}-backhaul", ran_host, core_host,
-                  0.00015)
-            _link(f"mega-site{index}-broker", core_host, broker_host,
-                  0.0025)
-            self.ran_hosts.append(ran_host)
+        self.ran_hosts = [
+            build_btelco_site(
+                sim, rat, f"mega-site{index}", id_t=f"t.mega-{index}",
+                ca=ca, brokerd=self.brokerd,
+                key=keypool.pooled_keypair(_REAL_SLOT_BASE + 3 + index),
+                pool_prefix=f"10.44.{index}",
+                addresses=(f"10.40.{index}.1", f"10.41.{index}.1",
+                           f"10.42.{index}.1")).enb_host
+            for index in range(self.n_sites)]
 
         ue_key = keypool.pooled_keypair(_REAL_SLOT_BASE + 2)  # sim-only
-        ue_class = CellBricksUe if rat == "lte" else CellBricksUe5G
         self.ues: dict = {}
         for slot, uid in enumerate(self.uids):
             ue_host = Host(sim, f"mega-ue{uid}",
@@ -389,8 +340,8 @@ class _RealCohort:
             # Radio links to every *distinct* real site the script
             # visits (the host-driven retarget keeps the same host).
             for site in sorted(self._visited_sites(uid)):
-                _link(f"mega-radio{uid}-{site}", ue_host,
-                      self.ran_hosts[site], 0.0001)
+                signaling_link(sim, f"mega-radio{uid}-{site}", ue_host,
+                               self.ran_hosts[site], 0.0001)
             subscriber = f"mega-{uid:07d}"
             self.brokerd.enroll_subscriber(subscriber, ue_key.public_key)
             creds = UeSapCredentials(

@@ -24,10 +24,12 @@ from typing import Optional
 from repro.apps.iperf import IperfClient, IperfServer
 from repro.apps.transport import KIND_MPTCP, KIND_QUIC
 from repro.core.mobility import MobilityManager, build_cellbricks_network
-from repro.net import CellularPath, Simulator
+from repro.net import Simulator
 from repro.obs import Obs, install, migration_leg_breakdown
 
 IPERF_RATE = 20e6  # emulated radio bottleneck (bps)
+#: the multipath transport each generation's drive rides.
+TRANSPORT = {"lte": KIND_MPTCP, "5g": KIND_QUIC}
 
 
 def run_traced_drive(rat: str = "lte", *, switch_at: float = 2.0,
@@ -43,22 +45,11 @@ def run_traced_drive(rat: str = "lte", *, switch_at: float = 2.0,
     sim = Simulator()
     obs = install(sim, obs)
 
-    if rat == "5g":
-        from repro.core.btelco5g import CellBricksUe5G
-        from repro.fivegc.network5g import build_cellbricks_network_5g
-        network = build_cellbricks_network_5g(sim, seed=seed)
-        data_path = CellularPath(sim, name="data", seed=seed)
-        manager = MobilityManager(network, data_path=data_path,
-                                  ue_class=CellBricksUe5G)
-        kind = KIND_QUIC
-    elif rat == "lte":
-        network = build_cellbricks_network(sim, with_data_path=True,
-                                           seed=seed)
-        data_path = network.data_path
-        manager = MobilityManager(network)
-        kind = KIND_MPTCP
-    else:
-        raise ValueError(f"unknown rat {rat!r}")
+    network = build_cellbricks_network(sim, with_data_path=True, seed=seed,
+                                       rat=rat)
+    data_path = network.data_path
+    manager = MobilityManager(network)
+    kind = TRANSPORT[rat]
 
     data_path.set_radio_bandwidth(IPERF_RATE)
     server = IperfServer(kind, data_path.server)

@@ -153,15 +153,6 @@ class TestBaselineRegistration:
         sim.run(until=2.0)
         assert results and not results[0].success
 
-    def test_wrong_usim_key_rejected(self):
-        sim, topo, udm, ausf, smf, amf, ue = build_baseline()
-        ue.usim = UsimState(k=bytes(16))
-        results = []
-        ue.on_registration_done = results.append
-        ue.register()
-        sim.run(until=2.0)
-        assert results and not results[0].success
-
     def test_latency_grows_with_two_home_round_trips(self):
         latencies = {}
         for placement in ("local", "us-west-1"):

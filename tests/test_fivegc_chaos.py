@@ -27,7 +27,7 @@ from repro.fivegc.topology5g import (
 from repro.lte.aka import UsimState
 from repro.net import Simulator
 from repro.obs.export import LEG_NAMES, attach_leg_breakdown
-from repro.testbed import run_traced_attach_5g
+from repro.testbed import run_traced_attach
 
 K = bytes(range(16))
 
@@ -86,8 +86,8 @@ class TestFaultFree5G:
 
     @pytest.mark.parametrize("arch", ["BL", "CB"])
     def test_zero_retransmissions_and_exact_leg_sum(self, arch):
-        result, obs, harness = run_traced_attach_5g(
-            arch=arch, placement="us-west-1", trials=10)
+        result, obs, harness = run_traced_attach(
+            arch=arch, placement="us-west-1", trials=10, rat="5g")
         assert len(result.samples) == 10
         assert harness.reliable_retransmissions() == 0
         breakdowns = attach_leg_breakdown(obs.tracer.spans())

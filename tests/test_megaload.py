@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.broker import AdaptiveBatchWindow
 from repro.core.mobility import CellBricksNetwork, MobilityManager
-from repro.fivegc.network5g import CellBricks5GNetwork
 from repro.lte.bearer import SgwPgw
 from repro.net import Simulator
 from repro.testbed.megaload import run_cell, run_megaload
@@ -76,9 +75,9 @@ class TestNetworkLinksDefault:
             pass
 
     def test_5g_network_defaults_to_empty_dict(self):
-        network = CellBricks5GNetwork(
+        network = CellBricksNetwork(
             sim=Simulator(), ca=None, broker_host=None, brokerd=None,
-            sites={}, ue_host=None, credentials=None)
+            sites={}, ue_host=None, credentials=None, rat="5g")
         assert network.links == {}
 
     def test_default_dicts_are_not_shared(self):

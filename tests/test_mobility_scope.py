@@ -6,9 +6,8 @@ from repro.core.mobility import MobilityManager, build_cellbricks_network
 from repro.net import Simulator
 
 
-def _scoped_start(sim, net, telcos, start="btelco-a", ttl=300.0,
-                  ue_class=None):
-    manager = MobilityManager(net, ue_class=ue_class)
+def _scoped_start(sim, net, telcos, start="btelco-a", ttl=300.0):
+    manager = MobilityManager(net)
     manager.start(start)
     manager.ue.scope_request = {"telcos": list(telcos), "ttl": ttl}
     sim.run(until=sim.now + 2.0)
@@ -40,13 +39,9 @@ class TestScopedReattach:
         assert net.sites["btelco-b"].agw.scoped_attaches == 1
 
     def test_in_scope_switch_uses_zero_broker_rpcs_5g(self):
-        from repro.core.btelco5g import CellBricksUe5G
-        from repro.fivegc.network5g import build_cellbricks_network_5g
-
         sim = Simulator()
-        net = build_cellbricks_network_5g(sim)
-        manager = _scoped_start(sim, net, ("btelco-a", "btelco-b"),
-                                ue_class=CellBricksUe5G)
+        net = build_cellbricks_network(sim, rat="5g")
+        manager = _scoped_start(sim, net, ("btelco-a", "btelco-b"))
         assert manager.ue.state == "REGISTERED"
         assert manager.ue.mobility_grant is not None
 
@@ -57,7 +52,7 @@ class TestScopedReattach:
         assert manager.ue.state == "REGISTERED"
         assert manager.current_site.name == "btelco-b"
         assert _auth_rpcs(net.brokerd) == before
-        assert net.sites["btelco-b"].amf.scoped_attaches == 1
+        assert net.sites["btelco-b"].agw.scoped_attaches == 1
 
     def test_out_of_scope_switch_falls_back_to_full_auth(self):
         sim = Simulator()
@@ -124,12 +119,9 @@ class TestFailedSwitchRecovery:
         assert not manager.detached
 
     def test_failed_switch_recovers_5g(self):
-        from repro.core.btelco5g import CellBricksUe5G
-        from repro.fivegc.network5g import build_cellbricks_network_5g
-
         sim = Simulator()
-        net = build_cellbricks_network_5g(sim)
-        manager = MobilityManager(net, ue_class=CellBricksUe5G)
+        net = build_cellbricks_network(sim, rat="5g")
+        manager = MobilityManager(net)
         manager.start("btelco-a")
         sim.run(until=sim.now + 2.0)
         assert manager.ue.state == "REGISTERED"

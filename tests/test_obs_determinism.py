@@ -11,13 +11,13 @@ from repro.obs import Obs, spans_to_jsonl
 from repro.testbed import ARCH_CELLBRICKS, run_traced_attach
 
 
-def _chaos_trace(seed: int) -> tuple:
+def _chaos_trace(seed: int, rat: str = "lte") -> tuple:
     schedule = ChaosSchedule()
     schedule.add(outage(2.0, 1.5, target="*-broker"))
     schedule.add(brownout(5.0, 1.5))
     obs = Obs()
     report = run_chaos(attaches=40, schedule=schedule, revoke_every=10,
-                       seed=seed, base_loss=0.05, obs=obs)
+                       seed=seed, base_loss=0.05, obs=obs, rat=rat)
     return report, spans_to_jsonl(obs.tracer.spans())
 
 

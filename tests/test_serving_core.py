@@ -2,11 +2,13 @@
 
 Everything CellBricks adds to a serving node lives once, in
 :class:`repro.core.btelco_core.SapServingCore` (bTelco) and
-:class:`repro.core.ue_agent.SapUeAgent` (UE).  This file runs one
-lifecycle script against an LTE and a 5G two-site network and checks
-that (a) every phase lands where SAP says it should, (b) the shared
-counters come out identical RAT-to-RAT, and (c) neither adapter shadows a
-shared method — so the next control-plane feature cannot fork silently.
+:class:`repro.core.ue_agent.SapUeAgent` (UE), and the NAS skeleton under
+them once more, in :class:`repro.lte.serving_base.ServingNodeBase` and
+:class:`repro.lte.ue_base.NasUeBase`.  This file runs one lifecycle
+script against an LTE and a 5G two-site network and checks that (a)
+every phase lands where SAP says it should, (b) the shared counters come
+out identical RAT-to-RAT, and (c) no RAT module shadows a shared method
+— so the next control-plane feature cannot fork silently.
 """
 
 import functools
@@ -16,18 +18,18 @@ import pytest
 
 from repro.core import CellBricksAgw, CellBricksAmf, CellBricksUe, \
     CellBricksUe5G
+from repro.fivegc import Amf, Ue5G
+from repro.lte import Agw, UeNas
+from repro.lte.serving_base import ServingNodeBase
+from repro.lte.ue_base import NasUeBase
 from repro.core.btelco_core import SapServingCore
 from repro.core.messages import ScopeAttachAck
 from repro.core.mobility import build_cellbricks_network
 from repro.core.ue_agent import SapUeAgent
 from repro.emulation.chaos import ChaosMonkey, ChaosSchedule, outage
-from repro.fivegc.network5g import build_cellbricks_network_5g
 from repro.net import Simulator
 
-RATS = {
-    "lte": (build_cellbricks_network, CellBricksUe),
-    "5g": (build_cellbricks_network_5g, CellBricksUe5G),
-}
+RATS = ("lte", "5g")
 SERVED = ("ATTACHED", "REGISTERED")
 
 
@@ -40,15 +42,14 @@ class Lifecycle:
     the tests below assert on it per RAT and across RATs."""
 
     def __init__(self, rat):
-        build, ue_class = RATS[rat]
         self.sim = Simulator()
-        self.net = build(self.sim)
+        self.net = build_cellbricks_network(self.sim, rat=rat)
         self.brokerd = self.net.brokerd
         self.a = self.net.sites["btelco-a"].agw
         self.b = self.net.sites["btelco-b"].agw
-        self.ue = ue_class(self.net.ue_host,
-                           self.net.sites["btelco-a"].enb_address,
-                           self.net.credentials, "btelco-a")
+        self.ue = self.net.ue_class(
+            self.net.ue_host, self.net.sites["btelco-a"].enb_address,
+            self.net.credentials, "btelco-a")
         self.results = []
         self.ue.on_attach_done = self.results.append
         self.monkey = ChaosMonkey(self.sim, self.net.links)
@@ -167,7 +168,7 @@ class Lifecycle:
         served = next(iter(self.b.contexts.values()))
         fresh = type(served)(4242, self.net.sites["btelco-b"].enb_address)
         self.b.contexts[4242] = fresh
-        self.b.handle_extension_nas(fresh, request)
+        self.b._dispatch_nas(fresh, request)
         self.run(0.5)
         self.seen["replay"] = dict(
             probe=self.b.validate_scope_probe(
@@ -261,9 +262,13 @@ def test_shared_counters_agree_across_rats():
 #: what an adapter may define for itself: the documented hooks plus the
 #: overrides that extend (``super()``) rather than replace.
 SITE_HOOKS = {"__init__", "reject_sap", "_install_identity",
-              "_watch_attempt", "_forget_session", "span_name",
-              "processing_cost"}
-UE_HOOKS = {"__init__", "_stop_supervision"}
+              "_forget_session"}
+UE_HOOKS = {"__init__"}
+#: the substrate's per-RAT legs: the cheatsheet rows and nothing else.
+NAS_UE_HOOKS = {"__init__", "initial_request", "_authenticate",
+                "_send_switch_off", "_clear_mm_state", "_deliver"}
+SERVING_HOOKS = {"__init__", "reject", "after_security_established",
+                 "_send_accept", "_abandon_attach", "_free_resources"}
 #: the handlers every feature since PR 4 had landed twice.
 SITE_SHARED = {"_handle_broker_response", "_broker_gave_up",
                "_handle_scope_ack", "_notify_scope_attach",
@@ -271,13 +276,27 @@ SITE_SHARED = {"_handle_broker_response", "_broker_gave_up",
                "_apply_revocation", "_expire_session", "trust_broker",
                "broker_endpoint"}
 UE_SHARED = {"_grant_covers_target", "_on_sap_challenge", "_on_reject",
-             "initial_request"}
+             "initial_request", "attach", "retarget", "_on_attach_give_up"}
+NAS_UE_SHARED = {"attach", "_send_initial_request", "_supervise",
+                 "_arm", "_cancel", "_stop",
+                 "_timer_fired", "_on_auth_request", "_on_smc",
+                 "_send_smc_complete", "_on_reject", "_retry_after_reject",
+                 "_fail", "detach_and_forget", "retarget",
+                 "_obs_begin_attach", "_obs_end_attach",
+                 "_obs_degraded_retry"}
+SERVING_SHARED = {"span_name", "processing_cost", "_handle_uplink",
+                  "downlink", "send_smc", "_on_smc_complete",
+                  "_send_supervised_accept", "_check_accept",
+                  "_arm_deadline", "_attempt_deadline", "_release_ue",
+                  "context_released"}
 
 
 @pytest.mark.parametrize("core, adapters, hooks, must_share", [
     (SapServingCore, (CellBricksAgw, CellBricksAmf), SITE_HOOKS,
      SITE_SHARED),
     (SapUeAgent, (CellBricksUe, CellBricksUe5G), UE_HOOKS, UE_SHARED),
+    (NasUeBase, (UeNas, Ue5G), NAS_UE_HOOKS, NAS_UE_SHARED),
+    (ServingNodeBase, (Agw, Amf), SERVING_HOOKS, SERVING_SHARED),
 ])
 def test_adapters_share_one_implementation(core, adapters, hooks,
                                            must_share):

@@ -309,17 +309,12 @@ def _run_retry_scenario(rat, *, deny_first, retryable, cause):
     """One attach against a broker whose auth handler denies the first
     ``deny_first`` requests with the given cause before recovering."""
     sim = Simulator()
-    if rat == "5g":
-        from repro.core.btelco5g import CellBricksUe5G as UeClass
-        from repro.fivegc.network5g import \
-            build_cellbricks_network_5g as build
-    else:
-        from repro.core.mobility import build_cellbricks_network as build
-        from repro.core.ue_agent import CellBricksUe as UeClass
-    net = build(sim, site_names=("btelco-a",))
+    from repro.core.mobility import build_cellbricks_network
+
+    net = build_cellbricks_network(sim, site_names=("btelco-a",), rat=rat)
     site = net.sites["btelco-a"]
-    ue = UeClass(net.ue_host, site.enb_address, net.credentials,
-                 target_id_t=site.name)
+    ue = net.ue_class(net.ue_host, site.enb_address, net.credentials,
+                      target_id_t=site.name)
     results = []
     ue.on_attach_done = results.append
     brokerd = net.brokerd
