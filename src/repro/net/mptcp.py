@@ -122,7 +122,6 @@ class MptcpEndpoint:
         self.active_subflow: Optional[TcpConnection] = None
         self._receiver = _ConnReceiver()
         self._snd_conn_nxt = 0          # next conn seq to assign
-        self._delivered_ranges: set = set()
         self.bytes_delivered = 0        # in-order bytes handed to the app
         self.on_data: Optional[Callable[[int], None]] = None
         self.on_established: Optional[Callable[[], None]] = None

@@ -127,7 +127,9 @@ class Host(Node):
         if not self.links:
             return False
         packet.created_at = self.sim.now
-        link = self._routes.get(packet.dst.rsplit(".", 1)[0], self.links[0])
+        link = self.links[0]
+        if self._routes:
+            link = self._routes.get(packet.dst.rsplit(".", 1)[0], link)
         return link.send_from(self, packet)
 
     def receive(self, packet: Packet, link: Link) -> None:
@@ -136,8 +138,9 @@ class Host(Node):
         segment = packet.payload
         src_port = getattr(segment, "src_port", 0)
         dst_port = getattr(segment, "dst_port", 0)
-        key = FlowKey(packet.dst, dst_port, packet.src, src_port)
-        endpoint = self._flows.get(key)
+        # FlowKey order; a bare tuple hashes and compares equal to one.
+        endpoint = self._flows.get(
+            (packet.dst, dst_port, packet.src, src_port))
         if endpoint is None:
             endpoint = self._listeners.get((packet.protocol, dst_port))
         if endpoint is not None:

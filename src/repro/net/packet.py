@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 # Protocol numbers (mirroring IANA where it helps readability).
 PROTO_UDP = 17
@@ -72,9 +72,12 @@ class Packet:
                 f"proto={self.protocol} {self.size}B>")
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Demultiplexing key for a transport endpoint."""
+class FlowKey(NamedTuple):
+    """Demultiplexing key for a transport endpoint.
+
+    A tuple, so the per-packet demux hashes and compares it in C (and a
+    plain 4-tuple in the same order finds the same flow).
+    """
 
     local_ip: str
     local_port: int

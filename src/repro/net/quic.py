@@ -25,6 +25,7 @@ instantly).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -88,8 +89,6 @@ class _SentPacket:
     frames: tuple
     sent_at: float
     in_flight_bytes: int
-    lost: bool = False
-    acked: bool = False
 
 
 class _StreamReceiver:
@@ -108,19 +107,15 @@ class _StreamReceiver:
             return 0
         newly = end - self.delivered
         self.delivered = end
-        progressed = True
-        while progressed:
-            progressed = False
-            for start in sorted(self._pending):
-                size = self._pending[start]
-                if start <= self.delivered:
-                    del self._pending[start]
-                    tail = start + size
-                    if tail > self.delivered:
-                        newly += tail - self.delivered
-                        self.delivered = tail
-                    progressed = True
-                    break
+        # One ascending pass (see mptcp._ConnReceiver): a range either
+        # extends ``delivered`` or sits past a gap, and so does the rest.
+        for start in sorted(self._pending):
+            if start > self.delivered:
+                break
+            tail = start + self._pending.pop(start)
+            if tail > self.delivered:
+                newly += tail - self.delivered
+                self.delivered = tail
         return newly
 
 
@@ -142,7 +137,9 @@ class QuicEndpoint:
         self.bytes_in_flight = 0
         self.stream_offset = 0          # next offset to assign
         self._send_queue = 0            # bytes queued, not yet framed
-        self._retransmit: list[StreamFrame] = []
+        self._retransmit: deque[StreamFrame] = deque()
+        #: ack-eliciting packets neither acknowledged nor declared lost,
+        #: in packet-number order (dicts keep insertion order).
         self._sent: dict[int, _SentPacket] = {}
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
@@ -213,7 +210,7 @@ class QuicEndpoint:
 
     def _next_stream_frame(self) -> Optional[StreamFrame]:
         if self._retransmit:
-            return self._retransmit.pop(0)
+            return self._retransmit.popleft()
         if self._send_queue <= 0:
             return None
         length = min(QUIC_MAX_PAYLOAD, self._send_queue)
@@ -277,12 +274,10 @@ class QuicEndpoint:
     def _process_ack(self, ack: AckFrame) -> None:
         newly_acked = 0
         for pn in ack.acked:
-            packet = self._sent.get(pn)
-            if packet is None or packet.acked:
+            packet = self._sent.pop(pn, None)
+            if packet is None:
                 continue
-            packet.acked = True
-            if not packet.lost:
-                self.bytes_in_flight -= packet.in_flight_bytes
+            self.bytes_in_flight -= packet.in_flight_bytes
             newly_acked += packet.in_flight_bytes
             if pn == ack.largest:
                 self._sample_rtt(self.sim.now - packet.sent_at)
@@ -292,7 +287,6 @@ class QuicEndpoint:
         lost = self._detect_losses(ack.largest)
         if lost:
             self._on_congestion()
-        self._gc_sent()
         if self._sent:
             self._pto_timer.start(self._pto_interval())
         else:
@@ -300,24 +294,21 @@ class QuicEndpoint:
         self._pump()
 
     def _detect_losses(self, largest_acked: int) -> bool:
-        lost_any = False
-        for pn, packet in self._sent.items():
-            if packet.acked or packet.lost:
-                continue
-            if pn + PACKET_LOSS_THRESHOLD <= largest_acked:
-                packet.lost = True
-                lost_any = True
-                self.stats_packets_lost += 1
-                self.bytes_in_flight -= packet.in_flight_bytes
-                for frame in packet.frames:
-                    if isinstance(frame, StreamFrame):
-                        self._retransmit.append(frame)
-        return lost_any
+        lost = []
+        for pn in self._sent:
+            if pn + PACKET_LOSS_THRESHOLD > largest_acked:
+                break  # pn-ordered: nothing further can qualify
+            lost.append(pn)
+        for pn in lost:
+            self._declare_lost(self._sent.pop(pn))
+        return bool(lost)
 
-    def _gc_sent(self) -> None:
-        done = [pn for pn, p in self._sent.items() if p.acked or p.lost]
-        for pn in done:
-            del self._sent[pn]
+    def _declare_lost(self, packet: _SentPacket) -> None:
+        self.stats_packets_lost += 1
+        self.bytes_in_flight -= packet.in_flight_bytes
+        for frame in packet.frames:
+            if isinstance(frame, StreamFrame):
+                self._retransmit.append(frame)
 
     def _grow_cwnd(self, acked_bytes: int) -> None:
         if self.cwnd < self.ssthresh:
@@ -357,14 +348,8 @@ class QuicEndpoint:
         the congestion controller on a path change; in-flight data from
         the old path is not coming back)."""
         for packet in self._sent.values():
-            if not packet.acked and not packet.lost:
-                packet.lost = True
-                self.stats_packets_lost += 1
-                self.bytes_in_flight -= packet.in_flight_bytes
-                for frame in packet.frames:
-                    if isinstance(frame, StreamFrame):
-                        self._retransmit.append(frame)
-        self._gc_sent()
+            self._declare_lost(packet)
+        self._sent.clear()
         self.ssthresh = max(self.cwnd // 2, 2 * QUIC_MAX_PAYLOAD)
         self.cwnd = 2 * QUIC_MAX_PAYLOAD
         self._pump()

@@ -22,9 +22,8 @@ UEs, see ``repro.testbed.megaload``):
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from array import array
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 
@@ -35,19 +34,18 @@ class SimulationError(Exception):
 class Event:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
+    __slots__ = ("time", "callback", "args", "cancelled", "sim")
 
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, callback: Callable[..., Any],
+                 args: tuple, sim: "Simulator"):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         #: owning simulator while the entry is still queued; detached
         #: (None) once the event has run or been discarded, so a late
         #: ``cancel`` on a stale handle cannot skew the live counters.
-        self.sim: Optional["Simulator"] = None
+        self.sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call repeatedly."""
@@ -57,9 +55,6 @@ class Event:
         sim = self.sim
         if sim is not None:
             sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -75,8 +70,10 @@ class Simulator:
     """A deterministic event loop with a virtual clock (seconds)."""
 
     def __init__(self, compaction: bool = True):
-        self._queue: list[Event] = []
-        self._counter = itertools.count()
+        #: heap of ``(time, seq, event)``: ``seq`` is unique, so ordering
+        #: (time, then FIFO among equal times) is settled by C tuple
+        #: comparison and never reaches the Event.
+        self._queue: list[tuple[float, int, Event]] = []
         self._now = 0.0
         self._running = False
         self._live = 0          # queued events that are not cancelled
@@ -85,6 +82,7 @@ class Simulator:
         #: pre-compaction event core.
         self.compaction = compaction
         # -- engine statistics (read by the megaload bench) --------------
+        #: also the next heap ``seq``: it only ever counts up.
         self.events_scheduled = 0
         self.compactions = 0
         self.peak_queue = 0
@@ -107,12 +105,12 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (now is {self._now})")
-        event = Event(time, next(self._counter), callback, args)
-        event.sim = self
+        event = Event(time, callback, args, self)
         queue = self._queue
-        heapq.heappush(queue, event)
+        seq = self.events_scheduled
+        self.events_scheduled = seq + 1
+        heappush(queue, (time, seq, event))
         self._live += 1
-        self.events_scheduled += 1
         if len(queue) > self.peak_queue:
             self.peak_queue = len(queue)
         return event
@@ -132,9 +130,9 @@ class Simulator:
         Amortized O(1) per cancellation: a compaction costs O(n) but only
         runs after >= n/2 cancellations accumulated.
         """
-        survivors = [event for event in self._queue if not event.cancelled]
-        self._queue = survivors
-        heapq.heapify(survivors)
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapify(queue)
         self._dead = 0
         self.compactions += 1
 
@@ -151,28 +149,24 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         processed = 0
-        queue = self._queue
-        pop = heapq.heappop
+        queue = self._queue     # compaction rewrites it in place
         try:
             while queue:
-                event = queue[0]
+                time, _, event = queue[0]
                 if event.cancelled:
-                    pop(queue)
+                    heappop(queue)
                     self._dead -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and processed >= max_events:
                     break
-                pop(queue)
+                heappop(queue)
                 self._live -= 1
                 event.sim = None
-                self._now = event.time
+                self._now = time
                 event.callback(*event.args)
                 processed += 1
-                if queue is not self._queue:
-                    # A callback triggered compaction; rebind.
-                    queue = self._queue
         finally:
             self._running = False
         if until is not None and self._now < until:
@@ -185,7 +179,7 @@ class Simulator:
 
     def clear(self) -> None:
         """Drop all queued events (used between experiment repetitions)."""
-        for event in self._queue:
+        for _, _, event in self._queue:
             event.cancelled = True
             event.sim = None
         self._queue.clear()

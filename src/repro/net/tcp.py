@@ -16,7 +16,10 @@ MPTCP's DSS mapping) are all real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from collections import deque
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .node import Host
@@ -89,6 +92,9 @@ class _SentChunk:
         self.end = self.seq + self.length
 
 
+_chunk_end = attrgetter("end")
+
+
 @dataclass(slots=True)
 class TcpStats:
     """Per-connection counters surfaced to benchmarks and tests."""
@@ -146,10 +152,19 @@ class TcpConnection:
         self.rto = INITIAL_RTO
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
-        self._send_queue: list[tuple[int, object]] = []  # (remaining, meta)
+        self._send_queue: deque[tuple[int, object]] = deque()  # (remaining, meta)
         self._queued_bytes = 0
         self._sent_chunks: list[_SentChunk] = []
         self._pipe = 0  # incrementally-maintained bytes_in_flight
+        #: chunks that are ``lost and not retransmitted`` - what the
+        #: retransmit scan in ``_try_transmit`` exists to find.
+        self._rtx_pending = 0
+        #: SACK scoreboard: ``{seq: len}`` of the ranges the last SACK
+        #: applied in full, the highest ``end`` ever SACKed, and how many
+        #: leading chunks loss detection has already settled.
+        self._sack_applied: dict[int, int] = {}
+        self._highest_sacked = 0
+        self._loss_settled = 0
         self._fin_queued = False
         self._fin_sent = False
         self._rtx_timer = Timer(self.sim, self._on_rto)
@@ -157,6 +172,9 @@ class TcpConnection:
         # Receiver state
         self.rcv_nxt = 0
         self._reorder: dict[int, tuple[int, object, bool]] = {}
+        #: the merge of everything in ``_reorder``: sorted ``(seq, len)``
+        #: blocks that neither overlap nor touch, kept in wire format.
+        self._sack_blocks: list[tuple[int, int]] = []
         self._peer_fin_seq: Optional[int] = None
 
         # Callbacks
@@ -268,8 +286,8 @@ class TcpConnection:
         MPTCP calls this when abandoning a dead subflow so queued data can
         be re-injected on the replacement subflow.
         """
-        queue = self._send_queue
-        self._send_queue = []
+        queue = list(self._send_queue)
+        self._send_queue.clear()
         self._queued_bytes = 0
         return queue
 
@@ -285,12 +303,15 @@ class TcpConnection:
             return
         budget = self._window() - self.bytes_in_flight
         # Retransmissions of known-lost chunks take priority.
-        for chunk in self._sent_chunks:
-            if budget < chunk.length:
-                break
-            if chunk.lost and not chunk.retransmitted:
-                self._retransmit_chunk(chunk)
-                budget -= chunk.length
+        if self._rtx_pending:
+            for chunk in self._sent_chunks:
+                if budget < chunk.length:
+                    break
+                if chunk.lost and not chunk.retransmitted:
+                    self._retransmit_chunk(chunk)
+                    budget -= chunk.length
+                    if not self._rtx_pending:
+                        break
         while self._send_queue and budget >= min(self.mss,
                                                  self._send_queue[0][0]):
             remaining, meta = self._send_queue[0]
@@ -301,7 +322,7 @@ class TcpConnection:
             self.snd_nxt += length
             budget -= length
             if length == remaining:
-                self._send_queue.pop(0)
+                self._send_queue.popleft()
             else:
                 # Splitting a queued range: metas that carry a stream offset
                 # (MPTCP DSS mappings) advance past the part just sent.
@@ -333,6 +354,7 @@ class TcpConnection:
     def _retransmit_chunk(self, chunk: _SentChunk) -> None:
         if chunk.lost and not chunk.retransmitted and not chunk.sacked:
             self._pipe += chunk.length
+            self._rtx_pending -= 1
         chunk.retransmitted = True
         chunk.sent_at = self.sim.now
         self.stats.retransmissions += 1
@@ -375,17 +397,27 @@ class TcpConnection:
 
     def _sack_ranges(self) -> tuple:
         """Merged out-of-order ranges advertised to the peer."""
-        if not self._reorder:
-            return ()
-        spans = sorted((seq, seq + length)
-                       for seq, (length, _, _) in self._reorder.items())
-        merged = [list(spans[0])]
-        for start, end in spans[1:]:
-            if start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        return tuple((start, end - start) for start, end in merged)
+        return tuple(self._sack_blocks)
+
+    def _sack_insert(self, start: int, end: int) -> None:
+        """Merge ``[start, end)`` into the SACK blocks: O(log blocks) to
+        find its place, plus the neighbours it overlaps or touches."""
+        blocks = self._sack_blocks
+        first = bisect_left(blocks, (start,))
+        if first:
+            below, length = blocks[first - 1]
+            if below + length >= start:
+                first -= 1
+                start = below
+                end = max(end, below + length)
+        last = first
+        while last < len(blocks):
+            above, length = blocks[last]
+            if above > end:
+                break
+            end = max(end, above + length)
+            last += 1
+        blocks[first:last] = ((start, end - start),)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -426,6 +458,8 @@ class TcpConnection:
         self._rtx_timer.stop()
         self._sent_chunks.clear()
         self._pipe = 0
+        self._rtx_pending = 0
+        self._loss_settled = 0
         self.rto = INITIAL_RTO
         if self.connect_started_at is not None and self.srtt is None:
             self._sample_rtt(self.sim.now - self.connect_started_at)
@@ -485,63 +519,82 @@ class TcpConnection:
             return []
         acked = chunks[:split]
         del chunks[:split]
+        self._loss_settled = max(0, self._loss_settled - split)
         for chunk in acked:
             if self._counted(chunk):
                 self._pipe -= chunk.length
+            elif not chunk.sacked:
+                self._rtx_pending -= 1
         return acked
 
     def _apply_sack(self, ranges: tuple) -> bool:
+        """Mark chunks lying wholly inside a SACK range.
+
+        ``sacked`` never clears and chunks sent later start at or above
+        the ``snd_nxt`` of the time, so the part of a range the previous
+        SACK already applied cannot hold an unmarked chunk: only ranges
+        that are new or grew are walked, from the old edge on.  (They
+        come out of a set; marking is order-independent.)
+        """
         if not ranges:
             return False
-        # Both the chunk list and the SACK ranges are seq-sorted: merge
-        # them with two pointers instead of an N x R scan.
         progress = False
         chunks = self._sent_chunks
-        range_index = 0
-        start, length = ranges[0]
-        end = start + length
-        for chunk in chunks:
-            while chunk.seq >= end:
-                range_index += 1
-                if range_index >= len(ranges):
-                    return progress
-                start, length = ranges[range_index]
-                end = start + length
-            if chunk.sacked:
-                continue
-            if start <= chunk.seq and chunk.end <= end:
+        applied = self._sack_applied
+        self._sack_applied = fresh = dict(ranges)
+        for start, length in fresh.items() - applied.items():
+            end = start + length
+            if end > self.snd_nxt:
+                del fresh[start]  # not ours to have sent yet: no memo
+            edge = start + applied.get(start, 0)
+            index = bisect_right(chunks, edge, key=_chunk_end)
+            while index < len(chunks):
+                chunk = chunks[index]
+                if chunk.end > end:
+                    break
+                index += 1
+                if chunk.sacked or chunk.seq < start:
+                    continue
                 if self._counted(chunk):
                     self._pipe -= chunk.length
+                else:
+                    self._rtx_pending -= 1
                 chunk.sacked = True
                 chunk.lost = False
                 progress = True
+                if chunk.end > self._highest_sacked:
+                    self._highest_sacked = chunk.end
         return progress
 
     def _detect_losses(self) -> bool:
         """Mark chunks lost when DUPACK_THRESHOLD segments above them have
-        been SACKed (simplified RFC 6675 rule)."""
-        chunks = self._sent_chunks
-        highest_sacked = 0
-        for chunk in reversed(chunks):
-            if chunk.sacked:
-                highest_sacked = chunk.end
-                break
-        if not highest_sacked:
-            return False
+        been SACKed (simplified RFC 6675 rule).
+
+        A chunk at or below the cutoff is settled for good once looked
+        at: it is SACKed, or lost (marked here or by an RTO), and neither
+        state returns to "fresh and unSACKed".  The cutoff only rises, so
+        each call resumes where the last one stopped.
+        """
+        highest_sacked = self._highest_sacked
+        if highest_sacked <= self.snd_una:
+            return False  # no SACKed chunk is outstanding
         cutoff = highest_sacked - DUPACK_THRESHOLD * self.mss
+        chunks = self._sent_chunks
+        index = self._loss_settled
         newly = False
-        for chunk in chunks:
+        while index < len(chunks):
+            chunk = chunks[index]
             if chunk.end > cutoff:
                 break  # seq-sorted: nothing further can qualify
-            if chunk.sacked or chunk.lost:
-                continue
+            index += 1
             # Re-lost retransmissions are only re-marked after an RTO;
             # fresh transmissions are marked immediately.
-            if not chunk.retransmitted:
-                if not chunk.lost:
-                    self._pipe -= chunk.length
+            if not (chunk.sacked or chunk.lost or chunk.retransmitted):
+                self._pipe -= chunk.length
+                self._rtx_pending += 1
                 chunk.lost = True
                 newly = True
+        self._loss_settled = index
         return newly
 
     def _grow_cwnd(self, acked_bytes: int) -> None:
@@ -585,10 +638,12 @@ class TcpConnection:
         self.cwnd = self.mss
         self.in_recovery = False
         self.rto = min(self.rto * 2, MAX_RTO)
+        self._rtx_pending = 0
         for chunk in self._sent_chunks:
             if not chunk.sacked:
                 chunk.lost = True
                 chunk.retransmitted = False
+                self._rtx_pending += 1
         self._recompute_pipe()
         self._try_transmit()
         self._rtx_timer.start(self.rto)
@@ -614,8 +669,7 @@ class TcpConnection:
                 self._send_ack()  # duplicate
                 return
             if seq > self.rcv_nxt:
-                self._reorder[seq] = (segment.payload_len, segment.meta,
-                                      segment.is_fin)
+                self._buffer_out_of_order(segment)
                 self._send_ack()  # dup ACK with SACK signals the hole
                 return
             trim = self.rcv_nxt - seq
@@ -633,31 +687,54 @@ class TcpConnection:
             return
         self._send_ack()
 
+    def _buffer_out_of_order(self, segment: Segment) -> None:
+        """Hold a segment above ``rcv_nxt`` and keep the SACK blocks equal
+        to the merge of everything held."""
+        seq = segment.seq
+        length = segment.payload_len
+        held = self._reorder.get(seq)
+        self._reorder[seq] = (length, segment.meta, segment.is_fin)
+        if held is None or held[0] < length:
+            self._sack_insert(seq, seq + length)
+        elif held[0] > length:
+            # A shorter segment replaced a longer one at the same seq:
+            # coverage may have shrunk, so rebuild rather than guess.
+            self._sack_blocks.clear()
+            for start, (span, _, _) in self._reorder.items():
+                self._sack_insert(start, start + span)
+
     def _drain_reorder(self) -> None:
-        while True:
-            match = None
-            for seq in self._reorder:
-                if seq <= self.rcv_nxt < seq + self._reorder[seq][0]:
-                    match = seq
-                    break
-                if seq == self.rcv_nxt:
-                    match = seq
-                    break
-            if match is None:
-                # Also discard stale fully-covered entries.
-                stale = [s for s, (length, _, _) in self._reorder.items()
-                         if s + length <= self.rcv_nxt]
-                for s in stale:
-                    del self._reorder[s]
-                return
-            length, meta, is_fin = self._reorder.pop(match)
-            trim = self.rcv_nxt - match
-            if trim > 0 and hasattr(meta, "advance"):
-                meta = meta.advance(trim)
-            self._deliver(length - trim, meta)
-            self.rcv_nxt = match + length
-            if is_fin:
-                self._peer_fin_seq = self.rcv_nxt
+        """Deliver what became contiguous with ``rcv_nxt``.
+
+        Blocks never touch, so only the lowest can be reachable, and a
+        reachable block drains whole: every byte of it is covered by a
+        held segment, so delivery runs to its end and whatever else it
+        held is then stale.
+        """
+        blocks = self._sack_blocks
+        if not blocks or blocks[0][0] > self.rcv_nxt:
+            return  # the hole at rcv_nxt is still open
+        reorder = self._reorder
+        while blocks and blocks[0][0] <= self.rcv_nxt:
+            start, span = blocks.pop(0)
+            block_end = start + span
+            while self.rcv_nxt < block_end:
+                # First held segment covering rcv_nxt, in arrival order.
+                for seq, entry in reorder.items():
+                    if seq <= self.rcv_nxt < seq + entry[0]:
+                        break
+                length, meta, is_fin = reorder.pop(seq)
+                trim = self.rcv_nxt - seq
+                if trim > 0 and hasattr(meta, "advance"):
+                    meta = meta.advance(trim)
+                self._deliver(length - trim, meta)
+                self.rcv_nxt = seq + length
+                if is_fin:
+                    self._peer_fin_seq = self.rcv_nxt
+        stale = [s for s, entry in reorder.items()
+                 if s + entry[0] <= self.rcv_nxt]
+        for s in stale:
+            del reorder[s]
 
     def _deliver(self, nbytes: int, meta: object) -> None:
         if nbytes <= 0:

@@ -5,9 +5,15 @@ the main harnesses to it (and catch accidental global-RNG usage or
 dict-ordering dependencies).
 """
 
+import dataclasses
+import hashlib
+import json
 import random
 
+import pytest
+
 from repro.emulation import EmulationConfig, PairedEmulation
+from repro.emulation.driver import run_cell_result
 from repro.emulation.radio import CapacityProcess, generate_handover_schedule
 from repro.emulation.routes import ROUTES
 from repro.net import Simulator
@@ -73,3 +79,38 @@ class TestRanDeterminism:
         first, second = run(), run()
         assert [at for at, _ in first] == [at for at, _ in second]
         assert [op for _, op in first] == [op for _, op in second]
+
+
+class TestDataPathPin:
+    """The Table 1 data path, byte for byte.
+
+    One downtown/night cell (ping, iperf, VoIP, video, web over TCP and
+    MPTCP) hashed together with the number of heap events it took.  A
+    change to ``repro.net`` that is only supposed to make the simulator
+    cheaper must leave these alone; one that means to change behaviour
+    re-pins them and says why.
+    """
+
+    PINNED = {
+        1: "fc12093c7270587f8c0934a5f817f94135074e634528c8e349231c75c8650a8b",
+        2: "a890d6680b12840e2d4234412b43b8e6c9bd7c82fa4d9217bb37d3852fc05f1c",
+        3: "4d5e0ac5ad84d22bd3e9d926abd51332268af7c7c99f113a85a62eb91dee4c65",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_table1_cell_and_event_count(self, seed, monkeypatch):
+        events = []
+        run = Simulator.run
+
+        def counted_run(sim, *args, **kwargs):
+            processed = run(sim, *args, **kwargs)
+            events.append(processed)
+            return processed
+
+        monkeypatch.setattr(Simulator, "run", counted_run)
+        cell = run_cell_result("downtown", "night", seed=seed,
+                               duration_scale=0.004)
+        canonical = json.dumps({"cell": dataclasses.asdict(cell),
+                                "events": sum(events)}, sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() \
+            == self.PINNED[seed]

@@ -1,5 +1,7 @@
 """Tests for the QUIC-style transport and its connection migration."""
 
+import random
+
 import pytest
 
 from repro.apps import IperfClient, IperfServer, KIND_QUIC
@@ -46,6 +48,59 @@ class TestStreamReceiver:
         recv = _StreamReceiver()
         recv.receive(0, 100)
         assert recv.receive(50, 100) == 50
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_pass_matches_the_rescanning_drain(self, seed):
+        """Call for call, ``receive`` returns what the loop it replaced
+        returned: re-sort the pending ranges, drain one, start over."""
+
+        class Rescanning:
+            def __init__(self):
+                self.delivered = 0
+                self.pending = {}
+
+            def receive(self, offset, length):
+                end = offset + length
+                if end <= self.delivered:
+                    return 0
+                if offset > self.delivered:
+                    self.pending[offset] = max(
+                        self.pending.get(offset, 0), length)
+                    return 0
+                newly = end - self.delivered
+                self.delivered = end
+                progressed = True
+                while progressed:
+                    progressed = False
+                    for start in sorted(self.pending):
+                        if start <= self.delivered:
+                            tail = start + self.pending.pop(start)
+                            if tail > self.delivered:
+                                newly += tail - self.delivered
+                                self.delivered = tail
+                            progressed = True
+                            break
+                return newly
+
+        rng = random.Random(seed)
+        recv, ref = _StreamReceiver(), Rescanning()
+        # A loss burst: ranges arrive shuffled within a wide window, with
+        # duplicates, re-cuts of the same offset and overlaps.
+        frames = []
+        while len(frames) < 300:
+            offset = sum(frames[-1]) if frames else 0
+            frames.append((offset, rng.choice((300, 1350, 1350))))
+        frames += [(offset + rng.randrange(1350), rng.randrange(1, 4000))
+                   for offset, _ in rng.sample(frames, 80)]
+        frames += rng.sample(frames, 60)
+        frames.sort(key=lambda frame: frame[0] + rng.uniform(0, 150_000))
+        returns = []
+        for offset, length in frames:
+            returns.append(recv.receive(offset, length))
+            assert returns[-1] == ref.receive(offset, length)
+            assert recv.delivered == ref.delivered
+            assert recv._pending == ref.pending
+        assert max(returns) > 10 * 1350     # some drains spanned many ranges
 
 
 class TestHandshakeAndTransfer:

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
-from repro.net.sim import SimulationError, Simulator, Timer
+from repro.net.sim import Event, SimulationError, Simulator, Timer
 
 
 class TestScheduling:
@@ -201,6 +203,58 @@ class TestHeapCompaction:
             sim.schedule(float(i + 1), lambda: None)
         assert sim.events_scheduled == 5
         assert sim.peak_queue == 5
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_survivors_run_in_time_then_fifo_order(self, seed):
+        # 10^4 events on a coarse time grid (so most times tie), most of
+        # them cancelled at random - between scheduling rounds and from
+        # inside running callbacks - across several compactions: what
+        # runs is exactly the survivors, sorted by (time, schedule order).
+        rng = random.Random(seed)
+        sim = Simulator()
+        ran = []
+        times = []                          # seq -> time
+        events = []                         # seq -> Event
+        alive = []                          # seqs neither run nor cancelled
+        cancelled = set()
+
+        def cancel_one():
+            index = rng.randrange(len(alive))
+            alive[index], alive[-1] = alive[-1], alive[index]
+            cancelled.add(alive[-1])
+            events[alive.pop()].cancel()
+
+        def fire(seq):
+            ran.append(seq)
+            alive.remove(seq)
+            if alive and rng.random() < 0.5:
+                cancel_one()
+
+        for _ in range(4):
+            for _ in range(2_500):
+                seq = len(events)
+                times.append(rng.randrange(1, 200) * 0.5)
+                events.append(sim.schedule_at(times[seq], fire, seq))
+                alive.append(seq)
+            for _ in range(1_800):
+                cancel_one()
+        assert sim.pending() == len(alive) == 2_800
+        assert sim.compactions >= 2
+        sim.run()
+        assert sim.pending() == 0 and not alive
+        assert len(cancelled) > 4 * 1_800   # the run itself cancelled some
+        assert ran == sorted(set(range(10_000)) - cancelled,
+                             key=lambda seq: (times[seq], seq))
+
+    def test_events_are_not_orderable(self):
+        # Heap order is decided on (time, seq) tuples in C; nothing may
+        # quietly fall back to comparing Event objects in Python.
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        second = sim.schedule(1.0, lambda: None)
+        assert "__lt__" not in Event.__dict__
+        with pytest.raises(TypeError):
+            first < second
 
 
 class TestTimer:
