@@ -12,9 +12,12 @@ Usage::
     python -m repro trace [--scenario attach|chaos] [--format jsonl|chrome|summary]
     python -m repro metrics [--scenario attach|chaos]
     python -m repro report [--scale S] [--output report.md]
+    python -m repro broker-scale|broker-ha|fleet-drive|megaload|observe [--smoke]
 
 Each subcommand prints the same rows/series the corresponding benchmark
-produces, without the pytest machinery.
+produces, without the pytest machinery.  ``--smoke`` runs the seeded
+configuration declared beside the bench's testbed and exits non-zero
+unless its ``gates(report)`` all hold (:func:`_finish`).
 """
 
 from __future__ import annotations
@@ -87,15 +90,18 @@ def _fig7_traced(args: argparse.Namespace) -> int:
 
 
 def _chaos_obs_run(args: argparse.Namespace, obs) -> None:
-    """One seeded chaos run (the --smoke fault script) recording into
-    ``obs`` — shared by the ``trace`` and ``metrics`` subcommands."""
-    from repro.emulation import ChaosSchedule, brownout, outage, run_chaos
+    """One seeded chaos run (the --smoke churn and fault script, resized
+    by ``--attaches``/``--loss``) recording into ``obs`` — shared by the
+    ``trace`` and ``metrics`` subcommands."""
+    from repro.emulation import chaos
 
-    schedule = ChaosSchedule()
-    schedule.add(outage(2.0, 2.0, target="*-broker"))
-    schedule.add(brownout(8.0, 2.0))
-    run_chaos(attaches=args.attaches, schedule=schedule, revoke_every=10,
-              seed=args.seed, base_loss=args.loss, obs=obs, rat=args.rat)
+    config = dict(chaos.SMOKE, seed=args.seed)
+    if args.attaches is not None:
+        config["attaches"] = args.attaches
+    if args.loss is not None:
+        config["base_loss"] = args.loss
+    chaos.run_chaos(schedule=chaos.smoke_schedule(), obs=obs, rat=args.rat,
+                    **config)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -246,30 +252,45 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rats(args: argparse.Namespace) -> tuple:
+    return ("lte", "5g") if args.rat == "both" else (args.rat,)
+
+
+def _finish(gates: list, output, text: str, out=None) -> int:
+    """Where every gated bench ends: print each gate, write the report,
+    and let the gates decide the exit code.  What must hold is declared
+    beside each testbed (``gates(report)``), never here."""
+    for entry in gates:
+        print(f"{'ok  ' if entry['pass'] else 'FAIL'} {entry['gate']}: "
+              f"{entry['value']} (threshold {entry['threshold']})",
+              file=out)
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+        print(f"wrote {output}", file=out)
+    return 0 if all(entry["pass"] for entry in gates) else 1
+
+
 def _cmd_broker_scale(args: argparse.Namespace) -> int:
     """Sweep concurrent attaches x shard count through one brokerd.
 
     Each (rat, concurrency) pair runs a serial single-shard baseline
     cell plus pipelined cells at every ``--shards`` value; the report
     (``BENCH_broker_scale.json``) carries every cell and the pipeline
-    vs baseline speedups.  ``--smoke`` runs the seeded CI subset and
-    fails if attaches/sec regresses more than 20% against the
-    committed baseline (``benchmarks/baselines/broker_scale_baseline
-    .json``)."""
+    vs baseline speedups.  ``--smoke`` runs ``broker_scale.SMOKE`` and
+    must hold ``broker_scale.gates``."""
     import json
 
-    from repro.testbed.broker_scale import run_sweep, speedups
+    from repro.testbed import broker_scale
 
-    rats = ("lte", "5g") if args.rat == "both" else (args.rat,)
     if args.smoke:
-        concurrencies = (64,)
-        shard_counts = (8,)
+        config = broker_scale.SMOKE
     else:
-        concurrencies = tuple(int(c) for c in args.concurrency.split(","))
-        shard_counts = tuple(int(s) for s in args.shards.split(","))
-    report = run_sweep(rats=rats, concurrencies=concurrencies,
-                       shard_counts=shard_counts, sites=args.sites,
-                       adaptive_window=args.adaptive_window)
+        config = dict(
+            concurrencies=tuple(int(c) for c in args.concurrency.split(",")),
+            shard_counts=tuple(int(s) for s in args.shards.split(",")),
+            sites=args.sites, adaptive_window=args.adaptive_window)
+    report = broker_scale.run_sweep(rats=_rats(args), **config)
 
     print(f"{'rat':4s} {'N':>4s} {'mode':9s} {'shards':>6s} {'ok':>4s} "
           f"{'p50 ms':>8s} {'p99 ms':>8s} {'att/s':>8s}")
@@ -284,41 +305,8 @@ def _cmd_broker_scale(args: argparse.Namespace) -> int:
               f"shards={row['shards']}: {row['speedup']:.2f}x "
               f"({row['baseline_attaches_per_sec']:.1f} -> "
               f"{row['pipeline_attaches_per_sec']:.1f} att/s)")
-
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-
-    if not args.smoke:
-        return 0
-    # CI regression gate: every smoke cell must hold >= 80% of the
-    # committed baseline's attaches/sec.
-    try:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)["cells"]
-    except FileNotFoundError:
-        print(f"no baseline at {args.baseline}; gate skipped")
-        return 0
-    failed = False
-    for cell in report["cells"]:
-        key = (f"{cell['rat']}/{cell['concurrency']}/"
-               f"{'pipeline' if cell['pipeline'] else 'serial'}/"
-               f"{cell['shards']}")
-        floor = baseline.get(key, 0.0) * 0.8
-        if cell["attaches_per_sec"] < floor:
-            print(f"FAIL {key}: {cell['attaches_per_sec']:.1f} att/s "
-                  f"< 80% of baseline {baseline[key]:.1f}")
-            failed = True
-        else:
-            print(f"ok   {key}: {cell['attaches_per_sec']:.1f} att/s "
-                  f"(baseline {baseline.get(key, 0.0):.1f})")
-    if cell := next((c for c in report["speedups"]
-                     if c["speedup"] < 3.0 and c["shards"] >= 8), None):
-        print(f"FAIL speedup {cell['rat']} N={cell['concurrency']}: "
-              f"{cell['speedup']:.2f}x < 3x")
-        failed = True
-    return 1 if failed else 0
+    return _finish(broker_scale.gates(report) if args.smoke else [],
+                   args.output, json.dumps(report, indent=2, sort_keys=True))
 
 
 def _cmd_broker_ha(args: argparse.Namespace) -> int:
@@ -326,19 +314,16 @@ def _cmd_broker_ha(args: argparse.Namespace) -> int:
 
     Deploys the broker's SAP shards onto network-attached shard hosts
     (primary + warm replica each), runs attach/revoke churn, and kills
-    shard hosts mid-storm and mid-rebalance.  Gates: attach success
-    >= 99%, zero unauthorized session seconds, a pre-crash nonce still
-    denied after failover, and crash-to-promoted recovery inside the
-    failure detector's bound.  ``--smoke`` is the seeded CI subset."""
+    shard hosts mid-storm and mid-rebalance.  Every run must hold
+    ``broker_ha.gates``; ``--smoke`` runs ``broker_ha.SMOKE``."""
     import json
 
-    from repro.testbed.broker_ha import run_suite
+    from repro.testbed import broker_ha
 
-    rats = ("lte", "5g") if args.rat == "both" else (args.rat,)
-    attaches = 80 if args.smoke else args.attaches
-    report = run_suite(rats=rats, attaches=attaches, shards=args.shards,
-                       spares=args.spares, seed=args.seed,
-                       revoke_every=args.revoke_every)
+    config = broker_ha.SMOKE if args.smoke else dict(
+        attaches=args.attaches, shards=args.shards, spares=args.spares,
+        seed=args.seed, revoke_every=args.revoke_every)
+    report = broker_ha.run_suite(rats=_rats(args), **config)
 
     for cell in report["cells"]:
         print(f"{cell['rat']}: {cell['successes']}/{cell['attempts']} "
@@ -349,16 +334,8 @@ def _cmd_broker_ha(args: argparse.Namespace) -> int:
               f"(moved {sum(r['moved'] for r in cell['rebalance_log'])}), "
               f"replay denied: {cell['replay_denied_across_failover']}, "
               f"unauthorized s: {cell['unauthorized_session_seconds']}")
-    for gate in report["gates"]:
-        status = "ok  " if gate["pass"] else "FAIL"
-        print(f"{status} {gate['gate']}: {gate['value']} "
-              f"(threshold {gate['threshold']})")
-
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    return 0 if report["pass"] else 1
+    return _finish(report["gates"], args.output,
+                   json.dumps(report, indent=2, sort_keys=True))
 
 
 def _cmd_fleet_drive(args: argparse.Namespace) -> int:
@@ -369,19 +346,16 @@ def _cmd_fleet_drive(args: argparse.Namespace) -> int:
     Scoped cells re-attach with broker-signed mobility grants (target:
     zero broker auth RPCs per handover); scopes-disabled cells pay a
     full authReqU per handover.  Mid-drive one operator's towers go
-    dark, producing an attach storm.  Gates: scoped auth-RPCs == 0 and
-    < baseline, denial probes (replay / bad MAC / out-of-scope /
-    expired) all denied, zero unauthorized session seconds, and a
-    deterministic MTTHO digest.  ``--smoke`` is the seeded CI subset."""
+    dark, producing an attach storm.  Every run must hold
+    ``fleet_drive.gates``; ``--smoke`` runs ``fleet_drive.SMOKE``."""
     import json
 
-    from repro.testbed.fleet_drive import run_fleet_suite
+    from repro.testbed import fleet_drive
 
-    rats = ("lte", "5g") if args.rat == "both" else (args.rat,)
-    ues = 4 if args.smoke else args.ues
-    duration = 20.0 if args.smoke else args.duration
-    report = run_fleet_suite(rats=rats, ues=ues, duration=duration,
-                             seed=args.seed, sites=args.sites)
+    config = fleet_drive.SMOKE if args.smoke else dict(
+        ues=args.ues, duration=args.duration, seed=args.seed,
+        sites=args.sites)
+    report, gates = fleet_drive.run_fleet_suite(rats=_rats(args), **config)
 
     for cell in report["cells"]:
         mode = "scoped" if cell["scoped"] else "plain "
@@ -397,71 +371,51 @@ def _cmd_fleet_drive(args: argparse.Namespace) -> int:
               f"storm ho {cell['storm'].get('handovers', 0)} "
               f"rpcs {cell['storm'].get('broker_auth_rpcs', 0)}, "
               f"unauth {cell['unauthorized_session_s']}s")
-    for gate, ok in report["gates"].items():
-        print(f"{'ok  ' if ok else 'FAIL'} {gate}")
-
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    return 0 if report["pass"] else 1
+    return _finish(gates, args.output,
+                   json.dumps(report, indent=2, sort_keys=True))
 
 
 def _cmd_megaload(args: argparse.Namespace) -> int:
     """Population-scale workload over the event engine (MEGALOAD).
 
     Drives ``--ues`` scripted UEs across ``--sites`` bTelco sites with
-    arrival, mobility, and diurnal models, once per requested engine
-    (``legacy`` = the pre-optimization event core, ``optimized`` =
-    batched tick-calendar stepping + adaptive broker window + heap
-    compaction).  The report (``BENCH_megaload.json``) carries each
-    cell's deterministic workload digest and wall-clock figures plus
-    the optimized-vs-legacy speedup.  ``--real-fraction`` samples that
-    slice of the population into the full-fidelity SAP cohort
-    (``--real-rat``/``--real-sites`` shape it) and turns on measured
-    crypto sim-cost charging; ``--xl`` runs the 10^6-UE single-engine
-    cell (non-CI).  ``--smoke`` gates for CI on machine-independent
-    facts: the workload digests must match the committed baseline
-    exactly, the in-process speedup must hold >= 2x, the SoA
-    RSS-per-UE profile must stay under the baseline ceiling, and a
-    mixed-fidelity micro-cell must agree scripted-vs-charged on broker
-    service time (raw wall-clock is reported but never gated)."""
+    arrival, mobility, and diurnal models on the tick calendar.  The
+    report (``BENCH_megaload.json``) carries the cell's deterministic
+    workload digest and its wall-clock figures (reported, never gated).
+    ``--real-fraction`` samples that slice of the population into the
+    full-fidelity SAP cohort (``--real-rat``/``--real-sites`` shape it)
+    and turns on measured crypto sim-cost charging.  ``--smoke`` runs
+    ``megaload.smoke`` — the pinned cell plus a mixed-fidelity
+    micro-cell — and must hold ``megaload.gates``."""
     import json
 
-    from repro.testbed.megaload import run_cell, run_megaload
+    from repro.testbed import megaload
 
-    engines = (("optimized", "legacy") if args.engine == "both"
-               else (args.engine,))
-    if args.xl:
-        # The 10^6-UE memory/throughput profile: optimized engine only
-        # (a 10^6-UE legacy heap takes minutes for no extra signal).
-        args.ues = max(args.ues, 1_000_000)
-        engines = ("optimized",)
     kpi_store = None
-    if args.kpi_output and not args.smoke:
+    if args.kpi_output:
         from repro.obs.fleet import FleetKpiStore
 
         kpi_store = FleetKpiStore("megaload-cohorts")
-    report = run_megaload(ues=args.ues, sites=args.sites,
-                          duration=args.duration, tick=args.tick,
-                          seed=args.seed, engines=engines,
-                          real_fraction=args.real_fraction,
-                          real_rat=args.real_rat,
-                          real_sites=args.real_sites,
-                          kpi_store=kpi_store)
+    if args.smoke:
+        report = megaload.smoke(kpi_store=kpi_store)
+    else:
+        report = megaload.run_megaload(
+            ues=args.ues, sites=args.sites, duration=args.duration,
+            tick=args.tick, seed=args.seed,
+            real_fraction=args.real_fraction, real_rat=args.real_rat,
+            real_sites=args.real_sites, kpi_store=kpi_store)
 
-    print(f"{'engine':10s} {'UEs/s':>10s} {'actions/s':>11s} "
+    print(f"{'UEs':>9s} {'UEs/s':>10s} {'actions/s':>11s} "
           f"{'wall s':>8s} {'s/sim-s':>9s} {'RSS MB':>8s} "
           f"{'events':>9s} {'compact':>7s}")
-    for cell in report["cells"]:
-        perf = cell["perf"]
-        print(f"{cell['engine']:10s} {perf['ues_per_sec']:10.0f} "
+    for cell in report["cells"] + ([report["mixed"]] if args.smoke else []):
+        perf, workload = cell["perf"], cell["workload"]
+        print(f"{workload['ues']:9d} {perf['ues_per_sec']:10.0f} "
               f"{perf['actions_per_sec']:11.0f} {perf['wall_s']:8.2f} "
               f"{perf['wall_per_sim_second']:9.5f} "
               f"{perf['peak_rss_mb']:8.1f} "
               f"{perf['events_processed']:9d} "
               f"{perf['heap_compactions']:7d}")
-        workload = cell["workload"]
         print(f"  attach_ok={workload['attach_ok']} "
               f"failures={workload['attach_failures']} "
               f"moves={workload['moves']} "
@@ -478,130 +432,11 @@ def _cmd_megaload(args: argparse.Namespace) -> int:
                   f"failures={cohort['attach_failures']} "
                   f"attach p50={cohort['attach_ms_p50']:.1f}ms "
                   f"p99={cohort['attach_ms_p99']:.1f}ms")
-    if "speedup" in report:
-        row = report["speedup"]
-        print(f"speedup optimized vs legacy: {row['speedup']:.2f}x "
-              f"({row['legacy_ues_per_sec']:.0f} -> "
-              f"{row['optimized_ues_per_sec']:.0f} UEs/s)")
-
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
     if kpi_store is not None:
         kpi_store.write_json(args.kpi_output)
         print(f"wrote {args.kpi_output}")
-
-    if not args.smoke:
-        return 0
-    # CI regression gate.  Wall-clock depends on the runner, so the
-    # gate checks machine-independent facts only: exact digest match
-    # per engine (determinism + workload-logic regressions), the
-    # in-process optimized/legacy throughput ratio (>= 2x), the SoA
-    # RSS-per-UE ceiling, and scripted-vs-charged service-time
-    # agreement on a mixed-fidelity micro-cell.
-    failed = False
-    try:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-    except FileNotFoundError:
-        print(f"no baseline at {args.baseline}; gate skipped")
-        return 0
-    if args.real_fraction > 0:
-        print("warn digest gate skipped: --real-fraction digests are "
-              "machine-dependent (measured crypto costs)")
-    else:
-        baseline_digests = baseline.get("digests", {})
-        for cell in report["cells"]:
-            expected = baseline_digests.get(cell["engine"])
-            if expected is None:
-                print(f"warn {cell['engine']}: no baseline digest")
-                continue
-            if cell["digest"] != expected:
-                print(f"FAIL {cell['engine']}: digest "
-                      f"{cell['digest'][:12]} != baseline "
-                      f"{expected[:12]} (workload outcome changed or "
-                      f"determinism broke)")
-                failed = True
-            else:
-                print(f"ok   {cell['engine']}: digest matches baseline")
-    min_speedup = baseline.get("min_speedup", 2.0)
-    if "speedup" in report:
-        if report["speedup"]["speedup"] < min_speedup:
-            print(f"FAIL speedup {report['speedup']['speedup']:.2f}x "
-                  f"< {min_speedup:.1f}x")
-            failed = True
-        else:
-            print(f"ok   speedup {report['speedup']['speedup']:.2f}x "
-                  f">= {min_speedup:.1f}x")
-    max_rss_per_ue = baseline.get("max_rss_per_ue_bytes")
-    if max_rss_per_ue is not None:
-        # The first cell ran in a cold process (run_megaload leads with
-        # optimized), so its peak-RSS delta is the SoA footprint.
-        cell = report["cells"][0]
-        rss = cell["perf"]["rss_per_ue_bytes"]
-        if cell["engine"] != "optimized":
-            print("warn rss gate skipped: first cell is not optimized")
-        elif rss > max_rss_per_ue:
-            print(f"FAIL rss_per_ue {rss:.1f} B > ceiling "
-                  f"{max_rss_per_ue:.0f} B")
-            failed = True
-        else:
-            print(f"ok   rss_per_ue {rss:.1f} B <= ceiling "
-                  f"{max_rss_per_ue:.0f} B")
-    failed |= _megaload_mixed_gate(args, json)
-    return 1 if failed else 0
-
-
-def _megaload_mixed_gate(args: argparse.Namespace, json) -> bool:
-    """The mixed-fidelity leg of ``megaload --smoke``.
-
-    Runs a micro-cell with a real SAP cohort (both fidelities share one
-    clock) and checks facts that hold on any machine: the cohort
-    completes real attaches, and the scripted broker's accumulated busy
-    time equals requests x the measured per-attach crypto cost (the
-    sim-cost charging bridge is applied consistently).  Also emits the
-    per-cohort KPI JSON artifact when ``--kpi-output`` is set."""
-    from repro.testbed.megaload import run_cell
-
-    kpi_store = None
-    if args.kpi_output:
-        from repro.obs.fleet import FleetKpiStore
-
-        kpi_store = FleetKpiStore("megaload-cohorts")
-    mixed = run_cell(
-        ues=min(args.ues, 20_000), sites=min(args.sites, 64),
-        duration=20.0, tick=args.tick, seed=args.seed,
-        engine="optimized", real_fraction=0.002,
-        real_rat=args.real_rat, real_sites=2, kpi_store=kpi_store)
-    failed = False
-    cohort = mixed["workload"]["real_cohort"]
-    if cohort["attach_ok"] < 1:
-        print(f"FAIL mixed cell: no real-cohort attach completed "
-              f"({cohort['attach_failures']} failures)")
-        failed = True
-    else:
-        print(f"ok   mixed cell: {cohort['attach_ok']} real "
-              f"{cohort['rat']} attaches "
-              f"(p50 {cohort['attach_ms_p50']:.1f} ms)")
-    perf = mixed["perf"]
-    charged = perf["broker_service_cost_s"] \
-        * mixed["workload"]["broker_requests"]
-    busy = perf["broker_busy_s"]
-    # busy_s is rounded to 1e-6 in the report; allow that plus float
-    # accumulation slack across ~1e4 batches.
-    if abs(busy - charged) > 1e-5 + 1e-9 * abs(charged):
-        print(f"FAIL mixed cell: scripted busy {busy:.6f} s != charged "
-              f"{charged:.6f} s")
-        failed = True
-    else:
-        print(f"ok   mixed cell: scripted busy {busy:.6f} s == "
-              f"charged cost x {mixed['workload']['broker_requests']} "
-              f"requests")
-    if kpi_store is not None:
-        kpi_store.write_json(args.kpi_output)
-        print(f"wrote {args.kpi_output}")
-    return failed
+    return _finish(megaload.gates(report) if args.smoke else [],
+                   args.output, json.dumps(report, indent=2, sort_keys=True))
 
 
 #: curated dashboard rows per observed bench (everything else is still
@@ -617,9 +452,6 @@ _OBSERVE_DASH_KEYS = {
                   "frontend.forward_giveups", "shards.pending_forwards"],
 }
 
-#: collected-vs-bare throughput floor for the --smoke overhead gate.
-OBSERVE_OVERHEAD_FLOOR = 0.95
-
 
 def _cmd_observe(args: argparse.Namespace) -> int:
     """Fleet observatory: live KPI aggregation over a running bench.
@@ -628,152 +460,55 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     chosen bench (``megaload`` or ``broker-ha``), samples windowed KPIs
     on the *sim clock* (attaches/sec, per-shard load, replication lag,
     degraded denials), and renders them as a terminal dashboard plus
-    deterministic JSON (and optional HTML) artifacts.  ``--smoke``
-    gates on machine-independent facts — the collected workload digest
-    must equal the collector-free digest (the collector is passive) and
-    two seeded runs must emit byte-identical KPI JSON — plus one
-    in-process wall-clock fact: collected UEs/sec must stay within 5%
-    of a collector-free run on the same machine."""
+    deterministic JSON (and optional HTML) artifacts.  ``--smoke`` runs
+    the bench's ``OBSERVE_SMOKE`` and must hold its ``observe_gates``:
+    the collector is passive, deterministic, and costs exactly one
+    event per window."""
     import json
 
-    from repro.obs.fleet import FleetKpiStore
-
+    window = {"interval": args.interval} if args.interval else {}
     if args.bench == "megaload":
-        return _observe_megaload(args, json, FleetKpiStore)
-    return _observe_broker_ha(args, json, FleetKpiStore)
+        from repro.testbed import megaload as bench
 
+        config = {} if args.smoke else dict(
+            ues=args.ues, sites=args.sites, duration=args.duration,
+            seed=args.seed)
+        seen = bench.observe(smoke=args.smoke, **window, **config)
+        stores = [seen["store"]]
+        report = {"bench": "megaload", "config": seen["config"],
+                  "digest": seen["cell"]["digest"],
+                  "kpis": json.loads(seen["store"].to_json())}
+    else:
+        from repro.testbed import broker_ha as bench
 
-def _observe_megaload(args, json, store_cls) -> int:
-    from repro.testbed.megaload import run_cell
-
-    ues = 20_000 if args.smoke else args.ues
-    duration = 30.0 if args.smoke else args.duration
-    interval = args.interval if args.interval else 1.0
-    config = dict(ues=ues, sites=args.sites, duration=duration,
-                  seed=args.seed, engine="optimized")
-
-    store = store_cls("megaload")
-    cell = run_cell(kpi_store=store, kpi_interval=interval, **config)
-    _print_observe_summary("megaload", store)
-
-    failed = False
-    if args.smoke:
-        # Passivity: the collected workload digest must equal the
-        # collector-free one, and the collector-free run doubles as the
-        # overhead baseline.
-        bare = run_cell(**config)
-        if cell["digest"] != bare["digest"]:
-            print(f"FAIL digest: collected {cell['digest'][:12]} != "
-                  f"bare {bare['digest'][:12]} (collector perturbed "
-                  f"the workload)")
-            failed = True
-        else:
-            print(f"ok   digest matches collector-free run "
-                  f"({cell['digest'][:12]})")
-        # Determinism: a second seeded collected run must emit
-        # byte-identical KPI JSON.
-        store2 = store_cls("megaload")
-        run_cell(kpi_store=store2, kpi_interval=interval, **config)
-        if store.to_json() != store2.to_json():
-            print("FAIL kpi json differs between two seeded runs")
-            failed = True
-        else:
-            print(f"ok   kpi json byte-identical across two runs "
-                  f"({len(store.rows)} windows)")
-        # Overhead: one sampling event per window must not move
-        # throughput measurably.  Wall-clock is noisy, so a miss gets
-        # one fresh pair before failing.
-        ratio = cell["perf"]["ues_per_sec"] / max(
-            bare["perf"]["ues_per_sec"], 1e-9)
-        if ratio < OBSERVE_OVERHEAD_FLOOR:
-            collected2 = run_cell(kpi_store=store_cls("retry"),
-                                  kpi_interval=interval, **config)
-            bare2 = run_cell(**config)
-            ratio = max(ratio, collected2["perf"]["ues_per_sec"]
-                        / max(bare2["perf"]["ues_per_sec"], 1e-9))
-        if ratio < OBSERVE_OVERHEAD_FLOOR:
-            print(f"FAIL collector overhead: {ratio:.3f}x bare "
-                  f"throughput < {OBSERVE_OVERHEAD_FLOOR}")
-            failed = True
-        else:
-            print(f"ok   collector overhead: {ratio:.3f}x bare "
-                  f"throughput (floor {OBSERVE_OVERHEAD_FLOOR})")
-
-    report = {
-        "bench": "megaload",
-        "config": {**config, "kpi_interval_s": interval},
-        "digest": cell["digest"],
-        "kpis": json.loads(store.to_json()),
-    }
-    _write_observe_artifacts(args, json, report, [store])
-    return 1 if failed else 0
-
-
-def _observe_broker_ha(args, json, store_cls) -> int:
-    from repro.testbed.broker_ha import run_cell
-
-    rats = ("lte", "5g") if args.rat == "both" else (args.rat,)
-    attaches = 80 if args.smoke else 150
-    interval = args.interval if args.interval else 0.5
-    failed = False
-    stores, cells = [], []
-    for rat in rats:
-        store = store_cls(f"broker-ha-{rat}")
-        cell = run_cell(rat, attaches=attaches, seed=args.seed,
-                        kpi_store=store, kpi_interval=interval)
-        stores.append(store)
-        cells.append(cell)
-        _print_observe_summary("broker-ha", store)
-        print(f"{rat}: {cell['successes']}/{cell['attempts']} attaches, "
-              f"{cell['failovers_total']} failovers, "
-              f"{cell['degraded_denials']} degraded denials")
-        if args.smoke:
-            store2 = store_cls(f"broker-ha-{rat}")
-            run_cell(rat, attaches=attaches, seed=args.seed,
-                     kpi_store=store2, kpi_interval=interval)
-            if store.to_json() != store2.to_json():
-                print(f"FAIL {rat}: kpi json differs between two "
-                      f"seeded runs")
-                failed = True
-            else:
-                print(f"ok   {rat}: kpi json byte-identical across two "
-                      f"runs ({len(store.rows)} windows)")
-
-    report = {
-        "bench": "broker-ha",
-        "config": {"attaches": attaches, "seed": args.seed,
-                   "kpi_interval_s": interval, "rats": list(rats)},
-        "cells": [{"rat": cell["rat"],
-                   "success_rate": cell["success_rate"],
-                   "failovers_total": cell["failovers_total"],
-                   "degraded_denials": cell["degraded_denials"],
-                   "kpis": json.loads(store.to_json())}
-                  for cell, store in zip(cells, stores)],
-    }
-    _write_observe_artifacts(args, json, report, stores)
-    return 1 if failed else 0
-
-
-def _print_observe_summary(bench: str, store) -> None:
-    curated = [key for key in _OBSERVE_DASH_KEYS[bench]
-               if key in set(store.keys())]
-    extra = sorted(key for key in store.keys()
-                   if key.endswith("repl_lag_s") or key.endswith("health"))
-    print(store.dashboard(keys=curated + extra))
-
-
-def _write_observe_artifacts(args, json, report: dict, stores) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, sort_keys=True,
-                      separators=(",", ":"))
-            fh.write("\n")
-        print(f"wrote {args.output}")
+        seen = bench.observe(_rats(args), smoke=args.smoke, seed=args.seed,
+                             **window)
+        stores = [store for store, _ in seen["runs"]]
+        report = {"bench": "broker-ha", "config": seen["config"],
+                  "cells": [{"rat": cell["rat"],
+                             "success_rate": cell["success_rate"],
+                             "failovers_total": cell["failovers_total"],
+                             "degraded_denials": cell["degraded_denials"],
+                             "kpis": json.loads(store.to_json())}
+                            for store, cell in seen["runs"]]}
+        for _, cell in seen["runs"]:
+            print(f"{cell['rat']}: {cell['successes']}/{cell['attempts']} "
+                  f"attaches, {cell['failovers_total']} failovers, "
+                  f"{cell['degraded_denials']} degraded denials")
+    for store in stores:
+        keys = set(store.keys())
+        curated = [key for key in _OBSERVE_DASH_KEYS[args.bench]
+                   if key in keys]
+        extra = sorted(key for key in keys
+                       if key.endswith(("repl_lag_s", "health")))
+        print(store.dashboard(keys=curated + extra))
     if args.html:
-        parts = [store.to_html() for store in stores]
         with open(args.html, "w") as fh:
-            fh.write("\n<hr>\n".join(parts))
+            fh.write("\n<hr>\n".join(store.to_html() for store in stores))
         print(f"wrote {args.html}")
+    return _finish(
+        bench.observe_gates(seen) if args.smoke else [], args.output,
+        json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
@@ -855,76 +590,49 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Attach/revoke churn under a fault script; print (or emit as JSON)
-    the reliability metrics and fail if a safety invariant is violated.
+    the reliability metrics.  Every run must hold ``chaos.gates``
+    (unauthorized-session-seconds exactly 0).
 
-    ``--smoke`` runs the seeded CI configuration: 5% steady loss on
-    every link, a broker-link outage and a broker brown-out mid-run,
-    revocations every 10 attaches — then checks the acceptance bars
-    (≥95%% attach success under faults, unauthorized-session-seconds
-    exactly 0) and writes ``BENCH_chaos.json``.
+    ``--smoke`` runs ``chaos.SMOKE`` under ``chaos.smoke_schedule()`` —
+    steady loss on every link, a broker-link outage and a broker
+    brown-out mid-run, periodic revocations — adds the RAT's attach
+    success bar, and writes ``BENCH_chaos.json``.
     """
     import json
 
-    from repro.emulation import (
-        ChaosSchedule,
-        brownout,
-        loss_burst,
-        outage,
-        run_chaos,
-    )
+    from repro.emulation import chaos
 
     if args.smoke:
-        args.attaches = min(args.attaches, 150)
-        args.loss = args.loss or 0.05
-        args.revoke_every = args.revoke_every or 10
-        if args.outage_at == 0.0:
-            args.outage_at, args.outage_len = 2.0, 2.0
-        if args.brownout_at == 0.0:
-            args.brownout_at, args.brownout_len = 8.0, 2.0
+        config, schedule = chaos.SMOKE, chaos.smoke_schedule()
+    else:
+        config = dict(attaches=args.attaches, seed=args.seed,
+                      revoke_every=args.revoke_every, base_loss=args.loss)
+        schedule = chaos.ChaosSchedule()
+        if args.outage_len > 0.0 and args.outage_at > 0.0:
+            schedule.add(chaos.outage(args.outage_at, args.outage_len,
+                                      target="*-broker"))
+        if args.burst_loss > 0.0 and args.burst_at > 0.0:
+            schedule.add(chaos.loss_burst(args.burst_at, args.burst_len,
+                                          args.burst_loss))
+        if args.brownout_len > 0.0 and args.brownout_at > 0.0:
+            schedule.add(chaos.brownout(args.brownout_at, args.brownout_len,
+                                        factor=args.brownout_factor))
     if args.rat == "5g" and args.output == "BENCH_chaos.json":
         args.output = "BENCH_5g.json"
 
-    schedule = ChaosSchedule()
-    if args.outage_len > 0.0 and args.outage_at > 0.0:
-        schedule.add(outage(args.outage_at, args.outage_len,
-                            target="*-broker"))
-    if args.burst_loss > 0.0 and args.burst_at > 0.0:
-        schedule.add(loss_burst(args.burst_at, args.burst_len,
-                                args.burst_loss))
-    if args.brownout_len > 0.0 and args.brownout_at > 0.0:
-        schedule.add(brownout(args.brownout_at, args.brownout_len,
-                              factor=args.brownout_factor))
-
-    report = run_chaos(attaches=args.attaches, schedule=schedule,
-                       revoke_every=args.revoke_every, seed=args.seed,
-                       base_loss=args.loss, rat=args.rat)
-
+    report = chaos.run_chaos(schedule=schedule, rat=args.rat, **config)
     payload = report.to_dict()
-    violations = []
-    if report.unauthorized_session_seconds != 0.0:
-        violations.append(
-            "unauthorized_session_seconds = "
-            f"{report.unauthorized_session_seconds} (must be 0)")
-    # The 5G parity port holds a tighter bar than the LTE original: the
-    # seeded smoke must land >=99% attach success under the fault script.
-    success_bar = 0.99 if args.rat == "5g" else 0.95
-    if args.smoke and report.success_rate < success_bar:
-        violations.append(
-            f"success_rate = {report.success_rate:.3f} (< {success_bar})")
-    payload["violations"] = violations
+    gates = chaos.gates(payload, smoke=args.smoke)
+    payload["violations"] = [
+        f"{entry['gate']} = {entry['value']} (threshold "
+        f"{entry['threshold']})" for entry in gates if not entry["pass"]]
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    if args.json or args.smoke:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.smoke:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.output}")
-        else:
-            print(text)
     if not args.json:
         print(f"chaos churn: {report.attempts} attaches, "
               f"{len(schedule)} scripted faults, "
-              f"steady loss {args.loss:.0%}, seed {args.seed}")
+              f"steady loss {config['base_loss']:.0%}, "
+              f"seed {config['seed']}")
         print(f"  success rate        {report.success_rate:7.2%} "
               f"({report.successes}/{report.attempts})")
         print(f"  attach p50 / p99    {report.attach_p50_ms:.2f} / "
@@ -949,9 +657,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"{report.unauthorized_session_seconds:.3f} session-seconds")
         for cause, count in sorted(report.failure_causes.items()):
             print(f"  failed[{cause}]  {count}")
-    for violation in violations:
-        print(f"INVARIANT VIOLATED: {violation}")
-    return 1 if violations else 0
+    elif not args.smoke:
+        sys.stdout.write(text)
+    # With --json stdout is the report alone; gate lines go to stderr.
+    return _finish(gates, args.output if args.smoke else None, text,
+                   out=sys.stderr if args.json else None)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1112,8 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON on stdout")
     p.add_argument("--smoke", action="store_true",
-                   help="seeded CI configuration; writes --output and "
-                        "fails on invariant violations")
+                   help="run the library's seeded smoke configuration "
+                        "(size, fault and seed flags are ignored), write "
+                        "--output, fail on any gate")
     p.add_argument("--output", default="BENCH_chaos.json",
                    help="smoke-report path (default BENCH_chaos.json, "
                         "or BENCH_5g.json with --rat 5g)")
@@ -1127,10 +838,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placement", default="us-west-1")
     p.add_argument("--trials", type=int, default=20,
                    help="attach trials (scenario=attach)")
-    p.add_argument("--attaches", type=int, default=150,
-                   help="attach attempts (scenario=chaos)")
-    p.add_argument("--loss", type=float, default=0.05,
-                   help="steady loss rate (scenario=chaos)")
+    p.add_argument("--attaches", type=int, default=None,
+                   help="attach attempts (scenario=chaos; default: the "
+                        "chaos smoke's)")
+    p.add_argument("--loss", type=float, default=None,
+                   help="steady loss rate (scenario=chaos; default: the "
+                        "chaos smoke's)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--rat", choices=("lte", "5g"), default="lte")
     p.add_argument("--format", choices=("jsonl", "chrome", "summary"),
@@ -1146,8 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=("BL", "CB"), default="CB")
     p.add_argument("--placement", default="us-west-1")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--attaches", type=int, default=150)
-    p.add_argument("--loss", type=float, default=0.05)
+    p.add_argument("--attaches", type=int, default=None)
+    p.add_argument("--loss", type=float, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--rat", choices=("lte", "5g"), default="lte")
     p.set_defaults(func=_cmd_metrics)
@@ -1166,12 +879,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derive the pipeline batch window from observed "
                         "arrival rate instead of the fixed 2 ms")
     p.add_argument("--smoke", action="store_true",
-                   help="seeded CI subset (N=64, 8 shards, both paths); "
-                        "fails on >20%% attaches/sec regression vs the "
-                        "committed baseline")
-    p.add_argument("--baseline",
-                   default="benchmarks/baselines/broker_scale_baseline.json",
-                   help="baseline file for the --smoke regression gate")
+                   help="the seeded CI sweep (sweep flags are ignored); "
+                        "fails unless attaches/sec equal the pinned "
+                        "sim-clock values and the speedup bar holds")
     p.add_argument("--output", default="BENCH_broker_scale.json",
                    help="report path (default BENCH_broker_scale.json)")
     p.set_defaults(func=_cmd_broker_scale)
@@ -1190,7 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revoke-every", type=int, default=25,
                    help="revoke+re-enroll after every N successes")
     p.add_argument("--smoke", action="store_true",
-                   help="seeded CI subset (80 attaches, both RATs)")
+                   help="the seeded CI drill (size and seed flags are "
+                        "ignored)")
     p.add_argument("--output", default="BENCH_broker_ha.json",
                    help="report path (default BENCH_broker_ha.json)")
     p.set_defaults(func=_cmd_broker_ha)
@@ -1208,7 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 3)")
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--smoke", action="store_true",
-                   help="seeded CI subset (4 UEs, 20 s drives)")
+                   help="the seeded CI drives (size and seed flags are "
+                        "ignored)")
     p.add_argument("--output", default="BENCH_fleet_drive.json",
                    help="report path (default BENCH_fleet_drive.json)")
     p.set_defaults(func=_cmd_fleet_drive)
@@ -1216,7 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("megaload", help="population-scale workload over "
                                         "the event engine")
     p.add_argument("--ues", type=int, default=100_000,
-                   help="simulated UE population (default 100000)")
+                   help="simulated UE population (default 100000; "
+                        "1000000 is the memory/throughput profile, "
+                        "minutes of wall time)")
     p.add_argument("--sites", type=int, default=256,
                    help="bTelco sites (default 256)")
     p.add_argument("--duration", type=float, default=60.0,
@@ -1225,9 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tick", type=float, default=0.05,
                    help="stepping quantum in sim seconds (default 0.05)")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--engine", choices=("both", "optimized", "legacy"),
-                   default="both",
-                   help="which event-core path(s) to run (default both)")
     p.add_argument("--real-fraction", type=float, default=0.0,
                    help="fraction of the population run as full-fidelity "
                         "SAP UEs against a real pipelined brokerd; any "
@@ -1238,23 +949,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real-sites", type=int, default=4,
                    help="real RAN sites the cohort's script folds onto "
                         "(default 4)")
-    p.add_argument("--xl", action="store_true",
-                   help="the 10^6-UE memory/throughput profile: raises "
-                        "--ues to 1e6 and runs the optimized engine "
-                        "only (minutes of wall time; not for CI)")
     p.add_argument("--kpi-output", default=None,
                    help="write per-cohort fleet KPI JSON here (sampled "
-                        "from the first cell, or from the mixed "
-                        "micro-cell under --smoke)")
+                        "from the cell, or from the mixed micro-cell "
+                        "under --smoke)")
     p.add_argument("--smoke", action="store_true",
-                   help="CI gate: per-engine workload digests must match "
-                        "the committed baseline, the optimized/legacy "
-                        "speedup must hold >= 2x, RSS-per-UE must stay "
-                        "under the baseline ceiling, and the mixed "
+                   help="the seeded CI cell (workload flags are ignored): "
+                        "its digest must equal the pinned one, RSS per "
+                        "UE must stay under the ceiling, and a mixed "
                         "micro-cell must agree scripted-vs-charged")
-    p.add_argument("--baseline",
-                   default="benchmarks/baselines/megaload_baseline.json",
-                   help="baseline file for the --smoke gate")
     p.add_argument("--output", default="BENCH_megaload.json",
                    help="report path (default BENCH_megaload.json)")
     p.set_defaults(func=_cmd_megaload)
@@ -1267,21 +970,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rat", choices=("lte", "5g", "both"), default="both",
                    help="broker-ha only: control plane(s) (default both)")
     p.add_argument("--ues", type=int, default=100_000,
-                   help="megaload population (default 100000; --smoke "
-                        "uses 20000)")
+                   help="megaload population (default 100000)")
     p.add_argument("--sites", type=int, default=256,
                    help="megaload bTelco sites (default 256)")
     p.add_argument("--duration", type=float, default=60.0,
                    help="megaload arrival window in sim seconds "
-                        "(default 60; --smoke uses 30)")
+                        "(default 60)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--interval", type=float, default=0.0,
                    help="KPI window in sim seconds (default: 1.0 for "
                         "megaload, 0.5 for broker-ha)")
     p.add_argument("--smoke", action="store_true",
-                   help="CI gates: collected digest == collector-free "
-                        "digest, byte-identical KPI JSON across two "
-                        "seeded runs, <= 5%% UEs/sec overhead")
+                   help="the bench's seeded CI run (size and seed flags "
+                        "are ignored): collected digest == "
+                        "collector-free digest, byte-identical KPI JSON "
+                        "across two runs, one event per KPI window")
     p.add_argument("--output", default="OBS_fleet.json",
                    help="KPI report path (default OBS_fleet.json)")
     p.add_argument("--html", default="",

@@ -121,6 +121,57 @@ class AdaptiveBatchWindow:
         return batch_size >= self.full_size
 
 
+class ParkedBatch:
+    """Requests parked until their batch window closes — or fills.
+
+    The one batching timeline under :class:`Brokerd`'s pipeline and
+    megaload's scripted broker: the first request of a batch arms the
+    owner's ``flush`` after the open window (``window`` seconds, or
+    rate-derived when ``adaptive`` is set); a batch that fills first
+    cancels that timer (lazily — the simulator compacts dead entries)
+    and re-arms it at zero delay.  ``flush`` starts with :meth:`take`.
+    """
+
+    __slots__ = ("sim", "flush", "window", "adaptive", "items", "_event",
+                 "_flushing_now")
+
+    def __init__(self, sim, flush, window: float = 0.002,
+                 adaptive: Optional[AdaptiveBatchWindow] = None):
+        self.sim = sim
+        self.flush = flush
+        self.window = window
+        self.adaptive = adaptive
+        self.items: list = []
+        self._event = None
+        self._flushing_now = False
+
+    def park(self, item) -> bool:
+        """Add ``item`` to the open batch; True when that filled it (a
+        *full flush*, which the owner counts)."""
+        adaptive = self.adaptive
+        if adaptive is not None:
+            adaptive.observe(self.sim._now)
+        self.items.append(item)
+        if self._event is None:
+            self._event = self.sim.schedule(
+                self.window if adaptive is None else adaptive.window(),
+                self.flush)
+        elif (adaptive is not None and not self._flushing_now
+                and adaptive.full(len(self.items))):
+            self._event.cancel()
+            self._event = self.sim.schedule(0.0, self.flush)
+            self._flushing_now = True
+            return True
+        return False
+
+    def take(self) -> list:
+        """Close the window: hand over the parked items and disarm."""
+        self._event = None
+        self._flushing_now = False
+        items, self.items = self.items, []
+        return items
+
+
 @dataclass
 class _PipelineItem:
     """One auth request waiting in the current batch window."""
@@ -211,13 +262,9 @@ class Brokerd(SignalingNode):
         #: that routes auths to network-attached shard hosts.  ``None``
         #: keeps the historical in-process SAP path.
         self.frontend = None
-        self.batch_window = 0.002
-        self.adaptive_window: Optional[AdaptiveBatchWindow] = None
+        self._parked = ParkedBatch(self.sim, self._flush_auth_batch)
         self._worker_free: list[float] = []
         self._shard_free: dict[int, float] = {}
-        self._auth_batch: list[_PipelineItem] = []
-        self._flush_event = None
-        self._flushing_now = False
         self._verified_certs: set[str] = set()
         self.pipeline_batches = 0
         self.pipeline_requests = 0
@@ -275,8 +322,8 @@ class Brokerd(SignalingNode):
         if shards is not None:
             self.sap.set_shard_count(shards)
         self.pipeline_enabled = enabled
-        self.batch_window = batch_window
-        self.adaptive_window = AdaptiveBatchWindow(
+        self._parked.window = batch_window
+        self._parked.adaptive = AdaptiveBatchWindow(
             min_window=min_window, max_window=max_window,
             full_size=window_full_size) if adaptive else None
         self._worker_free = [0.0] * verify_workers
@@ -447,11 +494,11 @@ class Brokerd(SignalingNode):
                      pipeline_batches=self.pipeline_batches,
                      pipeline_requests=self.pipeline_requests,
                      pipeline_full_flushes=self.pipeline_full_flushes,
-                     pipeline_adaptive=self.adaptive_window is not None,
+                     pipeline_adaptive=self._parked.adaptive is not None,
                      pipeline_window_s=(
-                         self.adaptive_window.window()
-                         if self.adaptive_window is not None
-                         else self.batch_window),
+                         self._parked.adaptive.window()
+                         if self._parked.adaptive is not None
+                         else self._parked.window),
                      cert_cache_hits=self.cert_cache_hits)
         stats.update(self.reliable_stats())
         if self.frontend is not None:
@@ -532,34 +579,14 @@ class Brokerd(SignalingNode):
     def _enqueue_auth_request(self, src_ip: str,
                               request: BrokerAuthRequest) -> None:
         """Pipeline ingress: park the request in the current batch
-        window; the reply is completed asynchronously at flush time.
-
-        With an adaptive window the open window is rate-derived, and a
-        full batch flushes immediately: the pending flush timer is
-        cancelled (lazily — the simulator compacts dead entries) and a
-        zero-delay flush replaces it.
-        """
-        adaptive = self.adaptive_window
-        if adaptive is not None:
-            adaptive.observe(self.sim.now)
+        window; the reply is completed asynchronously at flush time."""
         deferred = self.defer_reply()
         corr_id = 0
         if deferred.reply_context is not None:
             corr_id = deferred.reply_context.correlation_id
-        self._auth_batch.append(_PipelineItem(
-            src_ip=src_ip, request=request, deferred=deferred,
-            arrived=self.sim.now, corr_id=corr_id))
-        if self._flush_event is None:
-            window = self.batch_window if adaptive is None \
-                else adaptive.window()
-            self._flush_event = self.sim.schedule(
-                window, self._flush_auth_batch)
-        elif (adaptive is not None and not self._flushing_now
-                and adaptive.full(len(self._auth_batch))):
-            self._flush_event.cancel()
-            self._flush_event = self.sim.schedule(
-                0.0, self._flush_auth_batch)
-            self._flushing_now = True
+        if self._parked.park(_PipelineItem(
+                src_ip=src_ip, request=request, deferred=deferred,
+                arrived=self.sim.now, corr_id=corr_id)):
             self.pipeline_full_flushes += 1
 
     def _flush_auth_batch(self) -> None:
@@ -575,9 +602,7 @@ class Brokerd(SignalingNode):
         modeled completion time, so identically-seeded runs replay the
         exact same event sequence.
         """
-        self._flush_event = None
-        self._flushing_now = False
-        batch, self._auth_batch = self._auth_batch, []
+        batch = self._parked.take()
         if not batch:
             return
         now = self.sim.now

@@ -31,6 +31,7 @@ from fnmatch import fnmatchcase
 from typing import Callable, Optional
 
 from repro.analysis import percentile
+from repro.analysis.gates import gate
 from repro.net import Link, Simulator
 from repro.obs import CounterAttr, MetricsRegistry, Obs
 from repro.obs import install as install_obs
@@ -544,3 +545,34 @@ def run_chaos(attaches: int = 200,
         latency_histogram=(latency_hist.snapshot()
                            if latency_hist is not None else {}),
     )
+
+
+# ---------------------------------------------------------------------------
+# --smoke: the one seeded churn CI runs (also what `repro trace|metrics
+# --scenario chaos` record) and what its report must show.
+# ---------------------------------------------------------------------------
+
+SMOKE = dict(attaches=150, revoke_every=10, seed=7, base_loss=0.05)
+#: attach success the smoke must hold under its fault script; the 5G
+#: parity port holds a tighter bar than the LTE original.
+SMOKE_SUCCESS_RATE = {"lte": 0.95, "5g": 0.99}
+
+
+def smoke_schedule() -> ChaosSchedule:
+    """The smoke's fault script: a broker-link outage, then a broker
+    brown-out, on top of :data:`SMOKE`'s steady loss."""
+    return ChaosSchedule([outage(2.0, 2.0, target="*-broker"),
+                          brownout(8.0, 2.0)])
+
+
+def gates(report: dict, smoke: bool = False) -> list:
+    """What a ``ChaosReport.to_dict()`` must show: no run ever serves a
+    revoked session; the ``smoke`` run also holds its RAT's success bar."""
+    out = [gate("unauthorized_session_seconds",
+                report["unauthorized_session_seconds"], 0.0,
+                report["unauthorized_session_seconds"] == 0.0)]
+    if smoke:
+        bar = SMOKE_SUCCESS_RATE[report["rat"]]
+        out.append(gate("success_rate", report["success_rate"], bar,
+                        report["success_rate"] >= bar))
+    return out

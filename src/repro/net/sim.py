@@ -69,7 +69,7 @@ _COMPACT_MIN_QUEUE = 512
 class Simulator:
     """A deterministic event loop with a virtual clock (seconds)."""
 
-    def __init__(self, compaction: bool = True):
+    def __init__(self):
         #: heap of ``(time, seq, event)``: ``seq`` is unique, so ordering
         #: (time, then FIFO among equal times) is settled by C tuple
         #: comparison and never reaches the Event.
@@ -78,9 +78,6 @@ class Simulator:
         self._running = False
         self._live = 0          # queued events that are not cancelled
         self._dead = 0          # cancelled events still in the heap
-        #: lazy-compaction switch; benches flip it off to measure the
-        #: pre-compaction event core.
-        self.compaction = compaction
         # -- engine statistics (read by the megaload bench) --------------
         #: also the next heap ``seq``: it only ever counts up.
         self.events_scheduled = 0
@@ -120,7 +117,7 @@ class Simulator:
         compact the heap once dead entries dominate the live ones."""
         self._live -= 1
         self._dead += 1
-        if (self.compaction and self._dead > self._live
+        if (self._dead > self._live
                 and len(self._queue) >= _COMPACT_MIN_QUEUE):
             self._compact()
 
@@ -210,11 +207,6 @@ class TickCalendar:
     superseded wakeups by token at dispatch time instead of heap
     cancellation, which keeps the heap free of dead entries.
     """
-
-    #: calendars cannot cancel an individual wakeup — callers invalidate
-    #: by token at dispatch time instead (the megaload engines key off
-    #: this to decide whether ``wake`` returns a cancellable handle).
-    cancellable = False
 
     __slots__ = ("sim", "tick", "dispatch", "_buckets", "_freelist")
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.stats import percentile
+from repro.analysis.gates import gate
 from repro.core.messages import BrokerAuthRequest, BrokerAuthResponse
 from repro.core.shardhost import deploy_shard_hosts
 from repro.emulation.chaos import ChaosSchedule, node_crash, run_chaos
@@ -257,36 +257,7 @@ def run_suite(*, rats=("lte", "5g"), attaches: int = 150,
               shards: int = 2, spares: int = 1, seed: int = 11,
               revoke_every: int = 25, obs=None) -> dict:
     """Both RATs' cells plus the pass/fail gates CI enforces."""
-    cells = [run_cell(rat, attaches=attaches, shards=shards,
-                      spares=spares, seed=seed,
-                      revoke_every=revoke_every, obs=obs)
-             for rat in rats]
-    gates = []
-    for cell in cells:
-        rat = cell["rat"]
-        gates.extend([
-            {"gate": f"{rat}:attach_success_rate",
-             "value": cell["success_rate"],
-             "threshold": GATE_SUCCESS_RATE,
-             "pass": cell["success_rate"] >= GATE_SUCCESS_RATE},
-            {"gate": f"{rat}:unauthorized_session_seconds",
-             "value": cell["unauthorized_session_seconds"],
-             "threshold": 0.0,
-             "pass": cell["unauthorized_session_seconds"] == 0.0},
-            {"gate": f"{rat}:replay_denied_across_failover",
-             "value": cell["replay_denied_across_failover"],
-             "threshold": True,
-             "pass": cell["replay_denied_across_failover"]},
-            {"gate": f"{rat}:failovers_exercised",
-             "value": cell["failovers_total"], "threshold": 2,
-             "pass": cell["failovers_total"] >= 2},
-            {"gate": f"{rat}:recovery_time",
-             "value": max(cell["recovery_s"], default=0.0),
-             "threshold": RECOVERY_BOUND_S,
-             "pass": bool(cell["recovery_s"]) and
-             max(cell["recovery_s"]) <= RECOVERY_BOUND_S},
-        ])
-    return {
+    report = {
         "bench": "broker_ha",
         "shards": shards,
         "spares": spares,
@@ -294,7 +265,77 @@ def run_suite(*, rats=("lte", "5g"), attaches: int = 150,
         "seed": seed,
         "heartbeat_interval_s": HEARTBEAT_INTERVAL,
         "detection_timeout_s": DETECTION_TIMEOUT,
-        "cells": cells,
-        "gates": gates,
-        "pass": all(gate["pass"] for gate in gates),
+        "cells": [run_cell(rat, attaches=attaches, shards=shards,
+                           spares=spares, seed=seed,
+                           revoke_every=revoke_every, obs=obs)
+                  for rat in rats],
     }
+    report["gates"] = gates(report)
+    report["pass"] = all(entry["pass"] for entry in report["gates"])
+    return report
+
+
+#: the seeded --smoke drill (`run_suite(**SMOKE)`); `observe --bench
+#: broker-ha --smoke` watches the same drill on the observatory's seed.
+SMOKE = dict(attaches=80, seed=11)
+OBSERVE_SMOKE = dict(SMOKE, seed=7)
+
+
+def gates(report: dict) -> list:
+    """What every cell of a :func:`run_suite` report must show."""
+    out = []
+    for cell in report["cells"]:
+        rat, recovery = cell["rat"], cell["recovery_s"]
+        out += [
+            gate(f"{rat}:attach_success_rate", cell["success_rate"],
+                 GATE_SUCCESS_RATE,
+                 cell["success_rate"] >= GATE_SUCCESS_RATE),
+            gate(f"{rat}:unauthorized_session_seconds",
+                 cell["unauthorized_session_seconds"], 0.0,
+                 cell["unauthorized_session_seconds"] == 0.0),
+            gate(f"{rat}:replay_denied_across_failover",
+                 cell["replay_denied_across_failover"], True,
+                 cell["replay_denied_across_failover"]),
+            gate(f"{rat}:failovers_exercised", cell["failovers_total"], 2,
+                 cell["failovers_total"] >= 2),
+            gate(f"{rat}:recovery_time", max(recovery, default=0.0),
+                 RECOVERY_BOUND_S,
+                 bool(recovery) and max(recovery) <= RECOVERY_BOUND_S),
+        ]
+    return out
+
+
+def observe(rats=("lte", "5g"), *, smoke: bool = False,
+            attaches: int = 150, seed: int = 7,
+            interval: float = 0.5) -> dict:
+    """Each RAT's cell under the fleet observatory's read-only KPI
+    collector.  ``smoke`` runs :data:`OBSERVE_SMOKE` and adds what
+    :func:`observe_gates` compares: a second run's KPI JSON per RAT."""
+    from repro.obs.fleet import FleetKpiStore
+
+    if smoke:
+        attaches, seed = OBSERVE_SMOKE["attaches"], OBSERVE_SMOKE["seed"]
+
+    def collected(rat):
+        store = FleetKpiStore(f"broker-ha-{rat}")
+        return store, run_cell(rat, attaches=attaches, seed=seed,
+                               kpi_store=store, kpi_interval=interval)
+
+    seen = {"config": {"attaches": attaches, "seed": seed,
+                       "kpi_interval_s": interval, "rats": list(rats)},
+            "runs": [collected(rat) for rat in rats]}
+    if smoke:
+        seen["rerun_kpi_json"] = [collected(rat)[0].to_json()
+                                  for rat in rats]
+    return seen
+
+
+def observe_gates(seen: dict) -> list:
+    """What a ``smoke`` :func:`observe` must show: identically-seeded
+    runs emit byte-identical KPI JSON."""
+    out = []
+    for (store, cell), rerun in zip(seen["runs"], seen["rerun_kpi_json"]):
+        same = store.to_json() == rerun
+        out.append(gate(f"{cell['rat']}:kpi_json_identical_across_runs",
+                        same, True, same))
+    return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from repro.analysis.gates import gate
 from repro.analysis.stats import mean, percentile
 from repro.core import Brokerd, UeSapCredentials
 from repro.core.mobility import (
@@ -32,6 +33,10 @@ from repro.net import Host, Simulator
 BROKER_ADDRESS = "52.20.0.1"
 #: pool slots reserved for this bench (clear of scenario builders').
 _SLOT_BASE = 9300
+#: every UE fires its attach at t=0 (a burst); the report states it.
+ARRIVAL_WINDOW_S = 0.0
+#: sim-seconds a cell may take to drain.
+RUN_UNTIL_S = 120.0
 
 
 @dataclass
@@ -58,9 +63,7 @@ class CellResult:
 
 def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
              pipeline: bool = True, sites: int = 16,
-             arrival_window: float = 0.0, batch_window: float = 0.002,
-             verify_workers: int = 4, adaptive_window: bool = False,
-             obs=None, run_until: float = 120.0) -> CellResult:
+             adaptive_window: bool = False, obs=None) -> CellResult:
     """Attach ``concurrency`` UEs across ``sites`` bTelcos via one broker.
 
     ``pipeline=False`` with ``shards=1`` is the historical serial path
@@ -84,10 +87,7 @@ def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
                       ca_public_key=ca.public_key,
                       key=keypool.pooled_keypair(_SLOT_BASE + 1))
     if pipeline:
-        brokerd.configure_pipeline(
-            enabled=True, batch_window=batch_window,
-            verify_workers=verify_workers, shards=shards,
-            adaptive=adaptive_window)
+        brokerd.configure_pipeline(shards=shards, adaptive=adaptive_window)
     elif shards != 1:
         brokerd.sap.set_shard_count(shards)
 
@@ -130,10 +130,9 @@ def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
                               target_id_t=f"t.scale-{site}",
                               name=f"{profile.ue_name}{index}")
         ue.on_attach_done = _done
-        sim.schedule(arrival_window * index / max(concurrency, 1),
-                     ue.attach)
+        sim.schedule(ARRIVAL_WINDOW_S, ue.attach)
 
-    sim.run(until=run_until)
+    sim.run(until=RUN_UNTIL_S)
 
     duration = max(completions) if completions else 0.0
     stats = brokerd.stats()
@@ -160,7 +159,6 @@ def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
 
 def run_sweep(*, rats=("lte", "5g"), concurrencies=(16, 64),
               shard_counts=(1, 2, 4, 8), sites: int = 16,
-              arrival_window: float = 0.0,
               adaptive_window: bool = False) -> dict:
     """The full grid: for each rat and concurrency, a serial single-shard
     baseline plus the pipeline at each shard count.  Returns the report
@@ -171,22 +169,19 @@ def run_sweep(*, rats=("lte", "5g"), concurrencies=(16, 64),
     for rat in rats:
         for concurrency in concurrencies:
             cells.append(run_cell(concurrency, 1, rat=rat, pipeline=False,
-                                  sites=sites,
-                                  arrival_window=arrival_window))
+                                  sites=sites))
             for shards in shard_counts:
                 cells.append(run_cell(concurrency, shards, rat=rat,
                                       pipeline=True, sites=sites,
-                                      arrival_window=arrival_window,
                                       adaptive_window=adaptive_window))
-    report = {
+    return {
         "bench": "broker_scale",
         "sites": sites,
-        "arrival_window_s": arrival_window,
+        "arrival_window_s": ARRIVAL_WINDOW_S,
         "adaptive_window": adaptive_window,
         "cells": [cell.to_dict() for cell in cells],
         "speedups": speedups(cells),
     }
-    return report
 
 
 def speedups(cells) -> list[dict]:
@@ -207,4 +202,40 @@ def speedups(cells) -> list[dict]:
             "speedup": round(
                 cell.attaches_per_sec / base.attaches_per_sec, 2),
         })
+    return out
+
+
+# ---------------------------------------------------------------------------
+# --smoke: one seeded sweep and the sim-clock throughput it reproduces to
+# the digit on any host.  A pin moves only when the modeled service costs
+# or the pipeline do: rerun the smoke, copy the att/s it prints, and say
+# why in the commit.
+# ---------------------------------------------------------------------------
+
+SMOKE = dict(concurrencies=(64,), shard_counts=(8,), sites=16)
+#: "rat/N/mode/shards" -> attaches per sim-second.
+SMOKE_ATTACHES_PER_SEC = {
+    "lte/64/serial/1": 198.7, "lte/64/pipeline/8": 865.05,
+    "5g/64/serial/1": 199.76, "5g/64/pipeline/8": 945.52,
+}
+#: the §5 scale-out claim: the pipeline at >= 8 shards vs the serial path.
+MIN_SPEEDUP = 3.0
+
+
+def gates(report: dict) -> list:
+    """What a :data:`SMOKE` sweep's report must show (a cell with no pin
+    fails: its value cannot equal ``None``)."""
+    out = []
+    for cell in report["cells"]:
+        key = (f"{cell['rat']}/{cell['concurrency']}/"
+               f"{'pipeline' if cell['pipeline'] else 'serial'}/"
+               f"{cell['shards']}")
+        pin = SMOKE_ATTACHES_PER_SEC.get(key)
+        out.append(gate(f"{key}:attaches_per_sec", cell["attaches_per_sec"],
+                        pin, cell["attaches_per_sec"] == pin))
+    for row in report["speedups"]:
+        if row["shards"] >= 8:
+            out.append(gate(
+                f"{row['rat']}/{row['concurrency']}/{row['shards']}:speedup",
+                row["speedup"], MIN_SPEEDUP, row["speedup"] >= MIN_SPEEDUP))
     return out

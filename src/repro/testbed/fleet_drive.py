@@ -39,6 +39,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.gates import gate
 from repro.core.mobility import (
     MobilityManager,
     build_cellbricks_network,
@@ -481,9 +482,10 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
 
 def run_fleet_suite(rats: tuple = ("lte", "5g"), ues: int = 6,
                     duration: float = 30.0, seed: int = 11,
-                    sites: int = 3,
-                    determinism_check: bool = True) -> dict:
-    """Scoped + scopes-disabled cells per RAT, plus the CI gates."""
+                    sites: int = 3) -> tuple:
+    """Scoped + scopes-disabled cells per RAT and one re-run of the first
+    scoped cell.  Returns ``(report, gate records)``; the report keeps
+    its historical ``gates`` name -> bool map."""
     cells = []
     for rat in rats:
         cells.append(run_fleet_drive(rat=rat, ues=ues, duration=duration,
@@ -491,36 +493,49 @@ def run_fleet_suite(rats: tuple = ("lte", "5g"), ues: int = 6,
         cells.append(run_fleet_drive(rat=rat, ues=ues, duration=duration,
                                      seed=seed, sites=sites, scoped=False,
                                      probes=False))
+    rerun = run_fleet_drive(rat=rats[0], ues=ues, duration=duration,
+                            seed=seed, sites=sites, scoped=True)
+    report = {"bench": "fleet_drive", "seed": seed, "ues": ues,
+              "duration_s": duration, "sites": sites, "cells": cells}
+    records = gates(report, rerun["digest"])
+    report["gates"] = {entry["gate"]: entry["pass"] for entry in records}
+    report["pass"] = all(report["gates"].values())
+    return report, records
 
-    deterministic = True
-    if determinism_check:
-        rerun = run_fleet_drive(rat=rats[0], ues=ues, duration=duration,
-                                seed=seed, sites=sites, scoped=True)
-        first = next(c for c in cells
-                     if c["rat"] == rats[0] and c["scoped"])
-        deterministic = rerun["digest"] == first["digest"]
 
-    gates: dict = {"deterministic_digest": deterministic}
-    for rat in rats:
-        scoped = next(c for c in cells if c["rat"] == rat and c["scoped"])
-        plain = next(c for c in cells
-                     if c["rat"] == rat and not c["scoped"])
-        gates[f"{rat}_handovers_happened"] = \
-            scoped["operator_handovers"] > 0
-        gates[f"{rat}_scoped_zero_auth_rpcs"] = \
-            scoped["broker_auth_rpcs"] == 0
-        gates[f"{rat}_scoped_beats_baseline"] = (
-            plain["broker_auth_rpcs"] > scoped["broker_auth_rpcs"])
-        gates[f"{rat}_probes_denied"] = bool(
-            scoped["probes"].get("all_denied"))
-        gates[f"{rat}_zero_unauthorized_seconds"] = (
-            scoped["unauthorized_session_s"] == 0.0
-            and plain["unauthorized_session_s"] == 0.0)
-        gates[f"{rat}_scope_notices_flow"] = (
-            scoped["scope_notices"]["accepted"]
-            >= scoped["scoped_attaches"] > 0)
+#: the seeded --smoke drives (`run_fleet_suite(**SMOKE)`).
+SMOKE = dict(ues=4, duration=20.0, seed=11, sites=3)
 
-    return {"bench": "fleet_drive", "seed": seed, "ues": ues,
-            "duration_s": duration, "sites": sites,
-            "cells": cells, "gates": gates,
-            "pass": all(gates.values())}
+
+def gates(report: dict, rerun_digest: str) -> list:
+    """What a :func:`run_fleet_suite` report must show.  ``rerun_digest``
+    is the digest of an identically-seeded second run of the first
+    scoped cell — the one fact the report itself does not carry."""
+    cells = {(c["rat"], c["scoped"]): c for c in report["cells"]}
+    first = report["cells"][0]
+    out = [gate("deterministic_digest", rerun_digest, first["digest"],
+                rerun_digest == first["digest"])]
+    for rat in dict.fromkeys(c["rat"] for c in report["cells"]):
+        scoped, plain = cells[rat, True], cells[rat, False]
+        unauthorized = (scoped["unauthorized_session_s"]
+                        + plain["unauthorized_session_s"])
+        accepted = scoped["scope_notices"]["accepted"]
+        probes = [probe["ok"] for name, probe in scoped["probes"].items()
+                  if name != "all_denied"]
+        out += [
+            gate(f"{rat}_handovers_happened", scoped["operator_handovers"],
+                 1, scoped["operator_handovers"] > 0),
+            gate(f"{rat}_scoped_zero_auth_rpcs", scoped["broker_auth_rpcs"],
+                 0, scoped["broker_auth_rpcs"] == 0),
+            gate(f"{rat}_scoped_beats_baseline", scoped["broker_auth_rpcs"],
+                 plain["broker_auth_rpcs"],
+                 plain["broker_auth_rpcs"] > scoped["broker_auth_rpcs"]),
+            gate(f"{rat}_probes_denied", sum(probes), len(probes),
+                 bool(probes) and all(probes)),
+            gate(f"{rat}_zero_unauthorized_seconds", unauthorized, 0.0,
+                 unauthorized == 0.0),
+            gate(f"{rat}_scope_notices_flow", accepted,
+                 scoped["scoped_attaches"],
+                 accepted >= scoped["scoped_attaches"] > 0),
+        ]
+    return out

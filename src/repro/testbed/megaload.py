@@ -27,7 +27,7 @@ column.  A pending wakeup is likewise a pair of packed 31-bit words
 stays a single-digit CPython int — so the resident cost per UE is
 a few dozen bytes of flat array — the ``rss_per_ue_bytes`` profile in
 ``BENCH_megaload.json`` tracks it, and the ``--smoke`` gate holds the
-ceiling.
+ceiling (``MAX_RSS_PER_UE_BYTES``).
 
 Each attach rides a modeled broker whose batching uses the
 :class:`~repro.core.broker.AdaptiveBatchWindow` (Nagle-style: flush
@@ -50,26 +50,25 @@ stress the event engine itself.  Two bridges keep the model honest:
   throughput, and seeded runs stay digest-deterministic (within a
   process — the charged cost is machine-measured).
 
-Two interchangeable engines execute the very same workload script:
+Execution is batched UE stepping on the shared
+:class:`~repro.net.TickCalendar`: a tick's worth of UE actions costs
+*one* heap event, wake pairs land in recycled ``array('i')`` columns,
+and superseded wakeups are invalidated by token at dispatch instead of
+heap cancellation.  All randomness is consumed before the clock starts
+and every action time is quantized to the tick grid, so anything that
+dispatches wakes in (tick, append) order replays the same outcome:
+``tests/test_megaload.py`` plugs a one-heap-event-per-wake reference in
+through ``MegaloadWorkload.engine_class`` and holds the calendar's
+digests equal to it.
 
-* ``legacy`` — the pre-optimization event core: one simulator event per
-  UE action, idle timers cancelled the ``Timer.start`` way (dead heap
-  entries accumulate; compaction is disabled to match the historical
-  simulator), fixed 2 ms broker window.
-* ``optimized`` — batched UE stepping on the shared
-  :class:`~repro.net.TickCalendar`: a tick's worth of UE actions costs
-  *one* heap event, wake pairs land in recycled ``array('i')`` columns,
-  superseded wakeups are invalidated by token instead of heap
-  cancellation, the broker window adapts to the arrival rate, and heap
-  compaction stays on.
-
-Both engines quantize action times to the same tick grid, so with the
-same broker window policy they replay byte-identical workload outcomes
-— ``tests/test_megaload.py`` pins that equivalence.  The report
-(``BENCH_megaload.json``) carries, per engine cell, the deterministic
+The report (``BENCH_megaload.json``) carries the cell's deterministic
 workload digest plus wall-clock figures (UEs/sec simulated, wall-clock
-per sim-second, peak RSS, RSS per UE) and the optimized-vs-legacy
-speedup that the ``--smoke`` CI gate enforces.
+per sim-second, peak RSS, RSS per UE).  Wall time is reported, never
+gated — comparing it is the ledger's job (``benchmarks/ledger/``).
+``megaload --smoke`` runs :func:`smoke` and must hold :func:`gates`;
+``observe --bench megaload --smoke`` likewise :func:`observe` and
+:func:`observe_gates`.  Every one of those facts is a digest, a count
+or a size that is the same on any host.
 """
 
 from __future__ import annotations
@@ -83,8 +82,9 @@ import time
 from array import array
 from typing import Optional
 
+from repro.analysis.gates import gate
 from repro.analysis.stats import mean, percentile
-from repro.core.broker import AdaptiveBatchWindow
+from repro.core.broker import AdaptiveBatchWindow, ParkedBatch
 from repro.emulation.policy import SECONDS_PER_HOUR, TimeOfDayPolicy
 from repro.net import Simulator, TickCalendar
 
@@ -135,7 +135,6 @@ CAPACITY_HEADROOM = 1.6     # site capacity vs the uniform-spread mean
 DRAIN_GRACE = 60.0          # extra sim-seconds to let late arrivals finish
 BROKER_ATTACH_COST = 0.0002  # modeled broker service per attach (s)
 BROKER_WORKERS = 8
-FIXED_WINDOW = 0.002        # the pre-adaptive pipeline constant
 
 # Mixed-fidelity cohort topology constants.
 REAL_BROKER_ADDRESS = "52.30.0.1"
@@ -157,32 +156,12 @@ def _peak_rss_bytes() -> float:
     return _rss_bytes(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-#: the optimized engine IS the shared tick calendar — wake codes are the
-#: packed words above, dispatch decodes them with shifts and masks.
-_BatchedEngine = TickCalendar
-
-
-class _LegacyEngine:
-    """Pre-optimization stepping: one simulator event per UE action."""
-
-    cancellable = True
-
-    def __init__(self, sim: Simulator, tick: float, dispatch):
-        self.sim = sim
-        self.tick = tick
-        self.dispatch = dispatch
-
-    def wake(self, idx: int, key: int, code: int = 0):
-        return self.sim.schedule_at(idx * self.tick, self.dispatch,
-                                    key, code)
-
-
 class _MegaBroker:
-    """The broker's auth pipeline, reduced to its batching timeline.
+    """The broker's auth pipeline, reduced to its cost model.
 
-    Requests park in a window (fixed 2 ms, or adaptive via
-    :class:`AdaptiveBatchWindow`); a flush serves the batch on
-    ``BROKER_WORKERS`` earliest-free lanes and posts each completion
+    Requests park in the same :class:`~repro.core.broker.ParkedBatch`
+    the real brokerd uses (adaptive window); a flush serves the batch
+    on ``BROKER_WORKERS`` earliest-free lanes and posts each completion
     back through the engine at its modeled finish tick.  The batch is a
     plain list of uids; ``service_cost`` is the modeled per-attach
     service time (the calibrated constant, or the measured crypto cost
@@ -190,49 +169,31 @@ class _MegaBroker:
     service so the smoke gate can check charged-vs-scripted agreement.
     """
 
-    __slots__ = ("sim", "engine", "tick", "adaptive", "epoch",
-                 "service_cost", "busy_s", "batch", "flush_event",
-                 "flushing_now", "lanes", "batches", "requests",
+    __slots__ = ("sim", "engine", "tick", "epoch", "service_cost",
+                 "busy_s", "parked", "lanes", "batches", "requests",
                  "full_flushes")
 
-    def __init__(self, sim: Simulator, engine, tick: float,
-                 adaptive: Optional[AdaptiveBatchWindow], epoch: array,
+    def __init__(self, sim: Simulator, engine, tick: float, epoch: array,
                  service_cost: float = BROKER_ATTACH_COST):
         self.sim = sim
         self.engine = engine
         self.tick = tick
-        self.adaptive = adaptive
         self.epoch = epoch
         self.service_cost = service_cost
         self.busy_s = 0.0
-        self.batch: list[int] = []
-        self.flush_event = None
-        self.flushing_now = False
+        self.parked = ParkedBatch(sim, self._flush,
+                                  adaptive=AdaptiveBatchWindow())
         self.lanes = [0.0] * BROKER_WORKERS
         self.batches = 0
         self.requests = 0
         self.full_flushes = 0
 
     def submit(self, uid: int) -> None:
-        now = self.sim._now
-        adaptive = self.adaptive
-        if adaptive is not None:
-            adaptive.observe(now)
-        self.batch.append(uid)
-        if self.flush_event is None:
-            window = FIXED_WINDOW if adaptive is None else adaptive.window()
-            self.flush_event = self.sim.schedule(window, self._flush)
-        elif (adaptive is not None and not self.flushing_now
-                and adaptive.full(len(self.batch))):
-            self.flush_event.cancel()
-            self.flush_event = self.sim.schedule(0.0, self._flush)
-            self.flushing_now = True
+        if self.parked.park(uid):
             self.full_flushes += 1
 
     def _flush(self) -> None:
-        self.flush_event = None
-        self.flushing_now = False
-        batch, self.batch = self.batch, []
+        batch = self.parked.take()
         if not batch:
             return
         now = self.sim._now
@@ -311,7 +272,6 @@ class _RealCohort:
             broker_host, id_b="b.mega", ca_public_key=ca.public_key,
             key=keypool.pooled_keypair(_REAL_SLOT_BASE + 1))
         self.brokerd.configure_pipeline(
-            enabled=True, batch_window=FIXED_WINDOW, verify_workers=4,
             shards=min(4, max(1, self.n_sites)), adaptive=True)
         if workload.charge_crypto:
             # Charge the real pipeline the same measured per-attach cost
@@ -444,16 +404,24 @@ class _RealCohort:
 
 
 class MegaloadWorkload:
-    """Builds the scripted population and executes it on one engine."""
+    """Builds the scripted population and steps it on the tick calendar."""
+
+    #: what turns ``wake(idx, uid, code)`` into ``dispatch(uid, code)``
+    #: at tick ``idx``; the tests substitute their reference engine here.
+    engine_class = TickCalendar
 
     def __init__(self, *, ues: int, sites: int, duration: float,
-                 tick: float, seed: int, engine: str,
-                 adaptive: bool, compaction: bool,
+                 tick: float, seed: int, engine: str = "optimized",
+                 adaptive: bool = True, compaction: bool = True,
                  real_fraction: float = 0.0, real_rat: str = "lte",
                  real_sites: int = 4,
                  charge_crypto: Optional[bool] = None):
-        if engine not in ("legacy", "optimized"):
-            raise ValueError(f"unknown engine {engine!r}")
+        # benchmarks/ledger/workloads.py, frozen outside `benchmark` PRs,
+        # still passes these three words; they select nothing any more.
+        if (engine, adaptive, compaction) != ("optimized", True, True):
+            raise ValueError(
+                "engine/adaptive/compaction are accepted only as "
+                "'optimized'/True/True (there is one engine)")
         if not 0.0 <= real_fraction <= 1.0:
             raise ValueError(f"real_fraction {real_fraction} not in [0,1]")
         if sites >= 1 << _SEG_BITS \
@@ -471,8 +439,6 @@ class MegaloadWorkload:
         self.duration = duration
         self.tick = tick
         self.seed = seed
-        self.engine_name = engine
-        self.adaptive = adaptive
         self.real_fraction = real_fraction
         self.real_rat = real_rat
         if charge_crypto is None:
@@ -485,13 +451,10 @@ class MegaloadWorkload:
 
             self.crypto_costs = measure_crypto_costs()
             service_cost = self.crypto_costs["attach_cost_s"]
-        self.sim = Simulator(compaction=compaction)
-        dispatch = self._dispatch
-        self.engine = (_BatchedEngine if engine == "optimized"
-                       else _LegacyEngine)(self.sim, tick, dispatch)
+        self.sim = Simulator()
+        self.engine = self.engine_class(self.sim, tick, self._dispatch)
         #: bound once — `engine.wake` runs several times per action.
         self._wake = self.engine.wake
-        window = AdaptiveBatchWindow() if adaptive else None
         # -- struct-of-arrays population state ----------------------------
         n = ues
         self.ue_seg = array("b", bytes(n))            # segment cursor
@@ -505,13 +468,8 @@ class MegaloadWorkload:
         #: ``script_codes[script_off[uid]:script_off[uid+1]]``.
         self.script_codes = array("q")
         self.script_off = array("i", bytes(4 * (n + 1)))
-        #: legacy engine only: the cancellable idle event per uid (the
-        #: batched engine invalidates by token instead).
-        self._idle_events = [None] * n if self.engine.cancellable \
-            else None
-        self.broker = _MegaBroker(self.sim, self.engine, tick, window,
-                                  self.ue_epoch,
-                                  service_cost=service_cost)
+        self.broker = _MegaBroker(self.sim, self.engine, tick,
+                                  self.ue_epoch, service_cost=service_cost)
         # -- site admission state -----------------------------------------
         self.site_attached = [0] * sites
         self.site_capacity = max(8, int(math.ceil(
@@ -593,7 +551,7 @@ class MegaloadWorkload:
 
         All randomness is consumed here, in uid order, before the clock
         starts: execution itself is purely deterministic state stepping,
-        which is what lets the two engines replay identical outcomes.
+        which is what lets any conforming engine replay the same outcome.
         The script lands directly in the packed SoA columns — no per-UE
         object or tuple survives this loop.
         """
@@ -643,16 +601,12 @@ class MegaloadWorkload:
 
     def _dispatch(self, uid: int, meta: int) -> None:
         # `actions` counts *effective* lifecycle steps only — stale
-        # wakeups (token mismatch) are bookkeeping noise whose volume
-        # differs between engines (legacy cancels them out of the heap,
-        # batched lets them fall through), so counting them would break
-        # the cross-engine parity the digests pin.  Field decodes are
-        # deferred into the branches that need them.
+        # wakeups (token mismatch) are bookkeeping, not workload.  Field
+        # decodes are deferred into the branches that need them.
         action = meta >> _ACTION_SHIFT
         epoch = self.ue_epoch
         if action == A_POKE:
-            # Keep-alive: re-arm the idle timer (the timer-churn pattern
-            # that litters the legacy heap with cancelled entries).
+            # Keep-alive: re-arm the idle timer.
             if (meta >> _ARG_BITS) & _TOKEN_MASK != epoch[uid]:
                 return
             self.actions += 1
@@ -748,18 +702,10 @@ class MegaloadWorkload:
         idle_tokens = self.ue_idle_token
         token = idle_tokens[uid] + 1
         idle_tokens[uid] = token
-        meta = _M_IDLE | (self.ue_epoch[uid] << _ARG_BITS) | token
-        idx = self._now_idx() + self._idle_ticks
-        events = self._idle_events
-        if events is None:
-            self._wake(idx, uid, meta)
-            return
-        # The Timer.start idiom: cancel the previous deadline, push a
-        # fresh one — the dead entry stays in the legacy heap.
-        prev = events[uid]
-        if prev is not None:
-            prev.cancel()
-        events[uid] = self._wake(idx, uid, meta)
+        # The previous deadline is not cancelled: its token is stale, so
+        # dispatch drops it.
+        self._wake(self._now_idx() + self._idle_ticks, uid,
+                   _M_IDLE | (self.ue_epoch[uid] << _ARG_BITS) | token)
 
     def _detach(self, uid: int) -> None:
         site = self.ue_site[uid]
@@ -767,10 +713,6 @@ class MegaloadWorkload:
             self.site_attached[site] -= 1
             self.ue_site[uid] = -1
         self.ue_epoch[uid] += 1
-        events = self._idle_events
-        if events is not None and events[uid] is not None:
-            events[uid].cancel()
-            events[uid] = None
 
     def run(self) -> dict:
         """Execute to completion; returns the cell dict for the report."""
@@ -789,7 +731,7 @@ class MegaloadWorkload:
             "duration_s": self.duration,
             "tick_s": self.tick,
             "seed": self.seed,
-            "adaptive_window": self.adaptive,
+            "adaptive_window": True,    # hashed into every pinned digest
             "site_capacity": self.site_capacity,
             "arrived": self.arrived,
             "attach_ok": self.attach_ok,
@@ -836,49 +778,30 @@ class MegaloadWorkload:
             "peak_rss_mb": round(peak_rss / (1024.0 * 1024.0), 2),
             # Peak-RSS growth across this workload's lifetime, per UE —
             # the SoA memory gate.  Only meaningful for the first cell
-            # of a process (peak RSS never shrinks), which is why
-            # run_megaload leads with the optimized engine.
+            # of a process (peak RSS never shrinks).
             "rss_per_ue_bytes": round(
                 max(0.0, peak_rss - self._rss_before) / self.ues, 1),
             "broker_service_cost_s": self.broker.service_cost,
             "broker_busy_s": round(self.broker.busy_s, 6),
         }
-        return {
-            "engine": self.engine_name,
-            "compaction": self.sim.compaction,
-            "workload": workload,
-            "digest": digest,
-            "perf": perf,
-        }
+        return {"workload": workload, "digest": digest, "perf": perf}
 
 
 def run_cell(*, ues: int = 100_000, sites: int = 256,
              duration: float = 60.0, tick: float = 0.05, seed: int = 7,
-             engine: str = "optimized",
-             adaptive: Optional[bool] = None,
-             compaction: Optional[bool] = None,
              real_fraction: float = 0.0, real_rat: str = "lte",
              real_sites: int = 4, charge_crypto: Optional[bool] = None,
              kpi_store=None, kpi_interval: float = 1.0) -> dict:
-    """Run one megaload cell.  ``adaptive``/``compaction`` default to the
-    engine's natural configuration (legacy = fixed window, no
-    compaction; optimized = adaptive window, compaction on) but can be
-    pinned for apples-to-apples engine-equivalence checks.
-    ``real_fraction`` samples that slice of the population into the
-    full-fidelity SAP cohort (``real_rat`` selects the stack,
-    ``real_sites`` sizes its RAN); any real cohort implies
-    ``charge_crypto`` — measured RSA service times replace the
+    """Run one megaload cell.  ``real_fraction`` samples that slice of
+    the population into the full-fidelity SAP cohort (``real_rat``
+    selects the stack, ``real_sites`` sizes its RAN); any real cohort
+    implies ``charge_crypto`` — measured RSA service times replace the
     calibrated constant in the scripted broker model.  With
     ``kpi_store`` (a :class:`~repro.obs.fleet.FleetKpiStore`), a
     read-only collector samples workload/broker/site KPIs every
     ``kpi_interval`` sim-seconds — the workload digest is unaffected."""
-    if adaptive is None:
-        adaptive = engine == "optimized"
-    if compaction is None:
-        compaction = engine == "optimized"
     workload = MegaloadWorkload(
         ues=ues, sites=sites, duration=duration, tick=tick, seed=seed,
-        engine=engine, adaptive=adaptive, compaction=compaction,
         real_fraction=real_fraction, real_rat=real_rat,
         real_sites=real_sites, charge_crypto=charge_crypto)
     if kpi_store is not None:
@@ -888,43 +811,113 @@ def run_cell(*, ues: int = 100_000, sites: int = 256,
 
 def run_megaload(*, ues: int = 100_000, sites: int = 256,
                  duration: float = 60.0, tick: float = 0.05,
-                 seed: int = 7,
-                 engines: tuple = ("optimized", "legacy"),
-                 real_fraction: float = 0.0, real_rat: str = "lte",
-                 real_sites: int = 4, kpi_store=None,
-                 kpi_interval: float = 1.0) -> dict:
-    """The full report: one cell per engine plus the speedup row that the
-    CI smoke gate enforces (optimized vs the pre-optimization core).
-    The optimized engine runs first so its ``rss_per_ue_bytes`` profile
-    measures a cold process (peak RSS is monotonic per process).  The
-    mixed-fidelity knobs pass straight to :func:`run_cell`; with
-    ``kpi_store`` the *first* cell is sampled (one store holds one
-    cell's windows)."""
-    cells = [run_cell(ues=ues, sites=sites, duration=duration, tick=tick,
-                      seed=seed, engine=engine,
-                      real_fraction=real_fraction, real_rat=real_rat,
-                      real_sites=real_sites,
-                      kpi_store=kpi_store if index == 0 else None,
-                      kpi_interval=kpi_interval)
-             for index, engine in enumerate(engines)]
+                 seed: int = 7, **cell_options) -> dict:
+    """The ``BENCH_megaload.json`` report: the configuration and its
+    cell.  ``cell_options`` (the mixed-fidelity and KPI knobs) pass
+    straight to :func:`run_cell`."""
     report = {
         "bench": "megaload",
         "config": {"ues": ues, "sites": sites, "duration_s": duration,
                    "tick_s": tick, "seed": seed},
-        "cells": cells,
+        "cells": [run_cell(ues=ues, sites=sites, duration=duration,
+                           tick=tick, seed=seed, **cell_options)],
     }
-    if real_fraction > 0:
-        report["config"]["real_fraction"] = real_fraction
-        report["config"]["real_rat"] = real_rat
-        report["config"]["real_sites"] = real_sites
-    by_engine = {cell["engine"]: cell for cell in cells}
-    if "legacy" in by_engine and "optimized" in by_engine:
-        legacy = by_engine["legacy"]["perf"]
-        optimized = by_engine["optimized"]["perf"]
-        report["speedup"] = {
-            "legacy_ues_per_sec": legacy["ues_per_sec"],
-            "optimized_ues_per_sec": optimized["ues_per_sec"],
-            "speedup": round(optimized["ues_per_sec"]
-                             / max(legacy["ues_per_sec"], 1e-9), 2),
-        }
+    if cell_options.get("real_fraction", 0.0) > 0:
+        cohort = report["cells"][0]["workload"]["real_cohort"]
+        report["config"].update(
+            real_fraction=cell_options["real_fraction"],
+            real_rat=cohort["rat"], real_sites=cohort["sites"])
     return report
+
+
+# ---------------------------------------------------------------------------
+# --smoke: one seeded configuration and the facts it must reproduce.  A
+# pin moves only with the workload model: rerun the smoke, copy the value
+# it prints into the constant, and say why in the commit.
+# ---------------------------------------------------------------------------
+
+SMOKE = dict(ues=100_000, sites=256, duration=60.0, tick=0.05, seed=7)
+#: sha256 over SMOKE's workload counters — the same on every host.
+SMOKE_DIGEST = \
+    "b6b306f2b8390463f3e7d801da5e940f0088eb91aebd4601fa9714d06a2e0e16"
+#: resident bytes per scripted UE the SoA layout must stay under
+#: (~125 measured); a size, not a clock.
+MAX_RSS_PER_UE_BYTES = 512
+#: the mixed-fidelity micro-cell: a real SAP cohort and charged crypto
+#: sharing one clock with the scripted population.
+SMOKE_MIXED = dict(ues=20_000, sites=64, duration=20.0, tick=0.05, seed=7,
+                   real_fraction=0.002, real_sites=2)
+
+
+def smoke(kpi_store=None) -> dict:
+    """The ``megaload --smoke`` run: :data:`SMOKE` (first, so its RSS/UE
+    is a cold-process figure), then :data:`SMOKE_MIXED` under ``mixed``
+    (sampled into ``kpi_store`` when given)."""
+    report = run_megaload(**SMOKE)
+    report["mixed"] = run_cell(kpi_store=kpi_store, **SMOKE_MIXED)
+    return report
+
+
+def gates(report: dict) -> list:
+    """What a :func:`smoke` report must show."""
+    cell, mixed = report["cells"][0], report["mixed"]
+    rss = cell["perf"]["rss_per_ue_bytes"]
+    attached = mixed["workload"]["real_cohort"]["attach_ok"]
+    busy = mixed["perf"]["broker_busy_s"]
+    charged = mixed["perf"]["broker_service_cost_s"] \
+        * mixed["workload"]["broker_requests"]
+    return [
+        gate("digest", cell["digest"], SMOKE_DIGEST,
+             cell["digest"] == SMOKE_DIGEST),
+        gate("rss_per_ue_bytes", rss, MAX_RSS_PER_UE_BYTES,
+             rss <= MAX_RSS_PER_UE_BYTES),
+        gate("mixed:real_attaches", attached, 1, attached >= 1),
+        # busy_s is rounded to 1e-6 in the report; allow that plus float
+        # accumulation slack across ~1e4 batches.
+        gate("mixed:scripted_busy_equals_charged_s", busy,
+             round(charged, 6),
+             abs(busy - charged) <= 1e-5 + 1e-9 * abs(charged)),
+    ]
+
+
+OBSERVE_SMOKE = dict(ues=20_000, sites=256, duration=30.0, seed=7)
+
+
+def observe(*, smoke: bool = False, interval: float = 1.0,
+            **config) -> dict:
+    """One cell under the fleet observatory's read-only KPI collector.
+    ``smoke`` runs :data:`OBSERVE_SMOKE` and adds what
+    :func:`observe_gates` compares it with: the collector-free cell and
+    the KPI JSON of a second collected run."""
+    from repro.obs.fleet import FleetKpiStore
+
+    if smoke:
+        config = OBSERVE_SMOKE
+    store = FleetKpiStore("megaload")
+    seen = {"config": {**config, "kpi_interval_s": interval},
+            "store": store,
+            "cell": run_cell(kpi_store=store, kpi_interval=interval,
+                             **config)}
+    if smoke:
+        seen["bare"] = run_cell(**config)
+        again = FleetKpiStore("megaload")
+        run_cell(kpi_store=again, kpi_interval=interval, **config)
+        seen["rerun_kpi_json"] = again.to_json()
+    return seen
+
+
+def observe_gates(seen: dict) -> list:
+    """What a ``smoke`` :func:`observe` must show: the collector is
+    passive, deterministic, and costs one event per window after the
+    first — the count the old 5 % wall-clock allowance approximated."""
+    cell, bare, store = seen["cell"], seen["bare"], seen["store"]
+    same_json = store.to_json() == seen["rerun_kpi_json"]
+    extra = cell["perf"]["events_processed"] \
+        - bare["perf"]["events_processed"]
+    return [
+        gate("digest_equals_collector_free_run", cell["digest"],
+             bare["digest"], cell["digest"] == bare["digest"]),
+        gate("kpi_json_identical_across_runs", same_json, True, same_json),
+        gate("collector_events", extra, len(store.rows) - 1,
+             extra == len(store.rows) - 1),
+    ]

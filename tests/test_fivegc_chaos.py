@@ -13,7 +13,13 @@ from repro.core import Brokerd, UeSapCredentials
 from repro.core.btelco5g import CellBricksAmf, CellBricksUe5G
 from repro.crypto import CertificateAuthority
 from repro.crypto.keypool import pooled_keypair
-from repro.emulation import ChaosSchedule, brownout, outage, run_chaos
+from repro.emulation import run_chaos
+from repro.emulation.chaos import (
+    SMOKE,
+    SMOKE_SUCCESS_RATE,
+    gates,
+    smoke_schedule,
+)
 from repro.fivegc import Amf, Ausf, Gnb, Smf, Udm, Ue5G, make_supi, nas5g
 from repro.fivegc.topology5g import (
     AMF_ADDRESS,
@@ -73,14 +79,6 @@ def build_cellbricks_5g(enroll=True):
     return sim, brokerd, amf, ue
 
 
-def smoke_schedule():
-    """The seeded CI fault script (same shape as the LTE smoke)."""
-    schedule = ChaosSchedule()
-    schedule.add(outage(2.0, 2.0, target="*-broker"))
-    schedule.add(brownout(8.0, 2.0))
-    return schedule
-
-
 class TestFaultFree5G:
     """A clean network must need none of the reliability machinery."""
 
@@ -111,12 +109,11 @@ class TestFaultFree5G:
 
 class TestChaos5G:
     def test_smoke_meets_5g_acceptance_bars(self):
-        report = run_chaos(attaches=150, schedule=smoke_schedule(),
-                           revoke_every=10, seed=7, base_loss=0.05,
-                           rat="5g")
+        report = run_chaos(schedule=smoke_schedule(), rat="5g", **SMOKE)
         assert report.rat == "5g"
-        assert report.success_rate >= 0.99
-        assert report.unauthorized_session_seconds == 0.0
+        assert [g for g in gates(report.to_dict(), smoke=True)
+                if not g["pass"]] == []
+        assert SMOKE_SUCCESS_RATE["5g"] == 0.99
         # The faults actually bit: the run needed the reliable machinery.
         assert report.retransmissions > 0
         assert report.revocations > 0

@@ -25,8 +25,8 @@ FORBIDDEN = ("repro.core", "repro.crypto", "repro.lte", "repro.fivegc",
              "repro.testbed")
 EXPECTED = {
     "repro",
-    "repro.analysis", "repro.analysis.mos", "repro.analysis.stats",
-    "repro.analysis.textplot",
+    "repro.analysis", "repro.analysis.gates", "repro.analysis.mos",
+    "repro.analysis.stats", "repro.analysis.textplot",
     "repro.apps", "repro.apps.fallback", "repro.apps.iperf",
     "repro.apps.ping", "repro.apps.transport", "repro.apps.video",
     "repro.apps.voip", "repro.apps.web",

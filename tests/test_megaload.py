@@ -1,7 +1,7 @@
 """Megaload workload + the bugfix sweep that rode along with it.
 
-Covers the population-scale harness (determinism, engine parity,
-workload sanity), the adaptive broker batch window, and the fixes the
+Covers the population-scale harness (determinism, parity with the
+reference engine, workload sanity), the adaptive broker batch window, and the fixes the
 megaload drive surfaced: the ``links=None`` dataclass default, silent
 attach-failure swallowing, and the O(n) AMBR bearer scan.
 """
@@ -12,11 +12,30 @@ from repro.core.broker import AdaptiveBatchWindow
 from repro.core.mobility import CellBricksNetwork, MobilityManager
 from repro.lte.bearer import SgwPgw
 from repro.net import Simulator
-from repro.testbed.megaload import run_cell, run_megaload
+from repro.testbed.megaload import (
+    MegaloadWorkload,
+    run_cell,
+    run_megaload,
+)
 
 # Small enough to keep the suite fast, large enough for every lifecycle
 # path (retries, idle detaches, multi-segment mobility) to fire.
 SMALL = dict(ues=2000, sites=32, duration=30.0, tick=0.05, seed=11)
+
+
+class HeapPerWake:
+    """Reference engine: every wake is its own simulator event, popped
+    in (time, schedule order) — the model the tick calendar must equal."""
+
+    def __init__(self, sim, tick, dispatch):
+        self.sim, self.tick, self.dispatch = sim, tick, dispatch
+
+    def wake(self, idx, key, code=0):
+        self.sim.schedule_at(idx * self.tick, self.dispatch, key, code)
+
+
+class ReferenceWorkload(MegaloadWorkload):
+    engine_class = HeapPerWake
 
 
 class TestAdaptiveBatchWindow:
@@ -166,23 +185,30 @@ class TestBearerIpIndex:
 
 class TestMegaload:
     def test_same_seed_same_digest(self):
-        first = run_cell(engine="optimized", **SMALL)
-        second = run_cell(engine="optimized", **SMALL)
+        first = run_cell(**SMALL)
+        second = run_cell(**SMALL)
         assert first["digest"] == second["digest"]
         assert first["workload"] == second["workload"]
 
-    def test_engine_parity_under_fixed_window(self):
-        # With the broker window pinned to the historical fixed 2 ms,
-        # the batched tick-calendar engine must replay *exactly* the
-        # legacy engine's workload outcome — the optimization changes
-        # execution mechanics, never simulated behavior.
-        legacy = run_cell(engine="legacy", **SMALL)
-        optimized = run_cell(engine="optimized", adaptive=False, **SMALL)
-        assert legacy["workload"] == optimized["workload"]
-        assert legacy["digest"] == optimized["digest"]
+    def test_engine_parity_with_reference_engine(self):
+        # The tick calendar changes execution mechanics, never simulated
+        # behavior: one heap event per occupied tick must replay *exactly*
+        # what one heap event per wake does — under the adaptive broker
+        # window, with and without batches that fill before their timer.
+        for ues, full_flushes in ((2000, False), (20_000, True)):
+            config = dict(SMALL, ues=ues)
+            reference = ReferenceWorkload(**config).run()
+            calendar = run_cell(**config)
+            assert reference["workload"] == calendar["workload"]
+            assert reference["digest"] == calendar["digest"]
+            assert (calendar["workload"]["broker_full_flushes"] > 0) \
+                == full_flushes
+            # ... at a fraction of the heap traffic.
+            assert reference["perf"]["events_scheduled"] > \
+                5 * calendar["perf"]["events_scheduled"]
 
     def test_workload_exercises_every_lifecycle_path(self):
-        cell = run_cell(engine="optimized", **SMALL)
+        cell = run_cell(**SMALL)
         workload = cell["workload"]
         assert workload["arrived"] == SMALL["ues"]
         assert workload["attach_ok"] > 0
@@ -194,29 +220,23 @@ class TestMegaload:
         # still attached at horizon, or gave up after its retry.
         assert workload["attach_ok"] <= workload["broker_requests"]
 
-    def test_legacy_engine_accumulates_cancelled_garbage(self):
-        # The legacy cell runs with compaction off and one heap event
-        # per action — the pathology the optimized engine removes.
-        legacy = run_cell(engine="legacy", **SMALL)
-        optimized = run_cell(engine="optimized", **SMALL)
-        assert legacy["perf"]["events_scheduled"] > \
-            5 * optimized["perf"]["events_scheduled"]
-        assert legacy["compaction"] is False
-        assert optimized["compaction"] is True
-
-    def test_report_structure_and_speedup_row(self):
+    def test_report_structure(self):
         report = run_megaload(**SMALL)
-        assert {cell["engine"] for cell in report["cells"]} == \
-            {"legacy", "optimized"}
-        assert report["speedup"]["speedup"] > 0
-        for cell in report["cells"]:
-            assert set(cell) == {"engine", "compaction", "workload",
-                                 "digest", "perf"}
-            assert cell["perf"]["events_processed"] > 0
+        assert set(report) == {"bench", "config", "cells"}
+        (cell,) = report["cells"]
+        assert set(cell) == {"workload", "digest", "perf"}
+        assert cell["perf"]["events_processed"] > 0
+        assert cell["workload"]["adaptive_window"] is True
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            run_cell(engine="warp", **SMALL)
+        # The ledger's frozen caller still names the one engine; any
+        # other value of its three keywords selects nothing and raises.
+        MegaloadWorkload(engine="optimized", adaptive=True,
+                         compaction=True, **SMALL)
+        for words in (dict(engine="warp"), dict(engine="legacy"),
+                      dict(adaptive=False), dict(compaction=False)):
+            with pytest.raises(ValueError):
+                MegaloadWorkload(**words, **SMALL)
 
 
 class TestRssUnits:
@@ -243,7 +263,7 @@ class TestRssUnits:
 # A mixed-fidelity micro-cell: 4 real UEs riding a 400-UE scripted
 # population (big enough for moves/failures, small enough for CI).
 MIXED = dict(ues=400, sites=8, duration=20.0, tick=0.05, seed=13,
-             engine="optimized", real_fraction=0.01, real_sites=2)
+             real_fraction=0.01, real_sites=2)
 
 
 class TestMixedFidelity:
@@ -279,14 +299,14 @@ class TestMixedFidelity:
         assert charging["sign_ms"] > 0
 
     def test_real_fraction_zero_keeps_plain_report(self):
-        cell = run_cell(engine="optimized", **SMALL)
+        cell = run_cell(**SMALL)
         assert "real_cohort" not in cell["workload"]
         assert "real_fraction" not in cell["workload"]
         assert "crypto_charging" not in cell["workload"]
 
     def test_rejects_bad_real_fraction(self):
         with pytest.raises(ValueError):
-            run_cell(engine="optimized", real_fraction=1.5, **SMALL)
+            run_cell(real_fraction=1.5, **SMALL)
 
     def test_rejects_unknown_rat(self):
         bad = dict(MIXED)

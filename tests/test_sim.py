@@ -161,17 +161,6 @@ class TestHeapCompaction:
         assert sim.compactions == 0
         assert sim.pending() == 10
 
-    def test_compaction_can_be_disabled(self):
-        sim = Simulator(compaction=False)
-        events = [sim.schedule(float(i + 1), lambda: None)
-                  for i in range(1024)]
-        for event in events[:1000]:
-            event.cancel()
-        assert sim.compactions == 0
-        assert len(sim._queue) == 1024      # dead entries linger
-        assert sim.pending() == 24          # but the count stays exact
-        assert sim.run() == 24
-
     def test_cancel_after_run_does_not_skew_counters(self):
         # A stale handle (event already fired or cleared) must be inert.
         sim = Simulator()
@@ -366,7 +355,3 @@ class TestTickCalendar:
         from repro.net.sim import TickCalendar
         with pytest.raises(SimulationError):
             TickCalendar(Simulator(), 0.0, lambda key, code: None)
-
-    def test_not_cancellable(self):
-        from repro.net.sim import TickCalendar
-        assert TickCalendar.cancellable is False
