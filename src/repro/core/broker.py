@@ -51,6 +51,7 @@ AUTHVEC_DECRYPT_COST = 0.0010    # RSA decrypt of the authVec
 SEAL_SIGN_COST = 0.0009          # one seal_and_sign (RSA private op)
 CACHED_VERIFY_COST = 0.00002     # verify-cache hit instead of a full check
 DENIAL_FINISH_COST = 0.0001      # replay/policy rejection (no minting)
+VERIFY_WORKERS = 4               # parallel stage-A verification lanes
 
 
 @dataclass
@@ -291,42 +292,31 @@ class Brokerd(SignalingNode):
         return self.key.public_key
 
     # -- batching pipeline ----------------------------------------------------
-    def configure_pipeline(self, *, enabled: bool = True,
-                           batch_window: float = 0.002,
-                           verify_workers: int = 4,
+    def configure_pipeline(self, *, batch_window: float = 0.002,
                            shards: Optional[int] = None,
-                           adaptive: bool = False,
-                           min_window: float = 0.0002,
-                           max_window: float = 0.008,
-                           window_full_size: int = 32) -> None:
+                           adaptive: bool = False) -> None:
         """Switch the auth hot path to the sharded, batching pipeline.
 
         Requests arriving within ``batch_window`` of the first are
         flushed as one batch: signature/certificate checks run on
-        ``verify_workers`` parallel workers (stage A), then each request
-        joins its shard's serialized replay/mint lane (stage B).  With
-        the pipeline off (the default) the historical one-at-a-time
-        handler runs and behavior is byte-identical to earlier builds.
+        ``VERIFY_WORKERS`` parallel workers (stage A), then each request
+        joins its shard's serialized replay/mint lane (stage B).
+        Without this call the historical one-at-a-time handler runs.
 
-        ``adaptive=True`` replaces the fixed window with an
-        :class:`AdaptiveBatchWindow` over ``[min_window, max_window]``:
-        the window tracks the observed arrival rate and a batch of
-        ``window_full_size`` flushes immediately instead of waiting out
-        its timer (Nagle-style).  Only measurable at population scale —
-        see ``repro.testbed.megaload``.
+        ``adaptive=True`` replaces the fixed window with a default
+        :class:`AdaptiveBatchWindow`: the window tracks the observed
+        arrival rate and a full batch flushes immediately instead of
+        waiting out its timer (Nagle-style).  Only measurable at
+        population scale — see ``repro.testbed.megaload``.
         """
-        if verify_workers < 1:
-            raise ValueError("verify_workers must be >= 1")
         if batch_window < 0.0:
             raise ValueError("batch_window must be >= 0")
         if shards is not None:
             self.sap.set_shard_count(shards)
-        self.pipeline_enabled = enabled
+        self.pipeline_enabled = True
         self._parked.window = batch_window
-        self._parked.adaptive = AdaptiveBatchWindow(
-            min_window=min_window, max_window=max_window,
-            full_size=window_full_size) if adaptive else None
-        self._worker_free = [0.0] * verify_workers
+        self._parked.adaptive = AdaptiveBatchWindow() if adaptive else None
+        self._worker_free = [0.0] * VERIFY_WORKERS
         self._shard_free = {}
 
     # -- distributed shards ---------------------------------------------------
@@ -338,29 +328,12 @@ class Brokerd(SignalingNode):
         network-attached shard hosts behind the frontend's hash ring.
         Called by ``repro.core.shardhost.deploy_shard_hosts``.
         """
-        from .shardhost import (
-            HandoffBeginAck,
-            HandoffChunk,
-            HandoffChunkAck,
-            HandoffCommitAck,
-            PromoteAck,
-            ResyncAck,
-            ShardAuthResponse,
-            ShardHeartbeatAck,
-            ShardScopeAck,
-        )
         self.frontend = frontend
         self.processing_costs = dict(self.processing_costs)
-        self.processing_costs.update(frontend.broker_processing_costs())
-        self.on(ShardAuthResponse, frontend._on_shard_auth_response)
-        self.on(ShardScopeAck, frontend._on_shard_scope_ack)
-        self.on(ShardHeartbeatAck, frontend._on_heartbeat_ack)
-        self.on(PromoteAck, frontend._on_promote_ack)
-        self.on(ResyncAck, lambda src_ip, ack: None)
-        self.on(HandoffBeginAck, lambda src_ip, ack: None)
-        self.on(HandoffChunk, frontend._on_handoff_chunk)
-        self.on(HandoffChunkAck, frontend._on_handoff_chunk_ack)
-        self.on(HandoffCommitAck, lambda src_ip, ack: None)
+        for message, (handler, cost) in frontend.BROKER_MESSAGES.items():
+            self.processing_costs[message] = cost
+            self.on(message, getattr(frontend, handler) if handler
+                    else lambda src_ip, ack: None)
 
     def _cost_scale(self) -> float:
         """Fault-injection compatibility: a brownout inflates the lump

@@ -7,11 +7,14 @@ apply to the broker's own internals end-to-end:
 
 * :class:`ShardHost` — a :class:`~repro.lte.signaling.SignalingNode`
   wrapping a single-shard :class:`~repro.core.sap.BrokerSap`.  Each
-  shard runs as a primary + a warm standby replica pair; the primary
-  streams the state ops its SAP applies (see
-  :meth:`~repro.core.sap.BrokerSap.apply`) to the replica as sequenced
-  :class:`ReplicaUpdate` batches.  ``crash()`` is fail-stop: all state
-  is lost and every datagram is dropped until ``restart()``.
+  shard runs as a primary + a warm standby replica pair.  ``crash()``
+  is fail-stop: all state is lost and every datagram is dropped until
+  ``restart()``.
+
+* :class:`_OpStream` — the one way session state leaves a host.  The
+  primary's journal to its standby, a resync and a rebalance handoff
+  are constructions of it; :meth:`ShardHost._handle_op_batch` is the
+  one receiver.
 
 * :class:`ShardFrontend` — lives inside ``brokerd``: decrypts the
   authVec just enough to route by the consistent-hash ring, forwards
@@ -23,12 +26,11 @@ apply to the broker's own internals end-to-end:
   of timing out.
 
 * Rebalances (``add_shard`` / ``remove_shard`` / ``set_shard_count``)
-  are network protocols: chunked :class:`HandoffChunk` state transfers
-  with sequence numbers, idempotent application, and resume-after-loss,
-  relayed through the frontend (shard hosts only have links to the
-  broker and to their own replica).  Attaches that land mid-handoff for
-  a moving subscriber are parked at the frontend and forwarded after
-  commit — never dropped.
+  are network protocols: begin, one op stream per (source, target)
+  pair relayed through the frontend (shard hosts only have links to
+  the broker and to their own replica), commit.  Attaches that land
+  mid-handoff for a moving subscriber are parked at the frontend and
+  forwarded after commit — never dropped.
 
 The provisioning plane (subscriber enrollment, suspension flags, lawful
 intercept mandates) is modeled as a strongly-consistent subscriber DB
@@ -74,15 +76,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ShardAuthRequest:
     """Frontend -> shard host: one routed SAP authentication request.
-
-    ``replay_only`` marks a forward to an unpromoted standby during
-    degraded mode: it may serve the replicated idempotency cache but
-    must fast-fail fresh auths with a retryable denial.
-    """
+    An unpromoted standby serves it from the replicated idempotency
+    cache only (degraded mode)."""
 
     auth_req_t: object
     reply_token: int = 0
-    replay_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -136,24 +134,45 @@ class ShardHeartbeat:
 class ShardHeartbeatAck:
     seq: int
     shard_id: int
-    role: str
 
 
 @dataclass(frozen=True)
-class ReplicaUpdate:
-    """Primary -> replica: one sequenced batch of the idempotent state
-    ops of :meth:`repro.core.sap.BrokerSap.apply`, in the order the
-    primary applied them."""
+class OpBatch:
+    """One frozen, sequenced slice of an op stream: ops of
+    :meth:`repro.core.sap.BrokerSap.apply`, cut by :class:`_OpStream`.
 
-    shard_id: int
+    ``restart`` counts how often the sender started ``stream`` over; a
+    receiver forgets what it applied under a lower count.  ``closed``
+    marks a slice of an ``export()`` (order-free ops, ``last`` on the
+    final one) as opposed to a journal, whose batches apply strictly in
+    order.  ``target_shard`` routes a batch sent via the frontend to
+    that shard's current primary (shard hosts only have links to the
+    broker and to their own peer)."""
+
+    stream: object
+    restart: int
     seq: int
     ops: tuple = ()
+    closed: bool = False
+    last: bool = False
+    target_shard: Optional[int] = None
+
+    @property
+    def wire_size(self) -> int:
+        return 64 + 96 * len(self.ops)
+
+    def ack(self) -> "OpBatchAck":
+        """The receiver's answer once this batch is applied.  Sender
+        and relay match an incoming ack by equality with it."""
+        return OpBatchAck(self.stream, self.restart, self.seq, self.last)
 
 
 @dataclass(frozen=True)
-class ReplicaUpdateAck:
-    shard_id: int
+class OpBatchAck:
+    stream: object
+    restart: int
     seq: int
+    last: bool = False
 
 
 @dataclass(frozen=True)
@@ -169,20 +188,14 @@ class PromoteReplica:
 class PromoteAck:
     shard_id: int
     epoch: int
-    applied_seq: int
 
 
 @dataclass(frozen=True)
 class ResyncPeer:
-    """Frontend -> current primary: your peer rejoined empty; restart
-    the replication stream from a full snapshot."""
+    """Frontend -> current primary: your peer lost touch with the
+    stream (rejoined empty, or sat out a partition); start it over from
+    a full snapshot."""
 
-    shard_id: int
-    epoch: int
-
-
-@dataclass(frozen=True)
-class ResyncAck:
     shard_id: int
     epoch: int
 
@@ -190,69 +203,154 @@ class ResyncAck:
 @dataclass(frozen=True)
 class HandoffBegin:
     """Frontend -> source shard: stream the session state of
-    ``moving_ids`` to ``target_shard`` (chunks relayed via the
-    frontend — shard hosts have no direct links to each other)."""
+    ``moving_ids`` to ``target_shard`` as a closed op stream named
+    ``handoff_id``."""
 
     handoff_id: int
-    shard_id: int
     target_shard: int
     moving_ids: tuple
-
-
-@dataclass(frozen=True)
-class HandoffBeginAck:
-    handoff_id: int
-    entries: int
-
-
-@dataclass(frozen=True)
-class HandoffChunk:
-    """One sequenced slice of a handoff.  Applied idempotently at the
-    target (dedup by ``(handoff_id, seq)``), so retransmission and
-    restart-after-loss are safe."""
-
-    handoff_id: int
-    source_shard: int
-    target_shard: int
-    seq: int
-    last: bool
-    entries: tuple = ()
-
-
-@dataclass(frozen=True)
-class HandoffChunkAck:
-    handoff_id: int
-    seq: int
-    last: bool = False
 
 
 @dataclass(frozen=True)
 class HandoffCommit:
-    """Frontend -> source shard, after every chunk of the rebalance is
-    acked: drop the moved state (and tell your replica to forget it)."""
+    """Frontend -> source shard, after the ``last`` batch of every
+    handoff of the rebalance is acked: drop the moved state (and tell
+    your replica to forget it)."""
 
     handoff_id: int
-    shard_id: int
     moving_ids: tuple
 
 
 @dataclass(frozen=True)
-class HandoffCommitAck:
-    handoff_id: int
+class OrderAck:
+    """Shard host -> frontend: receipt for a :class:`ResyncPeer`,
+    :class:`HandoffBegin` or :class:`HandoffCommit`.  It completes the
+    order's reliable request and carries nothing."""
 
 
-# Frontend-side processing costs for the shard protocol on brokerd.
-FRONTEND_PROCESSING_COSTS = {
-    ShardAuthResponse: 0.0001,
-    ShardHeartbeatAck: 0.00002,
-    ShardScopeAck: 0.00005,
-    PromoteAck: 0.0001,
-    ResyncAck: 0.00005,
-    HandoffBeginAck: 0.00005,
-    HandoffChunk: 0.0002,      # relay: queue + forward
-    HandoffChunkAck: 0.00005,
-    HandoffCommitAck: 0.00005,
-}
+# -- the op stream ----------------------------------------------------------
+
+#: stream id of a primary's journal to its standby (handoffs use their id).
+STANDBY = "standby"
+
+
+@dataclass
+class _OpStream:
+    """Sender half of one op stream out of a :class:`ShardHost`.
+
+    Queued ops are cut into frozen :class:`OpBatch` slices of at most
+    ``chunk`` ops (``None``: the whole backlog), one in flight, each
+    re-sent unchanged until acked — a seq is never reused for different
+    ops, or a batch that was delivered (ack lost) would swallow its
+    replacement.  A *closed* stream (nothing more will be queued: it
+    carries an ``export()`` slice) flushes back to back and marks its
+    final batch ``last``; an open one flushes on the host's
+    ``replication_interval`` timer.  Each batch is a reliable request of
+    ``attempts`` tries from ``timeout``; ``patience`` seconds after the
+    last ack the peer is presumed dead and the stream stops.
+    """
+
+    host: "ShardHost"
+    stream: object
+    dst_ip: str
+    closed: bool
+    chunk: Optional[int]
+    timeout: float
+    attempts: int
+    patience: float
+    sent: object               # registry counter: batches cut
+    giveups: object            # registry counter: requests given up on
+    target_shard: Optional[int] = None
+    log: list = field(default_factory=list)
+    stopped: bool = False
+    restarts: int = 0
+    seq: int = 0
+    inflight: Optional[OpBatch] = None
+    timer: object = None
+    finished: bool = False     # a closed stream has cut its last batch
+    last_ack_at: float = 0.0
+
+    def queue(self, op: tuple) -> None:
+        if self.stopped:
+            return
+        self.log.append(op)
+        self.wake()
+
+    def wake(self) -> None:
+        if self.closed:
+            self._flush()
+        elif self.log and self.timer is None:
+            self.timer = self.host.sim.schedule(
+                self.host.replication_interval, self._flush)
+
+    def restart(self, ops: list) -> None:
+        """Start over from ``ops`` under a bumped restart count, so the
+        receiver forgets what it applied before.  The request still in
+        flight runs out on its own: its batch carries the old count."""
+        self.restarts += 1
+        self.seq = 0
+        self.inflight = None
+        self.log = ops
+        self.stopped = self.finished = False
+        self.last_ack_at = self.host.sim.now
+        if self.timer is None:
+            self.timer = self.host.sim.schedule(0.0, self._flush)
+
+    def stop(self) -> None:
+        """Drop the backlog and send nothing more."""
+        self.stopped = True
+        self.inflight = None
+        self.log.clear()
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def _flush(self) -> None:
+        self.timer = None
+        if self.stopped or self.finished or self.inflight is not None:
+            return   # one batch in flight: the next goes after its ack
+        if not (self.log or self.closed):
+            return
+        ops = tuple(self.log[:self.chunk])
+        del self.log[:self.chunk]
+        self.seq += 1
+        # An empty slice is still one empty ``last`` batch.
+        self.finished = self.closed and not self.log
+        self.inflight = OpBatch(
+            stream=self.stream, restart=self.restarts, seq=self.seq,
+            ops=ops, closed=self.closed, last=self.finished,
+            target_shard=self.target_shard)
+        self.sent.inc()
+        self._transmit(self.inflight)
+
+    def _transmit(self, batch: OpBatch) -> None:
+        if batch is self.inflight:
+            self.host.send_request(
+                self.dst_ip, batch, size=batch.wire_size,
+                timeout=self.timeout, max_attempts=self.attempts,
+                on_give_up=self._gave_up)
+
+    def _gave_up(self, batch: OpBatch) -> None:
+        """The request was never answered: while its batch is still the
+        one in flight (the stream neither stopped nor started over),
+        re-send the *same* frozen batch as a fresh request."""
+        self.giveups.inc()
+        if batch is not self.inflight:
+            return
+        if self.host.sim.now - self.last_ack_at > self.patience:
+            # Bounded event queue; the frontend resyncs a peer that
+            # rejoins.
+            self.stop()
+            return
+        self.host.sim.schedule(self.host.replication_interval,
+                               self._transmit, batch)
+
+    def acked(self, ack: OpBatchAck) -> None:
+        if self.inflight is None or ack != self.inflight.ack():
+            return
+        self.inflight = None
+        self.last_ack_at = self.host.sim.now
+        self.wake()
 
 
 # -- the shard host ---------------------------------------------------------
@@ -265,29 +363,27 @@ class ShardHost(SignalingNode):
     ``session_prefix`` so two hosts of the same broker can never mint
     colliding session ids, even across a crash/promotion cycle (the
     prefix carries a generation number bumped on every crash).
+
+    Session state leaves a host on :class:`_OpStream` s and arrives
+    through one handler, :meth:`_handle_op_batch`.
     """
 
     processing_costs = {
         ShardAuthRequest: AUTH_REQUEST_PROCESSING,
         ShardScopeNotice: 0.0002,
         ShardHeartbeat: 0.00002,
-        ReplicaUpdate: 0.0002,
+        OpBatch: 0.0002,
         PromoteReplica: 0.0001,
         ResyncPeer: 0.0002,
         HandoffBegin: 0.0002,
-        HandoffChunk: 0.0002,
         HandoffCommit: 0.0001,
     }
     obs_category = "cloud"
     _SPAN_NAMES = {ShardAuthRequest: "sap.shard_verify"}
 
-    #: replication batch cadence (primary -> replica flush timer).
+    #: flush cadence of an open stream, and the pause before a batch
+    #: that was given up on is sent again.
     replication_interval = 0.05
-    #: stop retrying replication this long after the last peer ack
-    #: (the peer is presumed dead; the frontend resyncs it on rejoin).
-    replication_giveup = 5.0
-    #: state entries per handoff chunk.
-    handoff_chunk_entries = 8
 
     auths_served = CounterAttr("shard.auths_served")
     auths_denied = CounterAttr("shard.auths_denied")
@@ -303,16 +399,11 @@ class ShardHost(SignalingNode):
     scope_advances = CounterAttr("shard.scope_advances")
     scope_nacks = CounterAttr("shard.scope_nacks")
 
-    def span_name(self, message: object) -> str:
-        name = self._SPAN_NAMES.get(type(message))
-        return name if name is not None else super().span_name(message)
-
     def __init__(self, host: Host, shard_id: int, id_b: str, key,
                  ca_public_key, *, frontend_ip: str, peer_ip: str,
-                 session_ttl: float = 3600.0, is_replica: bool = False,
-                 name: Optional[str] = None):
+                 session_ttl: float = 3600.0, is_replica: bool = False):
         suffix = "r" if is_replica else ""
-        super().__init__(host, name or f"shard{shard_id}{suffix}")
+        super().__init__(host, f"shard{shard_id}{suffix}")
         self.shard_id = shard_id
         self.id_b = id_b
         self.key = key
@@ -330,20 +421,6 @@ class ShardHost(SignalingNode):
         #: the shard, exactly as they did in the in-process broker).
         self.authorize_btelco: Optional[Callable] = None
         self.sap = self._new_sap()
-        # -- replication: primary side -----------------------------------
-        self.replicating = not is_replica
-        self._repl_log: list = []
-        self._repl_seq = 0
-        self._repl_inflight: Optional[ReplicaUpdate] = None
-        self._repl_timer = None
-        self._repl_last_ack_at = 0.0
-        # -- replication: replica side -----------------------------------
-        self._applied_seq = 0
-        # -- handoff state ------------------------------------------------
-        #: outbound: handoff_id -> chunks not yet acked, in order
-        self._handoffs_out: dict[int, list] = {}
-        #: inbound dedup: (handoff_id, seq) pairs already applied.
-        self._chunks_applied: set = set()
         self.auths_served = 0
         self.auths_denied = 0
         self.degraded_denials = 0
@@ -357,16 +434,19 @@ class ShardHost(SignalingNode):
         self.crashes = 0
         self.scope_advances = 0
         self.scope_nacks = 0
+        #: outbound: stream id -> sender.  A standby's own journal
+        #: stream is stopped: it has nobody to stream to.
+        self._streams = {STANDBY: self._standby_stream(stopped=is_replica)}
+        #: inbound: stream id -> (restart count, last seq applied).
+        self._applied: dict[object, tuple] = {}
         self.on(ShardAuthRequest, self._handle_auth)
         self.on(ShardScopeNotice, self._handle_scope_notice)
         self.on(ShardHeartbeat, self._handle_heartbeat)
-        self.on(ReplicaUpdate, self._handle_replica_update)
-        self.on(ReplicaUpdateAck, self._handle_replica_ack)
+        self.on(OpBatch, self._handle_op_batch)
+        self.on(OpBatchAck, self._handle_op_ack)
         self.on(PromoteReplica, self._handle_promote)
         self.on(ResyncPeer, self._handle_resync)
         self.on(HandoffBegin, self._handle_handoff_begin)
-        self.on(HandoffChunk, self._handle_handoff_chunk)
-        self.on(HandoffChunkAck, self._handle_handoff_chunk_ack)
         self.on(HandoffCommit, self._handle_handoff_commit)
 
     # -- lifecycle -----------------------------------------------------------
@@ -390,10 +470,6 @@ class ShardHost(SignalingNode):
             return None
         return self.authorize_btelco(id_t)
 
-    @property
-    def role(self) -> str:
-        return "replica" if self.is_replica else "primary"
-
     def crash(self) -> None:
         """Fail-stop: lose all state, drop every datagram until restart."""
         if self.crashed:
@@ -403,20 +479,14 @@ class ShardHost(SignalingNode):
         self.generation += 1
         for correlation_id in list(self._pending_requests):
             self.cancel_request(correlation_id)
-        if self._repl_timer is not None:
-            self._repl_timer.cancel()
-            self._repl_timer = None
-        self._repl_log.clear()
-        self._repl_inflight = None
-        self._repl_seq = 0
-        self._applied_seq = 0
-        self._handoffs_out.clear()
-        self._chunks_applied.clear()
+        # A crashed node no longer streams state anywhere.
+        for stream in self._streams.values():
+            stream.stop()
+        self._streams = {STANDBY: self._standby_stream(stopped=True)}
+        self._applied.clear()
         self._request_cache.clear()
         self._request_cache_expiry.clear()
         self.sap = self._new_sap()
-        # A crashed node no longer streams state anywhere.
-        self.replicating = False
         self._update_repl_gauges()
 
     def restart(self) -> None:
@@ -498,229 +568,139 @@ class ShardHost(SignalingNode):
 
     def _handle_heartbeat(self, src_ip: str, probe: ShardHeartbeat) -> None:
         self.send(src_ip, ShardHeartbeatAck(
-            seq=probe.seq, shard_id=self.shard_id, role=self.role),
-            size=32)
+            seq=probe.seq, shard_id=self.shard_id), size=32)
 
-    # -- replication: primary side ------------------------------------------
+    # -- op streams: sender side ---------------------------------------------
+    def _standby_stream(self, *, stopped: bool) -> _OpStream:
+        """The journal to the peer: open, the whole backlog per batch,
+        0.2 s × 4 per request, stops 5 s after the peer's last ack."""
+        return _OpStream(
+            self, STANDBY, self.peer_ip, closed=False, chunk=None,
+            timeout=0.2, attempts=4, patience=5.0,
+            sent=self.metrics.counter("shard.repl_batches_sent"),
+            giveups=self.metrics.counter("shard.repl_giveups"),
+            stopped=stopped)
+
+    def _queue_op(self, op: tuple) -> None:
+        self._streams[STANDBY].queue(op)
+        self._update_repl_gauges()
+
     @property
     def repl_backlog_ops(self) -> int:
         """Ops minted but not yet acked by the replica (queued + the
         frozen in-flight batch)."""
-        inflight = self._repl_inflight
-        return len(self._repl_log) + (len(inflight.ops)
-                                      if inflight is not None else 0)
+        stream = self._streams[STANDBY]
+        inflight = stream.inflight
+        return len(stream.log) + (len(inflight.ops)
+                                  if inflight is not None else 0)
 
     @property
     def repl_lag_s(self) -> float:
         """Time since the replica last confirmed the stream.  Zero when
         nothing is outstanding — an idle primary is not lagging."""
-        if self._repl_inflight is None and not self._repl_log:
+        stream = self._streams[STANDBY]
+        if stream.inflight is None and not stream.log:
             return 0.0
-        return self.sim.now - self._repl_last_ack_at
+        return self.sim.now - stream.last_ack_at
 
     def _update_repl_gauges(self) -> None:
+        """Refreshed when an op is queued or acked, and by a crash."""
         self.metrics.gauge("shard.repl_backlog_ops").set(
             self.repl_backlog_ops)
         self.metrics.gauge("shard.repl_lag_s").set(
             round(self.repl_lag_s, 9))
 
-    def _queue_op(self, op: tuple) -> None:
-        if not self.replicating or self.crashed:
-            return
-        self._repl_log.append(op)
-        self._update_repl_gauges()
-        if self._repl_timer is None:
-            self._repl_timer = self.sim.schedule(
-                self.replication_interval, self._flush_repl)
-
-    def _flush_repl(self) -> None:
-        self._repl_timer = None
-        if self.crashed or not self.replicating:
-            return
-        if self._repl_inflight is not None:
-            return   # serialized stream: next batch goes after the ack
-        if not self._repl_log:
-            return
-        self._repl_seq += 1
-        update = ReplicaUpdate(shard_id=self.shard_id, seq=self._repl_seq,
-                               ops=tuple(self._repl_log))
-        self._repl_log.clear()
-        self._repl_inflight = update
-        self.repl_batches_sent += 1
-        self._update_repl_gauges()
-        self._transmit_repl()
-
-    def _transmit_repl(self) -> None:
-        update = self._repl_inflight
-        if update is None or self.crashed or not self.replicating:
-            return
-        self.send_request(
-            self.peer_ip, update, size=64 + 96 * len(update.ops),
-            timeout=0.2, max_attempts=4,
-            on_give_up=lambda _msg: self._repl_gave_up())
-
-    def _repl_gave_up(self) -> None:
-        """The in-flight batch never got acked.  Keep the *same* frozen
-        (seq, ops) batch and retransmit it as a fresh request — the seq
-        must not be reused for different ops, or a batch that was
-        delivered (ack lost) would swallow the replacement."""
-        self.repl_giveups += 1
-        if self.crashed or not self.replicating:
-            return
-        if self.sim.now - self._repl_last_ack_at > self.replication_giveup:
-            # Peer presumed dead: stop streaming (bounded event queue);
-            # the frontend resyncs it from scratch when it rejoins.
-            self.replicating = False
-            self._repl_inflight = None
-            self._repl_log.clear()
+    def _handle_op_ack(self, src_ip: str, ack: OpBatchAck) -> None:
+        stream = self._streams.get(ack.stream)
+        if stream is not None:
+            stream.acked(ack)
             self._update_repl_gauges()
-            return
-        self._update_repl_gauges()
-        self.sim.schedule(self.replication_interval, self._transmit_repl)
-
-    def _handle_replica_ack(self, src_ip: str,
-                            ack: ReplicaUpdateAck) -> None:
-        inflight = self._repl_inflight
-        if inflight is None or ack.seq != inflight.seq:
-            return
-        self._repl_inflight = None
-        self._repl_last_ack_at = self.sim.now
-        self._update_repl_gauges()
-        if self._repl_log and self._repl_timer is None:
-            self._repl_timer = self.sim.schedule(
-                self.replication_interval, self._flush_repl)
-
-    def start_resync(self) -> None:
-        """Snapshot the full session state and restart the replication
-        stream from seq 1 (the peer rejoined empty)."""
-        self._repl_seq = 0
-        self._repl_inflight = None
-        self._repl_log = [("reset",)] + self.sap.export()
-        self._repl_last_ack_at = self.sim.now
-        self.replicating = True
-        if self._repl_timer is None:
-            self._repl_timer = self.sim.schedule(0.0, self._flush_repl)
 
     def _handle_resync(self, src_ip: str, order: ResyncPeer) -> None:
         # An order that crossed a failover reaches the demoted host:
         # only a primary streams, or its reset would wipe the new one.
         if not self.is_replica:
-            self.start_resync()
-        self.send(src_ip, ResyncAck(shard_id=self.shard_id,
-                                    epoch=order.epoch), size=32)
+            self._streams[STANDBY].restart(
+                [("reset",)] + self.sap.export())
+        self.send(src_ip, OrderAck(), size=32)
 
-    # -- replication: replica side ------------------------------------------
-    def _handle_replica_update(self, src_ip: str,
-                               update: ReplicaUpdate) -> None:
-        if update.seq > self._applied_seq:
-            if update.seq != self._applied_seq + 1 \
-                    and update.ops[:1] != (("reset",),):
-                # A gap (seq > applied + 1 without a reset) is
-                # unsatisfiable with the serialized stream; drop and
-                # let the sender retry.
+    def _handle_handoff_begin(self, src_ip: str,
+                              begin: HandoffBegin) -> None:
+        self.send(src_ip, OrderAck(), size=32)
+        if begin.handoff_id in self._streams:
+            return   # the order again; its stream is already running
+        # Closed over the moving subscribers' state, relayed by the
+        # frontend: 8 ops per batch, 0.3 s × 6 per request, until the
+        # commit — an unreachable target is the frontend's to resolve.
+        stream = self._streams[begin.handoff_id] = _OpStream(
+            self, begin.handoff_id, self.frontend_ip, closed=True, chunk=8,
+            timeout=0.3, attempts=6, patience=float("inf"),
+            sent=self.metrics.counter("shard.handoff_chunks_sent"),
+            giveups=self.metrics.counter("shard.handoff_chunk_retx"),
+            target_shard=begin.target_shard,
+            log=self.sap.export(set(begin.moving_ids)))
+        stream.wake()
+
+    def _handle_handoff_commit(self, src_ip: str,
+                               commit: HandoffCommit) -> None:
+        stream = self._streams.pop(commit.handoff_id, None)
+        if stream is not None:
+            stream.stop()
+            for id_u in sorted(commit.moving_ids):
+                self.sap.apply(("forget", id_u))
+        self.send(src_ip, OrderAck(), size=32)
+
+    # -- op streams: receiver side -------------------------------------------
+    @property
+    def _applied_seq(self) -> int:
+        """Last seq applied from the primary's journal (read-only view)."""
+        return self._applied.get(STANDBY, (0, 0))[1]
+
+    def _handle_op_batch(self, src_ip: str, batch: OpBatch) -> None:
+        """The one sequencing rule.  Per stream, under the sender's
+        current restart count: a journal batch applies iff it is the
+        next one (a gap is left for the sender to retry); a batch of a
+        closed stream applies iff it is new, since ``export()`` ops are
+        order-free and a target's promoted standby joins mid-stream.
+        What was applied already is re-acked (the ack was lost); nothing
+        else is ever acked."""
+        restart, applied = self._applied.get(batch.stream,
+                                             (batch.restart, 0))
+        if batch.restart < restart:
+            return   # cut before the sender started the stream over
+        if batch.restart > restart:
+            applied = 0
+        if batch.seq > applied:
+            if batch.seq != applied + 1 and not batch.closed:
                 return
-            for op in update.ops:
+            # Journaled like any other op, so a handoff target's own
+            # standby inherits the state too.
+            for op in batch.ops:
                 self.sap.apply(op)
-                self.repl_ops_applied += 1
-            self._applied_seq = update.seq
-        # else an app-level duplicate (give-up + retransmit under a new
-        # correlation id): already applied, just re-ack.
-        self.send(src_ip, ReplicaUpdateAck(
-            shard_id=update.shard_id, seq=update.seq), size=32)
+            if not batch.closed:
+                self.repl_ops_applied += len(batch.ops)
+            self._applied[batch.stream] = (batch.restart, batch.seq)
+        self.send(src_ip, batch.ack(), size=32)
 
     # -- promotion -----------------------------------------------------------
     def _handle_promote(self, src_ip: str, order: PromoteReplica) -> None:
         if self.is_replica:
             self.is_replica = False
             self.promotions += 1
-            # The old primary is presumed dead; no peer to stream to
-            # until the frontend orders a resync.
-            self.replicating = False
-            # A revocation issued while the shard had no live primary
+            # The old primary is presumed dead: this host's own stream
+            # stays stopped until the frontend orders a resync.  A
+            # revocation issued while the shard had no live primary
             # reached no stream: catch up from the subscriber DB.
             for subscriber in self.sap.enrolled():
                 if subscriber.suspended:
                     self.sap.revoke(subscriber.id_u)
         self.send(src_ip, PromoteAck(
-            shard_id=self.shard_id, epoch=order.epoch,
-            applied_seq=self._applied_seq), size=32)
-
-    # -- handoff: source side ------------------------------------------------
-    def _handle_handoff_begin(self, src_ip: str,
-                              begin: HandoffBegin) -> None:
-        entries = self.sap.export(set(begin.moving_ids))
-        per = self.handoff_chunk_entries
-        slices = [tuple(entries[i:i + per])
-                  for i in range(0, len(entries), per)] or [()]
-        chunks = [HandoffChunk(handoff_id=begin.handoff_id,
-                               source_shard=self.shard_id,
-                               target_shard=begin.target_shard,
-                               seq=index + 1,
-                               last=(index == len(slices) - 1),
-                               entries=chunk_entries)
-                  for index, chunk_entries in enumerate(slices)]
-        self._handoffs_out[begin.handoff_id] = chunks
-        self.send(src_ip, HandoffBeginAck(
-            handoff_id=begin.handoff_id, entries=len(entries)), size=32)
-        self._send_next_chunk(begin.handoff_id)
-
-    def _send_next_chunk(self, handoff_id: int) -> None:
-        chunks = self._handoffs_out.get(handoff_id)
-        if not chunks or self.crashed:
-            return   # unknown, or all chunks acked; waiting for the commit
-        chunk = chunks[0]
-        self.handoff_chunks_sent += 1
-        self.send_request(
-            self.frontend_ip, chunk, size=64 + 96 * len(chunk.entries),
-            timeout=0.3, max_attempts=6,
-            on_retransmit=lambda _m, _n: self._note_chunk_retx(),
-            on_give_up=lambda _m, h=handoff_id: self._chunk_gave_up(h))
-
-    def _note_chunk_retx(self) -> None:
-        self.handoff_chunk_retx += 1
-
-    def _chunk_gave_up(self, handoff_id: int) -> None:
-        """The relay (or the target behind it) never acked: resend the
-        same chunk as a fresh request — application is idempotent."""
-        if handoff_id in self._handoffs_out and not self.crashed:
-            self.handoff_chunk_retx += 1
-            self.sim.schedule(self.replication_interval,
-                              self._send_next_chunk, handoff_id)
-
-    def _handle_handoff_chunk_ack(self, src_ip: str,
-                                  ack: HandoffChunkAck) -> None:
-        chunks = self._handoffs_out.get(ack.handoff_id)
-        if chunks and chunks[0].seq == ack.seq:
-            del chunks[0]
-            self._send_next_chunk(ack.handoff_id)
-
-    # -- handoff: target side ------------------------------------------------
-    def _handle_handoff_chunk(self, src_ip: str,
-                              chunk: HandoffChunk) -> None:
-        key = (chunk.handoff_id, chunk.seq)
-        if key not in self._chunks_applied:
-            self._chunks_applied.add(key)
-            # Journaled like any other op, so the target's own standby
-            # inherits the state too.
-            for op in chunk.entries:
-                self.sap.apply(op)
-        self.send(src_ip, HandoffChunkAck(
-            handoff_id=chunk.handoff_id, seq=chunk.seq,
-            last=chunk.last), size=32)
-
-    def _handle_handoff_commit(self, src_ip: str,
-                               commit: HandoffCommit) -> None:
-        if commit.handoff_id in self._handoffs_out:
-            del self._handoffs_out[commit.handoff_id]
-            for id_u in sorted(commit.moving_ids):
-                self.sap.apply(("forget", id_u))
-        self.send(src_ip, HandoffCommitAck(
-            handoff_id=commit.handoff_id), size=32)
+            shard_id=self.shard_id, epoch=order.epoch), size=32)
 
     def stats(self) -> dict:
         stats = {
             "shard_id": self.shard_id,
-            "role": self.role,
+            "role": "replica" if self.is_replica else "primary",
             "crashed": self.crashed,
             "generation": self.generation,
             "auths_served": self.auths_served,
@@ -754,7 +734,6 @@ class _PendingAttach:
     src_ip: str
     request: object            # the AGW's BrokerAuthRequest
     deferred: object
-    id_u: Optional[str]
     shard_id: int
     attempts: int = 0
 
@@ -767,7 +746,6 @@ class _ShardState:
     primary_addr: str
     standby_addr: str
     hosts: dict                # addr -> ShardHost (chaos / provisioning)
-    active: bool = False
     status: str = "healthy"    # healthy | degraded | down
     last_ack: dict = field(default_factory=dict)   # addr -> sim time
     alive: dict = field(default_factory=dict)      # addr -> bool
@@ -787,6 +765,20 @@ class ShardFrontend:
     synchronous at the frontend while session state lives on the shard
     hosts.
     """
+
+    #: What brokerd handles on the frontend's behalf: message type ->
+    #: (handler name or None, processing cost at the daemon).  The ack
+    #: nobody acts on stays registered: an unregistered type skips its
+    #: cost, which would move the daemon's queue.
+    BROKER_MESSAGES = {
+        ShardAuthResponse: ("_on_shard_auth_response", 0.0001),
+        ShardHeartbeatAck: ("_on_heartbeat_ack", 0.00002),
+        ShardScopeAck: ("_on_shard_scope_ack", 0.00005),
+        PromoteAck: ("_on_promote_ack", 0.0001),
+        OrderAck: (None, 0.00005),
+        OpBatch: ("_on_op_batch", 0.0002),      # relay: queue + forward
+        OpBatchAck: ("_on_op_batch_ack", 0.00005),
+    }
 
     heartbeat_interval = 0.2
     detection_timeout = 0.65
@@ -816,8 +808,7 @@ class ShardFrontend:
         for sid, st in sorted(states.items()):
             st.gauge = self.metrics.gauge("broker.shard_health",
                                           shard=str(sid))
-            st.active = sid in set(active)
-            st.gauge.set(1 if st.active else 0)
+            st.gauge.set(1 if sid in self.active_ids else 0)
             for addr in (st.primary_addr, st.standby_addr):
                 st.last_ack[addr] = now
                 st.alive[addr] = True
@@ -846,15 +837,12 @@ class ShardFrontend:
         self.failover_log: list = []
         self.rebalance_log: list = []
         self._rebalance: Optional[dict] = None
-        #: (handoff_id, seq) -> (deferred, source_addr) chunk relays.
+        #: expected OpBatchAck -> (deferred, source_addr) batch relays.
         self._relay: dict = {}
         self._hb_seq = 0
         self._hb_running = False
         self._last_activity = now
         self._start_heartbeats()
-
-    def broker_processing_costs(self) -> dict:
-        return dict(FRONTEND_PROCESSING_COSTS)
 
     def _obs_instant(self, name: str, ctx: Optional[tuple] = None,
                      **data) -> None:
@@ -1052,7 +1040,7 @@ class ShardFrontend:
         self._next_token += 1
         self._pending[token] = _PendingAttach(
             src_ip=src_ip, request=request, deferred=deferred,
-            id_u=id_u, shard_id=shard_id)
+            shard_id=shard_id)
         self._transmit_forward(token)
 
     def _transmit_forward(self, token: int) -> None:
@@ -1064,20 +1052,18 @@ class ShardFrontend:
             self._pending.pop(token, None)
             self._deny_degraded(record)
             return
+        addr = st.primary_addr
         if st.status == "degraded":
             # Serve retransmit-replays from the still-syncing replica;
             # fresh auths will fast-fail there with a retryable cause.
-            addr, replay_only = st.standby_addr, True
+            addr = st.standby_addr
             self._obs_instant(
                 "broker.failover_reroute",
                 ctx=getattr(record.deferred, "obs_ctx", None),
                 shard=record.shard_id, standby=addr,
                 attempt=record.attempts)
-        else:
-            addr, replay_only = st.primary_addr, False
         forward = ShardAuthRequest(
-            auth_req_t=record.request.auth_req_t,
-            reply_token=token, replay_only=replay_only)
+            auth_req_t=record.request.auth_req_t, reply_token=token)
         self.brokerd.send_request(
             addr, forward, size=record.request.auth_req_t.wire_size + 16,
             timeout=self.forward_timeout,
@@ -1276,7 +1262,6 @@ class ShardFrontend:
         now = self.sim.now
         for sid in joiners:
             st = self.states[sid]
-            st.active = True
             st.gauge.set(1)
             for addr in (st.primary_addr, st.standby_addr):
                 st.last_ack[addr] = now
@@ -1313,8 +1298,8 @@ class ShardFrontend:
             return   # bound the event queue; drill gates will flag it
         st = self.states[pair["src"]]
         begin = HandoffBegin(
-            handoff_id=handoff_id, shard_id=pair["src"],
-            target_shard=pair["tgt"], moving_ids=tuple(pair["ids"]))
+            handoff_id=handoff_id, target_shard=pair["tgt"],
+            moving_ids=tuple(pair["ids"]))
         self.brokerd.send_request(
             st.primary_addr, begin, size=48 + 8 * len(pair["ids"]),
             timeout=0.3, max_attempts=6,
@@ -1323,8 +1308,9 @@ class ShardFrontend:
 
     def _restart_handoffs_from(self, shard_id: int) -> None:
         """After a source shard failed over mid-handoff, restart its
-        incomplete handoffs under fresh ids against the new primary
-        (chunk application at the target is idempotent)."""
+        incomplete handoffs under fresh ids — new streams, which the
+        target applies from their first batch — against the new
+        primary (``export()`` ops are idempotent)."""
         rb = self._rebalance
         if rb is None:
             return
@@ -1338,28 +1324,27 @@ class ShardFrontend:
             rb["pairs"][new_id] = dict(pair, begins=0)
             self._send_handoff_begin(new_id)
 
-    # Chunk relay: the source host talks to the frontend (its only
+    # Batch relay: the source host talks to the frontend (its only
     # route), which forwards to the target shard's current primary.
-    def _on_handoff_chunk(self, src_ip: str, chunk: HandoffChunk) -> None:
+    def _on_op_batch(self, src_ip: str, batch: OpBatch) -> None:
         self.notify_activity()
         deferred = self.brokerd.defer_reply()
-        key = (chunk.handoff_id, chunk.seq)
+        key = batch.ack()
         self._relay[key] = (deferred, src_ip)
-        addr = self.states[chunk.target_shard].primary_addr
+        addr = self.states[batch.target_shard].primary_addr
         self.brokerd.send_request(
-            addr, chunk, size=64 + 96 * len(chunk.entries),
+            addr, batch, size=batch.wire_size,
             timeout=self.forward_timeout, max_attempts=4,
             on_give_up=lambda _m, k=key: self._relay.pop(k, None))
 
-    def _on_handoff_chunk_ack(self, src_ip: str,
-                              ack: HandoffChunkAck) -> None:
-        entry = self._relay.pop((ack.handoff_id, ack.seq), None)
+    def _on_op_batch_ack(self, src_ip: str, ack: OpBatchAck) -> None:
+        entry = self._relay.pop(ack, None)
         if entry is not None:
             deferred, source_addr = entry
             deferred.send(source_addr, ack, size=32)
             deferred.complete()
         if ack.last:
-            self._pair_transferred(ack.handoff_id)
+            self._pair_transferred(ack.stream)
 
     def _pair_transferred(self, handoff_id: int) -> None:
         rb = self._rebalance
@@ -1373,17 +1358,14 @@ class ShardFrontend:
         rb = self._rebalance
         self.ring = rb["new_ring"]
         for sid in rb["leavers"]:
-            st = self.states[sid]
-            st.active = False
-            st.gauge.set(0)
+            self.states[sid].gauge.set(0)
         self.active_ids = rb["new_active"]
         self.spare_ids = sorted(sid for sid in self.states
                                 if sid not in set(self.active_ids))
         for handoff_id, pair in sorted(rb["pairs"].items()):
             st = self.states[pair["src"]]
             commit = HandoffCommit(
-                handoff_id=handoff_id, shard_id=pair["src"],
-                moving_ids=tuple(pair["ids"]))
+                handoff_id=handoff_id, moving_ids=tuple(pair["ids"]))
             self.brokerd.send_request(
                 st.primary_addr, commit, size=48 + 8 * len(pair["ids"]),
                 timeout=0.3, max_attempts=6)
@@ -1401,7 +1383,7 @@ class ShardFrontend:
 
     def note_retransmitted(self, message) -> None:
         """Fed from ``Brokerd.note_retransmitted_request``."""
-        if isinstance(message, HandoffChunk):
+        if isinstance(message, OpBatch):
             self.handoff_chunks_retried.inc()
 
     def stats(self) -> dict:
@@ -1431,12 +1413,13 @@ class ShardFrontend:
 
 # -- deployment -------------------------------------------------------------
 
-def deploy_shard_hosts(network, *, num_shards: int = 2, spares: int = 0,
-                       heartbeat_interval: float = 0.2,
-                       detection_timeout: float = 0.65,
-                       replication_interval: float = 0.05,
-                       link_delay: float = 0.002,
-                       bandwidth_bps: float = 1e9) -> ShardFrontend:
+#: every shard-host link: 1 Gb/s, 2 ms one way.
+LINK_BANDWIDTH_BPS = 1e9
+LINK_DELAY_S = 0.002
+
+
+def deploy_shard_hosts(network, *, num_shards: int = 2,
+                       spares: int = 0) -> ShardFrontend:
     """Turn ``network.brokerd`` into a distributed broker.
 
     For every shard (plus ``spares`` warm spares for scale-out drills)
@@ -1467,14 +1450,13 @@ def deploy_shard_hosts(network, *, num_shards: int = 2, spares: int = 0,
             peer_ip=primary_host.address,
             session_ttl=brokerd.sap.session_ttl, is_replica=True)
         for host in (primary, replica):
-            host.replication_interval = replication_interval
             host.authorize_btelco = brokerd._btelco_policy
         uplink = Link(sim, f"shard{sid}-broker", broker_host,
-                      primary_host, bandwidth_bps, link_delay)
+                      primary_host, LINK_BANDWIDTH_BPS, LINK_DELAY_S)
         uplink_r = Link(sim, f"shard{sid}r-broker", broker_host,
-                        replica_host, bandwidth_bps, link_delay)
+                        replica_host, LINK_BANDWIDTH_BPS, LINK_DELAY_S)
         repl_link = Link(sim, f"shard{sid}-repl", primary_host,
-                         replica_host, bandwidth_bps, link_delay)
+                         replica_host, LINK_BANDWIDTH_BPS, LINK_DELAY_S)
         broker_host.add_route(
             primary_host.address.rsplit(".", 1)[0], uplink)
         primary_host.add_route(
@@ -1501,8 +1483,6 @@ def deploy_shard_hosts(network, *, num_shards: int = 2, spares: int = 0,
         brokerd, states, active=list(range(num_shards)))
     for host in shard_hosts.values():
         frontend._reprovision(host)
-    frontend.heartbeat_interval = heartbeat_interval
-    frontend.detection_timeout = detection_timeout
     brokerd.configure_distributed(frontend)
     chaos_nodes = getattr(network, "chaos_nodes", None) or {}
     chaos_nodes.update(shard_hosts)

@@ -28,17 +28,15 @@ from typing import Optional
 
 from repro.analysis.gates import gate
 from repro.core.messages import BrokerAuthRequest, BrokerAuthResponse
-from repro.core.shardhost import deploy_shard_hosts
+from repro.core.shardhost import ShardFrontend, deploy_shard_hosts
 from repro.emulation.chaos import ChaosSchedule, node_crash, run_chaos
 from repro.lte.signaling import SignalingNode
 from repro.net import Host, Link
 
-#: failure-detector knobs the recovery-time gate is written against.
-HEARTBEAT_INTERVAL = 0.2
-DETECTION_TIMEOUT = 0.65
 #: promoted-and-serving deadline after a crash: one missed-heartbeat
 #: window, one extra probe period, plus promotion round trips.
-RECOVERY_BOUND_S = DETECTION_TIMEOUT + 2 * HEARTBEAT_INTERVAL + 0.5
+RECOVERY_BOUND_S = (ShardFrontend.detection_timeout
+                    + 2 * ShardFrontend.heartbeat_interval + 0.5)
 
 GATE_SUCCESS_RATE = 0.99
 
@@ -66,9 +64,7 @@ def run_cell(rat: str = "lte", *, attaches: int = 150, shards: int = 2,
 
     def on_network_built(network):
         frontend = deploy_shard_hosts(
-            network, num_shards=shards, spares=spares,
-            heartbeat_interval=HEARTBEAT_INTERVAL,
-            detection_timeout=DETECTION_TIMEOUT)
+            network, num_shards=shards, spares=spares)
         victim = frontend.ring.shard_for(network.credentials.id_u)
         captured.update(network=network, frontend=frontend,
                         victim=victim)
@@ -263,8 +259,8 @@ def run_suite(*, rats=("lte", "5g"), attaches: int = 150,
         "spares": spares,
         "attaches": attaches,
         "seed": seed,
-        "heartbeat_interval_s": HEARTBEAT_INTERVAL,
-        "detection_timeout_s": DETECTION_TIMEOUT,
+        "heartbeat_interval_s": ShardFrontend.heartbeat_interval,
+        "detection_timeout_s": ShardFrontend.detection_timeout,
         "cells": [run_cell(rat, attaches=attaches, shards=shards,
                            spares=spares, seed=seed,
                            revoke_every=revoke_every, obs=obs)

@@ -209,7 +209,7 @@ class TestChaosWithPipeline:
         report = run_chaos(
             attaches=60, revoke_every=5, base_loss=0.02, seed=7,
             on_network_built=lambda network:
-                network.brokerd.configure_pipeline(enabled=True, shards=4))
+                network.brokerd.configure_pipeline(shards=4))
         assert report.unauthorized_session_seconds == 0
         assert report.successes > 0
         assert report.revocations > 0

@@ -185,6 +185,60 @@ class TestFailover:
         assert "replay" in final.cause
 
 
+class TestStandbyOutage:
+    def test_replay_denied_after_a_standby_outage_and_a_failover(self):
+        """A standby that sat out a partition *kept* its state, so the
+        resync the frontend orders on heal reaches a receiver that
+        remembers the old stream.  It must apply the snapshot (not ack
+        it as a duplicate), or every auth since the heal is missing from
+        the replay window the next failover promotes."""
+        sim, net, frontend = build_distributed()
+        ids = [f"sub-{i}" for i in range(6)]
+        for id_u in ids:
+            net.brokerd.enroll_subscriber(
+                id_u, net.credentials.ue_key.public_key)
+        sid, primary, standby = owning_host(frontend, ids[0])
+        owned = [id_u for id_u in ids
+                 if frontend.ring.shard_for(id_u) == sid]
+        probe = BrokerProbe(net)
+
+        def attach_each(delay):
+            requests = [craft_request(net, id_u)[1] for id_u in owned]
+            for index, req_t in enumerate(requests):
+                sim.schedule(delay + 0.05 * index, frontend.notify_activity)
+                sim.schedule(delay + 0.05 * index, probe.submit, req_t)
+            return requests
+
+        attach_each(0.1)
+        sim.run(until=1.0)
+        assert standby._applied_seq >= 1
+        # Both of the standby's links go dark for longer than the
+        # detection timeout; nobody crashes.
+        outage = [net.links[f"shard{sid}r-broker"],
+                  net.links[f"shard{sid}-repl"]]
+        for link in outage:
+            link.set_up(False)
+            sim.schedule(1.2, link.set_up, True)
+        after_heal = attach_each(1.4)
+        sim.run(until=sim.now + 3.0)
+        assert len(probe.responses) == 2 * len(owned)
+        assert all(resp.approved for resp in probe.responses)
+        assert frontend.resyncs_total.value == 1
+        assert primary.repl_backlog_ops == 0
+        for host in (primary, standby):
+            host.sap.begin_window(sim.now)
+        assert primary.sap.export() == standby.sap.export()
+        primary.crash()
+        sim.run(until=sim.now + 2.0)     # detection + promotion
+        assert not standby.is_replica
+        probe.submit(net.sites["btelco-a"].agw.sap.augment_request(
+            after_heal[0].auth_req_u))
+        sim.run(until=sim.now + 1.0)
+        final = probe.responses[-1]
+        assert not final.approved
+        assert "replay" in final.cause
+
+
 class TestDegradedMode:
     def test_total_shard_loss_fast_fails_retryable_then_recovers(self):
         sim, net, frontend = build_distributed()
@@ -274,8 +328,7 @@ class TestPipelineRebalance:
         request in the batch."""
         sim = Simulator()
         net = build_cellbricks_network(sim, site_names=("btelco-a",))
-        net.brokerd.configure_pipeline(enabled=True, shards=4,
-                                       batch_window=0.05)
+        net.brokerd.configure_pipeline(shards=4, batch_window=0.05)
         ids = [f"pipe-{i:02d}" for i in range(16)]
         for id_u in ids:
             net.brokerd.enroll_subscriber(

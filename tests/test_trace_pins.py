@@ -8,16 +8,22 @@ span names are per-RAT table data, and every ``sim.schedule`` / ``send``
 time, so a substrate change that moves a name or reorders a call moves a
 hash.  The values were taken at the commit before the LTE/5G twins were
 collapsed and are stable across processes and ``PYTHONHASHSEED``.
+
+Two more rows hash what the ledger's ``broker_failover`` workload hashes
+— the broker-ha cell report at the ledger's size and seed, per RAT — so
+a shard-host change that moves a byte fails here without a ledger run
+(values from the commit before the shard hosts' op streams were merged).
 """
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
 from repro.net import quic
 from repro.obs import Obs, spans_to_jsonl
-from repro.testbed import run_traced_attach, run_traced_drive
+from repro.testbed import broker_ha, run_traced_attach, run_traced_drive
 
 from .test_obs_determinism import _chaos_trace
 
@@ -65,3 +71,16 @@ def test_traced_drive_bytes(rat, pinned, monkeypatch):
     obs = Obs()
     run_traced_drive(rat, obs=obs)
     assert sha256(spans_to_jsonl(obs.tracer.spans())) == pinned
+
+
+@pytest.mark.parametrize("rat, pinned", [
+    ("lte",
+     "200dac2e2333b2ecee956574890693e32c77f7004b4fa5d847db84e07f74857f"),
+    ("5g",
+     "f54d8986196b2c8f36e96ff4d09ca3b86a5c0a1795951466c7aff2f17fe1dc36"),
+])
+def test_broker_ha_cell_bytes(rat, pinned):
+    cell = broker_ha.run_cell(rat, attaches=16, seed=11, revoke_every=5,
+                              think_time=0.02)
+    assert sha256(json.dumps(cell, sort_keys=True,
+                             separators=(",", ":"))) == pinned
