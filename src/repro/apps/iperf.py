@@ -86,7 +86,7 @@ class IperfClient:
         if self.stats.deliveries:
             gap = now - self.stats.deliveries[-1][0]
             if gap >= STALL_GAP_S:
-                obs = getattr(self.sim, "obs", None)
+                obs = self.sim.obs
                 if obs is not None and obs.tracing:
                     obs.tracer.instant(
                         "iperf.delivery_gap", f"iperf:{self.host.name}",

@@ -113,7 +113,7 @@ class StreamClient:
 
     def _handle(self, nbytes: int) -> None:
         self.bytes_received += nbytes
-        obs = getattr(self._host.sim, "obs", None)
+        obs = self._host.sim.obs
         if obs is not None and obs.active_migrations:
             self._obs_close_migration(obs)
         if self.on_data is not None:

@@ -165,7 +165,7 @@ class HlsPlayer:
                 stalled = self.sim.now - self._stalled_since
                 self.stats.rebuffer_seconds += stalled
                 self._stalled_since = None
-                obs = getattr(self.sim, "obs", None)
+                obs = self.sim.obs
                 if obs is not None and obs.tracing:
                     obs.tracer.instant(
                         "video.resume", f"video:{self.host.name}",
@@ -185,7 +185,7 @@ class HlsPlayer:
                 self.playing = False
                 self.stats.rebuffer_events += 1
                 self._stalled_since = now
-                obs = getattr(self.sim, "obs", None)
+                obs = self.sim.obs
                 if obs is not None and obs.tracing:
                     obs.tracer.instant(
                         "video.rebuffer", f"video:{self.host.name}",

@@ -384,9 +384,10 @@ def _cmd_megaload(args: argparse.Namespace) -> int:
     workload digest and its wall-clock figures (reported, never gated).
     ``--real-fraction`` samples that slice of the population into the
     full-fidelity SAP cohort (``--real-rat``/``--real-sites`` shape it)
-    and turns on measured crypto sim-cost charging.  ``--smoke`` runs
-    ``megaload.smoke`` — the pinned cell plus a mixed-fidelity
-    micro-cell — and must hold ``megaload.gates``."""
+    and has the scripted broker charge brokerd's calibrated per-attach
+    cost.  ``--smoke`` runs ``megaload.smoke`` — the pinned cell plus
+    the pinned mixed-fidelity micro-cell — and must hold
+    ``megaload.gates``."""
     import json
 
     from repro.testbed import megaload
@@ -943,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of the population run as full-fidelity "
                         "SAP UEs against a real pipelined brokerd; any "
                         "nonzero value also charges the scripted broker "
-                        "the measured crypto cost (default 0)")
+                        "brokerd's calibrated per-attach cost (default 0)")
     p.add_argument("--real-rat", choices=("lte", "5g"), default="lte",
                    help="RAT for the real cohort (default lte)")
     p.add_argument("--real-sites", type=int, default=4,
@@ -956,8 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="the seeded CI cell (workload flags are ignored): "
                         "its digest must equal the pinned one, RSS per "
-                        "UE must stay under the ceiling, and a mixed "
-                        "micro-cell must agree scripted-vs-charged")
+                        "UE must stay under the ceiling, and the mixed "
+                        "micro-cell's digest must equal its own pin")
     p.add_argument("--output", default="BENCH_megaload.json",
                    help="report path (default BENCH_megaload.json)")
     p.set_defaults(func=_cmd_megaload)

@@ -580,7 +580,7 @@ class Brokerd(SignalingNode):
             return
         now = self.sim.now
         scale = self._cost_scale()
-        obs = self.obs()
+        obs = self.sim.obs
         tracer = obs.tracer if obs is not None and obs.tracing else None
         self.pipeline_batches += 1
         self.pipeline_requests += len(batch)

@@ -297,7 +297,7 @@ class MobilityManager:
         """Open the handover stall's root span and register it so the
         transport (MPTCP/QUIC) and app layers can parent under / close
         it.  The signaling UE's re-attach is parented here too."""
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is None or not obs.tracing:
             return
         key = self.data_path.ue.name if self.data_path is not None \
@@ -326,7 +326,7 @@ class MobilityManager:
         if root is None:
             return
         self.ue._obs_parent_ctx = None
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is None or not obs.tracing:
             return
         if root.end is not None:

@@ -850,7 +850,7 @@ class ShardFrontend:
         (a deferred reply's captured ``(trace_id, span_id)``) the event
         lands inside the attach trace it concerns, so a slow broker-ha
         attach decomposes into *which* failover step delayed it."""
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is None or not obs.tracing:
             return
         trace_id, parent_id = ctx if ctx is not None else (0, 0)

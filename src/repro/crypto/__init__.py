@@ -8,8 +8,6 @@ Public surface:
 * :func:`hkdf`, :func:`kdf_3gpp` — key derivation (SAP sessions, LTE key
   hierarchy).
 * :class:`CertificateAuthority`, :class:`Certificate` — minimal PKI.
-* :func:`measure_crypto_costs` — measured RSA service times for
-  simulation cost charging (the megaload mixed-fidelity bridge).
 """
 
 from .ca import (
@@ -39,7 +37,6 @@ from .rsa import (
     generate_keypair,
     verify_cache_stats,
 )
-from .simcost import clear_measured_costs, measure_crypto_costs
 
 __all__ = [
     "ROLE_BROKER",
@@ -63,8 +60,6 @@ __all__ = [
     "hkdf_extract",
     "hmac_sha256",
     "kdf_3gpp",
-    "clear_measured_costs",
-    "measure_crypto_costs",
     "open_sealed",
     "seal",
     "sha256",

@@ -188,7 +188,7 @@ class ChaosMonkey:
         self.faults_injected += 1
         self.faults_by_kind[event.kind] += 1
         self.log.append((self.sim.now, event.kind, event.target))
-        obs = getattr(self.sim, "obs", None)
+        obs = self.sim.obs
         if obs is not None and obs.tracing:
             obs.tracer.instant(
                 f"chaos.{event.kind}", "chaos-monkey", self.sim.now,

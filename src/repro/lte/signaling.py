@@ -260,11 +260,6 @@ class SignalingNode:
         self._handlers[message_type] = handler
 
     # -- observability ------------------------------------------------------
-    def obs(self):
-        """The simulator's installed telemetry handle, or None (the
-        zero-cost default: one attribute miss, nothing recorded)."""
-        return getattr(self.sim, "obs", None)
-
     def span_name(self, message: object) -> str:
         """Span name for processing ``message`` at this node: its
         ``_SPAN_NAMES`` row, else ``handle.<Type>``."""
@@ -358,7 +353,7 @@ class SignalingNode:
         out_of_attempts = pending.attempts >= pending.max_attempts
         past_deadline = (pending.deadline is not None
                          and self.sim.now >= pending.deadline)
-        obs = self.obs()
+        obs = self.sim.obs
         tracer = obs.tracer if obs is not None and obs.tracing else None
         ctx = pending.trace_ctx or (0, 0)
         if out_of_attempts or past_deadline:
@@ -402,7 +397,7 @@ class SignalingNode:
                      sent_at: float) -> None:
         if not isinstance(body, SignalingEnvelope):
             return
-        obs = self.obs()
+        obs = self.sim.obs
         tracer = obs.tracer if obs is not None and obs.tracing else None
         if body.kind == KIND_RESPONSE:
             pending = self._pending_requests.pop(body.correlation_id, None)

@@ -102,7 +102,7 @@ class NasUeBase(SignalingNode):
         send in this procedure then carries the root trace context.  The
         root is named ``attach`` in both generations so the Fig 7
         leg-breakdown exporter reads either trace."""
-        obs = self.obs()
+        obs = self.sim.obs
         if obs is None or not obs.tracing:
             return
         tracer = obs.tracer
@@ -122,7 +122,7 @@ class NasUeBase(SignalingNode):
         span = self._attach_span
         if span is not None:
             self._attach_span = None
-            obs = self.obs()
+            obs = self.sim.obs
             if obs is not None and obs.tracing:
                 obs.tracer.finish(span, self.sim.now, status=status)
         if status == "ok":
@@ -138,7 +138,7 @@ class NasUeBase(SignalingNode):
         span = self._attach_span
         if span is None:
             return
-        obs = self.obs()
+        obs = self.sim.obs
         if obs is not None and obs.tracing:
             obs.tracer.instant(
                 "attach.degraded_retry", self.name, self.sim.now,
@@ -250,7 +250,7 @@ class NasUeBase(SignalingNode):
             self._timeout_cur * self.attach_retx_backoff,
             self.attach_retx_max_timeout)
         self.nas_retransmissions += 1
-        obs = self.obs()
+        obs = self.sim.obs
         if obs is not None and obs.tracing and self._attach_span is not None:
             obs.tracer.instant(
                 "nas.retransmit", self.name, self.sim.now,

@@ -8,6 +8,8 @@ Layered exactly as a real stack would be:
 * :mod:`repro.net.node` — hosts (with runtime address changes), routers, UDP,
 * :mod:`repro.net.tcp` — Reno/NewReno TCP,
 * :mod:`repro.net.mptcp` — multipath TCP with subflow replacement,
+* :mod:`repro.net.quic` — QUIC-style transport with connection migration,
+* :mod:`repro.net.endpoint` — what those two share (reassembly, spans),
 * :mod:`repro.net.topology` — canonical UE-to-server paths.
 """
 

@@ -32,10 +32,11 @@ from typing import Callable, Optional
 
 from repro.obs import CounterAttr, MetricsRegistry
 
+from .endpoint import Reassembly, TracedEndpoint
 from .node import Host
 from .packet import UNSPECIFIED
 from .sim import Timer
-from .tcp import DEFAULT_MSS, TcpConnection, TcpListener
+from .tcp import TcpConnection, TcpListener
 
 DEFAULT_ADDRESS_WAIT = 0.5     # mainline MPTCP address_worker period
 DEFAULT_ADDRESS_TIMEOUT = 60.0  # paper §4.2: teardown if no address by 60 s
@@ -73,54 +74,21 @@ class RemoveAddr:
     address: str
 
 
-class _ConnReceiver:
-    """Connection-level reassembly: dedups and orders DSS-mapped bytes."""
-
-    def __init__(self):
-        self.rcv_nxt = 0
-        self._pending: dict[int, int] = {}  # conn_seq -> length
-
-    def on_mapped_data(self, conn_seq: int, length: int) -> int:
-        """Register ``length`` bytes at ``conn_seq``; returns bytes newly
-        deliverable in order (0 for duplicates/out-of-order)."""
-        end = conn_seq + length
-        if end <= self.rcv_nxt:
-            return 0  # pure duplicate (re-injection overlap)
-        if conn_seq > self.rcv_nxt:
-            existing = self._pending.get(conn_seq, 0)
-            self._pending[conn_seq] = max(existing, length)
-            return 0
-        delivered = end - self.rcv_nxt
-        self.rcv_nxt = end
-        # Drain any out-of-order ranges now contiguous.  One ascending
-        # pass suffices: each range either extends rcv_nxt (possibly
-        # making the next one contiguous too) or sits past a gap, and
-        # everything after a gap is even further out.
-        for seq in sorted(self._pending):
-            if seq > self.rcv_nxt:
-                break
-            tail = seq + self._pending.pop(seq)
-            if tail > self.rcv_nxt:
-                delivered += tail - self.rcv_nxt
-                self.rcv_nxt = tail
-        return delivered
-
-
-class MptcpEndpoint:
+class MptcpEndpoint(TracedEndpoint):
     """Common machinery for both ends of an MPTCP connection."""
 
+    obs_layer = "mptcp"
     subflows_added = CounterAttr("mptcp.subflows_added")
     subflows_failed = CounterAttr("mptcp.subflows_failed")
     subflows_removed = CounterAttr("mptcp.subflows_removed")
 
-    def __init__(self, host: Host, mss: int = DEFAULT_MSS):
+    def __init__(self, host: Host):
         self.host = host
         self.sim = host.sim
         self.metrics = MetricsRegistry(node=f"mptcp:{host.name}")
-        self.mss = mss
         self.subflows: list[TcpConnection] = []
         self.active_subflow: Optional[TcpConnection] = None
-        self._receiver = _ConnReceiver()
+        self._receiver = Reassembly()   # connection-level DSS space
         self._snd_conn_nxt = 0          # next conn seq to assign
         self.bytes_delivered = 0        # in-order bytes handed to the app
         self.on_data: Optional[Callable[[int], None]] = None
@@ -153,39 +121,6 @@ class MptcpEndpoint:
         if self.active_subflow is not None:
             self.active_subflow.close()
 
-    # -- observability ------------------------------------------------------
-    def _obs_instant(self, name: str, **data) -> None:
-        """Annotate a subflow-lifecycle event when tracing is installed."""
-        obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.tracing:
-            obs.tracer.instant(name, f"mptcp:{self.host.name}",
-                               self.sim.now, category="mptcp",
-                               data=data or None)
-
-    def _obs_begin_span(self, name: str, **data):
-        """Open a data-path span.  When a mobility switch is in flight for
-        this host (``obs.active_migrations``), the span parents under the
-        migration root so the handover stall decomposes into legs; outside
-        a switch it roots a trace of its own."""
-        obs = getattr(self.sim, "obs", None)
-        if obs is None or not obs.tracing:
-            return None
-        parent = obs.active_migrations.get(self.host.name)
-        ctx = parent.context if parent is not None \
-            and parent.end is None else None
-        span = obs.tracer.start_trace(name, f"mptcp:{self.host.name}",
-                                      "mptcp", self.sim.now, ctx=ctx)
-        if data:
-            span.data = data
-        return span
-
-    @staticmethod
-    def _obs_finish(span, end: float, status: str = "ok") -> None:
-        """Close an open data-path span (idempotent; no-op on None)."""
-        if span is not None and span.end is None:
-            span.end = end
-            span.status = status
-
     # -- subflow plumbing ---------------------------------------------------
     def _wire_subflow(self, subflow: TcpConnection) -> None:
         self.subflows.append(subflow)
@@ -203,7 +138,7 @@ class MptcpEndpoint:
             self._handle_remove_addr(meta)
             return
         if isinstance(meta, DssMapping):
-            delivered = self._receiver.on_mapped_data(meta.conn_seq, nbytes)
+            delivered = self._receiver.receive(meta.conn_seq, nbytes)
         else:
             # Untagged data (plain-TCP fallback peers): treat as in-order.
             delivered = nbytes
@@ -230,8 +165,7 @@ class MptcpEndpoint:
                 self.on_close()
 
     def _on_subflow_fail(self, subflow: TcpConnection, reason: str) -> None:
-        self._obs_finish(getattr(subflow, "_obs_span", None),
-                         self.sim.now, status="error")
+        self._obs_finish(getattr(subflow, "_obs_span", None), status="error")
         if subflow in self.subflows:
             self.subflows.remove(subflow)
             self.subflows_failed += 1
@@ -258,16 +192,12 @@ class MptcpConnection(MptcpEndpoint):
     handover_count = CounterAttr("mptcp.handovers")
 
     def __init__(self, host: Host, remote_ip: str, remote_port: int,
-                 mss: int = DEFAULT_MSS,
-                 address_wait: float = DEFAULT_ADDRESS_WAIT,
-                 address_timeout: float = DEFAULT_ADDRESS_TIMEOUT,
-                 token: int = 0):
-        super().__init__(host, mss)
+                 address_wait: float = DEFAULT_ADDRESS_WAIT):
+        super().__init__(host)
         self.remote_ip = remote_ip
         self.remote_port = remote_port
         self.address_wait = address_wait
-        self.address_timeout = address_timeout
-        self.token = token or id(self) & 0xFFFFFFFF
+        self.token = self.sim.sequence("mptcp.token")
         self._backlog = []
         self._established_once = False
         self._worker_timer = Timer(self.sim, self._address_worker)
@@ -287,8 +217,7 @@ class MptcpConnection(MptcpEndpoint):
         self._open_subflow(MpCapable(self.token))
 
     def _open_subflow(self, syn_meta: object) -> None:
-        subflow = TcpConnection(self.host, self.remote_ip, self.remote_port,
-                                mss=self.mss)
+        subflow = TcpConnection(self.host, self.remote_ip, self.remote_port)
         subflow._obs_span = self._obs_begin_span(
             "mptcp.subflow_establish", syn=type(syn_meta).__name__)
         self._wire_subflow(subflow)
@@ -300,7 +229,7 @@ class MptcpConnection(MptcpEndpoint):
         subflow.connect()
 
     def _on_subflow_established(self, subflow: TcpConnection) -> None:
-        self._obs_finish(getattr(subflow, "_obs_span", None), self.sim.now)
+        self._obs_finish(getattr(subflow, "_obs_span", None))
         self.active_subflow = subflow
         self.subflow_established_times.append(self.sim.now)
         if self._pending_remove is not None \
@@ -330,7 +259,7 @@ class MptcpConnection(MptcpEndpoint):
             if self._wait_span is None or self._wait_span.end is not None:
                 self._wait_span = self._obs_begin_span(
                     "mptcp.address_wait", stale=old_ip)
-            self._timeout_timer.start(self.address_timeout)
+            self._timeout_timer.start(DEFAULT_ADDRESS_TIMEOUT)
             self._worker_timer.start(self.address_wait)
         else:
             self._timeout_timer.stop()
@@ -345,7 +274,7 @@ class MptcpConnection(MptcpEndpoint):
             return
         if not self.host.has_address:
             return  # still no address; we re-run when one shows up
-        self._obs_finish(self._wait_span, self.sim.now)
+        self._obs_finish(self._wait_span)
         self._wait_span = None
         stale = [sf for sf in self.subflows
                  if sf.local_ip != self.host.address]
@@ -384,7 +313,7 @@ class MptcpConnection(MptcpEndpoint):
     def _on_address_timeout(self) -> None:
         """No new address within the timeout: tear the connection down."""
         self.closed = True
-        self._obs_finish(self._wait_span, self.sim.now, status="timeout")
+        self._obs_finish(self._wait_span, status="timeout")
         self._wait_span = None
         self._worker_timer.stop()
         for subflow in self.subflows:
@@ -407,8 +336,8 @@ class MptcpConnection(MptcpEndpoint):
 class MptcpServerConnection(MptcpEndpoint):
     """Server side: subflows are attached by :class:`MptcpListener`."""
 
-    def __init__(self, host: Host, token: int, mss: int = DEFAULT_MSS):
-        super().__init__(host, mss)
+    def __init__(self, host: Host, token: int):
+        super().__init__(host)
         self.token = token
         self._backlog = []
 
@@ -457,19 +386,17 @@ class MptcpListener:
     into existing ones (matched by token)."""
 
     def __init__(self, host: Host, port: int,
-                 on_connection: Callable[[MptcpServerConnection], None],
-                 mss: int = DEFAULT_MSS):
+                 on_connection: Callable[[MptcpServerConnection], None]):
         self.host = host
         self.port = port
         self.on_connection = on_connection
-        self.mss = mss
         self.connections: dict[int, MptcpServerConnection] = {}
         # Plain-TCP fallback peers carry no MPTCP option, so they get
         # listener-local tokens from the negative space (a real MP_JOIN
         # token can never collide with them).
         self._fallback_tokens = itertools.count(-1, -1)
         self.rejected_joins = 0
-        self._listener = TcpListener(host, port, self._on_accept, mss=mss)
+        self._listener = TcpListener(host, port, self._on_accept)
 
     def _on_accept(self, subflow: TcpConnection) -> None:
         # The SYN meta rode in on the client subflow object; our simulator
@@ -496,7 +423,7 @@ class MptcpListener:
                 return
         else:
             token = next(self._fallback_tokens)
-        connection = MptcpServerConnection(self.host, token, mss=self.mss)
+        connection = MptcpServerConnection(self.host, token)
         connection.attach_subflow(subflow)
         self.connections[token] = connection
         self.on_connection(connection)

@@ -24,11 +24,11 @@ instantly).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .endpoint import Reassembly, TracedEndpoint
 from .node import Host, UdpSocket
 from .packet import UNSPECIFIED
 from .sim import Simulator, Timer
@@ -39,8 +39,7 @@ INITIAL_WINDOW = 10 * QUIC_MAX_PAYLOAD
 MIN_PTO = 0.2
 MAX_PTO = 60.0
 PACKET_LOSS_THRESHOLD = 3
-
-_connection_ids = itertools.count(0x51C0)
+FIRST_CONNECTION_ID = 0x51C0    # of a run: cids are per-Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -91,36 +90,10 @@ class _SentPacket:
     in_flight_bytes: int
 
 
-class _StreamReceiver:
-    """Exact-once, in-order delivery of (offset, length) ranges."""
-
-    def __init__(self):
-        self.delivered = 0
-        self._pending: dict[int, int] = {}
-
-    def receive(self, offset: int, length: int) -> int:
-        end = offset + length
-        if end <= self.delivered:
-            return 0
-        if offset > self.delivered:
-            self._pending[offset] = max(self._pending.get(offset, 0), length)
-            return 0
-        newly = end - self.delivered
-        self.delivered = end
-        # One ascending pass (see mptcp._ConnReceiver): a range either
-        # extends ``delivered`` or sits past a gap, and so does the rest.
-        for start in sorted(self._pending):
-            if start > self.delivered:
-                break
-            tail = start + self._pending.pop(start)
-            if tail > self.delivered:
-                newly += tail - self.delivered
-                self.delivered = tail
-        return newly
-
-
-class QuicEndpoint:
+class QuicEndpoint(TracedEndpoint):
     """Shared sender/receiver machinery for one side of a connection."""
+
+    obs_layer = "quic"
 
     def __init__(self, host: Host, cid: int):
         self.host = host
@@ -148,7 +121,7 @@ class QuicEndpoint:
         self.established = False
 
         # Receiver state
-        self._receiver = _StreamReceiver()
+        self._receiver = Reassembly()
         self._largest_received = -1
         self._recent_received: list[int] = []
 
@@ -159,38 +132,6 @@ class QuicEndpoint:
         self.stats_packets_sent = 0
         self.stats_packets_lost = 0
         self.migrations = 0
-
-    # -- observability ------------------------------------------------------
-    def _obs_instant(self, name: str, **data) -> None:
-        """Annotate a connection-lifecycle event when tracing is installed."""
-        obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.tracing:
-            obs.tracer.instant(name, f"quic:{self.host.name}",
-                               self.sim.now, category="quic",
-                               data=data or None)
-
-    def _obs_begin_span(self, name: str, **data):
-        """Open a data-path span, parented under an in-flight mobility
-        switch for this host when one is registered (so the handover
-        stall decomposes into legs); otherwise a fresh root."""
-        obs = getattr(self.sim, "obs", None)
-        if obs is None or not obs.tracing:
-            return None
-        parent = obs.active_migrations.get(self.host.name)
-        ctx = parent.context if parent is not None \
-            and parent.end is None else None
-        span = obs.tracer.start_trace(name, f"quic:{self.host.name}",
-                                      "quic", self.sim.now, ctx=ctx)
-        if data:
-            span.data = data
-        return span
-
-    @staticmethod
-    def _obs_finish(span, end: float, status: str = "ok") -> None:
-        """Close an open data-path span (idempotent; no-op on None)."""
-        if span is not None and span.end is None:
-            span.end = end
-            span.status = status
 
     # -- sending ------------------------------------------------------------
     def send(self, nbytes: int) -> None:
@@ -382,7 +323,8 @@ class QuicConnection(QuicEndpoint):
     """Client side: handshake + address-change-driven migration."""
 
     def __init__(self, host: Host, server_ip: str, server_port: int):
-        super().__init__(host, cid=next(_connection_ids))
+        super().__init__(
+            host, cid=host.sim.sequence("quic.cid", FIRST_CONNECTION_ID))
         self.peer_ip = server_ip
         self.peer_port = server_port
         self.socket = UdpSocket(host)
@@ -416,7 +358,7 @@ class QuicConnection(QuicEndpoint):
                       frame: HandshakeFrame) -> None:
         if frame.is_response and not self.established:
             self.established = True
-            self._obs_finish(self._handshake_span, self.sim.now)
+            self._obs_finish(self._handshake_span)
             self._handshake_timer.stop()
             if self.on_established is not None:
                 self.on_established()
@@ -431,7 +373,7 @@ class QuicConnection(QuicEndpoint):
         self.migrations += 1
         self._challenge_token += 1
         self._path_pending = True
-        self._obs_finish(self._path_span, self.sim.now, status="superseded")
+        self._obs_finish(self._path_span, status="superseded")
         self._path_span = self._obs_begin_span(
             "quic.path_validation", new_local=new_ip,
             token=self._challenge_token)
@@ -454,7 +396,7 @@ class QuicConnection(QuicEndpoint):
         if self._path_pending and response.token == self._challenge_token:
             self._path_pending = False
             self._challenge_timer.stop()
-            self._obs_finish(self._path_span, self.sim.now)
+            self._obs_finish(self._path_span)
             self._path_span = None
             # Path validated: resume sending; anything lost during the
             # blackout is recovered by normal loss detection/PTO.

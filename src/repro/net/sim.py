@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from array import array
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Any, Callable, Optional
 
 
@@ -67,7 +68,18 @@ _COMPACT_MIN_QUEUE = 512
 
 
 class Simulator:
-    """A deterministic event loop with a virtual clock (seconds)."""
+    """A deterministic event loop with a virtual clock (seconds).
+
+    The simulator *is* the run: whatever a run reads that is not an
+    argument of its entry point hangs off this object — the clock, the
+    id counters (:meth:`sequence`) and the telemetry handle (``obs``) —
+    so a second run in the same process starts where a fresh process
+    would.
+    """
+
+    #: the installed :class:`repro.obs.Obs`, or None (the default: record
+    #: nothing).  Written only by :func:`repro.obs.install`.
+    obs = None
 
     def __init__(self):
         #: heap of ``(time, seq, event)``: ``seq`` is unique, so ordering
@@ -83,6 +95,17 @@ class Simulator:
         self.events_scheduled = 0
         self.compactions = 0
         self.peak_queue = 0
+        self._sequences: dict[str, count] = {}
+
+    def sequence(self, name: str, start: int = 1) -> int:
+        """The next value of this run's counter ``name`` (the first call
+        fixes where it starts).  Identifiers that can reach an output —
+        a span, a report — are drawn here, never from a module global or
+        an object address."""
+        counter = self._sequences.get(name)
+        if counter is None:
+            counter = self._sequences[name] = count(start)
+        return next(counter)
 
     @property
     def now(self) -> float:

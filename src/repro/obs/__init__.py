@@ -16,7 +16,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .trace import Obs, Span, Tracer, get, install
+from .trace import Obs, Span, Tracer, install
 from .export import (
     LEG_NAMES,
     MIGRATION_LEG_NAMES,
@@ -49,7 +49,6 @@ __all__ = [
     "Tracer",
     "attach_leg_breakdown",
     "chrome_thread_ids",
-    "get",
     "install",
     "mean_leg_breakdown",
     "migration_leg_breakdown",

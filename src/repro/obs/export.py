@@ -147,7 +147,7 @@ def _clipped(span, start: float, end: float) -> float:
     return max(0.0, min(span.end, end) - max(span.start, start))
 
 
-def attach_leg_breakdown(spans, root_name: str = "attach") -> list:
+def attach_leg_breakdown(spans) -> list:
     """Per-attach leg decomposition from a recorded trace.
 
     Returns one dict per completed root span, each with ``total_ms``,
@@ -158,7 +158,7 @@ def attach_leg_breakdown(spans, root_name: str = "attach") -> list:
     roots: list = []
     for span in spans:
         by_trace.setdefault(span.trace_id, []).append(span)
-        if span.name == root_name and span.parent_id == 0 \
+        if span.name == "attach" and span.parent_id == 0 \
                 and span.end is not None and span.status == "ok":
             roots.append(span)
 
@@ -196,7 +196,7 @@ MIGRATION_LEG_NAMES = ("reauth_ms", "transport_ms", "drain_ms")
 _TRANSPORT_ESTABLISH = ("mptcp.subflow_establish", "quic.path_validation")
 
 
-def migration_leg_breakdown(spans, root_name: str = "migration") -> list:
+def migration_leg_breakdown(spans) -> list:
     """Per-switch stall decomposition from a recorded migration trace.
 
     Each completed ``migration`` root (opened by ``switch_to``, closed
@@ -217,7 +217,7 @@ def migration_leg_breakdown(spans, root_name: str = "migration") -> list:
     roots: list = []
     for span in spans:
         by_trace.setdefault(span.trace_id, []).append(span)
-        if span.name == root_name and span.parent_id == 0 \
+        if span.name == "migration" and span.parent_id == 0 \
                 and span.end is not None and span.status == "ok":
             roots.append(span)
 

@@ -69,23 +69,21 @@ class KpiCollector:
         self._gauge_probes.append((name, fn))
 
     def add_latency_gauge(self, name: str,
-                          values_fn: Callable[[], "list"],
-                          qs: tuple = (50.0, 99.0)) -> None:
+                          values_fn: Callable[[], "list"]) -> None:
         """Gauge probe over a growing latency series (ms): sample count,
-        mean, and the requested percentiles each window.  ``values_fn``
-        returns the cumulative series; an empty series records only the
-        count so JSON stays deterministic before first data."""
+        mean, p50 and p99 each window.  ``values_fn`` returns the
+        cumulative series; an empty series records only the count so
+        JSON stays deterministic before first data."""
         from repro.analysis.stats import mean, percentile
 
         def probe() -> dict:
             values = values_fn()
             if not values:
                 return {"count": 0}
-            out = {"count": len(values),
-                   "mean_ms": round(mean(values), 4)}
-            for q in qs:
-                out[f"p{int(q)}_ms"] = round(percentile(values, q), 4)
-            return out
+            return {"count": len(values),
+                    "mean_ms": round(mean(values), 4),
+                    "p50_ms": round(percentile(values, 50.0), 4),
+                    "p99_ms": round(percentile(values, 99.0), 4)}
 
         self.add_gauge_probe(name, probe)
 
@@ -97,13 +95,13 @@ class KpiCollector:
         self._last_sample_at = self.sim.now
         self._event = self.sim.schedule(self.interval, self._tick)
 
-    def stop(self, final_sample: bool = True) -> None:
-        """Cancel the periodic event; optionally flush a last partial
-        window (how a run's tail makes it into the store)."""
+    def stop(self) -> None:
+        """Cancel the periodic event and flush the last partial window
+        (how a run's tail makes it into the store)."""
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        if final_sample and self._last_sample_at is not None \
+        if self._last_sample_at is not None \
                 and self.sim.now > self._last_sample_at \
                 and (self.horizon is None or self.sim.now <= self.horizon):
             self._sample()
@@ -168,9 +166,6 @@ class FleetKpiStore:
         """The per-window values for one KPI (0 where a row lacks it)."""
         return [row.get(key, 0) for row in self.rows]
 
-    def latest(self) -> dict:
-        return self.rows[-1] if self.rows else {}
-
     def summary(self) -> dict:
         """Deterministic per-key min/max/mean over all windows."""
         out = {}
@@ -197,13 +192,13 @@ class FleetKpiStore:
             handle.write(self.to_json())
         return len(self.rows)
 
-    def dashboard(self, keys: Optional[list] = None,
-                  width: int = 48) -> str:
+    def dashboard(self, keys: Optional[list] = None) -> str:
         """Terminal dashboard: one sparkline row per KPI, latest value
         and min/max annotated.  ``keys`` selects/orders the KPIs (default
         all, sorted)."""
         from repro.analysis.textplot import sparkline
 
+        width = 48
         if keys is None:
             keys = self.keys()
         label_w = max((len(k) for k in keys), default=0)
@@ -219,10 +214,10 @@ class FleetKpiStore:
                 f"max={max(values):.2f}")
         return "\n".join(lines)
 
-    def to_html(self, title: Optional[str] = None) -> str:
+    def to_html(self) -> str:
         """Static dependency-free HTML: an inline-SVG strip chart per
         KPI plus the summary table.  Deterministic output."""
-        title = title or f"fleet KPIs — {self.name}"
+        title = f"fleet KPIs — {self.name}"
         parts = ["<!DOCTYPE html><html><head><meta charset='utf-8'>",
                  f"<title>{title}</title>",
                  "<style>body{font-family:monospace;background:#111;"
@@ -246,10 +241,6 @@ class FleetKpiStore:
                          f"<td>{stats['mean']:.2f}</td></tr>")
         parts.append("</table></body></html>")
         return "\n".join(parts)
-
-    def write_html(self, path: str, title: Optional[str] = None) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_html(title=title))
 
 
 def _svg_strip(values, width: int = 240, height: int = 28) -> str:

@@ -244,9 +244,9 @@ class MetricsRegistry:
                         setattr(mine, attr, theirs)
 
     @classmethod
-    def merged(cls, registries, node: str = "fleet") -> "MetricsRegistry":
+    def merged(cls, registries) -> "MetricsRegistry":
         """One fleet-wide registry aggregating every input registry."""
-        fleet = cls(node=node)
+        fleet = cls(node="fleet")
         for registry in registries:
             fleet.merge_from(registry)
         return fleet

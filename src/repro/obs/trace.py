@@ -14,16 +14,16 @@ points — so enabling tracing cannot perturb a seeded run, and two
 identical runs produce byte-identical traces.  Memory is bounded by a
 ring buffer (``capacity`` spans; the oldest are dropped and counted).
 
-Instrumentation is zero-cost when disabled: components look up
-``sim.obs`` with ``getattr`` and skip every recording path when no
-:class:`Obs` has been installed (the default).
+Instrumentation is zero-cost when disabled: components read ``sim.obs``
+(``None`` on a fresh :class:`~repro.net.Simulator`) and skip every
+recording path until :func:`install` — the only writer — has put an
+:class:`Obs` there.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from contextlib import contextmanager
 from typing import Optional
 
 from .metrics import MetricsRegistry
@@ -153,27 +153,6 @@ class Tracer:
             parent_id=parent_id, name=name, node=node, category=category,
             start=at, end=at, kind=KIND_INSTANT, data=data))
 
-    @contextmanager
-    def span(self, name: str, node: str, now: float, category: str = "",
-             corr_id: int = 0, ctx: Optional[tuple] = None):
-        """Context-manager form for inline (non-scheduled) code paths::
-
-            with tracer.span("sap.broker_verify", node, sim.now,
-                             corr_id=corr_id):
-                ...
-
-        Virtual time does not advance inside a ``with`` block, so the
-        span records causality (and annotations), not duration.
-        """
-        trace_id, parent_id = ctx if ctx is not None else (0, 0)
-        span = self.begin(name, node, category, start=now, end=now,
-                          trace_id=trace_id, parent_id=parent_id,
-                          corr_id=corr_id)
-        try:
-            yield span
-        finally:
-            span.end = now
-
     # -- access -----------------------------------------------------------
     def spans(self) -> list:
         return list(self._spans)
@@ -194,14 +173,13 @@ class Obs:
 
     ``Obs()`` is tracing-enabled by default; ``Obs(tracing=False)`` keeps
     only the metrics side.  Install on a simulator with :func:`install`;
-    components discover it via ``getattr(sim, "obs", None)`` so an
-    uninstrumented run pays a single attribute miss per hot-path check
-    and records nothing.
+    components read it as ``sim.obs``, so an uninstrumented run pays one
+    attribute read per hot-path check and records nothing.
     """
 
-    def __init__(self, tracing: bool = True, trace_capacity: int = 65536):
+    def __init__(self, tracing: bool = True):
         self.tracing = tracing
-        self.tracer = Tracer(capacity=trace_capacity)
+        self.tracer = Tracer()
         #: registry for harness-level metrics (per-leg histograms etc.);
         #: node metrics live on each node and are merged on demand.
         self.metrics = MetricsRegistry(node="obs")
@@ -221,8 +199,3 @@ def install(sim, obs: Optional[Obs] = None) -> Obs:
         obs = Obs()
     sim.obs = obs
     return obs
-
-
-def get(sim) -> Optional[Obs]:
-    """The simulator's installed telemetry handle, or None."""
-    return getattr(sim, "obs", None)

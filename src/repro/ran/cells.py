@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .geometry import Point
 from .propagation import DEFAULT_TX_POWER_DBM
-
-_cell_ids = itertools.count(1)
 
 
 @dataclass
@@ -30,7 +27,9 @@ class Cell:
 
     position: Point
     operator: str
-    pci: int = field(default_factory=lambda: next(_cell_ids))
+    #: physical cell id; left unset, the owning :class:`Deployment`
+    #: numbers the cell by its 1-based position.
+    pci: Optional[int] = None
     tx_power_dbm: float = DEFAULT_TX_POWER_DBM
     path_loss_exponent: float = 3.7
     #: terrain-dependent shadowing depth: ~4 dB open suburban, ~8 dB
@@ -38,12 +37,9 @@ class Cell:
     shadowing_sigma_db: float = 7.0
 
     def identity_salt(self) -> int:
-        """A seed salt stable across processes and allocation order.
-
-        Derived from the cell's position (PCIs come from a global counter
-        and would make results depend on how many cells were ever
-        created — a determinism bug caught by test_determinism.py).
-        """
+        """A seed salt derived from the cell's position alone, so a
+        cell's shadowing does not depend on how its deployment happens
+        to number it."""
         x = int(self.position.x * 1000)
         y = int(self.position.y * 1000)
         return ((x * 2654435761) ^ (y * 40503)) & 0xFFFFFFFF
@@ -58,13 +54,16 @@ class Deployment:
 
     def __post_init__(self):
         self._by_pci: dict[int, Cell] = {}
-        for cell in self.cells:
-            self._by_pci.setdefault(cell.pci, cell)
         #: pci -> every other cell, nearest first (``neighbors_of``).
         self._neighbors: dict[int, list] = {}
+        owned, self.cells = self.cells, []
+        for cell in owned:
+            self.add(cell)
 
     def add(self, cell: Cell) -> Cell:
         self.cells.append(cell)
+        if cell.pci is None:
+            cell.pci = len(self.cells)
         self._by_pci.setdefault(cell.pci, cell)
         self._neighbors.clear()
         return cell

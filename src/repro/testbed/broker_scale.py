@@ -29,6 +29,7 @@ from repro.core.mobility import (
 from repro.crypto import CertificateAuthority
 from repro.crypto import keypool
 from repro.net import Host, Simulator
+from repro.obs import install as install_obs
 
 BROKER_ADDRESS = "52.20.0.1"
 #: pool slots reserved for this bench (clear of scenario builders').
@@ -79,7 +80,7 @@ def run_cell(concurrency: int, shards: int, *, rat: str = "lte",
     keypool.warm(range(_SLOT_BASE, _SLOT_BASE + 3 + sites))
     sim = Simulator()
     if obs is not None:
-        sim.obs = obs
+        install_obs(sim, obs)
 
     ca = CertificateAuthority(key=keypool.pooled_keypair(_SLOT_BASE))
     broker_host = Host(sim, "broker-host", address=BROKER_ADDRESS)

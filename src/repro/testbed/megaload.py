@@ -33,22 +33,16 @@ Each attach rides a modeled broker whose batching uses the
 :class:`~repro.core.broker.AdaptiveBatchWindow` (Nagle-style: flush
 when full, stretch under sustained load).  Scripted UEs are
 deliberately *not* full crypto stacks: the point of this bench is to
-stress the event engine itself.  Two bridges keep the model honest:
-
-* **crypto sim-cost charging** — with ``charge_crypto`` (implied by a
-  real cohort) the modeled broker's per-attach service time is the RSA
-  sign/verify cost actually measured on this machine at startup
-  (:func:`repro.crypto.simcost.measure_crypto_costs`), so scripted
-  broker busy time tracks what real crypto would cost;
-* a **mixed-fidelity cohort** — ``real_fraction`` samples an
-  evenly-spaced slice of uids whose lifecycle runs the full
-  :class:`~repro.core.ue_agent.CellBricksUe` (or 5G) SAP attach against
-  a real pipelined :class:`~repro.core.broker.Brokerd` inside the same
-  simulator, following the same script (sites folded onto a small real
-  RAN).  Population pressure and protocol truth share one clock; the
-  cohort's attach latency percentiles are reported alongside scripted
-  throughput, and seeded runs stay digest-deterministic (within a
-  process — the charged cost is machine-measured).
+stress the event engine itself.  A **mixed-fidelity cohort** keeps the
+model honest: ``real_fraction`` samples an evenly-spaced slice of uids
+whose lifecycle runs the full :class:`~repro.core.ue_agent.CellBricksUe`
+(or 5G) SAP attach against a real pipelined
+:class:`~repro.core.broker.Brokerd` inside the same simulator, following
+the same script (sites folded onto a small real RAN).  Beside a cohort
+the scripted broker charges what that brokerd charges, the calibrated
+:data:`~repro.core.broker.AUTH_REQUEST_PROCESSING`, so population
+pressure and protocol truth share one clock and one cost; the cohort's
+attach latency percentiles are reported alongside scripted throughput.
 
 Execution is batched UE stepping on the shared
 :class:`~repro.net.TickCalendar`: a tick's worth of UE actions costs
@@ -84,7 +78,11 @@ from typing import Optional
 
 from repro.analysis.gates import gate
 from repro.analysis.stats import mean, percentile
-from repro.core.broker import AdaptiveBatchWindow, ParkedBatch
+from repro.core.broker import (
+    AUTH_REQUEST_PROCESSING,
+    AdaptiveBatchWindow,
+    ParkedBatch,
+)
 from repro.emulation.policy import SECONDS_PER_HOUR, TimeOfDayPolicy
 from repro.net import Simulator, TickCalendar
 
@@ -164,23 +162,19 @@ class _MegaBroker:
     on ``BROKER_WORKERS`` earliest-free lanes and posts each completion
     back through the engine at its modeled finish tick.  The batch is a
     plain list of uids; ``service_cost`` is the modeled per-attach
-    service time (the calibrated constant, or the measured crypto cost
-    when charging is on) and ``busy_s`` accumulates total modeled
-    service so the smoke gate can check charged-vs-scripted agreement.
+    service time, a calibrated constant.
     """
 
     __slots__ = ("sim", "engine", "tick", "epoch", "service_cost",
-                 "busy_s", "parked", "lanes", "batches", "requests",
-                 "full_flushes")
+                 "parked", "lanes", "batches", "requests", "full_flushes")
 
     def __init__(self, sim: Simulator, engine, tick: float, epoch: array,
-                 service_cost: float = BROKER_ATTACH_COST):
+                 service_cost: float):
         self.sim = sim
         self.engine = engine
         self.tick = tick
         self.epoch = epoch
         self.service_cost = service_cost
-        self.busy_s = 0.0
         self.parked = ParkedBatch(sim, self._flush,
                                   adaptive=AdaptiveBatchWindow())
         self.lanes = [0.0] * BROKER_WORKERS
@@ -204,7 +198,6 @@ class _MegaBroker:
         wake = self.engine.wake
         self.batches += 1
         self.requests += len(batch)
-        self.busy_s += cost * len(batch)
         for uid in batch:
             lane = min(range(len(lanes)), key=lanes.__getitem__)
             end = max(now, lanes[lane]) + cost
@@ -232,13 +225,12 @@ class _RealCohort:
     Everything here is deterministic under a fixed seed: topology and
     uid selection derive from the workload config, retransmission
     jitter RNGs are name-seeded, and modeled processing costs are
-    constants (or the per-process cached measured crypto cost).
+    constants.
     """
 
     def __init__(self, workload: "MegaloadWorkload", uids, *,
                  rat: str = "lte", sites: int = 4):
         from repro.core import Brokerd, UeSapCredentials
-        from repro.core.broker import BrokerAuthRequest
         from repro.core.mobility import (
             build_btelco_site,
             rat_profile,
@@ -273,14 +265,6 @@ class _RealCohort:
             key=keypool.pooled_keypair(_REAL_SLOT_BASE + 1))
         self.brokerd.configure_pipeline(
             shards=min(4, max(1, self.n_sites)), adaptive=True)
-        if workload.charge_crypto:
-            # Charge the real pipeline the same measured per-attach cost
-            # the scripted broker model charges: `_cost_scale` stretches
-            # every calibrated stage proportionally, so modeled and
-            # scripted service times agree by construction.
-            costs = dict(self.brokerd.processing_costs)
-            costs[BrokerAuthRequest] = workload.broker.service_cost
-            self.brokerd.processing_costs = costs
 
         self.ran_hosts = [
             build_btelco_site(
@@ -414,8 +398,7 @@ class MegaloadWorkload:
                  tick: float, seed: int, engine: str = "optimized",
                  adaptive: bool = True, compaction: bool = True,
                  real_fraction: float = 0.0, real_rat: str = "lte",
-                 real_sites: int = 4,
-                 charge_crypto: Optional[bool] = None):
+                 real_sites: int = 4):
         # benchmarks/ledger/workloads.py, frozen outside `benchmark` PRs,
         # still passes these three words; they select nothing any more.
         if (engine, adaptive, compaction) != ("optimized", True, True):
@@ -441,16 +424,6 @@ class MegaloadWorkload:
         self.seed = seed
         self.real_fraction = real_fraction
         self.real_rat = real_rat
-        if charge_crypto is None:
-            charge_crypto = real_fraction > 0
-        self.charge_crypto = charge_crypto
-        self.crypto_costs: Optional[dict] = None
-        service_cost = BROKER_ATTACH_COST
-        if charge_crypto:
-            from repro.crypto.simcost import measure_crypto_costs
-
-            self.crypto_costs = measure_crypto_costs()
-            service_cost = self.crypto_costs["attach_cost_s"]
         self.sim = Simulator()
         self.engine = self.engine_class(self.sim, tick, self._dispatch)
         #: bound once — `engine.wake` runs several times per action.
@@ -468,8 +441,15 @@ class MegaloadWorkload:
         #: ``script_codes[script_off[uid]:script_off[uid+1]]``.
         self.script_codes = array("q")
         self.script_off = array("i", bytes(4 * (n + 1)))
-        self.broker = _MegaBroker(self.sim, self.engine, tick,
-                                  self.ue_epoch, service_cost=service_cost)
+        # Beside a real cohort the scripted broker charges what the
+        # cohort's brokerd charges; alone, the constant SMOKE_DIGEST and
+        # the ledger's megaload_day are pinned on.
+        if real_fraction > 0:
+            self.broker = _MegaBroker(self.sim, self.engine, tick,
+                                      self.ue_epoch, AUTH_REQUEST_PROCESSING)
+        else:
+            self.broker = _MegaBroker(self.sim, self.engine, tick,
+                                      self.ue_epoch, BROKER_ATTACH_COST)
         # -- site admission state -----------------------------------------
         self.site_attached = [0] * sites
         self.site_capacity = max(8, int(math.ceil(
@@ -757,12 +737,6 @@ class MegaloadWorkload:
         if self.real_cohort is not None:
             workload["real_fraction"] = self.real_fraction
             workload["real_cohort"] = self.real_cohort.summary()
-        if self.charge_crypto:
-            workload["crypto_charging"] = {
-                "attach_cost_s": self.broker.service_cost,
-                "sign_ms": self.crypto_costs["sign_ms"],
-                "verify_ms": self.crypto_costs["verify_ms"],
-            }
         digest = hashlib.sha256(json.dumps(
             workload, sort_keys=True).encode()).hexdigest()
         peak_rss = _peak_rss_bytes()
@@ -781,8 +755,6 @@ class MegaloadWorkload:
             # of a process (peak RSS never shrinks).
             "rss_per_ue_bytes": round(
                 max(0.0, peak_rss - self._rss_before) / self.ues, 1),
-            "broker_service_cost_s": self.broker.service_cost,
-            "broker_busy_s": round(self.broker.busy_s, 6),
         }
         return {"workload": workload, "digest": digest, "perf": perf}
 
@@ -790,20 +762,20 @@ class MegaloadWorkload:
 def run_cell(*, ues: int = 100_000, sites: int = 256,
              duration: float = 60.0, tick: float = 0.05, seed: int = 7,
              real_fraction: float = 0.0, real_rat: str = "lte",
-             real_sites: int = 4, charge_crypto: Optional[bool] = None,
-             kpi_store=None, kpi_interval: float = 1.0) -> dict:
+             real_sites: int = 4, kpi_store=None,
+             kpi_interval: float = 1.0) -> dict:
     """Run one megaload cell.  ``real_fraction`` samples that slice of
     the population into the full-fidelity SAP cohort (``real_rat``
-    selects the stack, ``real_sites`` sizes its RAN); any real cohort
-    implies ``charge_crypto`` — measured RSA service times replace the
-    calibrated constant in the scripted broker model.  With
+    selects the stack, ``real_sites`` sizes its RAN); beside a cohort
+    the scripted broker charges ``AUTH_REQUEST_PROCESSING`` per attach
+    instead of ``BROKER_ATTACH_COST``.  With
     ``kpi_store`` (a :class:`~repro.obs.fleet.FleetKpiStore`), a
     read-only collector samples workload/broker/site KPIs every
     ``kpi_interval`` sim-seconds — the workload digest is unaffected."""
     workload = MegaloadWorkload(
         ues=ues, sites=sites, duration=duration, tick=tick, seed=seed,
         real_fraction=real_fraction, real_rat=real_rat,
-        real_sites=real_sites, charge_crypto=charge_crypto)
+        real_sites=real_sites)
     if kpi_store is not None:
         workload.attach_kpi_collector(kpi_store, interval=kpi_interval)
     return workload.run()
@@ -843,10 +815,13 @@ SMOKE_DIGEST = \
 #: resident bytes per scripted UE the SoA layout must stay under
 #: (~125 measured); a size, not a clock.
 MAX_RSS_PER_UE_BYTES = 512
-#: the mixed-fidelity micro-cell: a real SAP cohort and charged crypto
-#: sharing one clock with the scripted population.
+#: the mixed-fidelity micro-cell: a real SAP cohort sharing one clock
+#: and one broker cost with the scripted population.
 SMOKE_MIXED = dict(ues=20_000, sites=64, duration=20.0, tick=0.05, seed=7,
                    real_fraction=0.002, real_sites=2)
+#: sha256 over SMOKE_MIXED's workload counters, cohort summary included.
+SMOKE_MIXED_DIGEST = \
+    "8240a76394d85f0f22c98f88233ad318b204b7a696966926a7dee45efc519ab8"
 
 
 def smoke(kpi_store=None) -> dict:
@@ -863,20 +838,14 @@ def gates(report: dict) -> list:
     cell, mixed = report["cells"][0], report["mixed"]
     rss = cell["perf"]["rss_per_ue_bytes"]
     attached = mixed["workload"]["real_cohort"]["attach_ok"]
-    busy = mixed["perf"]["broker_busy_s"]
-    charged = mixed["perf"]["broker_service_cost_s"] \
-        * mixed["workload"]["broker_requests"]
     return [
         gate("digest", cell["digest"], SMOKE_DIGEST,
              cell["digest"] == SMOKE_DIGEST),
         gate("rss_per_ue_bytes", rss, MAX_RSS_PER_UE_BYTES,
              rss <= MAX_RSS_PER_UE_BYTES),
+        gate("mixed:digest", mixed["digest"], SMOKE_MIXED_DIGEST,
+             mixed["digest"] == SMOKE_MIXED_DIGEST),
         gate("mixed:real_attaches", attached, 1, attached >= 1),
-        # busy_s is rounded to 1e-6 in the report; allow that plus float
-        # accumulation slack across ~1e4 batches.
-        gate("mixed:scripted_busy_equals_charged_s", busy,
-             round(charged, 6),
-             abs(busy - charged) <= 1e-5 + 1e-9 * abs(charged)),
     ]
 
 

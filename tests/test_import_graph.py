@@ -34,7 +34,8 @@ EXPECTED = {
     "repro.emulation.figures", "repro.emulation.geo",
     "repro.emulation.policy", "repro.emulation.radio",
     "repro.emulation.routes", "repro.emulation.scenario",
-    "repro.net", "repro.net.link", "repro.net.mptcp", "repro.net.node",
+    "repro.net", "repro.net.endpoint", "repro.net.link",
+    "repro.net.mptcp", "repro.net.node",
     "repro.net.packet", "repro.net.quic", "repro.net.sim", "repro.net.tcp",
     "repro.net.topology", "repro.net.tunnel",
     "repro.obs", "repro.obs.export", "repro.obs.fleet", "repro.obs.metrics",

@@ -16,8 +16,7 @@ from hypothesis.stateful import (
 )
 
 from repro.net import AddressPool, TokenBucket
-from repro.net.mptcp import _ConnReceiver
-from repro.net.quic import _StreamReceiver
+from repro.net.endpoint import Reassembly
 
 
 class AddressPoolMachine(RuleBasedStateMachine):
@@ -58,7 +57,7 @@ TestAddressPool.settings = settings(max_examples=25,
 
 
 class ReceiverEquivalenceMachine(RuleBasedStateMachine):
-    """The MPTCP and QUIC stream receivers against a reference model.
+    """The MPTCP / QUIC stream reassembly against a reference model.
 
     Random (offset, length) ranges — duplicated, overlapping, out of
     order — must deliver exactly the union of contiguous-from-zero bytes,
@@ -67,28 +66,23 @@ class ReceiverEquivalenceMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.mptcp = _ConnReceiver()
-        self.quic = _StreamReceiver()
+        self.receiver = Reassembly()
         self.covered: set = set()
-        self.delivered_mptcp = 0
-        self.delivered_quic = 0
+        self.delivered = 0
 
     @rule(offset=st.integers(min_value=0, max_value=400),
           length=st.integers(min_value=1, max_value=120))
     def receive(self, offset, length):
         self.covered.update(range(offset, offset + length))
-        self.delivered_mptcp += self.mptcp.on_mapped_data(offset, length)
-        self.delivered_quic += self.quic.receive(offset, length)
+        self.delivered += self.receiver.receive(offset, length)
 
     @invariant()
     def delivery_matches_reference(self):
         expected = 0
         while expected in self.covered:
             expected += 1
-        assert self.delivered_mptcp == expected
-        assert self.mptcp.rcv_nxt == expected
-        assert self.delivered_quic == expected
-        assert self.quic.delivered == expected
+        assert self.delivered == expected
+        assert self.receiver.delivered == expected
 
 
 TestReceiverEquivalence = ReceiverEquivalenceMachine.TestCase

@@ -8,7 +8,8 @@ from repro.net import (
     MptcpListener,
     Simulator,
 )
-from repro.net.mptcp import MpJoin, _ConnReceiver
+from repro.net.endpoint import Reassembly
+from repro.net.mptcp import MpJoin
 from repro.net.tcp import TcpConnection
 
 
@@ -56,34 +57,34 @@ def do_handover(sim, path, attach_delay=0.032, new_prefix="10.129.0",
 
 class TestConnReceiver:
     def test_in_order_delivery(self):
-        recv = _ConnReceiver()
-        assert recv.on_mapped_data(0, 100) == 100
-        assert recv.on_mapped_data(100, 50) == 50
-        assert recv.rcv_nxt == 150
+        recv = Reassembly()
+        assert recv.receive(0, 100) == 100
+        assert recv.receive(100, 50) == 50
+        assert recv.delivered == 150
 
     def test_duplicate_is_zero(self):
-        recv = _ConnReceiver()
-        recv.on_mapped_data(0, 100)
-        assert recv.on_mapped_data(0, 100) == 0
-        assert recv.on_mapped_data(50, 50) == 0
+        recv = Reassembly()
+        recv.receive(0, 100)
+        assert recv.receive(0, 100) == 0
+        assert recv.receive(50, 50) == 0
 
     def test_out_of_order_held_then_drained(self):
-        recv = _ConnReceiver()
-        assert recv.on_mapped_data(100, 50) == 0
-        assert recv.on_mapped_data(0, 100) == 150
+        recv = Reassembly()
+        assert recv.receive(100, 50) == 0
+        assert recv.receive(0, 100) == 150
 
     def test_partial_overlap(self):
-        recv = _ConnReceiver()
-        recv.on_mapped_data(0, 100)
+        recv = Reassembly()
+        recv.receive(0, 100)
         # Re-injection overlapping already-delivered data.
-        assert recv.on_mapped_data(50, 100) == 50
-        assert recv.rcv_nxt == 150
+        assert recv.receive(50, 100) == 50
+        assert recv.delivered == 150
 
     def test_interleaved_gaps(self):
-        recv = _ConnReceiver()
-        assert recv.on_mapped_data(200, 100) == 0
-        assert recv.on_mapped_data(100, 100) == 0
-        assert recv.on_mapped_data(0, 100) == 300
+        recv = Reassembly()
+        assert recv.receive(200, 100) == 0
+        assert recv.receive(100, 100) == 0
+        assert recv.receive(0, 100) == 300
 
     def test_thousand_out_of_order_segments(self):
         """The drain is a single sorted pass, so a worst-case shuffle of
@@ -92,11 +93,11 @@ class TestConnReceiver:
         rng = random.Random(7)
         segments = [(i * 100, 100) for i in range(1000)]
         rng.shuffle(segments)
-        recv = _ConnReceiver()
-        total = sum(recv.on_mapped_data(seq, length)
+        recv = Reassembly()
+        total = sum(recv.receive(seq, length)
                     for seq, length in segments)
         assert total == 100_000
-        assert recv.rcv_nxt == 100_000
+        assert recv.delivered == 100_000
         assert recv._pending == {}
 
 

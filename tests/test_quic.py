@@ -6,11 +6,8 @@ import pytest
 
 from repro.apps import IperfClient, IperfServer, KIND_QUIC
 from repro.net import CellularPath, Simulator
-from repro.net.quic import (
-    QuicConnection,
-    QuicListener,
-    _StreamReceiver,
-)
+from repro.net.endpoint import Reassembly
+from repro.net.quic import QuicConnection, QuicListener
 
 
 def make_path(**kwargs):
@@ -29,23 +26,23 @@ def handover(sim, path, at, prefix="10.129.0", gap=0.08, d=0.032):
 
 class TestStreamReceiver:
     def test_in_order(self):
-        recv = _StreamReceiver()
+        recv = Reassembly()
         assert recv.receive(0, 100) == 100
         assert recv.receive(100, 50) == 50
 
     def test_duplicates_ignored(self):
-        recv = _StreamReceiver()
+        recv = Reassembly()
         recv.receive(0, 100)
         assert recv.receive(0, 100) == 0
         assert recv.receive(20, 50) == 0
 
     def test_reorder_buffered(self):
-        recv = _StreamReceiver()
+        recv = Reassembly()
         assert recv.receive(100, 100) == 0
         assert recv.receive(0, 100) == 200
 
     def test_overlap_partial(self):
-        recv = _StreamReceiver()
+        recv = Reassembly()
         recv.receive(0, 100)
         assert recv.receive(50, 100) == 50
 
@@ -83,7 +80,7 @@ class TestStreamReceiver:
                 return newly
 
         rng = random.Random(seed)
-        recv, ref = _StreamReceiver(), Rescanning()
+        recv, ref = Reassembly(), Rescanning()
         # A loss burst: ranges arrive shuffled within a wide window, with
         # duplicates, re-cuts of the same offset and overlaps.
         frames = []

@@ -72,10 +72,13 @@ def mega_report():
 
 @pytest.fixture()
 def mega_pin(monkeypatch, mega_report):
-    """The digest pin belongs to the 100k-UE smoke cell; point it at the
-    small cell so ``gates`` can run on a report a unit test can afford."""
+    """The digest pins belong to the 100k-UE smoke cell and its 20k-UE
+    mixed cell; point them at the small cells so ``gates`` can run on a
+    report a unit test can afford."""
     monkeypatch.setattr(megaload, "SMOKE_DIGEST",
                         mega_report["cells"][0]["digest"])
+    monkeypatch.setattr(megaload, "SMOKE_MIXED_DIGEST",
+                        mega_report["mixed"]["digest"])
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +206,9 @@ class TestMegaloadGates:
     def test_the_pin_is_the_100k_cell(self, mega_report):
         assert megaload.SMOKE["ues"] == 100_000
         assert megaload.SMOKE_DIGEST.startswith("b6b306f2")
-        assert failing(megaload.gates(mega_report)) == ["digest"]
+        assert megaload.SMOKE_MIXED["ues"] == 20_000
+        assert failing(megaload.gates(mega_report)) == ["digest",
+                                                        "mixed:digest"]
 
     def test_digest_one_hex_digit_off(self, mega_report, mega_pin):
         digest = mega_report["cells"][0]["digest"]
@@ -224,11 +229,10 @@ class TestMegaloadGates:
         bad = doctored(mega_report, "mixed", "workload", "real_cohort",
                        "attach_ok", 0)
         assert failing(megaload.gates(bad)) == ["mixed:real_attaches"]
-        busy = mega_report["mixed"]["perf"]["broker_busy_s"]
-        bad = doctored(mega_report, "mixed", "perf", "broker_busy_s",
-                       busy + 0.001)
-        assert failing(megaload.gates(bad)) == [
-            "mixed:scripted_busy_equals_charged_s"]
+        digest = mega_report["mixed"]["digest"]
+        flipped = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+        bad = doctored(mega_report, "mixed", "digest", flipped)
+        assert failing(megaload.gates(bad)) == ["mixed:digest"]
 
 
 class TestObserveGates:
@@ -328,9 +332,12 @@ class TestSmokeExitCodeFromAnyDirectory:
     def test_megaload(self, mega_report, monkeypatch, capsys):
         monkeypatch.setattr(megaload, "smoke",
                             lambda kpi_store=None: mega_report)
-        assert self.run(["megaload", "--smoke"], capsys) == 1   # digest
+        assert self.run(["megaload", "--smoke"], capsys) == 1   # digests
         monkeypatch.setattr(megaload, "SMOKE_DIGEST",
                             mega_report["cells"][0]["digest"])
+        assert self.run(["megaload", "--smoke"], capsys) == 1   # mixed
+        monkeypatch.setattr(megaload, "SMOKE_MIXED_DIGEST",
+                            mega_report["mixed"]["digest"])
         assert self.run(["megaload", "--smoke"], capsys) == 0
 
     def test_observe(self, mega_seen, ha_seen, monkeypatch, capsys):

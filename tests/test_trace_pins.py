@@ -9,6 +9,12 @@ time, so a substrate change that moves a name or reorders a call moves a
 hash.  The values were taken at the commit before the LTE/5G twins were
 collapsed and are stable across processes and ``PYTHONHASHSEED``.
 
+Every row runs twice in one process and must hold its pin both times:
+what a run reads that is not an argument hangs off its ``Simulator``,
+so the second run starts where a fresh process would (QUIC connection
+ids land in the 5G drive's span data: a per-process counter would move
+its second hash).
+
 Two more rows hash what the ledger's ``broker_failover`` workload hashes
 — the broker-ha cell report at the ledger's size and seed, per RAT — so
 a shard-host change that moves a byte fails here without a ledger run
@@ -16,12 +22,10 @@ a shard-host change that moves a byte fails here without a ledger run
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
 
-from repro.net import quic
 from repro.obs import Obs, spans_to_jsonl
 from repro.testbed import broker_ha, run_traced_attach, run_traced_drive
 
@@ -43,8 +47,9 @@ def sha256(jsonl: str) -> str:
      "574d9c15bdc83ce73d54b590e1d8493cc27b47ede1b274185e4c642626686bc3"),
 ])
 def test_traced_attach_bytes(rat, arch, pinned):
-    _, obs, _ = run_traced_attach(arch, "us-west-1", trials=5, rat=rat)
-    assert sha256(spans_to_jsonl(obs.tracer.spans())) == pinned
+    for _ in range(2):
+        _, obs, _ = run_traced_attach(arch, "us-west-1", trials=5, rat=rat)
+        assert sha256(spans_to_jsonl(obs.tracer.spans())) == pinned
 
 
 @pytest.mark.parametrize("rat, pinned", [
@@ -54,8 +59,9 @@ def test_traced_attach_bytes(rat, arch, pinned):
      "41412a2055ba602d8e6e91443b2e9c756198f86d8725ef63ca67567935c73f45"),
 ])
 def test_chaos_trace_bytes(rat, pinned):
-    _, jsonl = _chaos_trace(seed=7, rat=rat)
-    assert sha256(jsonl) == pinned
+    for _ in range(2):
+        _, jsonl = _chaos_trace(seed=7, rat=rat)
+        assert sha256(jsonl) == pinned
 
 
 @pytest.mark.parametrize("rat, pinned", [
@@ -64,13 +70,11 @@ def test_chaos_trace_bytes(rat, pinned):
     ("5g",
      "13d096dd1823c9df21be62f79ff35b156abe69d0ad4ab6f73bbf06a77e7b76b3"),
 ])
-def test_traced_drive_bytes(rat, pinned, monkeypatch):
-    # QUIC connection ids come from a process-wide counter and land in
-    # span data: start it where a fresh process would, whatever ran before.
-    monkeypatch.setattr(quic, "_connection_ids", itertools.count(0x51C0))
-    obs = Obs()
-    run_traced_drive(rat, obs=obs)
-    assert sha256(spans_to_jsonl(obs.tracer.spans())) == pinned
+def test_traced_drive_bytes(rat, pinned):
+    for _ in range(2):
+        obs = Obs()
+        run_traced_drive(rat, obs=obs)
+        assert sha256(spans_to_jsonl(obs.tracer.spans())) == pinned
 
 
 @pytest.mark.parametrize("rat, pinned", [
@@ -80,7 +84,8 @@ def test_traced_drive_bytes(rat, pinned, monkeypatch):
      "f54d8986196b2c8f36e96ff4d09ca3b86a5c0a1795951466c7aff2f17fe1dc36"),
 ])
 def test_broker_ha_cell_bytes(rat, pinned):
-    cell = broker_ha.run_cell(rat, attaches=16, seed=11, revoke_every=5,
-                              think_time=0.02)
-    assert sha256(json.dumps(cell, sort_keys=True,
-                             separators=(",", ":"))) == pinned
+    for _ in range(2):
+        cell = broker_ha.run_cell(rat, attaches=16, seed=11, revoke_every=5,
+                                  think_time=0.02)
+        assert sha256(json.dumps(cell, sort_keys=True,
+                                 separators=(",", ":"))) == pinned
