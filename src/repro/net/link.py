@@ -131,8 +131,7 @@ class SimplexLink:
         # Policing drops non-conforming packets immediately (how carrier
         # rate limiting behaves); shaping queues them until tokens accrue.
         self.police = police
-        self.rng = rng if rng is not None else \
-            random.Random(_seed_from_name(name))
+        self._rng = rng
         self.receiver: Optional[Callable[[Packet], None]] = None
         self.stats = LinkStats()
         self.up = True
@@ -141,6 +140,19 @@ class SimplexLink:
         self._down_until = 0.0
         self._queued_bytes = 0
         self._in_flight: dict[int, object] = {}  # packet_id -> Event
+
+    @property
+    def rng(self) -> random.Random:
+        """Loss draws; name-seeded at the first one unless the caller
+        supplied a generator.  A lossless link never draws, and seeding
+        a Mersenne Twister cost more than the rest of the constructor.
+        (A plain attribute set in ``__init__``, not a cached property:
+        writing a late key into the instance dict of the hottest object
+        on the data path cost ``app_transport`` 8 %.)"""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(_seed_from_name(self.name))
+        return rng
 
     # -- dynamic reconfiguration (driven by the emulation harness) -------
     def set_bandwidth(self, bandwidth_bps: float) -> None:
@@ -190,7 +202,9 @@ class SimplexLink:
         if not self.up:
             self.stats.dropped_down += 1
             return False
-        if self.loss_rate and self.rng.random() < self.loss_rate:
+        # ``_rng or rng``: the property call only for the first draw.
+        if self.loss_rate \
+                and (self._rng or self.rng).random() < self.loss_rate:
             self.stats.dropped_loss += 1
             return False
         if self._queued_bytes + packet.size > self.queue_limit_bytes:
@@ -267,19 +281,21 @@ class Link:
                  shaper_up: Optional[TokenBucket] = None,
                  bandwidth_up_bps: Optional[float] = None,
                  rng: Optional[random.Random] = None):
-        # Explicitly-seeded links stay byte-identical to earlier builds;
-        # unseeded ones decorrelate via a name-derived seed.
-        rng = rng if rng is not None else random.Random(_seed_from_name(name))
+        # ``rng`` is accepted and unused, as it has been since the seed
+        # commit: the two generators derived from it were passed in
+        # ``SimplexLink``'s ``police`` position (truthy, i.e. the
+        # default), so each half has always drawn from its own
+        # name-seeded generator.  Honouring it moves every lossy digest
+        # (ROADMAP item 1b); building three generators per link to drop
+        # them does not.
         # a -> b is the "down" direction by convention (network -> UE when
         # a is the infrastructure side; callers pick the orientation).
         self.a_to_b = SimplexLink(
             sim, f"{name}:a->b", bandwidth_bps, delay_s, loss_rate,
-            queue_limit_bytes, shaper_down,
-            random.Random(rng.getrandbits(32)))
+            queue_limit_bytes, shaper_down)
         self.b_to_a = SimplexLink(
             sim, f"{name}:b->a", bandwidth_up_bps or bandwidth_bps, delay_s,
-            loss_rate, queue_limit_bytes, shaper_up,
-            random.Random(rng.getrandbits(32)))
+            loss_rate, queue_limit_bytes, shaper_up)
         self.name = name
         self.a = a
         self.b = b

@@ -29,7 +29,7 @@ LATENCY_BUCKETS_MS = (
 
 
 def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
+    return tuple(sorted(labels.items())) if labels else ()
 
 
 def _format_name(name: str, labels: tuple) -> str:

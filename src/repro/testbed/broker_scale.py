@@ -16,7 +16,7 @@ very same brokerd code, since SAP is RAT-agnostic; sites come from
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.analysis.gates import gate
 from repro.analysis.stats import mean, percentile
@@ -59,7 +59,9 @@ class CellResult:
     broker: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Shallow: ``asdict`` deep-copies ``broker`` (~200 nested values a
+        # cell) for callers that only read or serialise the result.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def run_cell(concurrency: int, shards: int, *, rat: str = "lte",

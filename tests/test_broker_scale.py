@@ -2,6 +2,7 @@
 equivalence + determinism, throughput acceptance, SMF pool release, and
 billing archival."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.sap import (
     BtelcoSapConfig,
     DenialCause,
     SapError,
+    ShardRouter,
     UeSap,
     UeSapCredentials,
 )
@@ -101,6 +103,87 @@ class TestShardRouting:
         assert sum(s["subscribers"] for s in stats["shards"]) == 20
 
 
+class TestShardRing:
+    """``ShardRouter``'s ring is built once per shard set per process and
+    at the first lookup; placement is still the from-scratch answer."""
+
+    IDS = tuple(f"sub-{i:05d}" for i in range(300))
+
+    @staticmethod
+    def _reference(shard_ids, id_u, replicas=64):
+        """First ring point clockwise of ``id_u``, by full scan."""
+        def point(token):
+            return int.from_bytes(
+                hashlib.sha256(token.encode()).digest()[:8], "big")
+        ring = sorted((point(f"shard:{shard}:{replica}"), shard)
+                      for shard in shard_ids for replica in range(replicas))
+        after = [owner for p, owner in ring if p > point(f"u:{id_u}")]
+        return after[0] if after else ring[0][1]
+
+    def test_placement_equals_a_full_scan_through_adds_and_removes(self):
+        router, other = ShardRouter(), ShardRouter((7, 9))
+        live = set()
+        for step, shard in (("add", 0), ("add", 1), ("add", 2), ("add", 5),
+                            ("remove", 1), ("add", 3), ("remove", 0),
+                            ("add", 1), ("remove", 5)):
+            getattr(router, step)(shard)
+            (live.add if step == "add" else live.discard)(shard)
+            assert router.shard_ids == tuple(sorted(live))
+            for id_u in self.IDS:
+                assert router.shard_for(id_u) \
+                    == self._reference(live, id_u)
+        # A second router over another set shares the memo, not the ring.
+        assert {other.shard_for(id_u) for id_u in self.IDS} == {7, 9}
+        assert all(other.shard_for(id_u) == self._reference((7, 9), id_u)
+                   for id_u in self.IDS[:50])
+
+    def test_errors_are_unchanged(self):
+        router = ShardRouter()
+        with pytest.raises(ValueError, match="empty shard ring"):
+            router.shard_for("alice")
+        router.add(0)
+        with pytest.raises(ValueError, match="already on the ring"):
+            router.add(0)
+        with pytest.raises(ValueError, match="last shard"):
+            router.remove(0)
+        with pytest.raises(ValueError, match="not on the ring"):
+            router.remove(3)
+
+    def test_a_second_cell_hashes_no_ring_point_and_seeds_no_generator(
+            self, monkeypatch):
+        """Counted, not timed: what a cell's set-up repeats for every
+        cell of every bench.  The ring of an already-seen shard set costs
+        no SHA-256; a lossless link seeds no loss generator and only a
+        node that arms a request timer seeds its jitter generator (both
+        at first use, with the seed they always had).  At the parent of
+        PR 22: 512 ring hashes and 49 generators for this cell."""
+        from repro.testbed.broker_scale import run_cell
+        first = run_cell(2, 8, rat="5g", sites=2)
+        hashed, seeded = [], []
+        point, init = ShardRouter._point, random.Random.__init__
+        monkeypatch.setattr(
+            ShardRouter, "_point",
+            staticmethod(lambda token: hashed.append(token) or point(token)))
+        monkeypatch.setattr(
+            random.Random, "__init__",
+            lambda self, x=None: seeded.append(x) or init(self, x))
+        second = run_cell(2, 8, rat="5g", sites=2)
+        assert second.to_dict() == first.to_dict()
+        assert second.attached == 2
+        assert [token for token in hashed if not token.startswith("u:")] \
+            == []
+        assert sorted(seeded) == ["retx:cb-ue5g0", "retx:cb-ue5g1",
+                                  "retx:site0-amf", "retx:site1-amf"]
+
+    def test_cell_result_to_dict_is_every_field_in_order(self):
+        from dataclasses import asdict
+        from repro.testbed.broker_scale import run_cell
+        cell = run_cell(1, 2, rat="lte", sites=1)
+        assert cell.to_dict() == asdict(cell)
+        assert list(cell.to_dict()) == list(asdict(cell))
+        assert cell.to_dict()["broker"]["num_shards"] == 2
+
+
 class TestRebalance:
     def test_replayed_nonce_denied_after_adding_shard(self, world):
         broker = make_broker(world, num_shards=2)
@@ -172,6 +255,21 @@ class TestVerifyCache:
         clear_verify_cache()
         stats = verify_cache_stats()
         assert stats["hits"] == 0 and stats["size"] == 0
+
+    def test_verify_cache_is_bounded_and_keeps_the_newest(self, world):
+        clear_verify_cache()
+        key = generate_keypair(rng=random.Random(0xCAC4E))
+        signature = key.sign(b"message")
+        cap = verify_cache_stats()["max_size"]
+        for index in range(cap + 99):
+            assert not key.public_key.verify(b"other %d" % index, signature)
+        assert key.public_key.verify(b"message", signature)
+        stats = verify_cache_stats()
+        assert stats["size"] == stats["max_size"] == cap
+        assert stats["misses"] == cap + 100 and stats["hits"] == 0
+        assert key.public_key.verify(b"message", signature)
+        assert verify_cache_stats()["hits"] == 1
+        clear_verify_cache()
 
 
 class TestPipelineEndToEnd:

@@ -118,6 +118,21 @@ class TestHybridEncryption:
         with pytest.raises(CryptoError):
             keypair.decrypt(bytes(ct))
 
+    def test_out_of_range_wrapped_key_rejected(self, keypair):
+        """RFC 8017 5.1.2: ``c + n`` is not a second ciphertext for the
+        plaintext of ``c``, though CRT would reduce it to the same."""
+        pub = keypair.public_key
+        k = pub.byte_size
+        for _ in range(10_000):
+            ciphertext = pub.encrypt(b"payload")
+            shifted = int.from_bytes(ciphertext[:k], "big") + pub.n
+            if shifted.bit_length() <= 8 * k:
+                break
+        forged = shifted.to_bytes(k, "big") + ciphertext[k:]
+        assert keypair.decrypt(ciphertext) == b"payload"
+        with pytest.raises(CryptoError):
+            keypair.decrypt(forged)
+
     def test_truncated_ciphertext_fails(self, keypair):
         with pytest.raises(CryptoError):
             keypair.decrypt(b"\x00" * 10)

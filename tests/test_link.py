@@ -212,6 +212,40 @@ class TestSimplexLink:
         reference = random.Random(123)
         assert link.rng.random() == reference.random()
 
+    def test_generator_is_seeded_at_first_draw_with_the_name_seed(self):
+        import random
+        import zlib
+        sim = Simulator()
+        lossless = self._make(sim)
+        lossless.receiver = lambda p: None
+        for _ in range(5):
+            lossless.send(make_packet(size=100))
+        sim.run()
+        assert lossless._rng is None            # never drew, never seeded
+        lossy = SimplexLink(sim, "radio-a", bandwidth_bps=8e6,
+                            delay_s=0.001, loss_rate=0.5)
+        assert lossy._rng is None
+        expected = random.Random(zlib.crc32(b"radio-a")).random()
+        assert lossy.rng.random() == expected
+        assert lossy.rng is lossy.rng
+
+    def test_duplex_halves_draw_from_their_own_names(self):
+        # Pinned because lossy digests hang on it: a ``Link``'s ``rng``
+        # argument has never reached its halves (ROADMAP), each is seeded
+        # by its own half name, and policing stays on.
+        import random
+        import zlib
+        from repro.net import Host, Link
+        sim = Simulator()
+        link = Link(sim, "wan", Host(sim, "a", address="10.0.0.1"),
+                    Host(sim, "b", address="10.0.1.1"), bandwidth_bps=8e6,
+                    delay_s=0.001, loss_rate=0.1, rng=random.Random(5))
+        for half, name in ((link.a_to_b, b"wan:a->b"),
+                           (link.b_to_a, b"wan:b->a")):
+            assert half.police is True
+            assert half.rng.random() \
+                == random.Random(zlib.crc32(name)).random()
+
     def test_policing_drops_nonconforming(self):
         sim = Simulator()
         bucket = TokenBucket(rate_bps=8000, burst_bytes=1000)

@@ -140,6 +140,20 @@ class TestRetransmission:
 
         assert retransmit_times() == retransmit_times()
 
+    def test_jitter_generator_is_seeded_when_a_timer_is_first_armed(self):
+        import random
+        world = World()
+        world.client.send(world.server_host.address, Ping())
+        world.sim.run()
+        assert "_retx_rng" not in vars(world.client)     # plain sends
+        assert "_retx_rng" not in vars(world.server)
+        reference = random.Random("retx:client")
+        reference.random()                  # the first timer's draw
+        world.client.send_request(world.server_host.address, Ping())
+        world.sim.run()
+        assert world.client._retx_rng.random() == reference.random()
+        assert "_retx_rng" not in vars(world.server)     # only answered
+
 
 class TestGiveUp:
     def test_attempt_budget_exhaustion_reports_failure(self):

@@ -4,7 +4,8 @@
 Two halves.  The AST guard holds the rule in ``src/repro/``: no
 sim-clock number can come from the wall clock (one module may read it,
 to *report* what the run cost) and no output from what the process ran
-before (no process-wide counter, no object address).  The pinned
+before (no process-wide counter, no object address); and how a modular
+power is computed is one module's business.  The pinned
 mixed-fidelity digests hold its consequence: a megaload cell with a
 real SAP cohort — the last model that charged a host measurement to the
 sim clock — hashes the same in any process on any host.
@@ -48,8 +49,9 @@ def _is_counter(call: ast.Call) -> bool:
         or (isinstance(func, ast.Name) and func.id == "count")
 
 
-def test_the_wall_clock_has_one_reader():
-    readers = set()
+def _importers(*packages: str) -> set:
+    """The modules under ``src/repro/`` that import any of ``packages``."""
+    found = set()
     for rel, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -58,10 +60,13 @@ def test_the_wall_clock_has_one_reader():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] in ("time", "datetime")
-                   for name in names):
-                readers.add(rel)
-    assert readers == WALL_CLOCK_READERS
+            if any(name.split(".")[0] in packages for name in names):
+                found.add(rel)
+    return found
+
+
+def test_the_wall_clock_has_one_reader():
+    assert _importers("time", "datetime") == WALL_CLOCK_READERS
 
 
 def test_no_identifier_outlives_its_run():
@@ -82,6 +87,22 @@ def test_no_identifier_outlives_its_run():
                 addresses.add(rel)
     assert counters == PROCESS_COUNTERS
     assert addresses == set()
+
+
+def test_the_power_has_one_kernel():
+    """Under ``crypto/`` a three-argument ``pow`` is ``modexp``'s own, a
+    Miller-Rabin squaring ``pow(x, 2, n)`` or an inverse ``pow(x, -1, m)``;
+    and ``ctypes`` has exactly one importer under ``src/``."""
+    stray = [f"{rel}:{node.lineno}"
+             for rel, tree in _modules()
+             if rel.startswith("crypto/") and rel != "crypto/modexp.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "pow"
+             and len(node.args) == 3
+             and ast.unparse(node.args[1]) not in ("2", "-1")]
+    assert stray == []
+    assert _importers("ctypes", "_ctypes") == {"crypto/modexp.py"}
 
 
 @pytest.mark.parametrize("rat, pinned", [
