@@ -208,7 +208,8 @@ class Simulator:
 
 
 class TickCalendar:
-    """Quantized wakeup calendar: one heap event per *occupied* tick.
+    """Quantized wakeup calendar: one heap event, and one ``dispatch``
+    call, per *occupied* tick.
 
     Population-scale workloads (``repro.testbed.megaload``) step millions
     of lightweight actors whose wakeups all land on a fixed tick grid.
@@ -216,8 +217,17 @@ class TickCalendar:
     heap pop, and a retained ``Event`` + args tuple per action; the
     calendar instead appends a ``(key, code)`` pair of **packed
     integers** to a per-tick bucket and schedules a single simulator
-    event the first time a tick is occupied.  Firing a tick dispatches
-    every pair in append order.
+    event the first time a tick is occupied.  Firing a tick hands the
+    whole bucket to the owner in one call, ``dispatch(idx, keys, codes)``
+    — two equal-length lists in append order — so the owner binds its
+    state once per tick, not once per wake.
+
+    **Order rule.**  What a run simulates is the order wakes are
+    consumed in: by tick, and within a tick in the order ``wake`` was
+    called.  The bucket leaves the calendar before ``dispatch`` runs, so
+    a wake queued *for the tick being fired* opens a fresh bucket and a
+    second event at the same time, dispatched after the first — where
+    one simulator event per wake would have put it.
 
     The hot path is pure index arithmetic with no per-wake retained
     allocation: buckets are paired ``array('i')`` columns (8 bytes per
@@ -234,13 +244,14 @@ class TickCalendar:
     __slots__ = ("sim", "tick", "dispatch", "_buckets", "_freelist")
 
     def __init__(self, sim: "Simulator", tick: float,
-                 dispatch: Callable[[int, int], Any]):
+                 dispatch: Callable[[int, list, list], Any]):
         if tick <= 0:
             raise SimulationError(f"tick must be positive, got {tick}")
         self.sim = sim
         self.tick = tick
-        #: ``dispatch(key, code)`` is called once per queued pair, in
-        #: the order the pairs were appended within each tick.
+        #: ``dispatch(idx, keys, codes)``, once per occupied tick; read
+        #: when the tick fires, so it may be reassigned (the ledger wraps
+        #: it in a timer after construction).
         self.dispatch = dispatch
         self._buckets: dict[int, tuple[array, array]] = {}
         self._freelist: list[tuple[array, array]] = []
@@ -264,12 +275,9 @@ class TickCalendar:
 
     def _fire(self, idx: int) -> None:
         keys, codes = self._buckets.pop(idx)
-        dispatch = self.dispatch
         # tolist() boxes each column in one C call; iterating the arrays
-        # would re-box per element through the iterator protocol.  The
-        # unpacking loop lets zip recycle its result tuple.
-        for key, code in zip(keys.tolist(), codes.tolist()):
-            dispatch(key, code)
+        # would re-box per element through the iterator protocol.
+        self.dispatch(idx, keys.tolist(), codes.tolist())
         del keys[:]
         del codes[:]
         if len(self._freelist) < 64:

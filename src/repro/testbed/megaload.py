@@ -46,19 +46,23 @@ attach latency percentiles are reported alongside scripted throughput.
 
 Execution is batched UE stepping on the shared
 :class:`~repro.net.TickCalendar`: a tick's worth of UE actions costs
-*one* heap event, wake pairs land in recycled ``array('i')`` columns,
-and superseded wakeups are invalidated by token at dispatch instead of
-heap cancellation.  All randomness is consumed before the clock starts
-and every action time is quantized to the tick grid, so anything that
-dispatches wakes in (tick, append) order replays the same outcome:
-``tests/test_megaload.py`` plugs a one-heap-event-per-wake reference in
-through ``MegaloadWorkload.engine_class`` and holds the calendar's
-digests equal to it.
+*one* heap event and *one* call — ``_dispatch(idx, uids, codes)`` is the
+whole lifecycle state machine, one loop over the tick's bucket — wake
+pairs land in recycled ``array('i')`` columns, and superseded wakeups
+are invalidated by token at dispatch instead of heap cancellation.  All
+randomness is consumed before the clock starts and every action time is
+quantized to the tick grid, so anything that dispatches wakes in (tick,
+append) order replays the same outcome; the loop therefore issues each
+new wake through ``engine.wake`` where the action arises, never grouped
+or deferred.  ``tests/test_megaload.py`` plugs a one-heap-event-per-wake
+reference in through ``MegaloadWorkload.engine_class`` and holds the
+calendar's digests equal to it.
 
 The report (``BENCH_megaload.json``) carries the cell's deterministic
-workload digest plus wall-clock figures (UEs/sec simulated, wall-clock
-per sim-second, peak RSS, RSS per UE).  Wall time is reported, never
-gated — comparing it is the ledger's job (``benchmarks/ledger/``).
+workload digest plus wall-clock figures: ``build_s`` (the constructor)
+and ``wall_s`` (the run), UEs/sec and actions/sec over ``wall_s`` alone,
+wall-clock per sim-second, peak RSS, RSS per UE.  Wall time is reported,
+never gated — comparing it is the ledger's job (``benchmarks/ledger/``).
 ``megaload --smoke`` runs :func:`smoke` and must hold :func:`gates`;
 ``observe --bench megaload --smoke`` likewise :func:`observe` and
 :func:`observe_gates`.  Every one of those facts is a digest, a count
@@ -74,6 +78,7 @@ import random
 import sys
 import time
 from array import array
+from heapq import heapreplace
 from typing import Optional
 
 from repro.analysis.gates import gate
@@ -101,10 +106,12 @@ A_REAL_ARRIVE = 5    # mixed-fidelity cohort: start the real SAP attach
 A_REAL_SEG = 6       # mixed-fidelity cohort: segment end (move/depart)
 
 # Wake pair layout: the calendar key is the uid, the code word is
-# (action << 20) | (token << 10) | arg — token carries the UE epoch
-# (bounded by the script length, <= 4 detach cycles) and arg the idle
-# token / remaining pokes (<= ~24), so 10-bit fields have an order of
-# magnitude of headroom and both words stay single-digit CPython ints.
+# (action << 20) | (token << 10) | arg — token carries the UE epoch (one
+# detach per segment, <= MAX_SEGMENTS) and arg the idle token (one re-arm
+# per attach and per poke, <= (1 + MAX_POKES_PER_SEGMENT) * MAX_SEGMENTS)
+# or the remaining pokes, so 10-bit fields have an order of magnitude of
+# headroom and both words stay single-digit CPython ints.  The fields are
+# OR'ed in unmasked: the constructor holds both bounds.
 _ARG_BITS = 10
 _TOKEN_BITS = 10
 _ARG_MASK = (1 << _ARG_BITS) - 1
@@ -127,6 +134,7 @@ IDLE_TIMEOUT = 6.0          # idle release after this long without a poke
 DWELL_MIN, DWELL_MAX = 5.0, 12.0
 POKE_GAP_MIN, POKE_GAP_MAX = 2.5, 10.0
 MAX_POKES_PER_SEGMENT = 5
+MAX_SEGMENTS = 4            # a script is 1 + (0..3 moves) segments
 ARRIVAL_SPAN = 0.8          # arrivals land in the first 80% of `duration`
 NIGHT_INTENSITY = 0.25      # arrival thinning factor during the night window
 CAPACITY_HEADROOM = 1.6     # site capacity vs the uniform-spread mean
@@ -159,7 +167,8 @@ class _MegaBroker:
 
     Requests park in the same :class:`~repro.core.broker.ParkedBatch`
     the real brokerd uses (adaptive window); a flush serves the batch
-    on ``BROKER_WORKERS`` earliest-free lanes and posts each completion
+    on ``BROKER_WORKERS`` earliest-free lanes (a heap of the times each
+    lane falls free: only the values matter) and posts each completion
     back through the engine at its modeled finish tick.  The batch is a
     plain list of uids; ``service_cost`` is the modeled per-attach
     service time, a calibrated constant.
@@ -199,9 +208,8 @@ class _MegaBroker:
         self.batches += 1
         self.requests += len(batch)
         for uid in batch:
-            lane = min(range(len(lanes)), key=lanes.__getitem__)
-            end = max(now, lanes[lane]) + cost
-            lanes[lane] = end
+            end = max(now, lanes[0]) + cost     # the earliest-free lane
+            heapreplace(lanes, end)
             # Completion on the next tick boundary at/after the modeled
             # service end (strictly in the future: end > now).
             idx = int(end / tick - 1e-9) + 1
@@ -390,8 +398,9 @@ class _RealCohort:
 class MegaloadWorkload:
     """Builds the scripted population and steps it on the tick calendar."""
 
-    #: what turns ``wake(idx, uid, code)`` into ``dispatch(uid, code)``
-    #: at tick ``idx``; the tests substitute their reference engine here.
+    #: what turns ``wake(idx, uid, code)`` calls into ``dispatch(idx,
+    #: uids, codes)`` at tick ``idx``, in ``wake`` order; the tests
+    #: substitute their reference engine here.
     engine_class = TickCalendar
 
     def __init__(self, *, ues: int, sites: int, duration: float,
@@ -413,10 +422,16 @@ class MegaloadWorkload:
             raise ValueError(
                 "site index or tick counts overflow the 21-bit script "
                 "segment fields (tick too fine or too many sites)")
+        if (1 + MAX_POKES_PER_SEGMENT) * MAX_SEGMENTS > _ARG_MASK \
+                or MAX_SEGMENTS > _TOKEN_MASK:
+            raise ValueError(
+                "idle tokens or epochs overflow the 10-bit wake code "
+                "fields (a stale timer would alias a live one)")
         # Population delta baseline: everything the workload allocates
         # from here on (columns, scripts, buckets, latencies) shows up
         # in rss_per_ue_bytes.
         self._rss_before = _peak_rss_bytes()
+        build_start = time.perf_counter()
         self.ues = ues
         self.n_sites = sites
         self.duration = duration
@@ -426,8 +441,6 @@ class MegaloadWorkload:
         self.real_rat = real_rat
         self.sim = Simulator()
         self.engine = self.engine_class(self.sim, tick, self._dispatch)
-        #: bound once — `engine.wake` runs several times per action.
-        self._wake = self.engine.wake
         # -- struct-of-arrays population state ----------------------------
         n = ues
         self.ue_seg = array("b", bytes(n))            # segment cursor
@@ -480,6 +493,7 @@ class MegaloadWorkload:
             self.real_cohort = _RealCohort(
                 self, sorted(self._real_uids), rat=real_rat,
                 sites=real_sites)
+        self._build_s = time.perf_counter() - build_start
 
     # -- fleet KPIs --------------------------------------------------------
     def attach_kpi_collector(self, store, interval: float = 1.0):
@@ -535,8 +549,17 @@ class MegaloadWorkload:
         The script lands directly in the packed SoA columns — no per-UE
         object or tuple survives this loop.
         """
+        # Drawn from the generator's two primitives, bound once: `uniform`
+        # is its documented a + (b-a)*random(), `randrange(n)` is
+        # getrandbits(n.bit_length()) redrawn until < n.
         rng = random.Random(self.seed)
+        rand, getrandbits = rng.random, rng.getrandbits
+        site_bits = self.n_sites.bit_length()
+        dwell_span = DWELL_MAX - DWELL_MIN
+        poke_gap_span = POKE_GAP_MAX - POKE_GAP_MIN
+        # The default policy's night window (00:30-06:00) does not wrap.
         policy = TimeOfDayPolicy()
+        night_from, night_to = policy.night_starts_hour, policy.night_ends_hour
         # Map the simulated window onto one full day so the arrival
         # process crosses the 00:30/06:00 policy boundaries.
         time_scale = 24.0 * SECONDS_PER_HOUR / self.duration
@@ -552,21 +575,25 @@ class MegaloadWorkload:
             # Diurnal thinning: candidates during the night window are
             # accepted at NIGHT_INTENSITY (fewer users awake).
             while True:
-                t = rng.random() * span
+                t = rand() * span
                 hour = (t * time_scale / SECONDS_PER_HOUR) % 24.0
-                keep = NIGHT_INTENSITY if policy.is_night(hour) else 1.0
-                if rng.random() < keep:
+                keep = NIGHT_INTENSITY if night_from <= hour < night_to \
+                    else 1.0
+                if rand() < keep:
                     break
             arrival_idx = int(t / tick) + 1
-            r = rng.random()
+            r = rand()
             moves = 0 if r < 0.30 else 1 if r < 0.65 else 2 if r < 0.90 \
-                else 3
+                else MAX_SEGMENTS - 1
             for _ in range(moves + 1):
-                site = rng.randrange(n_sites)
-                dwell_ticks = max(1, round(
-                    rng.uniform(DWELL_MIN, DWELL_MAX) / tick))
-                poke_gap_ticks = max(1, round(
-                    rng.uniform(POKE_GAP_MIN, POKE_GAP_MAX) / tick))
+                site = getrandbits(site_bits)
+                while site >= n_sites:
+                    site = getrandbits(site_bits)
+                # `or 1` is max(1, ·) of a non-negative int, less a call.
+                dwell_ticks = round(
+                    (DWELL_MIN + dwell_span * rand()) / tick) or 1
+                poke_gap_ticks = round(
+                    (POKE_GAP_MIN + poke_gap_span * rand()) / tick) or 1
                 append((site << (2 * _SEG_BITS))
                        | (dwell_ticks << _SEG_BITS) | poke_gap_ticks)
             off[uid + 1] = len(codes)
@@ -574,125 +601,108 @@ class MegaloadWorkload:
             wake(arrival_idx, uid, meta)
 
     # -- execution ---------------------------------------------------------
-    def _now_idx(self) -> int:
-        # Reads the simulator's private clock field: the `now` property
-        # is a function call, and this runs once per effective action.
-        return int(self.sim._now / self.tick + 0.5)
-
-    def _dispatch(self, uid: int, meta: int) -> None:
-        # `actions` counts *effective* lifecycle steps only — stale
-        # wakeups (token mismatch) are bookkeeping, not workload.  Field
-        # decodes are deferred into the branches that need them.
-        action = meta >> _ACTION_SHIFT
+    def _dispatch(self, idx: int, uids: list, metas: list) -> None:
+        """One tick: every wake due at ``idx``, consumed in append order
+        with the columns, the clock and the tick index bound once.  New
+        wakes go through ``engine.wake`` one by one as they arise — their
+        append order in the destination tick is simulated behaviour."""
+        now = self.sim._now     # the property is a call; constant in a tick
         epoch = self.ue_epoch
-        if action == A_POKE:
-            # Keep-alive: re-arm the idle timer.
-            if (meta >> _ARG_BITS) & _TOKEN_MASK != epoch[uid]:
-                return
-            self.actions += 1
-            self._arm_idle(uid)
-            arg = meta & _ARG_MASK
-            if arg > 0:
-                seg = self.script_codes[self.script_off[uid]
-                                        + self.ue_seg[uid]]
-                self._wake(
-                    self._now_idx() + (seg & _SEG_MASK), uid,
-                    _M_POKE | (epoch[uid] << _ARG_BITS) | (arg - 1))
-            return
-        if action == A_ARRIVE:
-            self.actions += 1
-            self.arrived += 1
-            self.ue_attach_started[uid] = self.sim._now
-            self.broker.submit(uid)
-            return
-        if action == A_ATTACH_DONE:
-            if (meta >> _ARG_BITS) & _TOKEN_MASK != epoch[uid]:
-                return
-            self.actions += 1
-            self._attach_done(uid)
-            return
-        if action == A_IDLE:
-            if (meta >> _ARG_BITS) & _TOKEN_MASK != epoch[uid] \
-                    or meta & _ARG_MASK != self.ue_idle_token[uid]:
-                return
-            self.actions += 1
-            self._detach(uid)
-            self.idle_detaches += 1
-            return
-        if action == A_SEG_END:
-            if (meta >> _ARG_BITS) & _TOKEN_MASK != epoch[uid]:
-                return
-            self.actions += 1
-            self._detach(uid)
-            nxt = self.ue_seg[uid] + 1
-            if self.script_off[uid] + nxt < self.script_off[uid + 1]:
-                self.ue_seg[uid] = nxt
-                self.moves += 1
-                self._start_attach(uid)
-            else:
-                self.departed += 1
-            return
-        # A_REAL_* — the mixed-fidelity cohort runs the real SAP stack.
-        self.real_cohort.on_wake(uid, action,
-                                 (meta >> _ARG_BITS) & _TOKEN_MASK)
-
-    def _start_attach(self, uid: int) -> None:
-        self.ue_attach_started[uid] = self.sim._now
-        self.ue_retried[uid] = 0
-        self.broker.submit(uid)
-
-    def _attach_done(self, uid: int) -> None:
-        site_attached = self.site_attached
-        if self.ue_retried[uid]:
-            site = self.ue_site[uid]
-        else:
-            site = self.script_codes[self.script_off[uid]
-                                     + self.ue_seg[uid]] >> (2 * _SEG_BITS)
-        if site_attached[site] >= self.site_capacity:
-            self.attach_failures += 1
-            if self.ue_retried[uid]:
-                self.gave_up += 1
-                return
-            # One deterministic retry against the neighbouring site.
-            self.ue_retried[uid] = 1
-            self.retries += 1
-            self.ue_site[uid] = (site + 1) % self.n_sites
-            self.broker.submit(uid)
-            return
-        self.ue_site[uid] = site
-        site_attached[site] += 1
-        self.attach_ok += 1
-        latency_ms = (self.sim._now
-                      - self.ue_attach_started[uid]) * 1000.0
-        self.attach_latencies_ms.append(round(latency_ms, 4))
-        now_idx = self._now_idx()
-        seg = self.script_codes[self.script_off[uid] + self.ue_seg[uid]]
-        dwell_ticks = (seg >> _SEG_BITS) & _SEG_MASK
-        poke_gap_ticks = seg & _SEG_MASK
-        token_field = self.ue_epoch[uid] << _ARG_BITS
-        wake = self._wake
-        wake(now_idx + dwell_ticks, uid, _M_SEG_END | token_field)
-        pokes = min(MAX_POKES_PER_SEGMENT, dwell_ticks // poke_gap_ticks)
-        if pokes > 0:
-            wake(now_idx + poke_gap_ticks, uid,
-                 _M_POKE | token_field | (pokes - 1))
-        self._arm_idle(uid)
-
-    def _arm_idle(self, uid: int) -> None:
         idle_tokens = self.ue_idle_token
-        token = idle_tokens[uid] + 1
-        idle_tokens[uid] = token
-        # The previous deadline is not cancelled: its token is stale, so
-        # dispatch drops it.
-        self._wake(self._now_idx() + self._idle_ticks, uid,
-                   _M_IDLE | (self.ue_epoch[uid] << _ARG_BITS) | token)
-
-    def _detach(self, uid: int) -> None:
-        site = self.ue_site[uid]
-        if site >= 0:
-            self.site_attached[site] -= 1
-            self.ue_site[uid] = -1
-        self.ue_epoch[uid] += 1
+        ue_seg = self.ue_seg
+        ue_site = self.ue_site
+        retried = self.ue_retried
+        started = self.ue_attach_started
+        codes = self.script_codes
+        off = self.script_off
+        site_attached = self.site_attached
+        submit = self.broker.submit
+        wake = self.engine.wake
+        idle_idx = idx + self._idle_ticks
+        # `actions` counts *effective* lifecycle steps only — stale
+        # wakeups (token mismatch) are bookkeeping, not workload.
+        actions = 0
+        for uid, meta in zip(uids, metas):
+            action = meta >> _ACTION_SHIFT
+            if action == A_ARRIVE:
+                actions += 1
+                self.arrived += 1
+                started[uid] = now
+                submit(uid)
+                continue
+            token = (meta >> _ARG_BITS) & _TOKEN_MASK
+            if action >= A_REAL_ARRIVE:
+                # The mixed-fidelity cohort runs the real SAP stack.
+                self.real_cohort.on_wake(uid, action, token)
+                continue
+            if token != epoch[uid]:
+                continue
+            if action == A_POKE:
+                # Keep-alive: re-arm the idle timer.  The previous
+                # deadline is not cancelled: its token is stale, so the
+                # A_IDLE branch drops it.
+                actions += 1
+                idle = idle_tokens[uid] = idle_tokens[uid] + 1
+                token_field = token << _ARG_BITS
+                wake(idle_idx, uid, _M_IDLE | token_field | idle)
+                arg = meta & _ARG_MASK
+                if arg > 0:
+                    wake(idx + (codes[off[uid] + ue_seg[uid]] & _SEG_MASK),
+                         uid, _M_POKE | token_field | (arg - 1))
+            elif action == A_ATTACH_DONE:
+                actions += 1
+                seg = codes[off[uid] + ue_seg[uid]]
+                site = ue_site[uid] if retried[uid] \
+                    else seg >> (2 * _SEG_BITS)
+                if site_attached[site] >= self.site_capacity:
+                    self.attach_failures += 1
+                    if retried[uid]:
+                        self.gave_up += 1
+                        continue
+                    # One deterministic retry against the neighbouring site.
+                    retried[uid] = 1
+                    self.retries += 1
+                    ue_site[uid] = (site + 1) % self.n_sites
+                    submit(uid)
+                    continue
+                ue_site[uid] = site
+                site_attached[site] += 1
+                self.attach_ok += 1
+                self.attach_latencies_ms.append(
+                    round((now - started[uid]) * 1000.0, 4))
+                dwell_ticks = (seg >> _SEG_BITS) & _SEG_MASK
+                poke_gap_ticks = seg & _SEG_MASK
+                token_field = token << _ARG_BITS
+                wake(idx + dwell_ticks, uid, _M_SEG_END | token_field)
+                pokes = min(MAX_POKES_PER_SEGMENT,
+                            dwell_ticks // poke_gap_ticks)
+                if pokes > 0:
+                    wake(idx + poke_gap_ticks, uid,
+                         _M_POKE | token_field | (pokes - 1))
+                idle = idle_tokens[uid] = idle_tokens[uid] + 1
+                wake(idle_idx, uid, _M_IDLE | token_field | idle)
+            else:
+                # A_IDLE (only the latest idle token is live) / A_SEG_END:
+                # both detach.
+                if action == A_IDLE and meta & _ARG_MASK != idle_tokens[uid]:
+                    continue
+                actions += 1
+                site = ue_site[uid]
+                if site >= 0:
+                    site_attached[site] -= 1
+                    ue_site[uid] = -1
+                epoch[uid] += 1
+                if action == A_IDLE:
+                    self.idle_detaches += 1
+                elif off[uid] + ue_seg[uid] + 1 < off[uid + 1]:
+                    ue_seg[uid] += 1
+                    self.moves += 1
+                    started[uid] = now
+                    retried[uid] = 0
+                    submit(uid)
+                else:
+                    self.departed += 1
+        self.actions += actions
 
     def run(self) -> dict:
         """Execute to completion; returns the cell dict for the report."""
@@ -741,6 +751,9 @@ class MegaloadWorkload:
             workload, sort_keys=True).encode()).hexdigest()
         peak_rss = _peak_rss_bytes()
         perf = {
+            # Constructor seconds, then `sim.run` seconds; the two rates
+            # divide by wall_s alone.
+            "build_s": round(self._build_s, 4),
             "wall_s": round(wall, 4),
             "ues_per_sec": round(self.ues / wall, 1),
             "actions_per_sec": round(self.actions / wall, 1),

@@ -6,6 +6,9 @@ megaload drive surfaced: the ``links=None`` dataclass default, silent
 attach-failure swallowing, and the O(n) AMBR bearer scan.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.broker import AdaptiveBatchWindow
@@ -25,17 +28,35 @@ SMALL = dict(ues=2000, sites=32, duration=30.0, tick=0.05, seed=11)
 
 class HeapPerWake:
     """Reference engine: every wake is its own simulator event, popped
-    in (time, schedule order) — the model the tick calendar must equal."""
+    in (time, schedule order), and its own one-pair tick — the model the
+    tick calendar must equal."""
 
     def __init__(self, sim, tick, dispatch):
         self.sim, self.tick, self.dispatch = sim, tick, dispatch
 
     def wake(self, idx, key, code=0):
-        self.sim.schedule_at(idx * self.tick, self.dispatch, key, code)
+        self.sim.schedule_at(idx * self.tick, self._one, idx, key, code)
+
+    def _one(self, idx, key, code):
+        self.dispatch(idx, [key], [code])
 
 
 class ReferenceWorkload(MegaloadWorkload):
     engine_class = HeapPerWake
+
+
+class ScriptOnly:
+    """An engine that keeps the arrival wakes and runs nothing."""
+
+    def __init__(self, sim, tick, dispatch):
+        self.wakes = []
+
+    def wake(self, idx, key, code=0):
+        self.wakes.append((idx, key, code))
+
+
+class ScriptedWorkload(MegaloadWorkload):
+    engine_class = ScriptOnly
 
 
 class TestAdaptiveBatchWindow:
@@ -194,9 +215,11 @@ class TestMegaload:
         # The tick calendar changes execution mechanics, never simulated
         # behavior: one heap event per occupied tick must replay *exactly*
         # what one heap event per wake does — under the adaptive broker
-        # window, with and without batches that fill before their timer.
-        for ues, full_flushes in ((2000, False), (20_000, True)):
-            config = dict(SMALL, ues=ues)
+        # window, with and without batches that fill before their timer,
+        # and on a coarser grid.
+        for change, full_flushes in ((dict(), False), (dict(tick=0.1), False),
+                                     (dict(ues=20_000), True)):
+            config = dict(SMALL, **change)
             reference = ReferenceWorkload(**config).run()
             calendar = run_cell(**config)
             assert reference["workload"] == calendar["workload"]
@@ -206,6 +229,20 @@ class TestMegaload:
             # ... at a fraction of the heap traffic.
             assert reference["perf"]["events_scheduled"] > \
                 5 * calendar["perf"]["events_scheduled"]
+            if not change:
+                # The capacity / retry / give-up branch of the tick loop
+                # is on the compared path, not only the happy one.
+                assert calendar["workload"]["retries"] > 0
+                assert calendar["workload"]["gave_up"] > 0
+
+    @pytest.mark.parametrize("rat", ["lte", "5g"])
+    def test_engine_parity_with_a_real_cohort(self, rat):
+        # A_REAL_* wakes leave the tick loop for the cohort, whose attach
+        # completions come back off the tick grid.
+        reference = ReferenceWorkload(real_rat=rat, **MIXED).run()
+        calendar = run_cell(real_rat=rat, **MIXED)
+        assert reference["workload"] == calendar["workload"]
+        assert calendar["workload"]["real_cohort"]["attach_ok"] > 0
 
     def test_workload_exercises_every_lifecycle_path(self):
         cell = run_cell(**SMALL)
@@ -226,7 +263,42 @@ class TestMegaload:
         (cell,) = report["cells"]
         assert set(cell) == {"workload", "digest", "perf"}
         assert cell["perf"]["events_processed"] > 0
+        assert cell["perf"]["build_s"] > 0      # reported, never hashed
         assert cell["workload"]["adaptive_window"] is True
+
+    @pytest.mark.parametrize("sites, pinned", [
+        (32, "f2935dd9f9737563acb99ce0cb48a0f3"
+             "ad8e8cac026a057ffc600d2947fb1958"),
+        # 5 sites: getrandbits(3) draws 5..7 too, so the rejection loop
+        # of the hand-rolled randrange is on the pinned path.
+        (5, "a954db2cf877275ec8c061157c6482c9"
+            "ef1e448705345d0aafd62d7df2e99782"),
+    ])
+    def test_script_is_pinned_not_only_its_outcome(self, sites, pinned):
+        # Recorded at the commit that still drew through rng.uniform /
+        # rng.randrange / policy.is_night.  The outcome digest can miss a
+        # changed poke gap that no idle timer happens to observe.
+        workload = ScriptedWorkload(**dict(SMALL, sites=sites))
+        script = json.dumps([workload.script_codes.tolist(),
+                             workload.script_off.tolist(),
+                             workload.engine.wakes])
+        assert hashlib.sha256(script.encode()).hexdigest() == pinned
+
+    def test_wake_code_fields_are_bounded_at_construction(self, monkeypatch):
+        # Idle tokens and epochs are OR'ed unmasked into 10-bit fields: a
+        # script that could overflow them fails here instead of silently
+        # cancelling the wrong timer.
+        from repro.testbed import megaload
+        workload = MegaloadWorkload(**SMALL)
+        workload.run()
+        assert 0 < max(workload.ue_idle_token) <= \
+            (1 + megaload.MAX_POKES_PER_SEGMENT) * megaload.MAX_SEGMENTS
+        assert 0 < max(workload.ue_epoch) <= megaload.MAX_SEGMENTS
+        monkeypatch.setattr(megaload, "MAX_POKES_PER_SEGMENT", 254)
+        MegaloadWorkload(**SMALL)           # (1 + 254) * 4 = 1020 fits
+        monkeypatch.setattr(megaload, "MAX_POKES_PER_SEGMENT", 255)
+        with pytest.raises(ValueError, match="10-bit"):
+            MegaloadWorkload(**SMALL)
 
     def test_rejects_unknown_engine(self):
         # The ledger's frozen caller still names the one engine; any

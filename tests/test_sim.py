@@ -284,26 +284,36 @@ class TestTimer:
 
 
 class TestTickCalendar:
-    def _calendar(self, tick=0.1):
+    """The contract is per tick: ``dispatch(idx, keys, codes)`` once per
+    occupied tick, the two lists in ``wake`` order."""
+
+    def _calendar(self, tick=0.1, then=None):
+        """A calendar whose dispatch records each tick in ``fired`` and
+        then calls ``then(calendar, idx, keys)``, if given."""
         from repro.net.sim import TickCalendar
         sim = Simulator()
         fired = []
-        calendar = TickCalendar(sim, tick,
-                                lambda key, code: fired.append((key, code)))
+
+        def dispatch(idx, keys, codes):
+            fired.append((idx, keys, codes))
+            if then is not None:
+                then(calendar, idx, keys)
+
+        calendar = TickCalendar(sim, tick, dispatch)
         return sim, calendar, fired
 
     def test_dispatches_key_code_pairs_at_tick_time(self):
         sim, calendar, fired = self._calendar(tick=0.5)
         calendar.wake(4, 17, 3)
         sim.run()
-        assert fired == [(17, 3)]
+        assert fired == [(4, [17], [3])]
         assert sim.now == 2.0   # 4 * 0.5
 
     def test_code_defaults_to_zero(self):
         sim, calendar, fired = self._calendar()
         calendar.wake(1, 99)
         sim.run()
-        assert fired == [(99, 0)]
+        assert fired == [(1, [99], [0])]
 
     def test_same_tick_preserves_append_order(self):
         sim, calendar, fired = self._calendar()
@@ -311,7 +321,7 @@ class TestTickCalendar:
         calendar.wake(3, 1, 10)
         calendar.wake(3, 3, 30)
         sim.run()
-        assert fired == [(2, 20), (1, 10), (3, 30)]
+        assert fired == [(3, [2, 1, 3], [20, 10, 30])]
 
     def test_one_heap_event_per_occupied_tick(self):
         sim, calendar, fired = self._calendar()
@@ -322,7 +332,9 @@ class TestTickCalendar:
         assert sim.events_scheduled == 2    # not 150
         assert calendar.pending() == 150
         sim.run()
-        assert len(fired) == 150
+        # ... and one dispatch call per occupied tick, in tick order.
+        assert [(idx, len(keys)) for idx, keys, _ in fired] == \
+            [(5, 100), (9, 50)]
         assert calendar.pending() == 0
 
     def test_buckets_are_recycled_through_the_freelist(self):
@@ -333,25 +345,53 @@ class TestTickCalendar:
         calendar.wake(20, 8, 80)
         assert calendar._buckets[20] is first_bucket
         sim.run()
-        assert fired == [(7, 70), (8, 80)]
+        # The lists handed out are the owner's: recycling the bucket's
+        # columns does not reach back into them.
+        assert fired == [(1, [7], [70]), (20, [8], [80])]
 
     def test_wakes_queued_during_dispatch_land_on_later_ticks(self):
-        from repro.net.sim import TickCalendar
-        sim = Simulator()
-        fired = []
-        calendar = None
-
-        def dispatch(key, code):
-            fired.append((key, code))
-            if key == 1:
-                calendar.wake(10, 2, 0)
-
-        calendar = TickCalendar(sim, 0.1, dispatch)
+        sim, calendar, fired = self._calendar(
+            then=lambda calendar, idx, keys:
+            keys == [1] and calendar.wake(10, 2, 0))
         calendar.wake(1, 1, 0)
         sim.run()
-        assert fired == [(1, 0), (2, 0)]
+        assert fired == [(1, [1], [0]), (10, [2], [0])]
+
+    def test_dispatch_assigned_after_construction_is_the_one_fired(self):
+        # `dispatch` is read when the tick fires: the ledger wraps it in
+        # a timer after the workload (and its calendar) is constructed.
+        sim, calendar, fired = self._calendar()
+        calendar.wake(2, 5, 50)        # queued before the reassignment
+        record, wrapped = calendar.dispatch, []
+
+        def timed(*args):
+            wrapped.append(args[0])
+            record(*args)
+
+        calendar.dispatch = timed
+        calendar.wake(3, 6, 60)
+        sim.run()
+        assert wrapped == [2, 3]
+        assert fired == [(2, [5], [50]), (3, [6], [60])]
+
+    def test_wake_for_the_tick_being_fired_opens_a_fresh_bucket(self):
+        # The order rule: the bucket has left the calendar when dispatch
+        # runs, so a same-tick wake is a second event at the same time,
+        # dispatched after the first bucket and before any later tick —
+        # where one simulator event per wake would have put it.
+        sim, calendar, fired = self._calendar(
+            then=lambda calendar, idx, keys:
+            keys[0] == 1 and calendar.wake(idx, 9, 90))
+        calendar.wake(4, 1, 10)
+        calendar.wake(4, 2, 20)
+        calendar.wake(5, 3, 30)
+        sim.run()
+        assert fired == [(4, [1, 2], [10, 20]), (4, [9], [90]),
+                         (5, [3], [30])]
+        assert sim.events_scheduled == 3
+        assert calendar.pending() == 0
 
     def test_rejects_nonpositive_tick(self):
         from repro.net.sim import TickCalendar
         with pytest.raises(SimulationError):
-            TickCalendar(Simulator(), 0.0, lambda key, code: None)
+            TickCalendar(Simulator(), 0.0, lambda idx, keys, codes: None)
