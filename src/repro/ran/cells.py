@@ -61,10 +61,15 @@ class Deployment:
             self.add(cell)
 
     def add(self, cell: Cell) -> Cell:
+        """Append ``cell``, numbering it if it has no PCI.  A PCI is the
+        key selectors and the neighbour list find a cell by, so one
+        already present is refused."""
+        pci = len(self.cells) + 1 if cell.pci is None else cell.pci
+        if pci in self._by_pci:
+            raise ValueError(f"PCI {pci} is already in this deployment")
+        cell.pci = pci
         self.cells.append(cell)
-        if cell.pci is None:
-            cell.pci = len(self.cells)
-        self._by_pci.setdefault(cell.pci, cell)
+        self._by_pci[pci] = cell
         self._neighbors.clear()
         return cell
 

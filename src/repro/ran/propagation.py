@@ -40,10 +40,11 @@ class ShadowingField:
     Gudmundson-style: the shadowing value decorrelates exponentially with
     distance travelled.  One independent field per (cell, UE) pair.
 
-    This is the scalar reference.  Drives sample through
-    :meth:`repro.ran.selection.CellSelector.measure_rsrp`, which keeps
-    all of one UE's fields in step with the same arithmetic and the
-    same draws; the tests hold the two equal.
+    This is the scalar reference and stays on ``rng.gauss``.  Drives
+    sample through :meth:`repro.ran.selection.CellSelector.measure_rsrp`,
+    which makes the same normals itself, from the same ``random()``
+    draws, as a pair per cell every other tick; the tests hold the two
+    equal, so a stdlib that changes ``gauss`` fails them.
     """
 
     def __init__(self, sigma_db: float = DEFAULT_SHADOWING_SIGMA_DB,

@@ -7,6 +7,10 @@ hysteresis margin for a time-to-trigger window.  Candidates can be
 restricted to the network-provided neighbor list ("smarter cell selection
 based on the list of neighbor cells learned from the network").
 
+:class:`CellSelector` is also the one RSRP sampling kernel: it draws the
+normals behind a UE's shadow fields in Box-Muller pairs, one column per
+tick, and is held equal to the scalar :class:`ShadowingField`.
+
 :func:`simulate_drive` walks a trajectory through a deployment and
 returns the full handover log — which cells served the UE, when each
 switch happened, whether it crossed an operator boundary, and the
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import exp, hypot, log10, sqrt
+from math import cos, exp, hypot, log, log10, pi, sin, sqrt
 from typing import Optional
 
 from .cells import Cell, Deployment
@@ -32,7 +36,7 @@ from .propagation import (
 DEFAULT_HYSTERESIS_DB = 3.0
 DEFAULT_TIME_TO_TRIGGER_S = 0.64   # a standard LTE TTT value
 DEFAULT_SAMPLE_INTERVAL_S = 0.2
-MIN_SERVABLE_RSRP_DBM = -120.0
+TWOPI = 2.0 * pi                   # as in stdlib ``random``
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,11 @@ class CellSelector:
     shadowing realisation (one correlated field per cell, seeded
     ``seed ^ cell.identity_salt() ^ ue_id``) and the position it was
     last sampled at, so a new selector is a new drive whatever the
-    deployment was used for before.  :meth:`step` is the per-tick
-    entry; it samples every cell through :meth:`measure_rsrp` exactly
-    once.
+    deployment was used for before.  All of its fields advance on the
+    same ticks, so the normals that move them are made a column at a
+    time: a pair per cell on one tick, the spare halves on the next.
+    :meth:`step` is the per-tick entry; it samples every cell through
+    :meth:`measure_rsrp` exactly once.
     """
 
     def __init__(self, deployment: Deployment,
@@ -130,15 +136,18 @@ class CellSelector:
         self._candidate_pci: Optional[int] = None
         self._candidate_since: Optional[float] = None
         # Sampling kernel state.  Per cell, in deployment order: a
-        # (cell, x, y, 10*exponent, sigma, gauss) row and the current
-        # shadow value.  Per UE: the position last sampled at.
+        # (cell, x, y, 10*exponent, sigma) row, its generator's
+        # ``random`` and the current shadow.  Per UE: the position last
+        # sampled at and the unused half of the last Box-Muller pairs.
         self._plan = [
             (cell, cell.position.x, cell.position.y,
-             10.0 * cell.path_loss_exponent, cell.shadowing_sigma_db,
-             random.Random(seed ^ cell.identity_salt() ^ ue_id).gauss)
+             10.0 * cell.path_loss_exponent, cell.shadowing_sigma_db)
             for cell in deployment.cells]
-        self._shadows = [gauss(0.0, sigma)
-                         for *_, sigma, gauss in self._plan]
+        self._randoms = [
+            random.Random(seed ^ cell.identity_salt() ^ ue_id).random
+            for cell in deployment.cells]
+        self._shadows = [0.0] * len(self._plan)
+        self._spare: Optional[list] = None
         self._index_of = {row[0].pci: index
                           for index, row in enumerate(self._plan)}
         self._last_xy: Optional[tuple] = None
@@ -149,44 +158,49 @@ class CellSelector:
 
         One call is one tick: it moves this UE's shadow fields on by
         the distance from the previous call's position, so drives go
-        through :meth:`step`, which calls it once.  Arithmetic and draws
-        (one ``gauss`` per cell per call after the first) are
-        :class:`ShadowingField` + :func:`rsrp_dbm` exactly; what is the
-        same for every cell — distance moved, ``rho``, the innovation
-        root — is computed once per call.
+        through :meth:`step`, which calls it once.  A tick takes one
+        standard normal per cell and Box-Muller makes two, so ticks
+        alternate: one draws a pair from every cell's generator (two
+        ``random()`` each), uses the ``cos`` halves and keeps the
+        ``sin`` halves as the spare column; the next uses that column
+        and draws nothing.  Draws and float expressions are those of
+        the stdlib normal variate that :class:`ShadowingField` calls,
+        so every report ``==`` that reference's plus :func:`rsrp_dbm`.
+        A first tick has no previous position to correlate with
+        (``rho`` 0, all of ``sigma`` is innovation): the field's
+        initial draw.
         """
         x, y = position.x, position.y
-        first = self._last_xy is None
-        if first:
-            rho = root = 0.0
+        if self._last_xy is None:
+            rho, root = 0.0, 1.0
         else:
             last_x, last_y = self._last_xy
             rho = exp(-hypot(x - last_x, y - last_y)
                       / DEFAULT_SHADOW_CORRELATION_M)
             root = sqrt(max(0.0, 1 - rho ** 2))
         self._last_xy = (x, y)
-        shadows = self._shadows
-        report = []
-        append = report.append
-        for i, (cell, cell_x, cell_y, slope, sigma, gauss) \
-                in enumerate(self._plan):
-            if first:
-                shadow = shadows[i]
-            else:
-                shadows[i] = shadow = \
-                    rho * shadows[i] + gauss(0, sigma * root)
+        normals, self._spare = self._spare, None
+        if normals is None:
+            normals, self._spare = [], []
+            use, keep = normals.append, self._spare.append
+            for rand in self._randoms:
+                x2pi = rand() * TWOPI
+                g2rad = sqrt(-2.0 * log(1.0 - rand()))
+                use(cos(x2pi) * g2rad)
+                keep(sin(x2pi) * g2rad)
+        report, shadows = [], []
+        append, store = report.append, shadows.append
+        for (cell, cell_x, cell_y, slope, sigma), z, shadow \
+                in zip(self._plan, normals, self._shadows):
+            # ``mu + z * sigma`` with mu 0.0, as the stdlib writes it.
+            shadow = rho * shadow + (0.0 + z * (sigma * root))
+            store(shadow)
             distance = hypot(cell_x - x, cell_y - y)
             append((cell.tx_power_dbm
                     - (DEFAULT_REFERENCE_LOSS_DB + slope * log10(
                         distance if distance > 1.0 else 1.0))) + shadow)
+        self._shadows = shadows
         return report
-
-    def _candidates(self):
-        """Plan indices of the cells A3 may hand over to."""
-        if self.use_neighbor_list:
-            return [self._index_of[cell.pci] for cell in
-                    self.deployment.neighbors_of(self.serving.pci)]
-        return range(len(self._plan))
 
     def step(self, t: float, position) -> tuple:
         """One measurement cycle.
@@ -200,13 +214,20 @@ class CellSelector:
             self.serving = self._plan[report.index(best_rsrp)][0]
             return best_rsrp, self.serving
 
+        # A3: the first strongest cell above serving + hysteresis, among
+        # the serving cell's neighbour list or the whole report.
         serving_rsrp = report[self._index_of[self.serving.pci]]
         best_index = None
         best_rsrp = serving_rsrp + self.hysteresis_db
-        for index in self._candidates():
-            rsrp = report[index]
-            if rsrp > best_rsrp:
-                best_index, best_rsrp = index, rsrp
+        if self.use_neighbor_list:
+            for cell in self.deployment.neighbors_of(self.serving.pci):
+                index = self._index_of[cell.pci]
+                if report[index] > best_rsrp:
+                    best_index, best_rsrp = index, report[index]
+        else:
+            strongest = max(report)
+            if strongest > best_rsrp:
+                best_index, best_rsrp = report.index(strongest), strongest
 
         if best_index is None:
             self._candidate_pci = None

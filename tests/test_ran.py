@@ -128,6 +128,23 @@ class TestDeployment:
                                          rng=random.Random(2))
         assert {c.operator for c in deployment.cells} <= {"x", "y"}
 
+    def test_repeated_pci_is_refused(self):
+        # Auto-numbering used to collide with an explicit PCI: both
+        # cells became 2, ``cell(2)`` answered "a" and a selector's
+        # index answered "b", so a UE camped on "a" read b's RSRP.
+        a = Cell(Point(0.0, 0.0), "a", pci=2)
+        b = Cell(Point(5000.0, 0.0), "b")
+        with pytest.raises(ValueError, match="PCI 2"):
+            Deployment([a, b])
+        deployment = Deployment([a])
+        with pytest.raises(ValueError, match="PCI 2"):
+            deployment.add(Cell(Point(9.0, 9.0), "c", pci=2))
+        assert deployment.cells == [a] and b.pci is None
+        assert deployment.neighbors_of(2) == []
+        mixed = Deployment([Cell(Point(0.0, 0.0), "a", pci=7), b])
+        assert [cell.pci for cell in mixed.cells] == [7, 2]
+        assert mixed.cell(2) is b
+
 
 class TestDriveSimulation:
     def test_drive_produces_handovers(self):
