@@ -109,7 +109,8 @@ def _store_dir() -> str | None:
         path = os.path.join(cache, name)
         if _is_private_dir(path):
             return path
-    import tempfile  # costs ~5 ms; only paid when the cache dir is unusable
+    # ~5 ms; paid on a store miss or when the cache dir is unusable
+    import tempfile
     path = os.path.join(tempfile.gettempdir(), f"{name}-uid{os.getuid()}")
     return path if _is_private_dir(path) else None
 

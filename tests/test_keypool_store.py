@@ -267,7 +267,10 @@ def test_import_adds_no_modules(tmp_path):
     store miss, never at import: a process that pools no key — the
     ledger's key-free workloads — must not pay for them.  Measured as a
     ``sys.modules`` diff of ``repro.crypto`` imported with a stub in
-    keypool's place against the real module imported on top."""
+    keypool's place against the real module imported on top.  The child
+    starts with ``-S``: a site-packages ``.pth`` hook may import
+    ``tempfile`` before ``repro`` runs, and what is measured is what
+    ``repro`` adds, not the interpreter's start-up."""
     code = """
 import importlib, sys, types
 import repro
@@ -282,5 +285,7 @@ importlib.import_module("repro.crypto.keypool")
 print(sorted(set(sys.modules) - before))
 print("tempfile" in sys.modules)
 """
-    out, _ = _python(code, tmp_path).communicate(timeout=60)
-    assert out.splitlines() == ["[]", "False"]
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines() == ["[]", "False"], done.stderr

@@ -242,8 +242,11 @@ print(rss_mb() - before)
 def test_rss_is_flat_over_20000_calls():
     """In a fresh interpreter, whose heap has no slack to hide a leak
     in: one leaked 64-byte BIGNUM per call would be ~2.5 MB.  20 000
-    calls that succeed, then 20 000 that fail after allocating."""
-    done = subprocess.run([sys.executable, "-c", _RSS_SCRIPT],
+    calls that succeed, then 20 000 that fail after allocating.  Started
+    with ``-S``: a site-packages ``.pth`` hook that loaded ``ctypes``
+    would fail the laziness check without cause and hide an eager
+    loader."""
+    done = subprocess.run([sys.executable, "-S", "-c", _RSS_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
