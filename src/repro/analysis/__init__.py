@@ -1,7 +1,6 @@
 """Analysis helpers: statistics, the E-model MOS, and table rendering."""
 
 from .mos import (
-    CallQuality,
     delay_impairment,
     loss_impairment,
     mos_from_network_stats,
@@ -19,7 +18,6 @@ from .stats import (
 )
 
 __all__ = [
-    "CallQuality",
     "delay_impairment",
     "loss_impairment",
     "bar_chart",

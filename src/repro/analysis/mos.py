@@ -10,8 +10,6 @@ Table 1 values sit at 4.25-4.38.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 R_MAX = 93.2          # default R for G.711 with no impairments
 BPL_G711 = 25.1       # packet-loss robustness factor (with PLC)
 IE_G711 = 0.0
@@ -26,18 +24,17 @@ def delay_impairment(one_way_delay_ms: float) -> float:
     return impairment
 
 
-def loss_impairment(loss_rate: float, burst_ratio: float = 1.0) -> float:
-    """Ie-eff: impairment from packet loss (G.711 + PLC parameters)."""
+def loss_impairment(loss_rate: float) -> float:
+    """Ie-eff: impairment from random packet loss (G.711 + PLC
+    parameters; BurstR = 1)."""
     loss_pct = max(min(loss_rate, 1.0), 0.0) * 100.0
-    return IE_G711 + (95.0 - IE_G711) * loss_pct / (
-        loss_pct / max(burst_ratio, 1e-9) + BPL_G711)
+    return IE_G711 + (95.0 - IE_G711) * loss_pct / (loss_pct + BPL_G711)
 
 
-def r_factor(one_way_delay_ms: float, loss_rate: float,
-             burst_ratio: float = 1.0) -> float:
+def r_factor(one_way_delay_ms: float, loss_rate: float) -> float:
     """The E-model transmission rating."""
     r = R_MAX - delay_impairment(one_way_delay_ms) \
-        - loss_impairment(loss_rate, burst_ratio)
+        - loss_impairment(loss_rate)
     return max(0.0, min(100.0, r))
 
 
@@ -62,17 +59,3 @@ def mos_from_network_stats(one_way_delay_ms: float, jitter_ms: float,
     """
     effective_delay = one_way_delay_ms + 2.0 * max(jitter_ms, 0.0)
     return r_to_mos(r_factor(effective_delay, loss_rate))
-
-
-@dataclass
-class CallQuality:
-    """Summarized quality of one (simulated) call."""
-
-    one_way_delay_ms: float
-    jitter_ms: float
-    loss_rate: float
-
-    @property
-    def mos(self) -> float:
-        return mos_from_network_stats(self.one_way_delay_ms,
-                                      self.jitter_ms, self.loss_rate)

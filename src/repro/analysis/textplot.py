@@ -26,8 +26,7 @@ def sparkline(values: Sequence[float], maximum: Optional[float] = None) -> str:
     return "".join(out)
 
 
-def bar_chart(series: dict, width: int = 48,
-              unit: str = "", fmt: str = "{:.2f}") -> str:
+def bar_chart(series: dict, width: int = 48, unit: str = "") -> str:
     """Horizontal bars, one per (label -> value) entry."""
     if not series:
         return ""
@@ -37,12 +36,12 @@ def bar_chart(series: dict, width: int = 48,
     for label, value in series.items():
         filled = int(width * value / top + 0.5) if top > 0 else 0
         lines.append(f"{label:<{label_width}s} |{'#' * filled:<{width}s}| "
-                     f"{fmt.format(value)}{unit}")
+                     f"{value:.2f}{unit}")
     return "\n".join(lines)
 
 
-def timeline(values: Sequence[float], bin_label: str = "s",
-             height: int = 8, width: Optional[int] = None,
+def timeline(values: Sequence[float], height: int = 8,
+             width: Optional[int] = None,
              markers: Sequence[int] = ()) -> str:
     """A small column chart of a time series, with event markers.
 
@@ -69,5 +68,5 @@ def timeline(values: Sequence[float], bin_label: str = "s",
         rows.append("".join("#" if value >= threshold else " "
                             for value in values))
     rows.append("-" * len(values))
-    rows.append(f"0..{len(values)}{bin_label}  (peak {top:.2f})")
+    rows.append(f"0..{len(values)}s  (peak {top:.2f})")
     return "\n".join(rows)

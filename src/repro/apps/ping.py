@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.stats import mean, percentile
+from repro.analysis.stats import percentile
 from repro.net import Host, Simulator, UdpSocket
 
 PING_PORT = 7
@@ -45,10 +45,6 @@ class PingStats:
     @property
     def p50_ms(self) -> float:
         return percentile(self.rtts, 50) * 1000 if self.rtts else float("nan")
-
-    @property
-    def avg_ms(self) -> float:
-        return mean(self.rtts) * 1000 if self.rtts else float("nan")
 
 
 class PingClient:

@@ -427,10 +427,6 @@ class Brokerd(SignalingNode):
             self.revocation_batches_failed += 1
 
     # -- session lifecycle ----------------------------------------------------
-    def expire_grants(self, now: Optional[float] = None) -> list[SapGrant]:
-        """Explicit grant-GC sweep (also runs amortized per request)."""
-        return self.sap.expire_grants(self.sim.now if now is None else now)
-
     def _on_grant_expired(self, grant: SapGrant) -> None:
         self._session_btelco.pop(grant.session_id, None)
         self.billing.close_session(grant.session_id)

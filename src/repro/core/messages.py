@@ -52,19 +52,6 @@ class DenialCause(str, Enum):
     OTHER = "other"
 
 
-#: Denial causes that signal a transient condition worth retrying.
-RETRYABLE_DENIAL_CAUSES = frozenset({DenialCause.DEGRADED})
-
-
-def denial_is_retryable(cause) -> bool:
-    """Whether a :class:`DenialCause` (or its string value) is transient."""
-    try:
-        cause = DenialCause(cause)
-    except ValueError:
-        return False
-    return cause in RETRYABLE_DENIAL_CAUSES
-
-
 def _canonical(obj: dict) -> bytes:
     return json.dumps(obj, sort_keys=True).encode()
 
@@ -444,10 +431,6 @@ class ScopeToken:
                        sig=bytes.fromhex(data["sig"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MessageError(f"bad scope token: {exc}") from exc
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.signed_bytes()) + len(self.sig)
 
 
 def scope_attach_mac(ss: bytes, session_id: str, counter: int,

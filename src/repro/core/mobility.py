@@ -39,6 +39,8 @@ from .sap import UeSapCredentials
 from .ue_agent import CellBricksUe
 
 SIGNALING_BANDWIDTH = 1e9
+#: one-way delay of every site's link to the broker (s).
+BROKER_LINK_DELAY = 0.0025
 
 
 @dataclass
@@ -113,8 +115,7 @@ def rat_profile(rat: str) -> Rat:
 def build_btelco_site(sim: Simulator, rat: str, name: str, *,
                       ca: CertificateAuthority, key: PrivateKey,
                       brokerd: Brokerd, addresses: tuple, pool_prefix: str,
-                      id_t: Optional[str] = None,
-                      broker_delay: float = 0.0025) -> BtelcoSite:
+                      id_t: Optional[str] = None) -> BtelcoSite:
     """One bTelco site of generation ``rat``, wired to ``brokerd``.
 
     ``name`` prefixes every host, node and link (``<name>-enb`` /
@@ -143,7 +144,7 @@ def build_btelco_site(sim: Simulator, rat: str, name: str, *,
         name=f"{name}-{profile.core}")
     site.agw.trust_broker(brokerd.id_b, brokerd.public_key)
     signaling_link(sim, f"{name}-broker", agw_host, brokerd.host,
-                   broker_delay)
+                   BROKER_LINK_DELAY)
     return site
 
 
@@ -179,7 +180,6 @@ def build_cellbricks_network(
         subscriber_id: str = "alice",
         broker_id: str = "brokerd.example",
         with_data_path: bool = False,
-        broker_link_delay: float = 0.0025,
         seed: int = 7, rat: str = "lte") -> CellBricksNetwork:
     """Assemble a CA, a broker, N bTelco sites, and one enrolled UE.
 
@@ -214,8 +214,7 @@ def build_cellbricks_network(
             sim, rat, name, ca=ca, key=pooled_keypair(seed * 100 + 3 + index),
             brokerd=brokerd, pool_prefix=f"10.{128 + index}.0",
             addresses=(f"10.25{index}.0.1", f"10.24{index}.0.1",
-                       f"10.23{index}.0.1"),
-            broker_delay=broker_link_delay)
+                       f"10.23{index}.0.1"))
         # Pre-register the site in the broker's bTelco directory so a
         # UE can request a mobility scope covering it before ever
         # attaching there (§4.2 scoped grants).

@@ -49,10 +49,10 @@ class UsageClaim:
 
 
 def make_claim(session_id: str, id_t: str, dl_bytes: int, ul_bytes: int,
-               key: PrivateKey,
-               price_per_gb: float = DEFAULT_WHOLESALE_PER_GB) -> UsageClaim:
-    """bTelco side: build and sign a claim from its own accounting."""
-    amount = round((dl_bytes + ul_bytes) / 1e9 * price_per_gb, 6)
+               key: PrivateKey) -> UsageClaim:
+    """bTelco side: build and sign a claim from its own accounting, at
+    the wholesale rate."""
+    amount = round((dl_bytes + ul_bytes) / 1e9 * DEFAULT_WHOLESALE_PER_GB, 6)
     claim = UsageClaim(session_id=session_id, id_t=id_t,
                        dl_bytes=dl_bytes, ul_bytes=ul_bytes, amount=amount)
     return UsageClaim(**{**claim.__dict__,

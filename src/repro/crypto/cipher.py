@@ -44,17 +44,13 @@ def _subkeys(key: bytes) -> tuple[bytes, bytes]:
     return material[:DIGEST_SIZE], material[DIGEST_SIZE:]
 
 
-def seal(key: bytes, plaintext: bytes, associated_data: bytes = b"",
-         nonce: bytes | None = None) -> bytes:
-    """Encrypt and authenticate ``plaintext``.
+def seal(key: bytes, plaintext: bytes, associated_data: bytes = b"") -> bytes:
+    """Encrypt and authenticate ``plaintext`` under a fresh random nonce.
 
     Returns ``nonce || ciphertext || tag``.  ``associated_data`` is
     authenticated but not encrypted (used for message-type binding).
     """
-    if nonce is None:
-        nonce = secrets.token_bytes(NONCE_SIZE)
-    if len(nonce) != NONCE_SIZE:
-        raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
+    nonce = secrets.token_bytes(NONCE_SIZE)
     enc_key, mac_key = _subkeys(key)
     stream = _keystream(enc_key, nonce, len(plaintext))
     ciphertext = xor_bytes(plaintext, stream)

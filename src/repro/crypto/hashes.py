@@ -56,10 +56,11 @@ def mgf1(seed: bytes, length: int) -> bytes:
     return bytes(output[:length])
 
 
-def digest_fingerprint(data: bytes, length: int = 16) -> str:
-    """Short hex fingerprint used for identifiers (e.g. key digests).
+def digest_fingerprint(data: bytes) -> str:
+    """Short hex fingerprint (16 bytes) used for identifiers (e.g. key
+    digests).
 
     CellBricks identifies a UE to its broker by "the digest of the owner's
     public key" (§4.1); this helper produces those identifiers.
     """
-    return sha256_hex(data)[: 2 * length]
+    return sha256_hex(data)[:32]

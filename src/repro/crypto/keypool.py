@@ -68,7 +68,7 @@ def pooled_keypair(slot: int, bits: int = 1024) -> PrivateKey:
     return key
 
 
-def warm(slots, bits: int = 1024) -> list[PrivateKey]:
+def warm(slots) -> list[PrivateKey]:
     """Load or generate the pool keys for ``slots`` (an iterable of slot
     numbers) and return them in order.
 
@@ -78,7 +78,7 @@ def warm(slots, bits: int = 1024) -> list[PrivateKey]:
     entity.  Every key that enters the pool has produced one throwaway
     signature, so its CRT context is already computed.
     """
-    return [pooled_keypair(slot, bits=bits) for slot in slots]
+    return [pooled_keypair(slot) for slot in slots]
 
 
 def _self_test(key: PrivateKey) -> None:

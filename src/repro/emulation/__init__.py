@@ -38,7 +38,6 @@ from .scenario import (
     DEFAULT_ATTACH_LATENCY,
     EmulationConfig,
     PairedEmulation,
-    run_cell,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "Table1Result",
     "generate_handover_schedule",
     "render_table1",
-    "run_cell",
     "run_cell_result",
     "run_figure8",
     "run_figure9",

@@ -44,7 +44,6 @@ KIND_OUTAGE = "outage"        # link fully down for a while
 KIND_BROWNOUT = "brownout"    # brokerd processing costs inflated
 KIND_PARTITION = "partition"  # one simplex half down (asymmetric fault)
 KIND_NODE_CRASH = "node_crash"      # a registered node loses all state
-KIND_NODE_RESTART = "node_restart"  # a crashed node rejoins empty
 
 # Partition directions: which simplex half goes dark.  ``a_to_b`` is the
 # first-constructor-argument side's transmit direction (UE→eNB on radio
@@ -102,17 +101,10 @@ def partition(at: float, duration: float, target: str,
 def node_crash(at: float, target: str,
                duration: float = 0.0) -> ChaosEvent:
     """Crash every registered node matching ``target`` (fail-stop: state
-    lost, no more replies).  ``duration > 0`` schedules an automatic
-    ``node_restart`` after that long; ``0`` leaves it down for good."""
+    lost, no more replies).  ``duration > 0`` restarts it after that
+    long (it rejoins empty); ``0`` leaves it down for good."""
     return ChaosEvent(at=at, kind=KIND_NODE_CRASH, target=target,
                       duration=duration)
-
-
-def node_restart(at: float, target: str) -> ChaosEvent:
-    """Restart crashed nodes matching ``target`` — they rejoin empty and
-    must resynchronize state over the network."""
-    return ChaosEvent(at=at, kind=KIND_NODE_RESTART, target=target,
-                      duration=0.0)
 
 
 @dataclass
@@ -180,8 +172,7 @@ class ChaosMonkey:
                  KIND_OUTAGE: self._begin_outage,
                  KIND_BROWNOUT: self._begin_brownout,
                  KIND_PARTITION: self._begin_partition,
-                 KIND_NODE_CRASH: self._begin_node_crash,
-                 KIND_NODE_RESTART: self._begin_node_restart}.get(event.kind)
+                 KIND_NODE_CRASH: self._begin_node_crash}.get(event.kind)
         if begin is None:
             raise ValueError(f"unknown chaos kind {event.kind!r}")
         begin(event)
@@ -247,10 +238,6 @@ class ChaosMonkey:
             node.crash()
             if event.duration > 0:
                 self.sim.schedule(event.duration, node.restart)
-
-    def _begin_node_restart(self, event: ChaosEvent) -> None:
-        for node in self._matched_nodes(event.target):
-            node.restart()
 
     def _begin_brownout(self, event: ChaosEvent) -> None:
         if self.brokerd is None:

@@ -44,12 +44,6 @@ class Table1Result:
 
     cells: list = field(default_factory=list)
 
-    def _pairs(self, metric: str) -> list:
-        return [(getattr(cell, metric)[ARCH_MNO],
-                 getattr(cell, metric)[ARCH_CELLBRICKS])
-                for cell in self.cells
-                if getattr(cell, metric)]
-
     def overall_slowdown(self, metric: str, time_of_day: str,
                          lower_is_better: bool = False) -> float:
         """Mean per-cell slowdown (%) across routes for one time of day."""
@@ -125,12 +119,11 @@ def _measured_mttho(emulation: PairedEmulation) -> float:
 
 
 def run_table1(seed: int = 1, duration_scale: float = 1.0,
-               routes: tuple = ROUTE_ORDER,
-               times: tuple = (DAY, NIGHT)) -> Table1Result:
-    """The full Table 1 sweep."""
+               routes: tuple = ROUTE_ORDER) -> Table1Result:
+    """The full Table 1 sweep: every route, day then night."""
     result = Table1Result()
     for route in routes:
-        for time_of_day in times:
+        for time_of_day in (DAY, NIGHT):
             result.cells.append(run_cell_result(
                 route, time_of_day, seed=seed,
                 duration_scale=duration_scale))

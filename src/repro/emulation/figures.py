@@ -36,13 +36,18 @@ class Figure8Result:
     handover_at: float = 0.0
 
 
-def run_figure8(duration: float = 50.0, handover_at: float = 23.4,
-                seed: int = 8) -> Figure8Result:
+#: Fig 8's run: 50 s, one handover at 23.4 s, scenario seed 8.
+FIG8_DURATION = 50.0
+FIG8_HANDOVER_AT = 23.4
+
+
+def run_figure8() -> Figure8Result:
     """One controlled handover mid-run, day-time conditions (as in the
     paper's Fig 8 trace)."""
+    duration, handover_at = FIG8_DURATION, FIG8_HANDOVER_AT
     sim = Simulator()
     config = EmulationConfig(route="downtown", time_of_day="day",
-                             duration=duration, seed=seed, handovers=False)
+                             duration=duration, seed=8, handovers=False)
     emulation = PairedEmulation(sim, config)
     emulation.handover_events = []  # we schedule our own
     sim.schedule_at(handover_at, emulation._apply_handover, 0.08)
@@ -80,10 +85,10 @@ FIG9_VARIANTS = (
 
 
 HANDOVER_PERIOD = 20.0  # controlled schedule: a handover every 20 s
+FIG9_WINDOWS = tuple(range(1, 10))  # seconds after each handover
 
 
-def run_figure9(duration: float = 240.0, seed: int = 9,
-                windows: tuple = tuple(range(1, 10))) -> Figure9Result:
+def run_figure9(duration: float = 240.0) -> Figure9Result:
     """Night-time factor analysis of the attachment latency d.
 
     The handover schedule here is *controlled* (one every 20 s) rather
@@ -93,13 +98,14 @@ def run_figure9(duration: float = 240.0, seed: int = 9,
     handover, normalized by the paired TCP baseline over the same windows
     ("relative perf").
     """
+    windows = FIG9_WINDOWS
     result = Figure9Result(windows=list(windows))
     handover_times = [t for t in _frange(15.0, duration - max(windows) - 1,
                                          HANDOVER_PERIOD)]
     for name, attach_latency, wait in FIG9_VARIANTS:
         sim = Simulator()
         config = EmulationConfig(route="downtown", time_of_day="night",
-                                 duration=duration, seed=seed,
+                                 duration=duration, seed=9,
                                  attach_latency_s=attach_latency,
                                  address_wait_s=wait, handovers=False)
         emulation = PairedEmulation(sim, config)
@@ -158,14 +164,14 @@ class Figure10Result:
         return max(self.night_mbps) if self.night_mbps else 0.0
 
 
-def run_figure10(duration: float = 500.0, seed: int = 10) -> Figure10Result:
+def run_figure10(duration: float = 500.0) -> Figure10Result:
     """Two downtown drives, day and night, MNO baseline (as Appendix A
     measures today's network)."""
     result = Figure10Result()
     for time_of_day, target in (("day", "day_mbps"), ("night", "night_mbps")):
         sim = Simulator()
         config = EmulationConfig(route="downtown", time_of_day=time_of_day,
-                                 duration=duration, seed=seed)
+                                 duration=duration, seed=10)
         emulation = PairedEmulation(sim, config)
         stats = emulation.run_iperf()
         series = stats[ARCH_MNO].rates_mbps(1.0, duration)

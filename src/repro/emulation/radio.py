@@ -91,14 +91,15 @@ class HandoverEvent:
 
 def generate_handover_schedule(duration: float, mttho_s: float,
                                seed: int = 0,
-                               min_spacing: float = MIN_HANDOVER_SPACING,
                                warmup: float = 10.0) -> list:
     """A renewal process of handovers with the requested mean spacing.
 
     Inter-arrival times are exponential (memoryless tower crossings) with
-    a floor, shifted so their mean stays ``mttho_s``; no event lands in
+    a floor (``MIN_HANDOVER_SPACING``), shifted so their mean stays
+    ``mttho_s``; no event lands in
     the first ``warmup`` seconds (the paper's runs also begin attached).
     """
+    min_spacing = MIN_HANDOVER_SPACING
     if mttho_s <= min_spacing:
         raise ValueError("MTTHO must exceed the minimum spacing")
     rng = random.Random(seed)

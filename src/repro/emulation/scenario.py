@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.apps import (
     HlsPlayer,
@@ -41,6 +40,7 @@ from .routes import ROUTES, RouteConditions
 #: measurement of §6.1 (the paper's default for d).
 DEFAULT_ATTACH_LATENCY = 0.03168
 DEFAULT_ADDRESS_WAIT = 0.5  # mainline MPTCP's address_worker period
+WEB_THINK_TIME = 2.0  # between one page load and the next
 
 ARCH_MNO = "mno"
 ARCH_CELLBRICKS = "cellbricks"
@@ -185,27 +185,24 @@ class PairedEmulation:
         self.sim.run(until=self.sim.now + self.config.duration + 2.0)
         return {arch: player.stats for arch, player in players.items()}
 
-    def run_web(self, loads: Optional[int] = None) -> dict:
+    def run_web(self) -> dict:
         """Repeated page loads for the whole duration; returns lists of
         load times per architecture."""
         WebServer(KIND_TCP, self.mno.server, object_bytes=WEB_PAGE_OBJECTS)
         WebServer(KIND_MPTCP, self.cb.server, object_bytes=WEB_PAGE_OBJECTS)
         times = {ARCH_MNO: [], ARCH_CELLBRICKS: []}
         self.start()
-        self._web_loop(ARCH_MNO, KIND_TCP, self.mno, times, loads)
-        self._web_loop(ARCH_CELLBRICKS, KIND_MPTCP, self.cb, times, loads)
+        self._web_loop(ARCH_MNO, KIND_TCP, self.mno, times)
+        self._web_loop(ARCH_CELLBRICKS, KIND_MPTCP, self.cb, times)
         self.sim.run(until=self.sim.now + self.config.duration + 5.0)
         return times
 
     def _web_loop(self, arch: str, kind: str, path: CellularPath,
-                  times: dict, loads: Optional[int],
-                  think_time: float = 2.0) -> None:
+                  times: dict) -> None:
         deadline = self.sim.now + self.config.duration
 
         def load_once():
             if self.sim.now >= deadline:
-                return
-            if loads is not None and len(times[arch]) >= loads:
                 return
             client = WebClient(kind, path.ue, path.server.address,
                                object_bytes=WEB_PAGE_OBJECTS,
@@ -213,20 +210,9 @@ class PairedEmulation:
 
             def done(result):
                 times[arch].append(result.load_time)
-                self.sim.schedule(think_time, load_once)
+                self.sim.schedule(WEB_THINK_TIME, load_once)
 
             client.on_loaded = done
             client.load()
 
         load_once()
-
-
-def run_cell(route: str, time_of_day: str, app: str, duration: float,
-             seed: int = 1, **kwargs) -> dict:
-    """Convenience: one (route, time, app) emulation from scratch."""
-    sim = Simulator()
-    config = EmulationConfig(route=route, time_of_day=time_of_day,
-                             duration=duration, seed=seed, **kwargs)
-    emulation = PairedEmulation(sim, config)
-    runner = getattr(emulation, f"run_{app}")
-    return runner()

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.crypto import hmac_sha256, kdf_3gpp
 from repro.lte.aka import AMF as AMF_FIELD
 from repro.lte.aka import (
-    AK_SIZE,
     KEY_SIZE,
     MAC_SIZE,
     RAND_SIZE,
@@ -76,13 +75,12 @@ class AuthVector5G:
     kausf: bytes
 
 
-def generate_5g_vector(k: bytes, sqn: int, serving_network: str,
-                       rand: bytes = None) -> AuthVector5G:
-    """UDM/ARPF side."""
+def generate_5g_vector(k: bytes, sqn: int,
+                       serving_network: str) -> AuthVector5G:
+    """UDM/ARPF side, under a fresh random RAND."""
     if len(k) != KEY_SIZE:
         raise ValueError(f"K must be {KEY_SIZE} bytes")
-    if rand is None:
-        rand = secrets.token_bytes(RAND_SIZE)
+    rand = secrets.token_bytes(RAND_SIZE)
     sqn_bytes = sqn.to_bytes(SQN_SIZE, "big")
     mac_a = f1(k, rand, sqn_bytes, AMF_FIELD)
     res = f2(k, rand)

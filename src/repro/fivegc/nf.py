@@ -275,14 +275,6 @@ class Smf(SignalingNode):
         self.send(src_ip, nas5g.SmfReleaseSessionResponse(
             correlation=request.correlation, released=released), size=48)
 
-    def stats(self) -> dict:
-        return {
-            "sessions_created": self.sessions_created,
-            "sessions_released": self.sessions_released,
-            "release_misses": self.release_misses,
-            "bearers_active": len(self.upf.bearers),
-        }
-
 
 @dataclass
 class UeContext5G(ServingContext):

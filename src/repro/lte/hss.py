@@ -61,16 +61,16 @@ class SubscriberDb(SignalingNode):
         self.on(s6a.UpdateLocationRequest, self._handle_ulr)
 
     # -- provisioning ---------------------------------------------------------
-    def provision(self, imsi: Imsi | str, k: Optional[bytes] = None,
-                  subscription: Optional[s6a.SubscriptionData] = None
-                  ) -> SubscriberRecord:
-        """Add a subscriber (SIM provisioning).  Returns the record."""
+    def provision(self, imsi: Imsi | str,
+                  k: Optional[bytes] = None) -> SubscriberRecord:
+        """Add a subscriber (SIM provisioning) with the default
+        subscription.  Returns the record."""
         imsi_str = str(imsi)
         if k is None:
             k = bytes(self.rng.getrandbits(8) for _ in range(KEY_SIZE))
         record = SubscriberRecord(
             imsi=imsi_str, k=k,
-            subscription=subscription or s6a.SubscriptionData())
+            subscription=s6a.SubscriptionData())
         self.subscribers[imsi_str] = record
         return record
 

@@ -24,7 +24,6 @@ from .mptcp import (
 )
 from .node import Host, Node, Router, UdpSocket
 from .packet import (
-    PROTO_GRE,
     PROTO_TCP,
     PROTO_UDP,
     UNSPECIFIED,
@@ -36,7 +35,6 @@ from .packet import (
 from .sim import Event, SimulationError, Simulator, TickCalendar, Timer
 from .tcp import DEFAULT_MSS, Segment, TcpConnection, TcpListener, TcpStats
 from .topology import CellularPath
-from .tunnel import GreEndpoint, TunneledHost
 
 __all__ = [
     "AddressPool",
@@ -47,7 +45,6 @@ __all__ = [
     "DssMapping",
     "Event",
     "FlowKey",
-    "GreEndpoint",
     "Host",
     "Link",
     "LinkStats",
@@ -55,7 +52,6 @@ __all__ = [
     "MptcpListener",
     "MptcpServerConnection",
     "Node",
-    "PROTO_GRE",
     "PROTO_TCP",
     "PROTO_UDP",
     "Packet",
@@ -70,7 +66,6 @@ __all__ = [
     "TcpStats",
     "Timer",
     "TokenBucket",
-    "TunneledHost",
     "UNSPECIFIED",
     "UdpSocket",
     "same_prefix",

@@ -279,15 +279,9 @@ class Link:
                  queue_limit_bytes: int = 256 * 1024,
                  shaper_down: Optional[TokenBucket] = None,
                  shaper_up: Optional[TokenBucket] = None,
-                 bandwidth_up_bps: Optional[float] = None,
-                 rng: Optional[random.Random] = None):
-        # ``rng`` is accepted and unused, as it has been since the seed
-        # commit: the two generators derived from it were passed in
-        # ``SimplexLink``'s ``police`` position (truthy, i.e. the
-        # default), so each half has always drawn from its own
-        # name-seeded generator.  Honouring it moves every lossy digest
-        # (ROADMAP item 1b); building three generators per link to drop
-        # them does not.
+                 bandwidth_up_bps: Optional[float] = None):
+        # Each half draws its losses from a generator seeded by its own
+        # name (``SimplexLink.rng``).
         # a -> b is the "down" direction by convention (network -> UE when
         # a is the infrastructure side; callers pick the orientation).
         self.a_to_b = SimplexLink(
@@ -315,13 +309,6 @@ class Link:
     def send_from(self, node, packet: Packet) -> bool:
         """Send ``packet`` out of this link from ``node``'s side."""
         return self.half_from(node).send(packet)
-
-    def other_end(self, node):
-        if node is self.a:
-            return self.b
-        if node is self.b:
-            return self.a
-        raise ValueError(f"{node!r} is not an endpoint of {self.name}")
 
     def set_up(self, up: bool) -> None:
         """Bring both directions up or down together."""

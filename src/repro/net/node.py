@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from .link import Link
 from .packet import (
-    PROTO_TCP,
     PROTO_UDP,
     UDP_HEADER,
     IP_HEADER,
@@ -37,10 +36,6 @@ class Node:
 
     def attach_link(self, link: Link) -> None:
         self.links.append(link)
-
-    def detach_link(self, link: Link) -> None:
-        if link in self.links:
-            self.links.remove(link)
 
     def receive(self, packet: Packet, link: Link) -> None:
         raise NotImplementedError
@@ -192,13 +187,6 @@ class Router(Node):
                               out.send_from, self, forwarded)
         else:
             out.send_from(self, forwarded)
-
-    def send_packet(self, packet: Packet) -> bool:
-        """Originate a packet from this router (used by in-network agents)."""
-        out = self.route_for(packet.dst)
-        if out is None:
-            return False
-        return out.send_from(self, packet)
 
 
 class UdpDatagram:

@@ -9,7 +9,6 @@ from typing import Any, NamedTuple
 # Protocol numbers (mirroring IANA where it helps readability).
 PROTO_UDP = 17
 PROTO_TCP = 6
-PROTO_GRE = 47
 
 UNSPECIFIED = "0.0.0.0"
 
@@ -21,7 +20,6 @@ UDP_HEADER = 8
 TCP_HEADER = 20
 TCP_TIMESTAMP_OPTION = 12
 MPTCP_DSS_OPTION = 20
-GRE_HEADER = 4
 
 
 @dataclass(slots=True)
@@ -29,9 +27,9 @@ class Packet:
     """An IP datagram.
 
     ``payload`` carries the transport-layer segment object (a
-    :class:`~repro.net.tcp.Segment`, a UDP datagram body, or a tunnelled
-    inner :class:`Packet`).  ``size`` is the on-the-wire size in bytes and
-    is what links charge for serialization and queuing.
+    :class:`~repro.net.tcp.Segment` or a UDP datagram body).  ``size`` is
+    the on-the-wire size in bytes and is what links charge for
+    serialization and queuing.
     """
 
     src: str
@@ -83,10 +81,6 @@ class FlowKey(NamedTuple):
     local_port: int
     remote_ip: str
     remote_port: int
-
-    def reversed(self) -> "FlowKey":
-        return FlowKey(self.remote_ip, self.remote_port,
-                       self.local_ip, self.local_port)
 
 
 class AddressPool:

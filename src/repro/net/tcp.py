@@ -153,7 +153,6 @@ class TcpConnection:
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self._send_queue: deque[tuple[int, object]] = deque()  # (remaining, meta)
-        self._queued_bytes = 0
         self._sent_chunks: list[_SentChunk] = []
         self._pipe = 0  # incrementally-maintained bytes_in_flight
         #: chunks that are ``lost and not retransmitted`` - what the
@@ -256,7 +255,6 @@ class TcpConnection:
         if self._fin_queued:
             raise RuntimeError("cannot send after close()")
         self._send_queue.append((nbytes, meta))
-        self._queued_bytes += nbytes
         if self.state == "ESTABLISHED":
             self._try_transmit()
 
@@ -276,10 +274,6 @@ class TcpConnection:
                          if self._counted(c))
         return self._pipe
 
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
-
     def take_unsent_ranges(self) -> list[tuple[int, object]]:
         """Drain and return the not-yet-transmitted queue.
 
@@ -288,7 +282,6 @@ class TcpConnection:
         """
         queue = list(self._send_queue)
         self._send_queue.clear()
-        self._queued_bytes = 0
         return queue
 
     def unacked_chunks(self) -> list:
@@ -329,7 +322,6 @@ class TcpConnection:
                 rest_meta = meta.advance(length) if hasattr(meta, "advance") \
                     else meta
                 self._send_queue[0] = (remaining - length, rest_meta)
-            self._queued_bytes -= length
         if self._fin_queued and not self._fin_sent and not self._send_queue:
             self._emit_fin()
 
@@ -442,6 +434,12 @@ class TcpConnection:
             if segment.flags & ACK and segment.ack >= self.snd_nxt:
                 self._establish()
                 # Fall through: the ACK may carry data.
+        elif segment.flags & SYN:
+            # A re-sent SYN-ACK: our handshake ACK was lost.  Acknowledge
+            # it again, or a peer with nothing to send waits forever.
+            if self.state == "ESTABLISHED":
+                self._send_ack()
+            return
 
         if self.state not in ("ESTABLISHED", "FIN_WAIT", "CLOSING"):
             return

@@ -16,7 +16,6 @@ pools.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from .link import Link, TokenBucket
@@ -37,7 +36,16 @@ DEFAULT_RADIO_LOSS = 0.0005
 
 
 class CellularPath:
-    """A UE's end-to-end path through one bTelco to a fixed server."""
+    """A UE's end-to-end path through one bTelco to a fixed server.
+
+    Every link half draws its losses from a generator seeded by its own
+    name (``{name}-radio:a->b`` and so on), so ``name`` alone fixes the
+    loss streams.  ``seed`` is accepted and unused; callers still pass
+    one (``PairedEmulation.make_path`` draws it from the scenario's
+    generator, and that generator's later draws depend on the draw).
+    Whether the two paths of a paired emulation should share one radio
+    loss stream is ROADMAP item 1(a)'s choice.
+    """
 
     def __init__(self, sim: Simulator, name: str = "path",
                  radio_delay: float = DEFAULT_RADIO_DELAY,
@@ -53,7 +61,6 @@ class CellularPath:
                  queue_limit_bytes: int = 384 * 1024,
                  seed: int = 0):
         self.sim = sim
-        rng = random.Random(seed)
         self.ue = Host(sim, f"{name}-ue")
         self.gateway = Router(sim, f"{name}-gw",
                               forwarding_delay_s=core_delay)
@@ -72,13 +79,11 @@ class CellularPath:
             sim, f"{name}-radio", self.gateway, self.ue,
             bandwidth_bps=radio_bandwidth, delay_s=radio_delay,
             loss_rate=radio_loss, queue_limit_bytes=queue_limit_bytes,
-            shaper_down=shaper, bandwidth_up_bps=uplink_bandwidth,
-            rng=random.Random(rng.getrandbits(32)))
+            shaper_down=shaper, bandwidth_up_bps=uplink_bandwidth)
         self.wan_link = Link(
             sim, f"{name}-wan", self.gateway, self.server,
             bandwidth_bps=DEFAULT_WAN_BANDWIDTH, delay_s=wan_delay,
-            queue_limit_bytes=4 * 1024 * 1024,
-            rng=random.Random(rng.getrandbits(32)))
+            queue_limit_bytes=4 * 1024 * 1024)
 
         self.pools: dict[str, AddressPool] = {}
         self._register_pool(ue_pool_prefix)
@@ -164,10 +169,6 @@ class CellularPath:
         else:
             self.downlink_shaper.set_rate(rate_bps)
             self.radio_link.a_to_b.shaper = self.downlink_shaper
-
-    def radio_interruption(self, duration_s: float) -> None:
-        """A hard radio gap: traffic in the air is lost."""
-        self.radio_link.interrupt(duration_s)
 
     def radio_pause(self, duration_s: float) -> None:
         """A network-managed handover: delivery stalls but nothing is

@@ -27,8 +27,6 @@ from .export import (
     spans_to_chrome,
     spans_to_jsonl,
     summarize,
-    write_chrome,
-    write_jsonl,
 )
 from .fleet import FleetKpiStore, KpiCollector
 
@@ -55,6 +53,4 @@ __all__ = [
     "spans_to_chrome",
     "spans_to_jsonl",
     "summarize",
-    "write_chrome",
-    "write_jsonl",
 ]

@@ -48,14 +48,6 @@ def spans_to_jsonl(spans) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_jsonl(spans, path: str) -> int:
-    """Write the JSONL trace; returns the number of spans written."""
-    text = spans_to_jsonl(spans)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return len(text.splitlines())
-
-
 #: Chrome's synthetic process id — the whole sim is one "process"; rows
 #: (tids) are nodes.
 _CHROME_PID = 1
@@ -110,14 +102,6 @@ def spans_to_chrome(spans) -> dict:
             base["dur"] = round((span.duration) * _US, 3)
         events.append(base)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome(spans, path: str) -> int:
-    payload = spans_to_chrome(spans)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-    return len(payload["traceEvents"])
 
 
 def summarize(spans) -> str:

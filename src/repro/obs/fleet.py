@@ -243,8 +243,9 @@ class FleetKpiStore:
         return "\n".join(parts)
 
 
-def _svg_strip(values, width: int = 240, height: int = 28) -> str:
-    """A tiny inline-SVG polyline for one KPI series."""
+def _svg_strip(values) -> str:
+    """A tiny inline-SVG polyline (240 x 28) for one KPI series."""
+    width, height = 240, 28
     if not values:
         return "<svg width='240' height='28'></svg>"
     lo, hi = min(values), max(values)

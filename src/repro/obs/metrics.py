@@ -202,9 +202,9 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get("gauge", name, labels)
 
-    def histogram(self, name: str, buckets=LATENCY_BUCKETS_MS,
-                  **labels) -> Histogram:
-        return self._get("histogram", name, labels, buckets=buckets)
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._get("histogram", name, labels,
+                         buckets=LATENCY_BUCKETS_MS)
 
     def counter_vec(self, name: str, label: str) -> CounterVec:
         return CounterVec(self, name, label)

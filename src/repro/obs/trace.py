@@ -164,9 +164,6 @@ class Tracer:
             grouped.setdefault(span.trace_id, []).append(span)
         return grouped
 
-    def clear(self) -> None:
-        self._spans.clear()
-
 
 class Obs:
     """The installable telemetry handle: a tracer plus a fleet registry.

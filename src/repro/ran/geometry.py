@@ -72,8 +72,7 @@ class Trajectory:
         return 0.0
 
 
-def straight_drive(length_m: float, speed_mps: float,
-                   y: float = 0.0) -> Trajectory:
+def straight_drive(length_m: float, speed_mps: float) -> Trajectory:
     """A straight line along the x axis — the canonical drive test."""
-    return Trajectory(Point(0.0, y),
-                      [Waypoint(Point(length_m, y), speed_mps)])
+    return Trajectory(Point(0.0, 0.0),
+                      [Waypoint(Point(length_m, 0.0), speed_mps)])

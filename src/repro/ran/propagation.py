@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .geometry import Point
 
@@ -27,11 +26,11 @@ DEFAULT_BANDWIDTH_HZ = 10e6
 
 
 def path_loss_db(distance_m: float,
-                 exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-                 reference_db: float = DEFAULT_REFERENCE_LOSS_DB) -> float:
+                 exponent: float = DEFAULT_PATH_LOSS_EXPONENT) -> float:
     """Log-distance path loss (dB)."""
     distance = max(distance_m, 1.0)
-    return reference_db + 10.0 * exponent * math.log10(distance)
+    return DEFAULT_REFERENCE_LOSS_DB \
+        + 10.0 * exponent * math.log10(distance)
 
 
 class ShadowingField:
@@ -75,14 +74,13 @@ def rsrp_dbm(tx_power_dbm: float, distance_m: float,
     return tx_power_dbm - path_loss_db(distance_m, exponent) + shadowing_db
 
 
-def snr_db(rsrp: float, noise_floor_dbm: float = NOISE_FLOOR_DBM) -> float:
+def snr_db(rsrp: float) -> float:
     """Signal-to-noise ratio implied by the received power."""
-    return rsrp - noise_floor_dbm
+    return rsrp - NOISE_FLOOR_DBM
 
 
-def capacity_bps(rsrp: float, bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
-                 noise_floor_dbm: float = NOISE_FLOOR_DBM) -> float:
+def capacity_bps(rsrp: float) -> float:
     """Truncated-Shannon downlink capacity for one UE owning the cell."""
-    snr_linear = 10.0 ** (snr_db(rsrp, noise_floor_dbm) / 10.0)
+    snr_linear = 10.0 ** (snr_db(rsrp) / 10.0)
     efficiency = min(math.log2(1.0 + snr_linear), MAX_SPECTRAL_EFFICIENCY)
-    return max(bandwidth_hz * efficiency * 0.75, 1e5)  # 25% overhead
+    return max(DEFAULT_BANDWIDTH_HZ * efficiency * 0.75, 1e5)  # 25% overhead

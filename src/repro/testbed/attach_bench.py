@@ -57,6 +57,8 @@ from .placement import (
 ARCH_BASELINE = "BL"
 ARCH_CELLBRICKS = "CB"
 _USIM_K = bytes(range(16))
+#: sim-time an attach may take before a trial counts as stuck.
+ATTACH_SETTLE_S = 0.5
 
 
 @dataclass
@@ -227,9 +229,9 @@ class _BenchHarness:
             node.module_time for node in self.cloud_nodes)
         return agw_brokerd, self.enb.module_time, self.ue.module_time
 
-    def run_trials(self, trials: int,
-                   settle: float = 0.5) -> AttachBenchmarkResult:
+    def run_trials(self, trials: int) -> AttachBenchmarkResult:
         """Run ``trials`` attach/detach cycles; return their samples."""
+        settle = ATTACH_SETTLE_S
         samples = []
         for _ in range(trials):
             before = self._module_snapshot()
@@ -267,10 +269,9 @@ class _BenchHarness:
 
 
 def run_attach_benchmark(arch: str, placement: str, trials: int = 100,
-                         seed: int = 0,
                          rat: str = "lte") -> AttachBenchmarkResult:
     """Run one Fig 7 cell and return the averaged breakdown."""
-    return _BenchHarness(arch, placement, rat, seed=seed).run_trials(trials)
+    return _BenchHarness(arch, placement, rat).run_trials(trials)
 
 
 def run_traced_attach(arch: str = ARCH_CELLBRICKS,
@@ -293,11 +294,11 @@ def run_traced_attach(arch: str = ARCH_CELLBRICKS,
     return result, obs, harness
 
 
-def run_figure7(trials: int = 100, seed: int = 0, rat: str = "lte") -> list:
+def run_figure7(trials: int = 100, rat: str = "lte") -> list:
     """All six Fig 7 cells: {BL, CB} x {local, us-west-1, us-east-1}."""
     results = []
     for placement in ("local", "us-west-1", "us-east-1"):
         for arch in (ARCH_BASELINE, ARCH_CELLBRICKS):
             results.append(run_attach_benchmark(
-                arch, placement, trials=trials, seed=seed, rat=rat))
+                arch, placement, trials=trials, rat=rat))
     return results

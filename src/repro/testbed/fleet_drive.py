@@ -62,6 +62,10 @@ from .netaddr import HostPrefixAllocator
 SETTLE_S = 1.5
 #: post-drive grace for in-flight attaches and async scope notices.
 DRAIN_S = 3.0
+#: the fleet's base speed (each UE rides 0.9-1.05x of it) and the
+#: corridor's site spacing.
+SPEED_MPS = 14.0
+INTER_SITE_DISTANCE_M = 120.0
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +322,7 @@ def _digest(payload: dict) -> str:
 
 def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
                     seed: int = 11, sites: int = 3,
-                    scoped: bool = True, speed_mps: float = 14.0,
-                    inter_site_distance_m: float = 120.0,
+                    scoped: bool = True,
                     scope_ttl: float = 300.0,
                     outage_frac: Optional[float] = 0.6,
                     probes: bool = True) -> dict:
@@ -342,6 +345,7 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
     warm(range(seed * 100 + 20,
                seed * 100 + 20 + ues + (2 if probes else 0)))
 
+    speed_mps, inter_site_distance_m = SPEED_MPS, INTER_SITE_DISTANCE_M
     length_m = duration * speed_mps + 2 * inter_site_distance_m
     rng = random.Random(seed)
     deployment = corridor_deployment(

@@ -30,11 +30,15 @@ from repro.obs import Obs, install, migration_leg_breakdown
 IPERF_RATE = 20e6  # emulated radio bottleneck (bps)
 #: the multipath transport each generation's drive rides.
 TRANSPORT = {"lte": KIND_MPTCP, "5g": KIND_QUIC}
+#: the drive: network seed, switch time and run length (s), and the
+#: transport's address-wait period (s).
+SEED = 7
+SWITCH_AT_S = 2.0
+DURATION_S = 6.0
+ADDRESS_WAIT_S = 0.5
 
 
-def run_traced_drive(rat: str = "lte", *, switch_at: float = 2.0,
-                     duration: float = 6.0, seed: int = 7,
-                     address_wait: float = 0.5,
+def run_traced_drive(rat: str = "lte", *,
                      obs: Optional[Obs] = None) -> dict:
     """One switch under trace: LTE rides MPTCP, 5G rides QUIC.
 
@@ -42,6 +46,7 @@ def run_traced_drive(rat: str = "lte", *, switch_at: float = 2.0,
     whose ``pass`` asserts the two exactness gates (legs sum to the root
     span, root span equals the app-measured stall).
     """
+    seed, switch_at, duration = SEED, SWITCH_AT_S, DURATION_S
     sim = Simulator()
     obs = install(sim, obs)
 
@@ -59,7 +64,7 @@ def run_traced_drive(rat: str = "lte", *, switch_at: float = 2.0,
         if not client_box:
             client = IperfClient(kind, data_path.ue,
                                  data_path.server.address,
-                                 address_wait=address_wait)
+                                 address_wait=ADDRESS_WAIT_S)
             client_box.append(client)
             client.start()
 

@@ -37,7 +37,7 @@ EXPECTED = {
     "repro.net", "repro.net.endpoint", "repro.net.link",
     "repro.net.mptcp", "repro.net.node",
     "repro.net.packet", "repro.net.quic", "repro.net.sim", "repro.net.tcp",
-    "repro.net.topology", "repro.net.tunnel",
+    "repro.net.topology",
     "repro.obs", "repro.obs.export", "repro.obs.fleet", "repro.obs.metrics",
     "repro.obs.trace",
     "repro.ran", "repro.ran.cells", "repro.ran.geometry",

@@ -230,16 +230,15 @@ class TestSimplexLink:
         assert lossy.rng is lossy.rng
 
     def test_duplex_halves_draw_from_their_own_names(self):
-        # Pinned because lossy digests hang on it: a ``Link``'s ``rng``
-        # argument has never reached its halves (ROADMAP), each is seeded
-        # by its own half name, and policing stays on.
+        # Pinned because lossy digests hang on it: each half is seeded by
+        # its own half name, and policing stays on.
         import random
         import zlib
         from repro.net import Host, Link
         sim = Simulator()
         link = Link(sim, "wan", Host(sim, "a", address="10.0.0.1"),
                     Host(sim, "b", address="10.0.1.1"), bandwidth_bps=8e6,
-                    delay_s=0.001, loss_rate=0.1, rng=random.Random(5))
+                    delay_s=0.001, loss_rate=0.1)
         for half, name in ((link.a_to_b, b"wan:a->b"),
                            (link.b_to_a, b"wan:b->a")):
             assert half.police is True

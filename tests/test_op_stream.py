@@ -37,7 +37,7 @@ class Pair:
         hosts = [Host(sim, "a", address="52.21.0.1"),
                  Host(sim, "b", address="52.22.0.1")]
         self.link = Link(sim, "pair", hosts[0], hosts[1], 1e9, 0.002,
-                         loss_rate=loss, rng=random.Random(seed))
+                         loss_rate=loss)
         for host, peer in (hosts, hosts[::-1]):
             host.add_route(peer.address.rsplit(".", 1)[0], self.link)
         # A closed stream is addressed to the frontend: here, the peer.

@@ -6,9 +6,7 @@ completely* — whatever the loss pattern and however many addresses the
 UE burns through.
 """
 
-import random
-
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
@@ -34,8 +32,8 @@ def test_tcp_delivers_exact_bytes_under_loss(sizes, loss, seed):
     sim = Simulator()
     a = Host(sim, "a", address="10.0.0.1")
     b = Host(sim, "b", address="10.0.0.2")
-    Link(sim, "ab", a, b, bandwidth_bps=20e6, delay_s=0.01,
-         loss_rate=loss, rng=random.Random(seed))
+    Link(sim, f"ab{seed}", a, b, bandwidth_bps=20e6, delay_s=0.01,
+         loss_rate=loss)
     received = [0]
 
     def accept(conn):
@@ -63,12 +61,16 @@ def test_tcp_delivers_exact_bytes_under_loss(sizes, loss, seed):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=20, deadline=None)
+# The client's handshake ACK is lost and it has nothing to send: only a
+# re-ACK of the server's re-sent SYN-ACK opens the connection.
+@example(total=100_000, handover_times=[], loss=0.015625, seed=563)
 def test_mptcp_delivers_exact_bytes_across_handovers(total, handover_times,
                                                      loss, seed):
     """No duplication, no loss, no reordering at the connection level —
     across arbitrary IP changes."""
     sim = Simulator()
-    path = CellularPath(sim, shaper_rate=None, radio_loss=loss, seed=seed)
+    path = CellularPath(sim, name=f"p{seed}", shaper_rate=None,
+                        radio_loss=loss)
     path.assign_ue_address()
     received = [0]
 

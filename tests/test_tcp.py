@@ -1,7 +1,5 @@
 """Integration tests for the TCP implementation over simulated links."""
 
-import random
-
 import pytest
 
 from repro.net import (
@@ -19,9 +17,8 @@ def make_pair(sim, bandwidth=10e6, delay=0.01, loss=0.0, seed=1,
     """Two directly-linked hosts."""
     a = Host(sim, "a", address="10.0.0.1")
     b = Host(sim, "b", address="10.0.0.2")
-    Link(sim, "ab", a, b, bandwidth_bps=bandwidth, delay_s=delay,
-         loss_rate=loss, queue_limit_bytes=queue_limit,
-         rng=random.Random(seed))
+    Link(sim, f"ab{seed}", a, b, bandwidth_bps=bandwidth, delay_s=delay,
+         loss_rate=loss, queue_limit_bytes=queue_limit)
     return a, b
 
 
@@ -74,6 +71,30 @@ class TestHandshake:
         sim.run(until=5.0)
         # First SYN at t=0 lost; retry after INITIAL_RTO=1 s succeeds.
         assert established and established[0] == pytest.approx(1.02, rel=0.1)
+
+    def test_lost_handshake_ack_is_resent_for_the_peers_syn_ack(self):
+        # The client has nothing to send, so only a re-ACK of the server's
+        # re-sent SYN-ACK can finish the handshake the lost ACK left open.
+        sim = Simulator()
+        a, b = make_pair(sim)
+        uplink = a.links[0].half_from(a)
+        sent = uplink.send
+        dropped = []
+
+        def drop_handshake_ack(packet):
+            if not dropped and not packet.payload.is_syn:
+                dropped.append(packet)
+                return True
+            return sent(packet)
+
+        uplink.send = drop_handshake_ack
+        TcpListener(b, 80, lambda conn: conn.send(10_000))
+        client = TcpConnection(a, "10.0.0.2", 80)
+        received = []
+        client.on_data = lambda nbytes, meta: received.append(nbytes)
+        client.connect()
+        sim.run(until=5.0)
+        assert dropped and sum(received) == 10_000
 
     def test_connect_gives_up_after_max_retries(self):
         sim = Simulator()

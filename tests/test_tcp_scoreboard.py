@@ -218,8 +218,8 @@ class TestSenderScoreboard:
         sim = Simulator()
         a = Host(sim, "a", address="10.0.0.1")
         b = Host(sim, "b", address="10.0.0.2")
-        link = Link(sim, "ab", a, b, bandwidth_bps=20e6, delay_s=0.02,
-                    loss_rate=0.03, rng=random.Random(seed))
+        link = Link(sim, f"ab{seed}", a, b, bandwidth_bps=20e6, delay_s=0.02,
+                    loss_rate=0.03)
         received = []
 
         def accept(conn):
