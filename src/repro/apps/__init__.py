@@ -9,64 +9,16 @@
 all running over :mod:`repro.apps.transport`'s uniform TCP/MPTCP facade.
 """
 
-from .fallback import RangeDownloadServer, RangeRestartDownloader
-from .iperf import IperfClient, IperfServer, IperfStats, IPERF_PORT
-from .ping import PingClient, PingServer, PingStats, PING_PORT
-from .transport import (
-    KIND_MPTCP,
-    KIND_QUIC,
-    KIND_TCP,
-    StreamClient,
-    StreamPeer,
-    StreamServer,
-)
-from .video import (
-    HlsPlayer,
-    HlsServer,
-    LEVEL_BITRATES,
-    PlaybackStats,
-    SEGMENT_SECONDS,
-    VIDEO_PORT,
-    segment_bytes,
-)
-from .voip import RtpStats, VoipCallee, VoipCaller, make_call
-from .web import (
-    PageLoadResult,
-    WEB_PORT,
-    WebClient,
-    WebServer,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "HlsPlayer",
-    "HlsServer",
-    "IPERF_PORT",
-    "IperfClient",
-    "IperfServer",
-    "IperfStats",
-    "KIND_MPTCP",
-    "KIND_QUIC",
-    "KIND_TCP",
-    "LEVEL_BITRATES",
-    "PING_PORT",
-    "PageLoadResult",
-    "PingClient",
-    "PingServer",
-    "PingStats",
-    "PlaybackStats",
-    "RangeDownloadServer",
-    "RangeRestartDownloader",
-    "RtpStats",
-    "SEGMENT_SECONDS",
-    "StreamClient",
-    "StreamPeer",
-    "StreamServer",
-    "VIDEO_PORT",
-    "VoipCallee",
-    "VoipCaller",
-    "WEB_PORT",
-    "WebClient",
-    "WebServer",
-    "make_call",
-    "segment_bytes",
-]
+lazy_exports(globals(), {
+    ".fallback": "RangeDownloadServer RangeRestartDownloader",
+    ".iperf": "IperfClient IperfServer IperfStats IPERF_PORT",
+    ".ping": "PingClient PingServer PingStats PING_PORT",
+    ".transport": "KIND_MPTCP KIND_QUIC KIND_TCP StreamClient StreamPeer"
+                  " StreamServer",
+    ".video": "HlsPlayer HlsServer LEVEL_BITRATES PlaybackStats"
+              " SEGMENT_SECONDS VIDEO_PORT segment_bytes",
+    ".voip": "RtpStats VoipCallee VoipCaller make_call",
+    ".web": "PageLoadResult WEB_PORT WebClient WebServer",
+})

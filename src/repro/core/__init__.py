@@ -14,108 +14,25 @@
 * :mod:`repro.core.mobility` — host-driven mobility orchestration.
 """
 
-from .billing import (
-    BillingError,
-    BillingVerifier,
-    Invoice,
-    Meter,
-    REPORTER_BTELCO,
-    REPORTER_UE,
-    TrafficReport,
-    TrafficReportUpload,
-    make_upload,
-)
-from .broker import Brokerd
-from .btelco import CellBricksAgw
-from .btelco5g import CellBricksAmf, CellBricksUe5G
-from .intercept import InterceptRecord, LawfulInterceptFunction
-from .messages import (
-    AuthReqT,
-    AuthReqU,
-    AuthRespT,
-    AuthRespU,
-    AuthVec,
-    BrokerAuthRequest,
-    BrokerAuthResponse,
-    DenialCause,
-    MessageError,
-    SealedResponse,
-    SessionRevocation,
-    seal_and_sign,
-)
-from .mobility import MobilityManager
-from .qos import QCI_TABLE, QosCapabilities, QosError, QosInfo, select_qos
-from .reputation import MismatchEvent, PartyHistory, ReputationSystem
-from .settlement import (
-    Payment,
-    SettlementEngine,
-    SettlementError,
-    UsageClaim,
-    make_claim,
-)
-from .sap import (
-    AuthorizedSession,
-    BrokerSap,
-    BrokerSubscriber,
-    BtelcoSap,
-    BtelcoSapConfig,
-    SapError,
-    SapGrant,
-    UeSap,
-    UeSapCredentials,
-)
-from .ue_agent import CellBricksUe
+from repro import lazy_exports
 
-__all__ = [
-    "AuthReqT",
-    "AuthReqU",
-    "AuthRespT",
-    "AuthRespU",
-    "AuthVec",
-    "AuthorizedSession",
-    "BillingError",
-    "BillingVerifier",
-    "BrokerAuthRequest",
-    "BrokerAuthResponse",
-    "BrokerSap",
-    "BrokerSubscriber",
-    "Brokerd",
-    "BtelcoSap",
-    "BtelcoSapConfig",
-    "CellBricksAgw",
-    "CellBricksAmf",
-    "CellBricksUe",
-    "CellBricksUe5G",
-    "DenialCause",
-    "InterceptRecord",
-    "Invoice",
-    "LawfulInterceptFunction",
-    "MessageError",
-    "Meter",
-    "MismatchEvent",
-    "MobilityManager",
-    "PartyHistory",
-    "QCI_TABLE",
-    "QosCapabilities",
-    "QosError",
-    "Payment",
-    "QosInfo",
-    "REPORTER_BTELCO",
-    "REPORTER_UE",
-    "ReputationSystem",
-    "SapError",
-    "SapGrant",
-    "SealedResponse",
-    "SessionRevocation",
-    "SettlementEngine",
-    "SettlementError",
-    "UsageClaim",
-    "TrafficReport",
-    "TrafficReportUpload",
-    "UeSap",
-    "UeSapCredentials",
-    "make_claim",
-    "make_upload",
-    "seal_and_sign",
-    "select_qos",
-]
+lazy_exports(globals(), {
+    ".billing": "BillingError BillingVerifier Invoice Meter REPORTER_BTELCO"
+                " REPORTER_UE TrafficReport TrafficReportUpload make_upload",
+    ".broker": "Brokerd",
+    ".btelco": "CellBricksAgw",
+    ".btelco5g": "CellBricksAmf CellBricksUe5G",
+    ".intercept": "InterceptRecord LawfulInterceptFunction",
+    ".messages": "AuthReqT AuthReqU AuthRespT AuthRespU AuthVec"
+                 " BrokerAuthRequest BrokerAuthResponse DenialCause"
+                 " MessageError SealedResponse SessionRevocation"
+                 " seal_and_sign",
+    ".mobility": "MobilityManager",
+    ".qos": "QCI_TABLE QosCapabilities QosError QosInfo select_qos",
+    ".reputation": "MismatchEvent PartyHistory ReputationSystem",
+    ".settlement": "Payment SettlementEngine SettlementError UsageClaim"
+                   " make_claim",
+    ".sap": "AuthorizedSession BrokerSap BrokerSubscriber BtelcoSap"
+            " BtelcoSapConfig SapError SapGrant UeSap UeSapCredentials",
+    ".ue_agent": "CellBricksUe",
+})

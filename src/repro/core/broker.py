@@ -15,6 +15,22 @@ from repro.lte.signaling import CounterAttr, SignalingNode
 from repro.net import Host
 
 from .billing import BillingVerifier, REPORTER_BTELCO, TrafficReportUpload
+from .costs import (
+    ACK_PROCESSING,
+    AUTH_REQUEST_PROCESSING,
+    AUTHVEC_DECRYPT_COST,
+    CACHED_VERIFY_COST,
+    CERT_VALIDATE_COST,
+    DENIAL_FINISH_COST,
+    INGRESS_PROCESSING,
+    REPORT_PROCESSING,
+    SCOPE_NOTICE_PROCESSING,
+    SEAL_SIGN_COST,
+    SIG_VERIFY_COST,
+    VERIFY_WORKERS,
+    AdaptiveBatchWindow,
+    ParkedBatch,
+)
 from .messages import (
     BrokerAuthRequest,
     BrokerAuthResponse,
@@ -29,30 +45,6 @@ from .qos import QosInfo
 from .reputation import ReputationSystem
 from .sap import BrokerSap, BrokerSubscriber, SapError, SapGrant
 
-# brokerd processing per authentication request (seconds): decrypt,
-# two verifies, two seals, two signs — the "Brokerd" share of Fig 7.
-AUTH_REQUEST_PROCESSING = 0.0046
-REPORT_PROCESSING = 0.0003
-ACK_PROCESSING = 0.0002
-# Scope-attach notice: one cert check (memoized at the CA layer), one
-# signature verify, a counter compare — far off the attach critical path.
-SCOPE_NOTICE_PROCESSING = 0.0009
-
-# Calibrated decomposition of AUTH_REQUEST_PROCESSING for the batching
-# pipeline.  The serial handler charges the lump sum; the pipeline
-# charges the same work split across its stages, so a single request
-# through an idle pipeline costs exactly AUTH_REQUEST_PROCESSING:
-#   INGRESS + CERT_VALIDATE + 2*SIG_VERIFY + AUTHVEC_DECRYPT
-#     + 2*SEAL_SIGN  =  0.0046
-INGRESS_PROCESSING = 0.0002      # envelope parse + batch enqueue
-CERT_VALIDATE_COST = 0.0008      # CA chain check (memoized per cert)
-SIG_VERIFY_COST = 0.0004         # one PSS verify (sig_t / sig_authvec)
-AUTHVEC_DECRYPT_COST = 0.0010    # RSA decrypt of the authVec
-SEAL_SIGN_COST = 0.0009          # one seal_and_sign (RSA private op)
-CACHED_VERIFY_COST = 0.00002     # verify-cache hit instead of a full check
-DENIAL_FINISH_COST = 0.0001      # replay/policy rejection (no minting)
-VERIFY_WORKERS = 4               # parallel stage-A verification lanes
-
 
 @dataclass
 class _OutstandingBatch:
@@ -63,114 +55,6 @@ class _OutstandingBatch:
     deadline: float              # latest grant expiry in the batch
     correlation_id: int = 0
     attempts: int = 0
-
-
-class AdaptiveBatchWindow:
-    """Nagle-style batch window derived from the observed arrival rate.
-
-    The pipeline's fixed 2 ms window is the wrong constant at both ends
-    of the load curve: a lone request waits the full window for peers
-    that never arrive, and a sustained storm flushes long before a batch
-    is worth its amortization.  This tracker keeps an EWMA of the
-    inter-arrival gap and sizes the window to the time a full batch
-    needs to assemble — clamped to ``[min_window, max_window]`` — while
-    the daemon flushes immediately once ``full_size`` requests are
-    parked (the "flush when full" half of Nagle).  Sparse traffic
-    (expected gap beyond ``max_window``) collapses to ``min_window``:
-    nobody else is coming, don't hold the request hostage.
-
-    Purely deterministic — it reads only the virtual clock, so
-    identically-seeded runs replay identical batch boundaries.
-    """
-
-    __slots__ = ("min_window", "max_window", "full_size", "gap_alpha",
-                 "_ewma_gap", "_last_arrival")
-
-    def __init__(self, *, min_window: float = 0.0002,
-                 max_window: float = 0.008, full_size: int = 32,
-                 gap_alpha: float = 0.25):
-        if not 0.0 <= min_window <= max_window:
-            raise ValueError("need 0 <= min_window <= max_window")
-        if full_size < 1:
-            raise ValueError("full_size must be >= 1")
-        self.min_window = min_window
-        self.max_window = max_window
-        self.full_size = full_size
-        self.gap_alpha = gap_alpha
-        self._ewma_gap: Optional[float] = None
-        self._last_arrival: Optional[float] = None
-
-    def observe(self, now: float) -> None:
-        """Record one request arrival at virtual time ``now``."""
-        if self._last_arrival is not None:
-            gap = now - self._last_arrival
-            if self._ewma_gap is None:
-                self._ewma_gap = gap
-            else:
-                self._ewma_gap += self.gap_alpha * (gap - self._ewma_gap)
-        self._last_arrival = now
-
-    def window(self) -> float:
-        """Seconds to hold the current batch open before flushing."""
-        gap = self._ewma_gap
-        if gap is None or gap >= self.max_window:
-            return self.min_window
-        return min(self.max_window,
-                   max(self.min_window, self.full_size * gap))
-
-    def full(self, batch_size: int) -> bool:
-        return batch_size >= self.full_size
-
-
-class ParkedBatch:
-    """Requests parked until their batch window closes — or fills.
-
-    The one batching timeline under :class:`Brokerd`'s pipeline and
-    megaload's scripted broker: the first request of a batch arms the
-    owner's ``flush`` after the open window (``window`` seconds, or
-    rate-derived when ``adaptive`` is set); a batch that fills first
-    cancels that timer (lazily — the simulator compacts dead entries)
-    and re-arms it at zero delay.  ``flush`` starts with :meth:`take`.
-    """
-
-    __slots__ = ("sim", "flush", "window", "adaptive", "items", "_event",
-                 "_flushing_now")
-
-    def __init__(self, sim, flush, window: float = 0.002,
-                 adaptive: Optional[AdaptiveBatchWindow] = None):
-        self.sim = sim
-        self.flush = flush
-        self.window = window
-        self.adaptive = adaptive
-        self.items: list = []
-        self._event = None
-        self._flushing_now = False
-
-    def park(self, item) -> bool:
-        """Add ``item`` to the open batch; True when that filled it (a
-        *full flush*, which the owner counts)."""
-        adaptive = self.adaptive
-        if adaptive is not None:
-            adaptive.observe(self.sim._now)
-        self.items.append(item)
-        if self._event is None:
-            self._event = self.sim.schedule(
-                self.window if adaptive is None else adaptive.window(),
-                self.flush)
-        elif (adaptive is not None and not self._flushing_now
-                and adaptive.full(len(self.items))):
-            self._event.cancel()
-            self._event = self.sim.schedule(0.0, self.flush)
-            self._flushing_now = True
-            return True
-        return False
-
-    def take(self) -> list:
-        """Close the window: hand over the parked items and disarm."""
-        self._event = None
-        self._flushing_now = False
-        items, self.items = self.items, []
-        return items
 
 
 @dataclass

@@ -51,10 +51,7 @@ from repro.crypto import CryptoError
 from repro.lte.signaling import CounterAttr, SignalingNode
 from repro.net import Host, Link
 
-from .broker import (
-    AUTH_REQUEST_PROCESSING,
-    AUTHVEC_DECRYPT_COST,
-)
+from .costs import AUTH_REQUEST_PROCESSING, AUTHVEC_DECRYPT_COST
 from .messages import (
     AuthVec,
     DenialCause,

@@ -36,7 +36,7 @@ from repro.net import Link, Simulator
 from repro.obs import CounterAttr, MetricsRegistry, Obs
 from repro.obs import install as install_obs
 
-from .scenario import ARCH_CELLBRICKS
+from .routes import ARCH_CELLBRICKS
 
 # Fault kinds understood by the monkey.
 KIND_LOSS = "loss"            # set loss_rate on both halves for a while

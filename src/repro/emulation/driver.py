@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from repro.analysis.stats import mean, slowdown_percent
 from repro.net import Simulator
 
-from .routes import DAY, NIGHT, ROUTE_ORDER
-from .scenario import ARCH_CELLBRICKS, ARCH_MNO, EmulationConfig, PairedEmulation
+from .routes import ARCH_CELLBRICKS, ARCH_MNO, DAY, NIGHT, ROUTE_ORDER
+from .scenario import EmulationConfig, PairedEmulation
 
 APP_DURATIONS = {
     "ping": 120.0,

@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 from repro.analysis.stats import mean, stddev
 from repro.net import Simulator
 
-from .scenario import (
-    ARCH_CELLBRICKS,
-    ARCH_MNO,
-    EmulationConfig,
-    PairedEmulation,
-)
+from .routes import ARCH_CELLBRICKS, ARCH_MNO
+from .scenario import EmulationConfig, PairedEmulation
 
 
 @dataclass

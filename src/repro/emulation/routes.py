@@ -14,6 +14,12 @@ from dataclasses import dataclass
 DAY = "day"
 NIGHT = "night"
 
+#: the two architectures driven over every route: today's MNO (the
+#: baseline) and CellBricks.  Kept here, beside the routes, so a module
+#: that only names an architecture loads no transport.
+ARCH_MNO = "mno"
+ARCH_CELLBRICKS = "cellbricks"
+
 
 @dataclass(frozen=True)
 class RouteConditions:

@@ -34,16 +34,13 @@ from repro.net import CellularPath, Simulator
 from .radio import CapacityProcess, generate_handover_schedule
 from repro.apps.web import DEFAULT_OBJECT_BYTES as WEB_PAGE_OBJECTS
 
-from .routes import ROUTES, RouteConditions
+from .routes import ARCH_CELLBRICKS, ARCH_MNO, ROUTES, RouteConditions
 
 #: default CellBricks attachment latency: the us-west-1 prototype
 #: measurement of §6.1 (the paper's default for d).
 DEFAULT_ATTACH_LATENCY = 0.03168
 DEFAULT_ADDRESS_WAIT = 0.5  # mainline MPTCP's address_worker period
 WEB_THINK_TIME = 2.0  # between one page load and the next
-
-ARCH_MNO = "mno"
-ARCH_CELLBRICKS = "cellbricks"
 
 
 @dataclass

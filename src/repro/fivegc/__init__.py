@@ -7,58 +7,17 @@ the unmodified RAN relay (:class:`repro.lte.ENodeB`) — CellBricks touches
 no RAN in either generation.
 """
 
-from . import nas5g
-from .aka5g import (
-    AuthVector5G,
-    derive_kamf,
-    derive_kausf,
-    derive_kseaf,
-    derive_res_star,
-    generate_5g_vector,
-    hres_star,
-    usim_authenticate_5g,
-)
-from .identifiers5g import (
-    Guti5G,
-    Suci,
-    SuciError,
-    Supi,
-    conceal,
-    deconceal,
-    make_supi,
-)
-from .nf import Amf, Ausf, Smf, Subscriber5G, Udm, UeContext5G
-from .ue5g import RegistrationResult, SessionResult, Ue5G
+from repro import lazy_exports
 
-#: the gNB is literally the same relay component — re-exported under its
-#: 5G name to make call sites read naturally.
-from repro.lte.enodeb import ENodeB as Gnb
-
-__all__ = [
-    "Amf",
-    "Ausf",
-    "AuthVector5G",
-    "Gnb",
-    "Guti5G",
-    "RegistrationResult",
-    "SessionResult",
-    "Smf",
-    "Subscriber5G",
-    "Suci",
-    "SuciError",
-    "Supi",
-    "Udm",
-    "Ue5G",
-    "UeContext5G",
-    "conceal",
-    "deconceal",
-    "derive_kamf",
-    "derive_kausf",
-    "derive_kseaf",
-    "derive_res_star",
-    "generate_5g_vector",
-    "hres_star",
-    "make_supi",
-    "nas5g",
-    "usim_authenticate_5g",
-]
+lazy_exports(globals(), {
+    ".aka5g": "AuthVector5G derive_kamf derive_kausf derive_kseaf"
+              " derive_res_star generate_5g_vector hres_star"
+              " usim_authenticate_5g",
+    ".identifiers5g": "Guti5G Suci SuciError Supi conceal deconceal"
+                      " make_supi",
+    ".nf": "Amf Ausf Smf Subscriber5G Udm UeContext5G",
+    ".ue5g": "RegistrationResult SessionResult Ue5G",
+}, nas5g=(".nas5g", None),
+    # the gNB is literally the same relay component, exported under its
+    # 5G name to make call sites read naturally.
+    Gnb=("repro.lte.enodeb", "ENodeB"))

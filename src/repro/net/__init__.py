@@ -13,60 +13,16 @@ Layered exactly as a real stack would be:
 * :mod:`repro.net.topology` — canonical UE-to-server paths.
 """
 
-from .link import Link, LinkStats, SimplexLink, TokenBucket
-from .mptcp import (
-    DEFAULT_ADDRESS_TIMEOUT,
-    DEFAULT_ADDRESS_WAIT,
-    DssMapping,
-    MptcpConnection,
-    MptcpListener,
-    MptcpServerConnection,
-)
-from .node import Host, Node, Router, UdpSocket
-from .packet import (
-    PROTO_TCP,
-    PROTO_UDP,
-    UNSPECIFIED,
-    AddressPool,
-    FlowKey,
-    Packet,
-    same_prefix,
-)
-from .sim import Event, SimulationError, Simulator, TickCalendar, Timer
-from .tcp import DEFAULT_MSS, Segment, TcpConnection, TcpListener, TcpStats
-from .topology import CellularPath
+from repro import lazy_exports
 
-__all__ = [
-    "AddressPool",
-    "CellularPath",
-    "DEFAULT_ADDRESS_TIMEOUT",
-    "DEFAULT_ADDRESS_WAIT",
-    "DEFAULT_MSS",
-    "DssMapping",
-    "Event",
-    "FlowKey",
-    "Host",
-    "Link",
-    "LinkStats",
-    "MptcpConnection",
-    "MptcpListener",
-    "MptcpServerConnection",
-    "Node",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "Packet",
-    "Router",
-    "Segment",
-    "SimplexLink",
-    "SimulationError",
-    "Simulator",
-    "TickCalendar",
-    "TcpConnection",
-    "TcpListener",
-    "TcpStats",
-    "Timer",
-    "TokenBucket",
-    "UNSPECIFIED",
-    "UdpSocket",
-    "same_prefix",
-]
+lazy_exports(globals(), {
+    ".link": "Link LinkStats SimplexLink TokenBucket",
+    ".mptcp": "DEFAULT_ADDRESS_TIMEOUT DEFAULT_ADDRESS_WAIT DssMapping"
+              " MptcpConnection MptcpListener MptcpServerConnection",
+    ".node": "Host Node Router UdpSocket",
+    ".packet": "PROTO_TCP PROTO_UDP UNSPECIFIED AddressPool FlowKey Packet"
+               " same_prefix",
+    ".sim": "Event SimulationError Simulator TickCalendar Timer",
+    ".tcp": "DEFAULT_MSS Segment TcpConnection TcpListener TcpStats",
+    ".topology": "CellularPath",
+})

@@ -7,50 +7,15 @@ runs stay bit-identical, and a run without an installed :class:`Obs`
 records nothing at all (the zero-cost-when-disabled default).
 """
 
-from .metrics import (
-    LATENCY_BUCKETS_MS,
-    Counter,
-    CounterAttr,
-    CounterVec,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .trace import Obs, Span, Tracer, install
-from .export import (
-    LEG_NAMES,
-    MIGRATION_LEG_NAMES,
-    attach_leg_breakdown,
-    chrome_thread_ids,
-    mean_leg_breakdown,
-    migration_leg_breakdown,
-    spans_to_chrome,
-    spans_to_jsonl,
-    summarize,
-)
-from .fleet import FleetKpiStore, KpiCollector
+from repro import lazy_exports
 
-__all__ = [
-    "FleetKpiStore",
-    "KpiCollector",
-    "LATENCY_BUCKETS_MS",
-    "LEG_NAMES",
-    "MIGRATION_LEG_NAMES",
-    "Counter",
-    "CounterAttr",
-    "CounterVec",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Obs",
-    "Span",
-    "Tracer",
-    "attach_leg_breakdown",
-    "chrome_thread_ids",
-    "install",
-    "mean_leg_breakdown",
-    "migration_leg_breakdown",
-    "spans_to_chrome",
-    "spans_to_jsonl",
-    "summarize",
-]
+lazy_exports(globals(), {
+    ".metrics": "LATENCY_BUCKETS_MS Counter CounterAttr CounterVec Gauge"
+                " Histogram MetricsRegistry",
+    ".trace": "Obs Span Tracer install",
+    ".export": "LEG_NAMES MIGRATION_LEG_NAMES attach_leg_breakdown"
+               " chrome_thread_ids mean_leg_breakdown"
+               " migration_leg_breakdown spans_to_chrome spans_to_jsonl"
+               " summarize",
+    ".fleet": "FleetKpiStore KpiCollector",
+})

@@ -6,37 +6,12 @@ cell positions, path loss, shadowing, vehicle speed — and the UE's A3
 selection logic (§4.2's "UE-driven, network-assisted handover").
 """
 
-from .cells import Cell, Deployment, corridor_deployment
-from .geometry import Point, Trajectory, Waypoint, straight_drive
-from .propagation import (
-    ShadowingField,
-    capacity_bps,
-    path_loss_db,
-    rsrp_dbm,
-    snr_db,
-)
-from .selection import (
-    CellSelector,
-    DriveLog,
-    HandoverRecord,
-    simulate_drive,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Cell",
-    "CellSelector",
-    "Deployment",
-    "DriveLog",
-    "HandoverRecord",
-    "Point",
-    "ShadowingField",
-    "Trajectory",
-    "Waypoint",
-    "capacity_bps",
-    "corridor_deployment",
-    "path_loss_db",
-    "rsrp_dbm",
-    "simulate_drive",
-    "snr_db",
-    "straight_drive",
-]
+lazy_exports(globals(), {
+    ".cells": "Cell Deployment corridor_deployment",
+    ".geometry": "Point Trajectory Waypoint straight_drive",
+    ".propagation": "ShadowingField capacity_bps path_loss_db rsrp_dbm"
+                    " snr_db",
+    ".selection": "CellSelector DriveLog HandoverRecord simulate_drive",
+})

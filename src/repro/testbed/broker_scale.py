@@ -167,7 +167,7 @@ def run_sweep(*, rats=("lte", "5g"), concurrencies=(16, 64),
     baseline plus the pipeline at each shard count.  Returns the report
     dict written to ``BENCH_broker_scale.json``.  ``adaptive_window``
     swaps the pipeline cells' fixed 2 ms batch window for the
-    arrival-rate-derived :class:`~repro.core.broker.AdaptiveBatchWindow`."""
+    arrival-rate-derived :class:`~repro.core.costs.AdaptiveBatchWindow`."""
     cells = []
     for rat in rats:
         for concurrency in concurrencies:

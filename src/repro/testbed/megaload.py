@@ -30,7 +30,7 @@ a few dozen bytes of flat array — the ``rss_per_ue_bytes`` profile in
 ceiling (``MAX_RSS_PER_UE_BYTES``).
 
 Each attach rides a modeled broker whose batching uses the
-:class:`~repro.core.broker.AdaptiveBatchWindow` (Nagle-style: flush
+:class:`~repro.core.costs.AdaptiveBatchWindow` (Nagle-style: flush
 when full, stretch under sustained load).  Scripted UEs are
 deliberately *not* full crypto stacks: the point of this bench is to
 stress the event engine itself.  A **mixed-fidelity cohort** keeps the
@@ -40,7 +40,7 @@ whose lifecycle runs the full :class:`~repro.core.ue_agent.CellBricksUe`
 :class:`~repro.core.broker.Brokerd` inside the same simulator, following
 the same script (sites folded onto a small real RAN).  Beside a cohort
 the scripted broker charges what that brokerd charges, the calibrated
-:data:`~repro.core.broker.AUTH_REQUEST_PROCESSING`, so population
+:data:`~repro.core.costs.AUTH_REQUEST_PROCESSING`, so population
 pressure and protocol truth share one clock and one cost; the cohort's
 attach latency percentiles are reported alongside scripted throughput.
 
@@ -83,7 +83,7 @@ from typing import Optional
 
 from repro.analysis.gates import gate
 from repro.analysis.stats import mean, percentile
-from repro.core.broker import (
+from repro.core.costs import (
     AUTH_REQUEST_PROCESSING,
     AdaptiveBatchWindow,
     ParkedBatch,
@@ -165,7 +165,7 @@ def _peak_rss_bytes() -> float:
 class _MegaBroker:
     """The broker's auth pipeline, reduced to its cost model.
 
-    Requests park in the same :class:`~repro.core.broker.ParkedBatch`
+    Requests park in the same :class:`~repro.core.costs.ParkedBatch`
     the real brokerd uses (adaptive window); a flush serves the batch
     on ``BROKER_WORKERS`` earliest-free lanes (a heap of the times each
     lane falls free: only the values matter) and posts each completion

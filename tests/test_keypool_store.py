@@ -266,9 +266,11 @@ def test_import_adds_no_modules(tmp_path):
     """The store's helpers (``tempfile`` and what it drags in) load on a
     store miss, never at import: a process that pools no key — the
     ledger's key-free workloads — must not pay for them.  Measured as a
-    ``sys.modules`` diff of ``repro.crypto`` imported with a stub in
-    keypool's place against the real module imported on top.  The child
-    starts with ``-S``: a site-packages ``.pth`` hook may import
+    ``sys.modules`` diff of ``repro.crypto.rsa`` (keypool's real
+    dependency; the package's exports are lazy, so ``import
+    repro.crypto`` alone loads none of its modules) imported with a stub
+    in keypool's place against the real module imported on top.  The
+    child starts with ``-S``: a site-packages ``.pth`` hook may import
     ``tempfile`` before ``repro`` runs, and what is measured is what
     ``repro`` adds, not the interpreter's start-up."""
     code = """
@@ -279,6 +281,7 @@ stub = types.ModuleType("repro.crypto.keypool")
 stub.pooled_keypair = None
 sys.modules[stub.__name__] = stub
 import repro.crypto
+import repro.crypto.rsa
 before = set(sys.modules)
 del sys.modules[stub.__name__]
 importlib.import_module("repro.crypto.keypool")

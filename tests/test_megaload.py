@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.broker import AdaptiveBatchWindow
+from repro.core.costs import AdaptiveBatchWindow
 from repro.core.mobility import CellBricksNetwork, MobilityManager
 from repro.lte.bearer import SgwPgw
 from repro.net import Simulator
