@@ -1,4 +1,4 @@
-"""Terminal-friendly plots for the CLI: bar series and sparklines.
+"""Terminal-friendly plots for the CLI: sparklines and timelines.
 
 The paper's figures are line/bar charts; the CLI renders the same data as
 monospace plots so experiments are inspectable without a plotting stack.
@@ -9,6 +9,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 _SPARK_LEVELS = " .:-=+*#%@"
+#: rows of a :func:`timeline` column chart.
+TIMELINE_HEIGHT = 8
 
 
 def sparkline(values: Sequence[float], maximum: Optional[float] = None) -> str:
@@ -26,23 +28,7 @@ def sparkline(values: Sequence[float], maximum: Optional[float] = None) -> str:
     return "".join(out)
 
 
-def bar_chart(series: dict, width: int = 48, unit: str = "") -> str:
-    """Horizontal bars, one per (label -> value) entry."""
-    if not series:
-        return ""
-    top = max(series.values())
-    label_width = max(len(label) for label in series)
-    lines = []
-    for label, value in series.items():
-        filled = int(width * value / top + 0.5) if top > 0 else 0
-        lines.append(f"{label:<{label_width}s} |{'#' * filled:<{width}s}| "
-                     f"{value:.2f}{unit}")
-    return "\n".join(lines)
-
-
-def timeline(values: Sequence[float], height: int = 8,
-             width: Optional[int] = None,
-             markers: Sequence[int] = ()) -> str:
+def timeline(values: Sequence[float], markers: Sequence[int] = ()) -> str:
     """A small column chart of a time series, with event markers.
 
     ``markers`` are bin indices annotated with ``v`` above the chart
@@ -50,12 +36,6 @@ def timeline(values: Sequence[float], height: int = 8,
     """
     if not values:
         return ""
-    if width is not None and len(values) > width:
-        # Downsample by averaging consecutive bins.
-        factor = (len(values) + width - 1) // width
-        values = [sum(values[i:i + factor]) / len(values[i:i + factor])
-                  for i in range(0, len(values), factor)]
-        markers = [m // factor for m in markers]
     top = max(values) or 1.0
     rows = []
     marker_row = [" "] * len(values)
@@ -63,8 +43,8 @@ def timeline(values: Sequence[float], height: int = 8,
         if 0 <= index < len(values):
             marker_row[index] = "v"
     rows.append("".join(marker_row))
-    for level in range(height, 0, -1):
-        threshold = top * (level - 0.5) / height
+    for level in range(TIMELINE_HEIGHT, 0, -1):
+        threshold = top * (level - 0.5) / TIMELINE_HEIGHT
         rows.append("".join("#" if value >= threshold else " "
                             for value in values))
     rows.append("-" * len(values))

@@ -75,10 +75,6 @@ class _RtpEndpoint:
         self._running = False
         self._stop_at = 0.0
 
-    @property
-    def frames_sent(self) -> int:
-        return self._seq
-
     def start_streaming(self, duration: float) -> None:
         self._running = True
         self._stop_at = self.sim.now + duration
@@ -130,8 +126,7 @@ class VoipCaller(_RtpEndpoint):
     """The UE-side call leg (a pjsua-like client with re-invite support)."""
 
     def __init__(self, host: Host, callee_ip: str,
-                 rtp_port: int = RTP_PORT + 1, sip_port: int = SIP_PORT,
-                 reinvite_on_ip_change: bool = True):
+                 rtp_port: int = RTP_PORT + 1, sip_port: int = SIP_PORT):
         super().__init__(host, rtp_port)
         self.callee_ip = callee_ip
         self.callee_sip_port = sip_port
@@ -140,8 +135,7 @@ class VoipCaller(_RtpEndpoint):
         self.reinvites_sent = 0
         self._sip_retry_timer = Timer(self.sim, self._retry_invite)
         self._pending_invite: Optional[str] = None
-        if reinvite_on_ip_change:
-            host.add_address_listener(self._on_address_change)
+        host.add_address_listener(self._on_address_change)
 
     def call(self, duration: float) -> None:
         """INVITE, then stream for ``duration`` seconds."""
@@ -180,8 +174,7 @@ class VoipCaller(_RtpEndpoint):
             self._invite("re-INVITE")
 
 
-def make_call(ue_host: Host, server_host: Host, duration: float,
-              reinvite_on_ip_change: bool = True
+def make_call(ue_host: Host, server_host: Host, duration: float
               ) -> tuple[VoipCaller, VoipCallee]:
     """Set up a two-way call; returns (caller, callee) for stats reading.
 
@@ -189,8 +182,7 @@ def make_call(ue_host: Host, server_host: Host, duration: float,
     ``callee.stats``.
     """
     callee = VoipCallee(server_host)
-    caller = VoipCaller(ue_host, server_host.address,
-                        reinvite_on_ip_change=reinvite_on_ip_change)
+    caller = VoipCaller(ue_host, server_host.address)
     caller.call(duration)
     callee.start_streaming(duration)
     return caller, callee

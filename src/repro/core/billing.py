@@ -350,9 +350,6 @@ class Meter:
     def record_ul(self, nbytes: int) -> None:
         self.ul_bytes += nbytes
 
-    def record_dl_loss(self, packets: int = 1) -> None:
-        self.dl_lost_packets += packets
-
     def emit(self, now: float) -> TrafficReportUpload:
         """Build, sign, and reset the interval counters."""
         total_packets = self.dl_received_packets + self.dl_lost_packets

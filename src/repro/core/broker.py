@@ -151,21 +151,6 @@ class Brokerd(SignalingNode):
         self._worker_free: list[float] = []
         self._shard_free: dict[int, float] = {}
         self._verified_certs: set[str] = set()
-        self.pipeline_batches = 0
-        self.pipeline_requests = 0
-        self.pipeline_full_flushes = 0
-        self.cert_cache_hits = 0
-        self.requests_approved = 0
-        self.requests_denied = 0
-        self.revocations_sent = 0
-        self.revocation_batches_sent = 0
-        self.revocation_batches_acked = 0
-        self.revocation_batches_retried = 0
-        self.revocation_batches_failed = 0
-        self.revocation_acks_bad = 0
-        self.reports_retried = 0
-        self.scope_notices_accepted = 0
-        self.scope_notices_denied = 0
         self.on(BrokerAuthRequest, self._handle_auth_request)
         self.on(TrafficReportUpload, self._handle_report)
         self.on(RevocationAck, self._handle_revocation_ack)
@@ -176,15 +161,14 @@ class Brokerd(SignalingNode):
         return self.key.public_key
 
     # -- batching pipeline ----------------------------------------------------
-    def configure_pipeline(self, *, batch_window: float = 0.002,
-                           shards: Optional[int] = None,
+    def configure_pipeline(self, *, shards: Optional[int] = None,
                            adaptive: bool = False) -> None:
         """Switch the auth hot path to the sharded, batching pipeline.
 
-        Requests arriving within ``batch_window`` of the first are
-        flushed as one batch: signature/certificate checks run on
-        ``VERIFY_WORKERS`` parallel workers (stage A), then each request
-        joins its shard's serialized replay/mint lane (stage B).
+        Requests arriving within the window (``ParkedBatch``'s 2 ms) of
+        the first are flushed as one batch: signature/certificate checks
+        run on ``VERIFY_WORKERS`` parallel workers (stage A), then each
+        request joins its shard's serialized replay/mint lane (stage B).
         Without this call the historical one-at-a-time handler runs.
 
         ``adaptive=True`` replaces the fixed window with a default
@@ -193,12 +177,9 @@ class Brokerd(SignalingNode):
         waiting out its timer (Nagle-style).  Only measurable at
         population scale — see ``repro.testbed.megaload``.
         """
-        if batch_window < 0.0:
-            raise ValueError("batch_window must be >= 0")
         if shards is not None:
             self.sap.set_shard_count(shards)
         self.pipeline_enabled = True
-        self._parked.window = batch_window
         self._parked.adaptive = AdaptiveBatchWindow() if adaptive else None
         self._worker_free = [0.0] * VERIFY_WORKERS
         self._shard_free = {}

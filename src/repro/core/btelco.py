@@ -82,9 +82,6 @@ class CellBricksAgw(SapServingCore, Agw):
                          ue_pool_prefix=ue_pool_prefix)
         self.meters: dict[str, Meter] = {}
         self.li = LawfulInterceptFunction(operator=id_t)
-        self.reports_retried = 0
-        self.reports_lost = 0
-        self.reports_acked = 0
 
     # -- serving-core hooks -------------------------------------------------------
     def reject_sap(self, context: UeContext, cause: str,

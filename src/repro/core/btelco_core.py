@@ -131,17 +131,6 @@ class SapServingCore:
         self.session_brokers: dict[str, str] = {}   # session -> id_b
         self._pending_sap: dict[int, object] = {}   # reply_token -> context
         self._tokens = itertools.count(1)
-        self.expired_sessions = 0
-        self.revoked_sessions = 0
-        self.revocation_dups = 0
-        self.revocation_acks_sent = 0
-        self.dup_attach_requests = 0
-        self.broker_timeouts = 0
-        self.scoped_attaches = 0
-        self.scoped_rejects = 0
-        self.scope_replays_denied = 0
-        self.scope_notices_sent = 0
-        self.scope_notice_nacks = 0
         #: seconds of service rendered by scoped sessions the broker
         #: later vetoed (fleet-drive gate: must stay 0.0).
         self.scope_unauthorized_session_s = 0.0

@@ -27,7 +27,7 @@ import secrets
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.obs import CounterAttr, MetricsRegistry
+from repro.obs import CounterAttr, MetricsRegistry, create_counters
 
 from repro.crypto import (
     Certificate,
@@ -408,13 +408,6 @@ class ShardRouter:
             raise ValueError(f"shard {shard_id} already on the ring")
         self._shards.add(shard_id)
 
-    def remove(self, shard_id: int) -> None:
-        if shard_id not in self._shards:
-            raise ValueError(f"shard {shard_id} not on the ring")
-        if len(self._shards) == 1:
-            raise ValueError("cannot remove the last shard")
-        self._shards.discard(shard_id)
-
     @property
     def shard_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._shards))
@@ -695,17 +688,16 @@ class BrokerSap:
     Sharding: all per-subscriber state is partitioned into
     :class:`SapShard` instances behind a :class:`ShardRouter`
     (consistent hashing on ``id_u``), so a hosting daemon can serve
-    shards concurrently and rebalance them online
-    (:meth:`add_shard` / :meth:`remove_shard` hand state off with replay
-    windows intact).  ``num_shards=1`` (the default) is behaviorally
-    identical to the historical unsharded broker.
+    shards concurrently.  A broker starts with one shard, behaviorally
+    identical to the historical unsharded broker; :meth:`set_shard_count`
+    lays out more before the first session.
 
     Session state has one writer and one reader: :meth:`apply` is the
     only way an entry enters or leaves a shard (request path, revocation,
     a replica applying its primary's stream, a handoff target) and hands
     each op to :attr:`journal`; :meth:`export` returns the ops that
     rebuild the state, whole (resync) or one subscriber slice of it
-    (network handoff, in-process rebalance).
+    (network handoff).
 
     The request path is split into two stages so a batching daemon can
     overlap work: :meth:`prevalidate` (certificate + signature checks
@@ -734,14 +726,12 @@ class BrokerSap:
                  ca_public_key: PublicKey,
                  session_ttl: float = 3600.0,
                  metrics: Optional[MetricsRegistry] = None,
-                 num_shards: int = 1,
                  session_prefix: Optional[str] = None):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
         #: counters land here; the hosting daemon passes its own registry
         #: so SAP tallies appear in the node's fleet-mergeable snapshot.
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry(node=f"sap:{id_b}")
+        create_counters(self)
         self.id_b = id_b
         self.key = key
         self.ca_public_key = ca_public_key
@@ -754,12 +744,8 @@ class BrokerSap:
         #: Broker-global: LI is a legal-process flag, not session state.
         self.li_targets: set[str] = set()
         self._session_counter = 0
-        self.router = ShardRouter()
-        self._shards: dict[int, SapShard] = {}
-        for shard_id in range(num_shards):
-            self._shards[shard_id] = SapShard(shard_id, self.metrics)
-            self.router.add(shard_id)
-        self._next_shard_id = num_shards
+        self.router = ShardRouter((0,))
+        self._shards = {0: SapShard(0, self.metrics)}
         #: bTelco directory for mobility scopes: id_t -> public key of
         #: every CA-validated site the broker has seen (explicitly via
         #: :meth:`register_btelco` or implicitly from processed
@@ -774,16 +760,10 @@ class BrokerSap:
         #: receives every op :meth:`apply` applies, in order (a shard
         #: host's replication stream).
         self.journal: Optional[Callable[[tuple], None]] = None
-        # -- lifecycle counters (see stats()) --
-        self.attach_ok = 0
         #: DenialCause value -> n, as a registry-backed counter family
         #: (keeps the Counter-style ``[cause] += 1`` / ``dict(...)`` API).
         self.attach_denied = self.metrics.counter_vec(
             "sap.attach_denied", "cause")
-        self.replay_hits = 0
-        self.grants_expired = 0
-        self.grants_revoked = 0
-        self.dup_requests_served = 0
 
     # -- sharding ---------------------------------------------------------------
     @property
@@ -819,69 +799,21 @@ class BrokerSap:
         shard = self._session_shard(session_id)
         return shard.owner_of(session_id) if shard is not None else None
 
-    def add_shard(self) -> int:
-        """Grow the ring by one shard and hand off the state it now owns."""
-        shard_id = self._next_shard_id
-        self._next_shard_id += 1
-        self._shards[shard_id] = SapShard(shard_id, self.metrics)
-        self.router.add(shard_id)
-        self._rebalance()
-        return shard_id
-
-    def remove_shard(self, shard_id: int) -> None:
-        """Retire a shard, redistributing its state over the ring."""
-        if shard_id not in self._shards:
-            raise ValueError(f"no shard {shard_id}")
-        if len(self._shards) == 1:
-            raise ValueError("cannot remove the last shard")
-        self.router.remove(shard_id)
-        retired = self._shards.pop(shard_id)
-        self._rebalance(extra=retired)
-
     def set_shard_count(self, count: int) -> None:
-        """Deterministically grow/shrink to ``count`` shards."""
+        """Lay out ``count`` shards before the first session: subscriber
+        records are re-homed onto the new ring; session state is not, so
+        a broker that holds any raises.  Resharding a live broker is the
+        networked path's job (``ShardFrontend.add_shard``)."""
         if count < 1:
             raise ValueError("num_shards must be >= 1")
-        while len(self._shards) < count:
-            self.add_shard()
-        while len(self._shards) > count:
-            self.remove_shard(max(self._shards))
-
-    def _rebalance(self, extra: Optional[SapShard] = None) -> None:
-        """Move every subscriber whose router target changed.
-
-        Deterministic: shards and subscribers are visited in sorted
-        order, so two runs performing the same add/remove sequence land
-        every entry identically.
-        """
-        sources = list(self.shards)
-        if extra is not None:
-            sources.append(extra)
-        moves = []
-        for source in sources:
-            for id_u in sorted(source.subscribers):
-                target_id = self.router.shard_for(id_u)
-                if target_id != source.shard_id:
-                    moves.append((id_u, source, self._shards[target_id]))
-        for id_u, source, target in moves:
-            self._move_subscriber(id_u, source, target)
-
-    def _move_subscriber(self, id_u: str, source: SapShard,
-                         target: SapShard) -> None:
-        """Hand one subscriber's state to its new shard: the export
-        slice a network handoff ships, applied at the target and
-        forgotten at the source.  Replay-window entries move with their
-        windows intact (a nonce seen before the rebalance is still
-        denied after it), and revoked tombstones keep their original
-        eviction deadline.  Heap entries left behind in the source
-        become stale and are skipped by the lazy sweeps.  Not journaled:
-        which shard holds an entry is not part of the broker's state
-        (``export()`` reads the same before and after).
-        """
-        target.subscribers[id_u] = source.subscribers.pop(id_u)
-        for op in source.export({id_u}):
-            target.apply(op)
-        source.apply(("forget", id_u))
+        if self.export():
+            raise ValueError("set_shard_count after the first session")
+        subscribers = list(self.enrolled())
+        self.router = ShardRouter(range(count))
+        self._shards = {shard_id: SapShard(shard_id, self.metrics)
+                        for shard_id in range(count)}
+        for subscriber in subscribers:
+            self.enroll(subscriber)
 
     # -- the op vocabulary ------------------------------------------------------
     def apply(self, op: tuple) -> None:

@@ -25,12 +25,12 @@ apply to the broker's own internals end-to-end:
   auths fail fast with the retryable ``degraded`` denial cause instead
   of timing out.
 
-* Rebalances (``add_shard`` / ``remove_shard`` / ``set_shard_count``)
-  are network protocols: begin, one op stream per (source, target)
-  pair relayed through the frontend (shard hosts only have links to
-  the broker and to their own replica), commit.  Attaches that land
-  mid-handoff for a moving subscriber are parked at the frontend and
-  forwarded after commit — never dropped.
+* Rebalances (``add_shard`` / ``remove_shard``) are network protocols:
+  begin, one op stream per (source, target) pair relayed through the
+  frontend (shard hosts only have links to the broker and to their own
+  replica), commit.  Attaches that land mid-handoff for a moving
+  subscriber are parked at the frontend and forwarded after commit —
+  never dropped.
 
 The provisioning plane (subscriber enrollment, suspension flags, lawful
 intercept mandates) is modeled as a strongly-consistent subscriber DB
@@ -418,19 +418,6 @@ class ShardHost(SignalingNode):
         #: the shard, exactly as they did in the in-process broker).
         self.authorize_btelco: Optional[Callable] = None
         self.sap = self._new_sap()
-        self.auths_served = 0
-        self.auths_denied = 0
-        self.degraded_denials = 0
-        self.cache_serves = 0
-        self.repl_batches_sent = 0
-        self.repl_ops_applied = 0
-        self.repl_giveups = 0
-        self.handoff_chunks_sent = 0
-        self.handoff_chunk_retx = 0
-        self.promotions = 0
-        self.crashes = 0
-        self.scope_advances = 0
-        self.scope_nacks = 0
         #: outbound: stream id -> sender.  A standby's own journal
         #: stream is stopped: it has nobody to stream to.
         self._streams = {STANDBY: self._standby_stream(stopped=is_replica)}
@@ -455,7 +442,7 @@ class ShardHost(SignalingNode):
         sap = BrokerSap(id_b=self.id_b, key=self.key,
                         ca_public_key=self.ca_public_key,
                         session_ttl=self.session_ttl,
-                        metrics=self.metrics, num_shards=1,
+                        metrics=self.metrics,
                         session_prefix=self._session_prefix())
         sap.authorize_btelco = self._authorize_proxy
         # Everything the SAP applies is what the standby must apply.
@@ -1209,21 +1196,6 @@ class ShardFrontend:
         return self.brokerd.sap.revoke(id_u)
 
     # -- rebalancing ---------------------------------------------------------
-    def set_shard_count(self, count: int) -> None:
-        if count < 1:
-            raise ValueError("need at least one shard")
-        if count > len(self.states):
-            raise ValueError(
-                f"only {len(self.states)} shard hosts deployed")
-        if count == len(self.active_ids):
-            return
-        if count > len(self.active_ids):
-            joiners = self.spare_ids[:count - len(self.active_ids)]
-            new_active = sorted(self.active_ids + joiners)
-        else:
-            new_active = sorted(self.active_ids)[:count]
-        self._rebalance_to(new_active)
-
     def add_shard(self) -> int:
         if not self.spare_ids:
             raise ValueError("no spare shard hosts left")

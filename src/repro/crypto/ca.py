@@ -10,7 +10,7 @@ public key, signed by a CA, with expiry and revocation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rsa import PrivateKey, PublicKey
 
@@ -61,12 +61,12 @@ class Certificate:
 
 @dataclass
 class CertificateAuthority:
-    """Issues and validates certificates for brokers and bTelcos."""
+    """Issues certificates for brokers and bTelcos (anyone holding the CA
+    public key validates them: :func:`validate_certificate`)."""
 
     key: PrivateKey
     name: str = "repro-root-ca"
     _next_serial: int = 1
-    _revoked: set = field(default_factory=set)
 
     @property
     def public_key(self) -> PublicKey:
@@ -85,20 +85,6 @@ class CertificateAuthority:
         self._next_serial += 1
         signature = self.key.sign(cert.tbs_bytes())
         return Certificate(**{**cert.__dict__, "signature": signature})
-
-    def revoke(self, serial: int) -> None:
-        """Add ``serial`` to the revocation list."""
-        self._revoked.add(serial)
-
-    def is_revoked(self, cert: Certificate) -> bool:
-        return cert.serial in self._revoked
-
-    def validate(self, cert: Certificate, now: float,
-                 expected_role: str | None = None) -> None:
-        """Raise :class:`CertificateError` unless ``cert`` is currently valid."""
-        validate_certificate(cert, self.public_key, now, expected_role)
-        if self.is_revoked(cert):
-            raise CertificateError(f"certificate {cert.serial} is revoked")
 
 
 def validate_certificate(cert: Certificate, ca_public_key: PublicKey,

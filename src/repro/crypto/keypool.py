@@ -5,7 +5,7 @@ RSA key generation is by far the slowest operation in the reproduction
 they need *distinct, functioning* keys — so scenario builders draw from
 this deterministic pool instead of generating fresh primes per entity.
 
-A pool key is a pure function of ``(_POOL_SEED, slot, bits)``, so it is
+A pool key is a pure function of ``(_POOL_SEED, slot)``, so it is
 memoized twice: in ``_POOL`` for the life of the process, and in a
 per-user store directory across processes.  The store holds one small
 file per ``(slot, bits)`` with only ``p``, ``q`` and a checksum; a file is
@@ -39,6 +39,8 @@ _POOL_SEED = 0x9E37_79B9
 #: by older code are then never looked at.
 _STORE_FORMAT = 1
 _E = 65537
+#: modulus size of every pool key.
+_BITS = 1024
 #: Miller–Rabin rounds on a loaded prime.  The 40-round search ran when
 #: the key was generated; this only has to catch a wrong file that still
 #: carries a matching checksum, which a random composite fails in one.
@@ -46,7 +48,7 @@ _LOAD_MR_ROUNDS = 2
 _SELF_TEST_MESSAGE = b"repro.crypto.keypool self-test"
 
 
-def pooled_keypair(slot: int, bits: int = 1024) -> PrivateKey:
+def pooled_keypair(slot: int) -> PrivateKey:
     """Return the pool's keypair for ``slot`` (created on first use).
 
     Distinct slots yield distinct keys; the same slot always yields the
@@ -54,17 +56,16 @@ def pooled_keypair(slot: int, bits: int = 1024) -> PrivateKey:
     On a miss in memory the key is loaded from the on-disk store, and
     only generated (then saved) when the store has no valid file for it.
     """
-    pool_key = (slot, bits) if bits != 1024 else slot
-    key = _POOL.get(pool_key)
+    key = _POOL.get(slot)
     if key is None:
         directory = _store_dir()
-        key = _load(directory, slot, bits)
+        key = _load(directory, slot, _BITS)
         if key is None:
             key = generate_keypair(
-                bits=bits, e=_E, rng=random.Random(_POOL_SEED + slot * 7919))
+                bits=_BITS, e=_E, rng=random.Random(_POOL_SEED + slot * 7919))
             _self_test(key)
-            _save(directory, slot, bits, key)
-        _POOL[pool_key] = key
+            _save(directory, slot, _BITS, key)
+        _POOL[slot] = key
     return key
 
 

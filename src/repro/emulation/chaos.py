@@ -33,7 +33,7 @@ from typing import Callable, Optional
 from repro.analysis import percentile
 from repro.analysis.gates import gate
 from repro.net import Link, Simulator
-from repro.obs import CounterAttr, MetricsRegistry, Obs
+from repro.obs import CounterAttr, MetricsRegistry, Obs, create_counters
 from repro.obs import install as install_obs
 
 from .routes import ARCH_CELLBRICKS
@@ -144,7 +144,7 @@ class ChaosMonkey:
         #: hosts register here via ``network.chaos_nodes``)
         self.nodes = nodes or {}
         self.metrics = MetricsRegistry(node="chaos")
-        self.faults_injected = 0
+        create_counters(self)
         #: per-kind fault tally (registry-backed; ``dict(...)`` works)
         self.faults_by_kind = self.metrics.counter_vec(
             "chaos.faults", "kind")

@@ -175,7 +175,7 @@ def run_figure10(duration: float = 500.0) -> Figure10Result:
     return result
 
 
-def run_figure10_single_drive(duration: float = 400.0, seed: int = 10,
+def run_figure10_single_drive(duration: float = 400.0,
                               switch_at: float = 200.0) -> Figure10Result:
     """Appendix A's observation, live: one drive that *crosses* the
     carrier's midnight policy switch ("the throughput enters the
@@ -190,7 +190,7 @@ def run_figure10_single_drive(duration: float = 400.0, seed: int = 10,
 
     sim = Simulator()
     config = EmulationConfig(route="downtown", time_of_day="night",
-                             duration=duration, seed=seed)
+                             duration=duration, seed=10)
     emulation = PairedEmulation(sim, config)
     policy = TimeOfDayPolicy(day_rate_bps=1.2e6, night_rate_bps=None)
     # Start the clock so 00:30 lands exactly ``switch_at`` seconds in.

@@ -24,6 +24,9 @@ MIN_CAPACITY_BPS = 1.5e6
 #: the radio gap of a (hard) handover, both architectures alike.
 HANDOVER_GAP_RANGE = (0.04, 0.12)
 MIN_HANDOVER_SPACING = 8.0
+#: no handover lands this early in a drive (the paper's runs also begin
+#: attached).
+HANDOVER_WARMUP_S = 10.0
 
 
 class CapacityProcess:
@@ -90,21 +93,19 @@ class HandoverEvent:
 
 
 def generate_handover_schedule(duration: float, mttho_s: float,
-                               seed: int = 0,
-                               warmup: float = 10.0) -> list:
+                               seed: int = 0) -> list:
     """A renewal process of handovers with the requested mean spacing.
 
     Inter-arrival times are exponential (memoryless tower crossings) with
     a floor (``MIN_HANDOVER_SPACING``), shifted so their mean stays
-    ``mttho_s``; no event lands in
-    the first ``warmup`` seconds (the paper's runs also begin attached).
+    ``mttho_s``; no event lands in the first ``HANDOVER_WARMUP_S``.
     """
     min_spacing = MIN_HANDOVER_SPACING
     if mttho_s <= min_spacing:
         raise ValueError("MTTHO must exceed the minimum spacing")
     rng = random.Random(seed)
     events = []
-    t = warmup
+    t = HANDOVER_WARMUP_S
     while True:
         t += min_spacing + rng.expovariate(1.0 / (mttho_s - min_spacing))
         if t >= duration:

@@ -86,6 +86,6 @@ class Guti5G:
                 f"{self.amf_set:03x}-{self.tmsi:08x}")
 
 
-def make_supi(msin_index: int, plmn: Plmn = TEST_PLMN) -> Supi:
+def make_supi(msin_index: int) -> Supi:
     """A test SUPI from a small integer index."""
-    return Supi(plmn, f"{msin_index:09d}")
+    return Supi(TEST_PLMN, f"{msin_index:09d}")

@@ -139,7 +139,6 @@ class Ausf(SignalingNode):
         super().__init__(host, name)
         self.udm_ip = udm_ip
         self._pending: dict[int, dict] = {}
-        self.pending_expired = 0
         self.on(nas5g.AusfAuthenticateRequest, self._handle_authenticate)
         self.on(nas5g.UdmAuthDataResponse, self._handle_udm_response)
         self.on(nas5g.AusfConfirmRequest, self._handle_confirm)
@@ -240,9 +239,6 @@ class Smf(SignalingNode):
                  ue_pool_prefix: str = "10.128.0"):
         super().__init__(host, name)
         self.upf = SgwPgw(pool_prefix=ue_pool_prefix)
-        self.sessions_created = 0
-        self.sessions_released = 0
-        self.release_misses = 0
         self.on(nas5g.SmfCreateSessionRequest, self._handle_create)
         self.on(nas5g.SmfReleaseSessionRequest, self._handle_release)
 
@@ -366,13 +362,6 @@ class Amf(ServingNodeBase):
         self._by_correlation: dict[int, int] = {}
         self._correlations = itertools.count(1)
         self._tmsi = itertools.count(0x5000)
-        self.registrations_completed = 0
-        self.registrations_rejected = 0
-        self.attempts_expired = 0
-        self.orphan_uplinks = 0
-        self.deregistrations = 0
-        self.smf_releases_sent = 0
-        self.smf_release_give_ups = 0
         #: DenialCause-style breakdown of terminal rejections/abandons.
         self.rejection_causes = self.metrics.counter_vec(
             "amf.rejections", "cause")

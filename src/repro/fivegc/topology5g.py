@@ -40,22 +40,22 @@ class Topology5G:
     placement: str
 
     @classmethod
-    def build(cls, sim: Simulator, placement: str = "local",
-              name: str = "5g") -> "Topology5G":
+    def build(cls, sim: Simulator, placement: str = "local"
+              ) -> "Topology5G":
         if placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}")
         delay = PLACEMENTS[placement]
 
-        ue = Host(sim, f"{name}-ue", address=UE_ADDRESS)
-        gnb = Host(sim, f"{name}-gnb", address=GNB_ADDRESS)
-        amf = Host(sim, f"{name}-amf", address=AMF_ADDRESS)
-        smf = Host(sim, f"{name}-smf", address=SMF_ADDRESS)
-        ausf = Host(sim, f"{name}-ausf", address=AUSF_ADDRESS)
-        udm = Host(sim, f"{name}-udm", address=UDM_ADDRESS)
-        broker = Host(sim, f"{name}-broker", address=BROKER_ADDRESS)
+        ue = Host(sim, "5g-ue", address=UE_ADDRESS)
+        gnb = Host(sim, "5g-gnb", address=GNB_ADDRESS)
+        amf = Host(sim, "5g-amf", address=AMF_ADDRESS)
+        smf = Host(sim, "5g-smf", address=SMF_ADDRESS)
+        ausf = Host(sim, "5g-ausf", address=AUSF_ADDRESS)
+        udm = Host(sim, "5g-udm", address=UDM_ADDRESS)
+        broker = Host(sim, "5g-broker", address=BROKER_ADDRESS)
 
         def wire(a, b, delay_s, prefix_a, prefix_b):
-            link = Link(sim, f"{name}-{a.name}-{b.name}", a, b,
+            link = Link(sim, f"5g-{a.name}-{b.name}", a, b,
                         bandwidth_bps=SIGNALING_BANDWIDTH, delay_s=delay_s)
             a.add_route(prefix_b, link)
             b.add_route(prefix_a, link)

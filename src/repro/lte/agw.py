@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net import Host
+from repro.obs import LazyCounterAttr
 
 from . import s6a
 from .bearer import EpsBearer, SgwPgw
@@ -113,8 +114,8 @@ class Agw(ServingNodeBase):
     attaches_rejected = CounterAttr("agw.attaches_rejected")
     accept_retransmissions = CounterAttr("agw.accept_retransmissions")
     accept_give_ups = CounterAttr("agw.accept_give_ups")
-    attempts_expired = CounterAttr("agw.attaches_expired")
-    orphan_uplinks = CounterAttr("agw.orphan_uplinks")
+    attempts_expired = LazyCounterAttr("agw.attaches_expired")
+    orphan_uplinks = LazyCounterAttr("agw.orphan_uplinks")
 
     def __init__(self, host: Host, subscriber_db_ip: str,
                  name: str = "agw", plmn: Plmn = TEST_PLMN,
@@ -124,8 +125,6 @@ class Agw(ServingNodeBase):
         self.spgw = SgwPgw(pool_prefix=ue_pool_prefix)
         self._by_imsi: dict[str, int] = {}
         self._tmsi_counter = itertools.count(0x1000)
-        self.attaches_completed = 0
-        self.attaches_rejected = 0
         #: fired as (context) when an attach completes — the harness uses
         #: it to install the UE's new address on the data plane.
         self.on_attached: Optional[Callable[[UeContext], None]] = None

@@ -71,8 +71,6 @@ class ENodeB(SignalingNode):
         self.default_handler = self._relay_uplink
         self.on(S1DownlinkNas, self._relay_downlink)
         self.on(S1UeContextRelease, self._release_context)
-        self.relayed_uplink = 0
-        self.relayed_downlink = 0
 
     # -- uplink: UE -> AGW ---------------------------------------------------
     def _relay_uplink(self, src_ip: str, nas: object) -> None:

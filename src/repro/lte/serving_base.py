@@ -98,8 +98,6 @@ class ServingNodeBase(SignalingNode):
         super().__init__(host, name)
         self.plmn = plmn
         self.contexts: dict[int, ServingContext] = {}  # ran_ue_id -> context
-        self.accept_retransmissions = 0
-        self.accept_give_ups = 0
         self.costs = dict(self.cost_table)
         self.on(S1UplinkNas, self._handle_uplink)
         for message_type, leg in self.message_legs.items():

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.net import Host, UdpSocket
-from repro.obs import CounterAttr, MetricsRegistry
+from repro.obs import CounterAttr, MetricsRegistry, create_counters
 
 SIGNALING_PORT = 36412  # S1AP's SCTP port, reused for our UDP transport
 
@@ -81,7 +81,6 @@ class _PendingRequest:
     """Sender-side bookkeeping for one reliable request in flight."""
 
     dst_ip: str
-    dst_port: int
     message: object
     size: int
     timeout: float
@@ -218,6 +217,7 @@ class SignalingNode:
         self.name = name
         #: per-node metrics; merge registries for a fleet-wide view.
         self.metrics = MetricsRegistry(node=name)
+        create_counters(self)
         self.socket = UdpSocket(host, port)
         self.socket.on_datagram = self._on_datagram
         self.port = self.socket.port
@@ -226,8 +226,6 @@ class SignalingNode:
         #: (used by relays like the eNodeB).
         self.default_handler: Optional[Callable] = None
         self.module_time = 0.0
-        self.messages_handled = 0
-        self.messages_sent = 0
         # Components are single-threaded servers: concurrent messages
         # queue behind each other (what makes attach latency grow under
         # load in the XTRA-SCALE benchmark).
@@ -242,16 +240,6 @@ class SignalingNode:
         self._request_cache: dict[tuple, _CachedRequest] = {}
         self._request_cache_expiry: list[tuple[float, tuple]] = []  # heap
         self._reply_context: Optional[_ReplyContext] = None
-        # -- reliability counters ----------------------------------------
-        self.requests_sent = 0
-        self.retransmissions = 0
-        self.requests_failed = 0
-        self.requests_completed = 0
-        self.requests_cancelled = 0
-        self.dup_requests = 0
-        self.dup_responses_replayed = 0
-        self.responses_unmatched = 0
-        self.retransmitted_deliveries = 0
 
     @functools.cached_property
     def _retx_rng(self) -> random.Random:
@@ -293,7 +281,7 @@ class SignalingNode:
         self.socket.send_to(dst_ip, dst_port, size, envelope)
 
     def send_request(self, dst_ip: str, message: object, size: int = 256,
-                     dst_port: int = SIGNALING_PORT, *,
+                     *,
                      timeout: Optional[float] = None,
                      max_attempts: Optional[int] = None,
                      deadline: Optional[float] = None,
@@ -310,7 +298,7 @@ class SignalingNode:
         """
         correlation_id = next(self._correlation_ids)
         pending = _PendingRequest(
-            dst_ip=dst_ip, dst_port=dst_port, message=message, size=size,
+            dst_ip=dst_ip, message=message, size=size,
             timeout=timeout if timeout is not None else self.request_timeout,
             max_attempts=(max_attempts if max_attempts is not None
                           else self.request_max_attempts),
@@ -344,7 +332,7 @@ class SignalingNode:
             kind=KIND_REQUEST, attempt=pending.attempts)
         if pending.trace_ctx is not None:
             envelope.trace_id, envelope.parent_span = pending.trace_ctx
-        self.socket.send_to(pending.dst_ip, pending.dst_port, pending.size,
+        self.socket.send_to(pending.dst_ip, SIGNALING_PORT, pending.size,
                             envelope)
         delay = pending.timeout * (
             1.0 + self.retx_jitter * (2.0 * self._retx_rng.random() - 1.0))
@@ -514,7 +502,7 @@ class SignalingNode:
     def _run_request_handler(self, handler: Callable, src_ip: str,
                              correlation_id: int, entry: _CachedRequest,
                              message: object,
-                             ctx: Optional[tuple] = None) -> None:
+                             ctx: Optional[tuple]) -> None:
         """Execute a request handler with reply capture active."""
         self._reply_context = _ReplyContext(
             src_ip=src_ip, correlation_id=correlation_id, entry=entry)

@@ -92,9 +92,6 @@ class NasUeBase(SignalingNode):
         #: nests under the migration root.
         self._obs_parent_ctx: Optional[tuple] = None
         self._reject_retries = 0
-        self.nas_retransmissions = 0
-        self.attach_timeouts = 0
-        self.retryable_rejects = 0
 
     # -- observability --------------------------------------------------------
     def _obs_begin_attach(self, craft: float) -> None:

@@ -20,8 +20,7 @@ lazy_exports(globals(), {
     ".mptcp": "DEFAULT_ADDRESS_TIMEOUT DEFAULT_ADDRESS_WAIT DssMapping"
               " MptcpConnection MptcpListener MptcpServerConnection",
     ".node": "Host Node Router UdpSocket",
-    ".packet": "PROTO_TCP PROTO_UDP UNSPECIFIED AddressPool FlowKey Packet"
-               " same_prefix",
+    ".packet": "PROTO_TCP PROTO_UDP UNSPECIFIED AddressPool FlowKey Packet",
     ".sim": "Event SimulationError Simulator TickCalendar Timer",
     ".tcp": "DEFAULT_MSS Segment TcpConnection TcpListener TcpStats",
     ".topology": "CellularPath",

@@ -60,11 +60,6 @@ class TokenBucket:
                                self._tokens + elapsed * self.rate_bps / 8.0)
             self._last_refill = now
 
-    def tokens_at(self, now: float) -> float:
-        """Bucket level (bytes) at time ``now`` without consuming."""
-        self._refill(now)
-        return self._tokens
-
     def delay_until_conforming(self, size_bytes: int, now: float) -> float:
         """Seconds until a packet of ``size_bytes`` conforms (0 = now)."""
         self._refill(now)
@@ -259,10 +254,6 @@ class SimplexLink:
         self.stats.delivered_bytes += packet.size
         if self.receiver is not None:
             self.receiver(packet)
-
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
 
 
 class Link:

@@ -30,7 +30,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.obs import CounterAttr, MetricsRegistry
+from repro.obs import (
+    CounterAttr,
+    LazyCounterAttr,
+    MetricsRegistry,
+    create_counters,
+)
 
 from .endpoint import Reassembly, TracedEndpoint
 from .node import Host
@@ -78,14 +83,15 @@ class MptcpEndpoint(TracedEndpoint):
     """Common machinery for both ends of an MPTCP connection."""
 
     obs_layer = "mptcp"
-    subflows_added = CounterAttr("mptcp.subflows_added")
-    subflows_failed = CounterAttr("mptcp.subflows_failed")
-    subflows_removed = CounterAttr("mptcp.subflows_removed")
+    subflows_added = LazyCounterAttr("mptcp.subflows_added")
+    subflows_failed = LazyCounterAttr("mptcp.subflows_failed")
+    subflows_removed = LazyCounterAttr("mptcp.subflows_removed")
 
     def __init__(self, host: Host):
         self.host = host
         self.sim = host.sim
         self.metrics = MetricsRegistry(node=f"mptcp:{host.name}")
+        create_counters(self)
         self.subflows: list[TcpConnection] = []
         self.active_subflow: Optional[TcpConnection] = None
         self._receiver = Reassembly()   # connection-level DSS space
@@ -205,7 +211,6 @@ class MptcpConnection(MptcpEndpoint):
         self._previous_address: Optional[str] = None
         self._pending_remove: Optional[str] = None
         self._started = False
-        self.handover_count = 0
         self.subflow_established_times: list[float] = []
         self._wait_span = None
         host.add_address_listener(self._on_address_change)

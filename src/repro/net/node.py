@@ -84,10 +84,6 @@ class Host(Node):
     def add_address_listener(self, listener: AddressListener) -> None:
         self._address_listeners.append(listener)
 
-    def remove_address_listener(self, listener: AddressListener) -> None:
-        if listener in self._address_listeners:
-            self._address_listeners.remove(listener)
-
     def allocate_port(self) -> int:
         port = self._next_ephemeral
         self._next_ephemeral += 1

@@ -124,6 +124,3 @@ class AddressPool:
         return len(self._allocated)
 
 
-def same_prefix(address_a: str, address_b: str) -> bool:
-    """True when two addresses share the same /24 prefix."""
-    return address_a.rsplit(".", 1)[0] == address_b.rsplit(".", 1)[0]

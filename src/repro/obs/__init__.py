@@ -11,7 +11,7 @@ from repro import lazy_exports
 
 lazy_exports(globals(), {
     ".metrics": "LATENCY_BUCKETS_MS Counter CounterAttr CounterVec Gauge"
-                " Histogram MetricsRegistry",
+                " Histogram LazyCounterAttr MetricsRegistry create_counters",
     ".trace": "Obs Span Tracer install",
     ".export": "LEG_NAMES MIGRATION_LEG_NAMES attach_leg_breakdown"
                " chrome_thread_ids mean_leg_breakdown"

@@ -259,18 +259,3 @@ def _svg_strip(values) -> str:
     return (f"<svg width='{width}' height='{height}'>"
             f"<polyline fill='none' stroke='#6cf' stroke-width='1' "
             f"points='{points}'/></svg>")
-
-
-def metrics_registry_probe(registry) -> Callable[[], dict]:
-    """A counter probe over a :class:`~repro.obs.metrics.MetricsRegistry`
-    snapshot — every counter and histogram count in the registry becomes
-    a windowed-delta KPI."""
-    def probe() -> dict:
-        out = {}
-        for key, value in registry.snapshot().items():
-            if isinstance(value, (int, float)):
-                out[key] = value
-            elif isinstance(value, dict) and "count" in value:
-                out[f"{key}.count"] = value["count"]
-        return out
-    return probe

@@ -50,8 +50,8 @@ class Counter:
         self.labels = labels
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
-        self.value += n
+    def inc(self) -> None:
+        self.value += 1
 
     def snapshot(self):
         return self.value
@@ -243,14 +243,6 @@ class MetricsRegistry:
                             or (attr == "max" and theirs > ours)):
                         setattr(mine, attr, theirs)
 
-    @classmethod
-    def merged(cls, registries) -> "MetricsRegistry":
-        """One fleet-wide registry aggregating every input registry."""
-        fleet = cls(node="fleet")
-        for registry in registries:
-            fleet.merge_from(registry)
-        return fleet
-
     # -- export -----------------------------------------------------------
     def snapshot(self) -> dict:
         """Deterministic (sorted) name -> value mapping.  Counters and
@@ -267,7 +259,9 @@ class CounterAttr:
     ``self.requests_sent += 1`` keeps working at every call site while
     the value lives in ``self.metrics`` — one source of truth, legacy
     attribute access preserved.  The owning object must create
-    ``self.metrics`` (a :class:`MetricsRegistry`) before first use.
+    ``self.metrics`` (a :class:`MetricsRegistry`) before first use, then
+    call :func:`create_counters` so every declared counter shows (at 0)
+    in a snapshot from construction on.
     """
 
     __slots__ = ("metric_name", "slot")
@@ -275,6 +269,11 @@ class CounterAttr:
     def __init__(self, metric_name: str):
         self.metric_name = metric_name
         self.slot = "_ctr_" + metric_name.replace(".", "_")
+
+    def __set_name__(self, owner, name) -> None:
+        if "_counter_attrs" not in vars(owner):
+            owner._counter_attrs = []
+        owner._counter_attrs.append(self)
 
     def _counter(self, obj) -> Counter:
         counter = obj.__dict__.get(self.slot)
@@ -290,3 +289,22 @@ class CounterAttr:
 
     def __set__(self, obj, value) -> None:
         self._counter(obj).value = value
+
+
+class LazyCounterAttr(CounterAttr):
+    """A :class:`CounterAttr` that :func:`create_counters` skips: it
+    enters the registry (and its snapshot) on first use."""
+
+    __slots__ = ()
+
+    def __set_name__(self, owner, name) -> None:
+        pass
+
+
+def create_counters(obj) -> None:
+    """Get-or-create every counter ``type(obj)`` declares.  A counter
+    already in ``obj.metrics`` keeps its value, so an object rebuilt
+    over a surviving registry continues its tallies."""
+    for cls in type(obj).__mro__:
+        for attr in vars(cls).get("_counter_attrs", ()):
+            attr._counter(obj)

@@ -157,13 +157,6 @@ class Tracer:
     def spans(self) -> list:
         return list(self._spans)
 
-    def traces(self) -> dict:
-        """Spans grouped by trace id (insertion-ordered within a trace)."""
-        grouped: dict[int, list] = {}
-        for span in self._spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
-
 
 class Obs:
     """The installable telemetry handle: a tracer plus a fleet registry.

@@ -50,6 +50,9 @@ class Deployment:
     """A set of cells covering an area: topology only (PCI lookup and
     the neighbour list).  Measuring it is the selector's job."""
 
+    #: length of the network-provided neighbour list.
+    NEIGHBORS = 6
+
     cells: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -76,9 +79,9 @@ class Deployment:
     def cell(self, pci: int) -> Optional[Cell]:
         return self._by_pci.get(pci)
 
-    def neighbors_of(self, pci: int, count: int = 6) -> list:
+    def neighbors_of(self, pci: int) -> list:
         """The network-provided neighbor list (§4.2's 'network-assisted'
-        hint): the geographically closest cells."""
+        hint): the ``NEIGHBORS`` geographically closest cells."""
         ranked = self._neighbors.get(pci)
         if ranked is None:
             serving = self.cell(pci)
@@ -88,7 +91,7 @@ class Deployment:
             ranked.sort(key=lambda cell:
                         cell.position.distance_to(serving.position))
             self._neighbors[pci] = ranked
-        return ranked[:count]
+        return ranked[:self.NEIGHBORS]
 
 
 def corridor_deployment(length_m: float, inter_site_distance_m: float,

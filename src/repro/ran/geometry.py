@@ -65,12 +65,6 @@ class Trajectory:
                 return origin.towards(destination, fraction)
         return self._legs[-1][3]
 
-    def speed_at(self, t: float) -> float:
-        for index, (t_start, t_end, _, _) in enumerate(self._legs):
-            if t <= t_end:
-                return self.waypoints[index].speed_mps
-        return 0.0
-
 
 def straight_drive(length_m: float, speed_mps: float) -> Trajectory:
     """A straight line along the x axis — the canonical drive test."""

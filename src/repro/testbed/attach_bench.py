@@ -258,15 +258,6 @@ class _BenchHarness:
             self.sim.run(until=self.sim.now + 0.1)
         return AttachBenchmarkResult(self.arch, self.placement, samples)
 
-    def reliable_retransmissions(self) -> int:
-        """Total supervised retransmissions anywhere in the stack —
-        exactly zero on a fault-free run."""
-        total = self.ue.nas_retransmissions
-        total += self.agw.accept_retransmissions
-        for node in (self.agw,) + self.cloud_nodes:
-            total += node.reliable_stats()["retransmissions"]
-        return total
-
 
 def run_attach_benchmark(arch: str, placement: str, trials: int = 100,
                          rat: str = "lte") -> AttachBenchmarkResult:

@@ -60,6 +60,8 @@ from .netaddr import HostPrefixAllocator
 #: authReqU for everyone, scoped or not) complete here, then the broker
 #: RPC baseline is snapshotted so the drive only counts *handover* load.
 SETTLE_S = 1.5
+#: the tower outage lands this far into the drive.
+OUTAGE_FRAC = 0.6
 #: post-drive grace for in-flight attaches and async scope notices.
 DRAIN_S = 3.0
 #: the fleet's base speed (each UE rides 0.9-1.05x of it) and the
@@ -324,7 +326,6 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
                     seed: int = 11, sites: int = 3,
                     scoped: bool = True,
                     scope_ttl: float = 300.0,
-                    outage_frac: Optional[float] = 0.6,
                     probes: bool = True) -> dict:
     """Run one fleet-drive cell and return its report dict.
 
@@ -381,21 +382,20 @@ def run_fleet_drive(rat: str = "lte", ues: int = 6, duration: float = 30.0,
     # Mid-drive tower outage: one operator's cells drop 60 dB.
     storm: dict = {}
     outage_operator = site_names[-1]
-    if outage_frac is not None:
-        outage_at = SETTLE_S + duration * outage_frac
+    outage_at = SETTLE_S + duration * OUTAGE_FRAC
 
-        def _trigger_outage() -> None:
-            for cell in deployment.cells:
-                if cell.operator == outage_operator:
-                    cell.tx_power_dbm -= 60.0
-            storm["at_s"] = round(sim.now - SETTLE_S, 3)
-            storm["rpc_before"] = (broker.requests_approved
-                                   + broker.requests_denied)
-            storm["switches_before"] = sum(u.mm.switches for u in fleet)
-            storm["camped_on_outage"] = sum(
-                1 for u in fleet if u.want_operator == outage_operator)
+    def _trigger_outage() -> None:
+        for cell in deployment.cells:
+            if cell.operator == outage_operator:
+                cell.tx_power_dbm -= 60.0
+        storm["at_s"] = round(sim.now - SETTLE_S, 3)
+        storm["rpc_before"] = (broker.requests_approved
+                               + broker.requests_denied)
+        storm["switches_before"] = sum(u.mm.switches for u in fleet)
+        storm["camped_on_outage"] = sum(
+            1 for u in fleet if u.want_operator == outage_operator)
 
-        sim.schedule_at(outage_at, _trigger_outage)
+    sim.schedule_at(outage_at, _trigger_outage)
 
     sim.run(until=SETTLE_S + duration + DRAIN_S)
 

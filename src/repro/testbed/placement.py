@@ -44,24 +44,24 @@ class TestbedTopology:
     placement: str
 
     @classmethod
-    def build(cls, sim: Simulator, placement: str = "local",
-              name: str = "testbed") -> "TestbedTopology":
+    def build(cls, sim: Simulator, placement: str = "local"
+              ) -> "TestbedTopology":
         """Wire up the testbed with the SubscriberDB/brokerd at ``placement``."""
         if placement not in PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}; "
                              f"choose from {sorted(PLACEMENTS)}")
-        ue = Host(sim, f"{name}-ue", address=UE_ADDRESS)
-        enb = Host(sim, f"{name}-enb", address=ENB_ADDRESS)
-        agw = Host(sim, f"{name}-agw", address=AGW_ADDRESS)
-        db = Host(sim, f"{name}-db", address=CLOUD_DB_ADDRESS)
+        ue = Host(sim, "testbed-ue", address=UE_ADDRESS)
+        enb = Host(sim, "testbed-enb", address=ENB_ADDRESS)
+        agw = Host(sim, "testbed-agw", address=AGW_ADDRESS)
+        db = Host(sim, "testbed-db", address=CLOUD_DB_ADDRESS)
 
-        radio = Link(sim, f"{name}-radio", ue, enb,
+        radio = Link(sim, "testbed-radio", ue, enb,
                      bandwidth_bps=SIGNALING_BANDWIDTH,
                      delay_s=RADIO_SIGNALING_DELAY)
-        backhaul = Link(sim, f"{name}-backhaul", enb, agw,
+        backhaul = Link(sim, "testbed-backhaul", enb, agw,
                         bandwidth_bps=SIGNALING_BANDWIDTH,
                         delay_s=BACKHAUL_DELAY)
-        cloud = Link(sim, f"{name}-cloud", agw, db,
+        cloud = Link(sim, "testbed-cloud", agw, db,
                      bandwidth_bps=SIGNALING_BANDWIDTH,
                      delay_s=PLACEMENTS[placement])
 

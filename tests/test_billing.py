@@ -223,7 +223,7 @@ class TestMeter:
                       broker_public_key=keys["broker"].public_key)
         for _ in range(90):
             meter.record_dl(1000)
-        meter.record_dl_loss(10)
+        meter.dl_lost_packets += 10
         upload = meter.emit(now=30.0)
         verifier, grant = make_verifier(keys)
         verifier.ingest(upload, now=30.0)

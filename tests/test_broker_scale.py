@@ -1,4 +1,4 @@
-"""Sharded/batched broker auth pipeline: routing, rebalance, pipeline
+"""Sharded/batched broker auth pipeline: routing, shard layout, pipeline
 equivalence + determinism, throughput acceptance, SMF pool release, and
 billing archival."""
 
@@ -14,8 +14,6 @@ from repro.core.sap import (
     BrokerSubscriber,
     BtelcoSap,
     BtelcoSapConfig,
-    DenialCause,
-    SapError,
     ShardRouter,
     UeSap,
     UeSapCredentials,
@@ -46,8 +44,8 @@ def world():
 
 def make_broker(world, num_shards=1, subscribers=("alice",)):
     broker = BrokerSap(id_b="b.example", key=world["broker_key"],
-                       ca_public_key=world["ca"].public_key,
-                       num_shards=num_shards)
+                       ca_public_key=world["ca"].public_key)
+    broker.set_shard_count(num_shards)
     for id_u in subscribers:
         broker.enroll(BrokerSubscriber(
             id_u=id_u, public_key=world["ue_key"].public_key))
@@ -120,14 +118,12 @@ class TestShardRing:
         after = [owner for p, owner in ring if p > point(f"u:{id_u}")]
         return after[0] if after else ring[0][1]
 
-    def test_placement_equals_a_full_scan_through_adds_and_removes(self):
+    def test_placement_equals_a_full_scan_through_adds(self):
         router, other = ShardRouter(), ShardRouter((7, 9))
         live = set()
-        for step, shard in (("add", 0), ("add", 1), ("add", 2), ("add", 5),
-                            ("remove", 1), ("add", 3), ("remove", 0),
-                            ("add", 1), ("remove", 5)):
-            getattr(router, step)(shard)
-            (live.add if step == "add" else live.discard)(shard)
+        for shard in (0, 2, 5, 3, 1):
+            router.add(shard)
+            live.add(shard)
             assert router.shard_ids == tuple(sorted(live))
             for id_u in self.IDS:
                 assert router.shard_for(id_u) \
@@ -144,10 +140,6 @@ class TestShardRing:
         router.add(0)
         with pytest.raises(ValueError, match="already on the ring"):
             router.add(0)
-        with pytest.raises(ValueError, match="last shard"):
-            router.remove(0)
-        with pytest.raises(ValueError, match="not on the ring"):
-            router.remove(3)
 
     def test_a_second_cell_hashes_no_ring_point_and_seeds_no_generator(
             self, monkeypatch):
@@ -184,63 +176,31 @@ class TestShardRing:
         assert cell.to_dict()["broker"]["num_shards"] == 2
 
 
-class TestRebalance:
-    def test_replayed_nonce_denied_after_adding_shard(self, world):
-        broker = make_broker(world, num_shards=2)
-        ue = UeSap(creds_for(world))
-        req_u = ue.craft_request("t1.example")
-        broker.process_request(
-            world["telco"].augment_request(req_u), now=10.0)
-        broker.add_shard()
-        # Same nonce in a different datagram (digest changes): replay.
-        tampered = world["telco"].augment_request(req_u,
-                                                  lawful_intercept=True)
-        with pytest.raises(SapError) as excinfo:
-            broker.process_request(tampered, now=11.0)
-        assert excinfo.value.cause == DenialCause.REPLAY
+class TestShardLayout:
+    """``set_shard_count`` lays shards out before the first session;
+    resharding a live broker is the networked frontend's job."""
 
-    def test_grants_and_subscribers_survive_rebalance(self, world):
+    def test_layout_rehomes_subscribers_before_the_first_session(
+            self, world):
         ids = tuple(f"sub-{i:04d}" for i in range(24))
         broker = make_broker(world, num_shards=2, subscribers=ids)
-        grants = [attach(world, broker, id_u)[1][2] for id_u in ids[:6]]
         broker.set_shard_count(6)
+        assert broker.num_shards == 6
         assert {sub.id_u for sub in broker.enrolled()} == set(ids)
-        assert broker.grants_active == 6
-        for grant in grants:
-            assert grant.session_id in broker.shard_of(grant.id_u).grants
-            assert broker.session_owner(grant.session_id) == grant.id_u
-
-    def test_remove_shard_hands_state_back(self, world):
-        ids = tuple(f"sub-{i:04d}" for i in range(24))
-        broker = make_broker(world, num_shards=4, subscribers=ids)
-        ue = UeSap(creds_for(world, ids[0]))
-        req_u = ue.craft_request("t1.example")
-        broker.process_request(
-            world["telco"].augment_request(req_u), now=10.0)
-        removed = max(s.shard_id for s in broker.shards)
-        broker.remove_shard(removed)
-        assert broker.num_shards == 3
-        assert {sub.id_u for sub in broker.enrolled()} == set(ids)
+        for shard in broker.shards:
+            for id_u in shard.subscribers:
+                assert broker.shard_of(id_u) is shard
+        attach(world, broker, ids[0])
         assert broker.grants_active == 1
-        tampered = world["telco"].augment_request(req_u,
-                                                  lawful_intercept=True)
-        with pytest.raises(SapError) as excinfo:
-            broker.process_request(tampered, now=11.0)
-        assert excinfo.value.cause == DenialCause.REPLAY
 
-    def test_retransmission_still_served_after_rebalance(self, world):
+    def test_layout_raises_once_a_session_exists(self, world):
         broker = make_broker(world, num_shards=2)
-        req_t, (sealed_t, _sealed_u, grant) = attach(world, broker)
-        broker.add_shard()
-        replay_t, _replay_u, replay_grant = broker.process_request(
-            req_t, now=11.0)
-        assert replay_grant.session_id == grant.session_id
-        assert broker.dup_requests_served == 1
-
-    def test_cannot_remove_last_shard(self, world):
-        broker = make_broker(world, num_shards=1)
-        with pytest.raises(ValueError):
-            broker.remove_shard(0)
+        attach(world, broker)
+        before = broker.export()
+        with pytest.raises(ValueError, match="first session"):
+            broker.set_shard_count(4)
+        assert broker.num_shards == 2
+        assert broker.export() == before
 
 
 class TestVerifyCache:

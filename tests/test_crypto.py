@@ -259,24 +259,26 @@ class TestCertificates:
     def test_issue_and_validate(self, ca, keypair):
         cert = ca.issue("t1.example", ROLE_BTELCO, keypair.public_key,
                         not_before=0.0, not_after=100.0)
-        ca.validate(cert, now=50.0, expected_role=ROLE_BTELCO)
+        validate_certificate(cert, ca.public_key, now=50.0,
+                             expected_role=ROLE_BTELCO)
 
     def test_expired_rejected(self, ca, keypair):
         cert = ca.issue("t1", ROLE_BTELCO, keypair.public_key,
                         not_before=0.0, not_after=10.0)
         with pytest.raises(CertificateError):
-            ca.validate(cert, now=20.0)
+            validate_certificate(cert, ca.public_key, now=20.0)
 
     def test_not_yet_valid_rejected(self, ca, keypair):
         cert = ca.issue("t1", ROLE_BTELCO, keypair.public_key,
                         not_before=10.0, not_after=20.0)
         with pytest.raises(CertificateError):
-            ca.validate(cert, now=5.0)
+            validate_certificate(cert, ca.public_key, now=5.0)
 
     def test_wrong_role_rejected(self, ca, keypair):
         cert = ca.issue("b1", ROLE_BROKER, keypair.public_key)
         with pytest.raises(CertificateError):
-            ca.validate(cert, now=1.0, expected_role=ROLE_BTELCO)
+            validate_certificate(cert, ca.public_key, now=1.0,
+                                 expected_role=ROLE_BTELCO)
 
     def test_unknown_role_rejected_at_issue(self, ca, keypair):
         with pytest.raises(CertificateError):
@@ -287,20 +289,13 @@ class TestCertificates:
         forged = Certificate(**{**cert.__dict__,
                                 "signature": other_keypair.sign(cert.tbs_bytes())})
         with pytest.raises(CertificateError):
-            ca.validate(forged, now=1.0)
+            validate_certificate(forged, ca.public_key, now=1.0)
 
     def test_tampered_subject_rejected(self, ca, keypair):
         cert = ca.issue("t1", ROLE_BTELCO, keypair.public_key)
         tampered = Certificate(**{**cert.__dict__, "subject": "t2"})
         with pytest.raises(CertificateError):
-            ca.validate(tampered, now=1.0)
-
-    def test_revocation(self, ca, keypair):
-        cert = ca.issue("t-revoked", ROLE_BTELCO, keypair.public_key)
-        ca.validate(cert, now=1.0)
-        ca.revoke(cert.serial)
-        with pytest.raises(CertificateError):
-            ca.validate(cert, now=1.0)
+            validate_certificate(tampered, ca.public_key, now=1.0)
 
     def test_offline_validation_with_ca_pubkey_only(self, ca, keypair):
         cert = ca.issue("t1", ROLE_BTELCO, keypair.public_key)

@@ -61,8 +61,7 @@ class TestFleetCapacity:
         from repro.testbed.fleet_drive import run_fleet_drive
 
         report = run_fleet_drive(rat="lte", ues=10, sites=6,
-                                 duration=10.0, seed=11,
-                                 outage_frac=None, probes=False)
+                                 duration=10.0, seed=11, probes=False)
         assert report["ues"] == 10
         assert report["sites"] == 6
         assert report["attach_failures"] == 0

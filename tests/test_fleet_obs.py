@@ -18,18 +18,14 @@ import json
 import pytest
 
 from repro.net import Simulator
-from repro.obs import MIGRATION_LEG_NAMES, MetricsRegistry
+from repro.obs import MIGRATION_LEG_NAMES
 from repro.obs.export import (
     chrome_thread_ids,
     migration_leg_breakdown,
     spans_to_chrome,
     spans_to_jsonl,
 )
-from repro.obs.fleet import (
-    FleetKpiStore,
-    KpiCollector,
-    metrics_registry_probe,
-)
+from repro.obs.fleet import FleetKpiStore, KpiCollector
 from repro.testbed.traced_drive import run_traced_drive
 
 
@@ -96,16 +92,6 @@ class TestKpiCollector:
         sim.schedule(100.0, lambda: None)   # long-tail cleanup event
         sim.run()
         assert all(row["t"] <= 3.0 for row in store.rows)
-
-    def test_metrics_registry_probe_flattens_histograms(self):
-        registry = MetricsRegistry(node="n")
-        registry.counter("hits").inc(4)
-        registry.histogram("lat").observe(1.0)
-        probe = metrics_registry_probe(registry)
-        out = probe()
-        assert out["hits"] == 4
-        assert out["lat.count"] == 1
-
 
 class TestFleetKpiStore:
     def _store(self):

@@ -170,11 +170,11 @@ def test_invalid_file_is_deleted_and_regenerated(
 
 
 def test_key_for_another_size_is_rejected(store, reference):
-    path = store / "slot0-512.key"
-    path.write_bytes(keypool._encode(0, 1024, reference[0]))
-    key = keypool.pooled_keypair(0, bits=512)
-    assert key == _direct(0, bits=512) and key.n.bit_length() == 512
-    assert path.read_bytes() == keypool._encode(0, 512, key)
+    path = store / "slot0-1024.key"
+    path.write_bytes(keypool._encode(0, 512, _direct(0, bits=512)))
+    key = keypool.pooled_keypair(0)
+    assert key == reference[0] and key.n.bit_length() == 1024
+    assert path.read_bytes() == keypool._encode(0, 1024, key)
 
 
 def test_no_usable_location_degrades_to_memory(

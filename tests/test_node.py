@@ -31,16 +31,6 @@ class TestHostAddressing:
         host.set_address("1.1.1.1")
         assert events == []
 
-    def test_remove_listener(self):
-        sim = Simulator()
-        host = Host(sim, "h", address="1.1.1.1")
-        events = []
-        listener = lambda old, new: events.append(new)
-        host.add_address_listener(listener)
-        host.remove_address_listener(listener)
-        host.set_address("2.2.2.2")
-        assert events == []
-
     def test_packets_to_wrong_address_dropped(self):
         sim = Simulator()
         a, b, _ = linked_pair(sim)

@@ -27,13 +27,21 @@ from repro.obs.trace import Tracer
 from repro.testbed import ARCH_BASELINE, ARCH_CELLBRICKS, run_traced_attach
 
 
+def by_trace(spans):
+    """Spans grouped by trace id (insertion-ordered within a trace)."""
+    grouped = {}
+    for span in spans:
+        grouped.setdefault(span.trace_id, []).append(span)
+    return grouped
+
+
 # -- metrics registry ---------------------------------------------------------
 
 class TestMetricsRegistry:
     def test_counter_and_gauge_roundtrip(self):
         reg = MetricsRegistry(node="n")
-        reg.counter("a").inc()
-        reg.counter("a").inc(2)
+        for _ in range(3):
+            reg.counter("a").inc()
         reg.gauge("depth").set(7)
         snap = reg.snapshot()
         assert snap["a"] == 3
@@ -58,11 +66,13 @@ class TestMetricsRegistry:
 
     def test_merge_sums_counters_and_histograms(self):
         a, b = MetricsRegistry(node="a"), MetricsRegistry(node="b")
-        a.counter("x").inc(2)
-        b.counter("x").inc(3)
+        a.counter("x").value = 2
+        b.counter("x").value = 3
         a.histogram("lat").observe(1.0)
         b.histogram("lat").observe(100.0)
-        fleet = MetricsRegistry.merged([a, b])
+        fleet = MetricsRegistry(node="fleet")
+        fleet.merge_from(a)
+        fleet.merge_from(b)
         snap = fleet.snapshot()
         assert snap["x"] == 5
         assert snap["lat"]["count"] == 2
@@ -158,7 +168,7 @@ class TestTracedAttach:
 
     def test_fault_free_attach_span_sequence(self, traced):
         _, obs, _ = traced
-        traces = obs.tracer.traces()
+        traces = by_trace(obs.tracer.spans())
         roots = [spans for spans in traces.values()
                  if spans and spans[0].name == "attach"]
         assert len(roots) == 3
@@ -170,7 +180,7 @@ class TestTracedAttach:
 
     def test_spans_form_a_connected_tree(self, traced):
         _, obs, _ = traced
-        for spans in obs.tracer.traces().values():
+        for spans in by_trace(obs.tracer.spans()).values():
             ids = {s.span_id for s in spans}
             for span in spans:
                 assert span.parent_id == 0 or span.parent_id in ids

@@ -82,8 +82,7 @@ class TestSingleDriveModeFlip:
     def test_figure10_single_drive_is_bimodal(self):
         from repro.emulation import run_figure10_single_drive
 
-        result = run_figure10_single_drive(duration=120.0, switch_at=60.0,
-                                           seed=4)
+        result = run_figure10_single_drive(duration=120.0, switch_at=60.0)
         # Pre-switch policed (~1.2 Mbps); post-switch radio-limited.
         assert result.day_avg < 2.0
         assert result.night_avg > 5 * result.day_avg

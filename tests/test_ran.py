@@ -45,8 +45,8 @@ class TestGeometry:
     def test_multi_leg_speeds(self):
         traj = Trajectory(Point(0, 0), [Waypoint(Point(100, 0), 10.0),
                                         Waypoint(Point(100, 100), 20.0)])
-        assert traj.speed_at(5) == 10.0
-        assert traj.speed_at(12) == 20.0
+        assert traj.position_at(5).x == pytest.approx(50)
+        assert traj.position_at(12.5).y == pytest.approx(50)
         assert traj.total_duration == pytest.approx(10 + 5)
 
     def test_empty_trajectory_rejected(self):
@@ -114,13 +114,14 @@ class TestDeployment:
         deployment = corridor_deployment(10000, 500,
                                          rng=random.Random(1))
         anchor = deployment.cells[5]
-        neighbors = deployment.neighbors_of(anchor.pci, count=4)
-        assert len(neighbors) == 4
+        neighbors = deployment.neighbors_of(anchor.pci)
+        assert len(neighbors) == deployment.NEIGHBORS
         distances = [n.position.distance_to(anchor.position)
                      for n in neighbors]
         others = [c.position.distance_to(anchor.position)
                   for c in deployment.cells if c.pci != anchor.pci]
-        assert max(distances) <= sorted(others)[3] + 1e-9
+        assert max(distances) \
+            <= sorted(others)[deployment.NEIGHBORS - 1] + 1e-9
 
     def test_operators_assigned(self):
         deployment = corridor_deployment(5000, 500,

@@ -5,10 +5,9 @@ Covers the robustness acceptance bars: routing + replication on the
 happy path, failover with the replay window carried by the replica,
 degraded-mode fast-fail (retryable) when a whole shard is dark plus
 recovery after a host rejoins, live rebalance over real links moving
-the replay window with the subscriber, rebalance during the in-process
-batched pipeline (no lost or double-served request), UE backoff/retry
-on retryable denials on both RATs, and byte-identical frontend metrics
-under a fixed seed.
+the replay window, grants and cached responses with the subscriber, UE
+backoff/retry on retryable denials on both RATs, and byte-identical
+frontend metrics under a fixed seed.
 """
 
 import json
@@ -21,7 +20,7 @@ from repro.core.messages import (
     DenialCause,
 )
 from repro.core.mobility import MobilityManager, build_cellbricks_network
-from repro.core.sap import UeSap, UeSapCredentials
+from repro.core.sap import UeSap, UeSapCredentials, _export_order
 from repro.core.shardhost import deploy_shard_hosts
 from repro.lte.signaling import SignalingNode
 from repro.net import Host, Link, Simulator
@@ -184,6 +183,37 @@ class TestFailover:
         assert not final.approved
         assert "replay" in final.cause
 
+    def test_flat_sap_counters_survive_a_crash_and_match_the_shards(self):
+        """A crash rebuilds the host's SAP over the host's own registry:
+        the flat ``sap.*`` tallies keep counting, as the per-shard ones
+        do, so they still sum to the same totals once it serves again."""
+        sim, net, frontend = build_distributed()
+        probe = BrokerProbe(net)
+        sim.schedule(0.1, probe.submit, craft_request(net, "alice")[1])
+        sim.run(until=0.5)
+        sid, first, second = owning_host(frontend, "alice")
+
+        def run_awake(until):
+            while sim.now < until:
+                frontend.notify_activity()
+                sim.run(until=sim.now + 0.5)
+
+        first.crash()
+        run_awake(2.0)
+        first.restart()
+        run_awake(4.0)          # resynced as the standby
+        second.crash()
+        run_awake(6.0)          # promoted back
+        st = frontend.states[sid]
+        assert st.hosts[st.primary_addr] is first
+        probe.submit(craft_request(net, "alice")[1])
+        sim.run(until=7.0)
+        assert [resp.approved for resp in probe.responses] == [True, True]
+        stats = first.sap.stats()
+        assert stats["attach_ok"] == 2
+        assert stats["attach_ok"] \
+            == sum(shard["attach_ok"] for shard in stats["shards"])
+
 
 class TestStandbyOutage:
     def test_replay_denied_after_a_standby_outage_and_a_failover(self):
@@ -273,6 +303,16 @@ class TestDegradedMode:
         assert probe.responses[-1].approved
 
 
+def fleet_export(frontend):
+    """The active primaries' exports as one: equal before and after a
+    rebalance iff no entry was lost, duplicated or altered in transit."""
+    return sorted(
+        (op for sid in frontend.active_ids
+         for op in frontend.states[sid].hosts[
+             frontend.states[sid].primary_addr].sap.export()),
+        key=_export_order)
+
+
 class TestNetworkRebalance:
     def test_scale_out_moves_replay_window_over_the_wire(self):
         sim, net, frontend = build_distributed(spares=1)
@@ -281,15 +321,16 @@ class TestNetworkRebalance:
             net.brokerd.enroll_subscriber(
                 id_u, net.credentials.ue_key.public_key)
         probe = BrokerProbe(net)
-        req_us = {}
+        req_us, req_ts = {}, {}
         for index, id_u in enumerate(ids):
-            req_u, req_t = craft_request(net, id_u)
-            req_us[id_u] = req_u
-            sim.schedule(0.1 + 0.02 * index, probe.submit, req_t)
+            req_us[id_u], req_ts[id_u] = craft_request(net, id_u)
+            sim.schedule(0.1 + 0.02 * index, probe.submit, req_ts[id_u])
         sim.run(until=1.5)
         assert len(probe.responses) == len(ids)
         assert all(resp.approved for resp in probe.responses)
         before = {id_u: frontend.ring.shard_for(id_u) for id_u in ids}
+        state_before = fleet_export(frontend)
+        assert [op[0] for op in state_before].count("grant") == len(ids)
         joiner = frontend.add_shard()
         sim.run(until=4.0)
         assert frontend._rebalance is None   # committed
@@ -300,62 +341,43 @@ class TestNetworkRebalance:
         moved = [id_u for id_u in ids
                  if frontend.ring.shard_for(id_u) != before[id_u]]
         assert moved and len(moved) <= entry["moved"]
+        # Every grant, nonce, tombstone and cached response survived the
+        # move unchanged, and each now lives on its owner's primary.
+        assert fleet_export(frontend) == state_before
+        for sid in frontend.active_ids:
+            st = frontend.states[sid]
+            for op in st.hosts[st.primary_addr].sap.export():
+                if op[0] == "grant":
+                    assert frontend.ring.shard_for(op[1].id_u) == sid
         # The moved subscriber's single-use nonce travelled with it:
         # replaying the pre-move authReqU in a fresh envelope is denied
         # by the *new* owner host.
         victim = moved[0]
+        new_sid, new_primary, _ = owning_host(frontend, victim)
         tampered = net.sites["btelco-a"].agw.sap.augment_request(
             req_us[victim], lawful_intercept=True)
         probe.submit(tampered)
         sim.run(until=5.0)
         final = probe.responses[-1]
         assert not final.approved and "replay" in final.cause
+        # A bit-identical retransmission of the pre-move request is
+        # re-served from the cache that moved with it: same approval.
+        original = probe.responses[ids.index(victim)]
+        served_before = new_primary.cache_serves
+        probe.submit(req_ts[victim])
+        sim.run(until=5.5)
+        again = probe.responses[-1]
+        assert again.approved
+        assert again.auth_resp_t == original.auth_resp_t
+        assert new_primary.cache_serves == served_before + 1
         # And a genuinely fresh auth for the moved subscriber is served
         # by the new owner.
-        new_sid, new_primary, _ = owning_host(frontend, victim)
         served_before = new_primary.auths_served
         _, fresh = craft_request(net, victim)
         probe.submit(fresh)
         sim.run(until=6.0)
         assert probe.responses[-1].approved
         assert new_primary.auths_served == served_before + 1
-
-
-class TestPipelineRebalance:
-    def test_midbatch_rebalance_neither_loses_nor_double_serves(self):
-        """An in-process shard-count change landing while a pipeline
-        batch is parked in the window must not lose or double-serve any
-        request in the batch."""
-        sim = Simulator()
-        net = build_cellbricks_network(sim, site_names=("btelco-a",))
-        net.brokerd.configure_pipeline(shards=4, batch_window=0.05)
-        ids = [f"pipe-{i:02d}" for i in range(16)]
-        for id_u in ids:
-            net.brokerd.enroll_subscriber(
-                id_u, net.credentials.ue_key.public_key)
-        probe = BrokerProbe(net)
-        for index, id_u in enumerate(ids):
-            _, req_t = craft_request(net, id_u)
-            sim.schedule(0.1 + 0.001 * index, probe.submit, req_t)
-        # All 16 arrive inside the 50 ms window; the rebalance fires
-        # mid-window, before the batch flushes.
-        sim.schedule(0.13, net.brokerd.sap.set_shard_count, 6)
-        sim.run(until=2.0)
-        brokerd = net.brokerd
-        assert len(probe.responses) == len(ids)
-        assert all(resp.approved for resp in probe.responses)
-        assert brokerd.requests_approved == len(ids)
-        assert brokerd.requests_denied == 0
-        stats = brokerd.stats()
-        assert stats["attach_ok"] == len(ids)
-        assert stats["dup_requests_served"] == 0
-        assert stats["num_shards"] == 6
-        assert len(brokerd.billing.sessions) == len(ids)
-        # Every grant lives on its owner shard under the new layout.
-        sap = brokerd.sap
-        for shard in sap.shards:
-            for grant in shard.grants.values():
-                assert sap.shard_of(grant.id_u).shard_id == shard.shard_id
 
 
 def _run_retry_scenario(rat, *, deny_first, retryable, cause):

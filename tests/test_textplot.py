@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import bar_chart, sparkline, timeline
+from repro.analysis import sparkline, timeline
 
 
 class TestSparkline:
@@ -36,22 +36,6 @@ class TestSparkline:
         assert len(out) == len(values)
 
 
-class TestBarChart:
-    def test_empty(self):
-        assert bar_chart({}) == ""
-
-    def test_rows_and_scaling(self):
-        chart = bar_chart({"BL": 100.0, "CB": 50.0}, width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_values_printed(self):
-        chart = bar_chart({"x": 36.85}, unit="ms")
-        assert "36.85ms" in chart
-
-
 class TestTimeline:
     def test_empty(self):
         assert timeline([]) == ""
@@ -64,13 +48,8 @@ class TestTimeline:
         chart = timeline([1.0, 4.5, 2.0])
         assert "4.50" in chart
 
-    def test_downsampling_bounds_width(self):
-        chart = timeline(list(range(200)), width=50)
-        row = chart.splitlines()[1]
-        assert len(row) <= 50 + 1
-
     def test_column_heights_monotone(self):
-        chart = timeline([1, 2, 4], height=4)
+        chart = timeline([1, 2, 4])
         rows = chart.splitlines()[1:-2]
         # Highest value fills the top row; lowest does not.
         assert rows[0][2] == "#"
