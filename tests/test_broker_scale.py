@@ -1,4 +1,5 @@
-"""Sharded/batched broker auth pipeline: routing, shard layout, pipeline
+"""Sharded/batched broker auth pipeline: routing, shard layout, live
+rebalance, pipeline
 equivalence + determinism, throughput acceptance, SMF pool release, and
 billing archival."""
 
@@ -25,6 +26,14 @@ from repro.crypto import (
     verify_cache_stats,
 )
 from repro.obs import Obs, spans_to_jsonl
+
+from .test_shardhost import (
+    craft_request,
+    fleet_export,
+    owning_host,
+    replay_moved_nonce,
+    scale_out_after_attaches,
+)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +211,58 @@ class TestShardLayout:
         assert broker.num_shards == 2
         assert broker.export() == before
 
+
+
+class TestRebalance:
+    """A live rebalance (the frontend's networked ``add_shard``) carries
+    each moved subscriber's replay window, cached responses and grants
+    to its new owner host."""
+
+    def test_replayed_nonce_denied_after_adding_shard(self):
+        run = scale_out_after_attaches()
+        # Same nonce in a different datagram (digest changes): replay.
+        response = replay_moved_nonce(run, run.moved[0])
+        assert not response.approved and "replay" in response.cause
+
+    def test_grants_and_subscribers_survive_rebalance(self):
+        run = scale_out_after_attaches()
+        frontend, brokerd = run.frontend, run.net.brokerd
+        grants = [op[1] for op in fleet_export(frontend)
+                  if op[0] == "grant"]
+        assert sorted(g.id_u for g in grants) == run.ids
+        enrolled = {sub.id_u for sub in brokerd.sap.enrolled()}
+        assert set(run.ids) <= enrolled
+        for sid in frontend.active_ids:
+            st = frontend.states[sid]
+            sap = st.hosts[st.primary_addr].sap
+            assert {sub.id_u for sub in sap.enrolled()} == enrolled
+        for grant in grants:
+            _, primary, _ = owning_host(frontend, grant.id_u)
+            assert grant.session_id in primary.sap.shard_of(grant.id_u).grants
+            assert primary.sap.session_owner(grant.session_id) == grant.id_u
+        # The moved subscriber's record serves a fresh auth on its new
+        # owner.
+        victim = run.moved[0]
+        _, new_primary, _ = owning_host(frontend, victim)
+        served_before = new_primary.auths_served
+        _, fresh = craft_request(run.net, victim)
+        run.probe.submit(fresh)
+        run.sim.run(until=5.0)
+        assert run.probe.responses[-1].approved
+        assert new_primary.auths_served == served_before + 1
+
+    def test_retransmission_still_served_after_rebalance(self):
+        run = scale_out_after_attaches()
+        victim = run.moved[0]
+        _, new_primary, _ = owning_host(run.frontend, victim)
+        original = run.probe.responses[run.ids.index(victim)]
+        served_before = new_primary.cache_serves
+        run.probe.submit(run.req_ts[victim])
+        run.sim.run(until=5.0)
+        again = run.probe.responses[-1]
+        assert again.approved
+        assert again.auth_resp_t == original.auth_resp_t
+        assert new_primary.cache_serves == served_before + 1
 
 class TestVerifyCache:
     def test_verify_cache_hits_and_clear(self, world):

@@ -11,6 +11,7 @@ frontend metrics under a fixed seed.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -313,34 +314,58 @@ def fleet_export(frontend):
         key=_export_order)
 
 
+def scale_out_after_attaches(num_subscribers=12):
+    """Approve one attach per subscriber on two shards, then add a
+    third shard over the network and run until the move commits."""
+    sim, net, frontend = build_distributed(spares=1)
+    ids = [f"sub-{i:02d}" for i in range(num_subscribers)]
+    for id_u in ids:
+        net.brokerd.enroll_subscriber(
+            id_u, net.credentials.ue_key.public_key)
+    probe = BrokerProbe(net)
+    req_us, req_ts = {}, {}
+    for index, id_u in enumerate(ids):
+        req_us[id_u], req_ts[id_u] = craft_request(net, id_u)
+        sim.schedule(0.1 + 0.02 * index, probe.submit, req_ts[id_u])
+    sim.run(until=1.5)
+    assert len(probe.responses) == len(ids)
+    assert all(resp.approved for resp in probe.responses)
+    before = {id_u: frontend.ring.shard_for(id_u) for id_u in ids}
+    state_before = fleet_export(frontend)
+    assert [op[0] for op in state_before].count("grant") == len(ids)
+    joiner = frontend.add_shard()
+    sim.run(until=4.0)
+    moved = [id_u for id_u in ids
+             if frontend.ring.shard_for(id_u) != before[id_u]]
+    assert moved
+    return SimpleNamespace(
+        sim=sim, net=net, frontend=frontend, probe=probe, ids=ids,
+        req_us=req_us, req_ts=req_ts, state_before=state_before,
+        joiner=joiner, moved=moved)
+
+
+def replay_moved_nonce(run, victim):
+    """Replay ``victim``'s pre-move authReqU in a fresh envelope (same
+    nonce, new digest) and return the broker's response."""
+    tampered = run.net.sites["btelco-a"].agw.sap.augment_request(
+        run.req_us[victim], lawful_intercept=True)
+    run.probe.submit(tampered)
+    run.sim.run(until=5.0)
+    return run.probe.responses[-1]
+
+
 class TestNetworkRebalance:
     def test_scale_out_moves_replay_window_over_the_wire(self):
-        sim, net, frontend = build_distributed(spares=1)
-        ids = [f"sub-{i:02d}" for i in range(12)]
-        for id_u in ids:
-            net.brokerd.enroll_subscriber(
-                id_u, net.credentials.ue_key.public_key)
-        probe = BrokerProbe(net)
-        req_us, req_ts = {}, {}
-        for index, id_u in enumerate(ids):
-            req_us[id_u], req_ts[id_u] = craft_request(net, id_u)
-            sim.schedule(0.1 + 0.02 * index, probe.submit, req_ts[id_u])
-        sim.run(until=1.5)
-        assert len(probe.responses) == len(ids)
-        assert all(resp.approved for resp in probe.responses)
-        before = {id_u: frontend.ring.shard_for(id_u) for id_u in ids}
-        state_before = fleet_export(frontend)
-        assert [op[0] for op in state_before].count("grant") == len(ids)
-        joiner = frontend.add_shard()
-        sim.run(until=4.0)
+        run = scale_out_after_attaches()
+        sim, net, frontend, probe = run.sim, run.net, run.frontend, run.probe
+        ids, req_ts, moved = run.ids, run.req_ts, run.moved
+        state_before, joiner = run.state_before, run.joiner
         assert frontend._rebalance is None   # committed
         assert frontend.rebalances_total.value == 1
         assert joiner in frontend.active_ids
         entry = frontend.rebalance_log[0]
         assert entry["moved"] >= 1
-        moved = [id_u for id_u in ids
-                 if frontend.ring.shard_for(id_u) != before[id_u]]
-        assert moved and len(moved) <= entry["moved"]
+        assert len(moved) <= entry["moved"]
         # Every grant, nonce, tombstone and cached response survived the
         # move unchanged, and each now lives on its owner's primary.
         assert fleet_export(frontend) == state_before
@@ -354,11 +379,7 @@ class TestNetworkRebalance:
         # by the *new* owner host.
         victim = moved[0]
         new_sid, new_primary, _ = owning_host(frontend, victim)
-        tampered = net.sites["btelco-a"].agw.sap.augment_request(
-            req_us[victim], lawful_intercept=True)
-        probe.submit(tampered)
-        sim.run(until=5.0)
-        final = probe.responses[-1]
+        final = replay_moved_nonce(run, victim)
         assert not final.approved and "replay" in final.cause
         # A bit-identical retransmission of the pre-move request is
         # re-served from the cache that moved with it: same approval.
