@@ -9,7 +9,7 @@ Usage::
     python -m repro fig10 [--duration S] [--single-drive]
     python -m repro attach [--arch BL|CB] [--placement local|us-west-1|...]
     python -m repro chaos [--smoke] [--rat lte|5g]
-    python -m repro trace [--scenario attach|chaos|drive] [--format jsonl|chrome|summary]
+    python -m repro trace [--scenario attach|chaos] [--format jsonl|chrome|summary]
     python -m repro metrics [--scenario attach|chaos]
     python -m repro report [--scale S] [--output report.md]
     python -m repro broker-scale|broker-ha|fleet-drive|megaload|observe [--smoke]
@@ -125,10 +125,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         run_traced_attach(arch=args.arch, placement=args.placement,
                           trials=args.trials, seed=args.seed, obs=obs,
                           rat=args.rat)
-    elif args.scenario == "drive":
-        from repro.testbed import run_traced_drive
-
-        run_traced_drive(args.rat, obs=obs)
     else:
         _chaos_obs_run(args, obs)
 
@@ -837,9 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="run a traced scenario and export "
                                      "its span tree")
-    p.add_argument("--scenario", choices=("attach", "chaos", "drive"),
-                   default="attach",
-                   help="drive: one traced bTelco switch mid-download")
+    p.add_argument("--scenario", choices=("attach", "chaos"),
+                   default="attach")
     p.add_argument("--arch", choices=("BL", "CB"), default="CB")
     p.add_argument("--placement", default="us-west-1")
     p.add_argument("--trials", type=int, default=20,

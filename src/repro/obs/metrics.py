@@ -2,7 +2,7 @@
 
 Every :class:`~repro.lte.signaling.SignalingNode` owns one
 :class:`MetricsRegistry`; fleet-wide views are produced by *merging*
-registries (:meth:`MetricsRegistry.merged`), never by sharing mutable
+registries (:meth:`MetricsRegistry.merge_from`), never by sharing mutable
 state between nodes.  All state is bounded: counters and gauges are one
 number each, histograms have a fixed bucket layout chosen at creation.
 

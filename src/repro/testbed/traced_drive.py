@@ -38,8 +38,7 @@ DURATION_S = 6.0
 ADDRESS_WAIT_S = 0.5
 
 
-def run_traced_drive(rat: str = "lte", *,
-                     obs: Optional[Obs] = None) -> dict:
+def run_traced_drive(rat: str, obs: Optional[Obs]) -> dict:
     """One switch under trace: LTE rides MPTCP, 5G rides QUIC.
 
     Returns a report whose ``legs`` entry is the migration breakdown and

@@ -28,6 +28,7 @@ from repro.crypto import (
 from repro.obs import Obs, spans_to_jsonl
 
 from .test_shardhost import (
+    build_distributed,
     craft_request,
     fleet_export,
     owning_host,
@@ -263,6 +264,32 @@ class TestRebalance:
         assert again.approved
         assert again.auth_resp_t == original.auth_resp_t
         assert new_primary.cache_serves == served_before + 1
+
+    def test_remove_shard_hands_state_back(self):
+        run = scale_out_after_attaches()
+        frontend = run.frontend
+        frontend.remove_shard(run.joiner)
+        run.sim.run(until=7.0)
+        assert frontend._rebalance is None   # committed
+        assert run.joiner not in frontend.active_ids
+        assert frontend.rebalances_total.value == 2
+        # Nothing the leaver held was lost, duplicated or altered, and
+        # each grant is back on its owner's primary.
+        assert fleet_export(frontend) == run.state_before
+        for id_u in run.ids:
+            _, primary, _ = owning_host(frontend, id_u)
+            assert id_u in primary.sap.shard_of(id_u).subscribers
+        victim = run.moved[0]
+        assert owning_host(frontend, victim)[0] != run.joiner
+        # The nonce went back with the subscriber: replaying it is denied.
+        response = replay_moved_nonce(run, victim)
+        assert not response.approved and "replay" in response.cause
+
+    def test_cannot_remove_last_shard(self):
+        _sim, _net, frontend = build_distributed(num_shards=1)
+        with pytest.raises(ValueError, match="last shard"):
+            frontend.remove_shard(frontend.active_ids[0])
+
 
 class TestVerifyCache:
     def test_verify_cache_hits_and_clear(self, world):

@@ -157,11 +157,11 @@ class TestMegaloadCollection:
 class TestTracedDrive:
     @pytest.fixture(scope="class")
     def lte(self):
-        return run_traced_drive("lte")
+        return run_traced_drive("lte", obs=None)
 
     @pytest.fixture(scope="class")
     def fiveg(self):
-        return run_traced_drive("5g")
+        return run_traced_drive("5g", obs=None)
 
     def test_lte_legs_sum_exactly(self, lte):
         assert lte["pass"], lte["gates"]

@@ -107,6 +107,11 @@ TEST_ONLY = {
     "ran/propagation.py::rsrp_dbm": (
         REFERENCE, "scalar path loss + shadowing that the RAN kernel's "
         "batched form must equal"),
+    "testbed/traced_drive.py::run_traced_drive": (
+        SAFETY, "the leg-decomposition check (DESIGN.md): its `pass` "
+        "holds only if the legs sum to the root span and the root span "
+        "equals the app-measured stall, on both RATs; test_fleet_obs "
+        "asserts it and test_trace_pins pins its trace"),
 }
 
 #: ``module::qualname(param=)`` -> (class, reason): set only by tests.

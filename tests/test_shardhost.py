@@ -350,7 +350,7 @@ def replay_moved_nonce(run, victim):
     tampered = run.net.sites["btelco-a"].agw.sap.augment_request(
         run.req_us[victim], lawful_intercept=True)
     run.probe.submit(tampered)
-    run.sim.run(until=5.0)
+    run.sim.run(until=run.sim.now + 1.0)
     return run.probe.responses[-1]
 
 
