@@ -29,12 +29,11 @@ RANGE_GRANULARITY = 1024
 class RangeDownloadServer:
     """Serves one object of ``total_bytes``; honors Range offsets."""
 
-    def __init__(self, host: Host, total_bytes: int,
-                 port: int = FALLBACK_PORT):
+    def __init__(self, host: Host, total_bytes: int):
         self.total_bytes = total_bytes
         self.requests = 0
         self.range_requests = 0
-        self._listener = TcpListener(host, port, self._accept)
+        self._listener = TcpListener(host, FALLBACK_PORT, self._accept)
 
     def _accept(self, conn: TcpConnection) -> None:
         pending = [0]
@@ -54,9 +53,6 @@ class RangeDownloadServer:
 
         conn.on_data = on_data
 
-    def close(self) -> None:
-        self._listener.close()
-
 
 class RangeRestartDownloader:
     """Plain-TCP download that survives IP changes via Range restarts.
@@ -66,7 +62,7 @@ class RangeRestartDownloader:
     """
 
     def __init__(self, host: Host, server_ip: str, total_bytes: int,
-                 port: int = FALLBACK_PORT, restart_delay: float = 0.0):
+                 restart_delay: float = 0.0):
         """``restart_delay`` models how long the *application* takes to
         notice the dead connection.  A CellBricks-aware client (like the
         modified pjsua) reacts to the address-change signal instantly
@@ -75,7 +71,6 @@ class RangeRestartDownloader:
         self.host = host
         self.sim = host.sim
         self.server_ip = server_ip
-        self.port = port
         self.total_bytes = total_bytes
         self.restart_delay = restart_delay
         self.received = 0
@@ -95,7 +90,7 @@ class RangeRestartDownloader:
         return self.completed_at is not None
 
     def _open_connection(self) -> None:
-        conn = TcpConnection(self.host, self.server_ip, self.port)
+        conn = TcpConnection(self.host, self.server_ip, FALLBACK_PORT)
         self._conn = conn
         conn.on_established = lambda: self._send_request(conn)
         conn.on_data = self._on_data

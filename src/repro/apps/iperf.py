@@ -55,25 +55,22 @@ class IperfStats:
 class IperfServer:
     """Pushes an unbounded stream to every accepted connection."""
 
-    def __init__(self, kind: str, host: Host, port: int = IPERF_PORT):
-        self.server = StreamServer(kind, host, port, self._on_peer)
+    def __init__(self, kind: str, host: Host):
+        self.server = StreamServer(kind, host, IPERF_PORT, self._on_peer)
 
     def _on_peer(self, peer) -> None:
         peer.send(BACKLOG_BYTES)
-
-    def close(self) -> None:
-        self.server.close()
 
 
 class IperfClient:
     """Receives the stream and logs deliveries."""
 
     def __init__(self, kind: str, host: Host, server_ip: str,
-                 port: int = IPERF_PORT, address_wait: float = 0.5):
+                 address_wait: float = 0.5):
         self.host = host
         self.sim = host.sim
         self.stats = IperfStats()
-        self.client = StreamClient(kind, host, server_ip, port,
+        self.client = StreamClient(kind, host, server_ip, IPERF_PORT,
                                    address_wait=address_wait)
         self.client.on_data = self._on_data
 

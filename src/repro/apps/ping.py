@@ -9,14 +9,15 @@ from repro.analysis.stats import percentile
 from repro.net import Host, Simulator, UdpSocket
 
 PING_PORT = 7
+PING_INTERVAL = 1.0                    # seconds between echo requests
 PING_SIZE = 64
 
 
 class PingServer:
     """UDP echo responder."""
 
-    def __init__(self, host: Host, port: int = PING_PORT):
-        self.socket = UdpSocket(host, port)
+    def __init__(self, host: Host):
+        self.socket = UdpSocket(host, PING_PORT)
         self.socket.on_datagram = self._echo
         self.echoed = 0
 
@@ -24,9 +25,6 @@ class PingServer:
               sent_at: float) -> None:
         self.echoed += 1
         self.socket.send_to(src_ip, src_port, PING_SIZE, body)
-
-    def close(self) -> None:
-        self.socket.close()
 
 
 @dataclass
@@ -37,10 +35,6 @@ class PingStats:
     @property
     def received(self) -> int:
         return len(self.rtts)
-
-    @property
-    def loss_rate(self) -> float:
-        return 1.0 - self.received / self.sent if self.sent else 0.0
 
     @property
     def p50_ms(self) -> float:
@@ -55,37 +49,28 @@ class PingClient:
     observe.
     """
 
-    def __init__(self, host: Host, server_ip: str, interval: float = 1.0,
-                 port: int = PING_PORT):
+    def __init__(self, host: Host, server_ip: str):
         self.host = host
         self.sim: Simulator = host.sim
         self.server_ip = server_ip
-        self.interval = interval
-        self.port = port
         self.stats = PingStats()
         self.socket = UdpSocket(host)
         self.socket.on_datagram = self._on_reply
         self._seq = 0
-        self._running = False
         self._stop_at: Optional[float] = None
 
     def start(self, duration: float) -> None:
-        self._running = True
         self._stop_at = self.sim.now + duration
         self._tick()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self) -> None:
-        if not self._running or self.sim.now >= self._stop_at:
-            self._running = False
+        if self.sim.now >= self._stop_at:
             return
         self.stats.sent += 1
         self._seq += 1
-        self.socket.send_to(self.server_ip, self.port, PING_SIZE,
+        self.socket.send_to(self.server_ip, PING_PORT, PING_SIZE,
                             (self._seq, self.sim.now))
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.schedule(PING_INTERVAL, self._tick)
 
     def _on_reply(self, src_ip: str, src_port: int, body: object,
                   sent_at: float) -> None:

@@ -50,9 +50,6 @@ class StreamPeer:
         except RuntimeError:
             pass  # peer already closed (e.g. a delayed server response)
 
-    def close(self) -> None:
-        self._inner.close()
-
 
 class StreamServer:
     """Listens on (host, port) and surfaces accepted :class:`StreamPeer`."""
@@ -75,9 +72,6 @@ class StreamServer:
             self._listener = QuicListener(host, port, accept)
         else:
             raise ValueError(f"unknown transport kind {kind!r}")
-
-    def close(self) -> None:
-        self._listener.close()
 
 
 class StreamClient:

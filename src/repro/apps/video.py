@@ -41,8 +41,8 @@ def segment_bytes(level: int) -> int:
 class HlsServer:
     """Serves size-encoded segment requests on a persistent stream."""
 
-    def __init__(self, kind: str, host: Host, port: int = VIDEO_PORT):
-        self.server = StreamServer(kind, host, port, self._on_peer)
+    def __init__(self, kind: str, host: Host):
+        self.server = StreamServer(kind, host, VIDEO_PORT, self._on_peer)
         self.segments_served = 0
 
     def _on_peer(self, peer) -> None:
@@ -59,9 +59,6 @@ class HlsServer:
                 peer.send(segment_bytes(level))
 
         peer.on_data = on_data
-
-    def close(self) -> None:
-        self.server.close()
 
 
 @dataclass
@@ -83,11 +80,11 @@ class HlsPlayer:
     """Throughput-adaptive player with a segment buffer."""
 
     def __init__(self, kind: str, host: Host, server_ip: str,
-                 port: int = VIDEO_PORT, address_wait: float = 0.5):
+                 address_wait: float = 0.5):
         self.host = host
         self.sim = host.sim
         self.stats = PlaybackStats()
-        self.client = StreamClient(kind, host, server_ip, port,
+        self.client = StreamClient(kind, host, server_ip, VIDEO_PORT,
                                    address_wait=address_wait)
         self.client.on_established = self._request_next
         self.client.on_data = self._on_data

@@ -80,9 +80,6 @@ class _RtpEndpoint:
         self._stop_at = self.sim.now + duration
         self._send_frame()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _send_frame(self) -> None:
         if not self._running or self.sim.now >= self._stop_at:
             self._running = False
@@ -104,10 +101,9 @@ class _RtpEndpoint:
 class VoipCallee(_RtpEndpoint):
     """The server-side call leg; follows re-INVITEs to the new address."""
 
-    def __init__(self, host: Host, rtp_port: int = RTP_PORT,
-                 sip_port: int = SIP_PORT):
-        super().__init__(host, rtp_port)
-        self.sip = UdpSocket(host, sip_port)
+    def __init__(self, host: Host):
+        super().__init__(host, RTP_PORT)
+        self.sip = UdpSocket(host, SIP_PORT)
         self.sip.on_datagram = self._on_sip
         self.reinvites = 0
 
@@ -125,11 +121,9 @@ class VoipCallee(_RtpEndpoint):
 class VoipCaller(_RtpEndpoint):
     """The UE-side call leg (a pjsua-like client with re-invite support)."""
 
-    def __init__(self, host: Host, callee_ip: str,
-                 rtp_port: int = RTP_PORT + 1, sip_port: int = SIP_PORT):
-        super().__init__(host, rtp_port)
+    def __init__(self, host: Host, callee_ip: str):
+        super().__init__(host, RTP_PORT + 1)
         self.callee_ip = callee_ip
-        self.callee_sip_port = sip_port
         self.sip = UdpSocket(host)
         self.sip.on_datagram = self._on_sip_reply
         self.reinvites_sent = 0
@@ -146,14 +140,14 @@ class VoipCaller(_RtpEndpoint):
         # SIP retransmits INVITEs until a final response (Timer A); that
         # is what carries a re-INVITE across the radio gap of a handover.
         self._pending_invite = kind
-        self.sip.send_to(self.callee_ip, self.callee_sip_port, REINVITE_SIZE,
+        self.sip.send_to(self.callee_ip, SIP_PORT, REINVITE_SIZE,
                          (kind, self.rtp.port))
         self._sip_retry_timer.start(SIP_RETRY_INTERVAL)
 
     def _retry_invite(self) -> None:
         if self._pending_invite is None:
             return
-        self.sip.send_to(self.callee_ip, self.callee_sip_port, REINVITE_SIZE,
+        self.sip.send_to(self.callee_ip, SIP_PORT, REINVITE_SIZE,
                          (self._pending_invite, self.rtp.port))
         self._sip_retry_timer.start(SIP_RETRY_INTERVAL)
 

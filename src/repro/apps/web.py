@@ -54,21 +54,17 @@ class WebServer:
     i-th sub-resource.
     """
 
-    def __init__(self, kind: str, host: Host, port: int = WEB_PORT,
-                 main_bytes: int = MAIN_DOCUMENT_BYTES,
-                 object_bytes: tuple = DEFAULT_OBJECT_BYTES,
-                 think_time: float = SERVER_THINK_TIME):
+    def __init__(self, kind: str, host: Host,
+                 object_bytes: tuple = DEFAULT_OBJECT_BYTES):
         self.sim = host.sim
-        self.main_bytes = main_bytes
         self.object_bytes = list(object_bytes)
-        self.think_time = think_time
         self.requests_served = 0
         self.handshakes = 0
-        self.server = StreamServer(kind, host, port, self._on_peer)
+        self.server = StreamServer(kind, host, WEB_PORT, self._on_peer)
 
     def resource_size(self, index: int) -> int:
         if index == 0:
-            return self.main_bytes
+            return MAIN_DOCUMENT_BYTES
         return self.object_bytes[(index - 1) % len(self.object_bytes)]
 
     def _on_peer(self, peer) -> None:
@@ -86,16 +82,10 @@ class WebServer:
                 index = pending[0] - REQUEST_SIZE
                 pending[0] = 0
                 self.requests_served += 1
-                size = self.resource_size(index)
-                if self.think_time > 0:
-                    self.sim.schedule(self.think_time, peer.send, size)
-                else:
-                    peer.send(size)
+                self.sim.schedule(SERVER_THINK_TIME, peer.send,
+                                  self.resource_size(index))
 
         peer.on_data = on_data
-
-    def close(self) -> None:
-        self.server.close()
 
 
 @dataclass
@@ -106,25 +96,18 @@ class PageLoadResult:
 
 
 class WebClient:
-    """Loads the page over ``parallel`` persistent streams with TLS setup
-    and dependency waves."""
+    """Loads the page over ``PARALLEL_CONNECTIONS`` persistent streams
+    with TLS setup and dependency waves."""
 
     def __init__(self, kind: str, host: Host, server_ip: str,
-                 port: int = WEB_PORT,
                  object_bytes: tuple = DEFAULT_OBJECT_BYTES,
-                 main_bytes: int = MAIN_DOCUMENT_BYTES,
-                 address_wait: float = 0.5,
-                 parallel: int = PARALLEL_CONNECTIONS,
-                 waves: tuple = DEFAULT_WAVES):
+                 address_wait: float = 0.5):
         self.host = host
         self.sim = host.sim
         self.kind = kind
         self.server_ip = server_ip
-        self.port = port
         self.address_wait = address_wait
-        self.parallel = parallel
         self.object_sizes = list(object_bytes)
-        self.main_bytes = main_bytes
         self.result: Optional[PageLoadResult] = None
         self.on_loaded = None
 
@@ -132,7 +115,7 @@ class WebClient:
         self._waves: list[list[int]] = []
         indices = list(range(1, len(self.object_sizes) + 1))
         offset = 0
-        for fraction in waves[:-1]:
+        for fraction in DEFAULT_WAVES[:-1]:
             take = max(1, int(len(indices) * fraction))
             self._waves.append(indices[offset:offset + take])
             offset += take
@@ -162,7 +145,7 @@ class WebClient:
 
     def _make_connection(self, index: int) -> StreamClient:
         client = StreamClient(self.kind, self.host, self.server_ip,
-                              self.port, address_wait=self.address_wait)
+                              WEB_PORT, address_wait=self.address_wait)
         client.on_data = lambda nbytes, i=index: self._on_data(i, nbytes)
         client.on_established = lambda i=index: self._start_tls(i)
         self._tls_pending[index] = True
@@ -183,7 +166,7 @@ class WebClient:
             self._tls_pending[index] = False
             if index == 0 and len(self._connections) == 1:
                 # Main-document fetch happens on the first connection.
-                self._expected[0] = self.main_bytes
+                self._expected[0] = MAIN_DOCUMENT_BYTES
                 self._connections[0].send(REQUEST_SIZE)
             else:
                 self._dispatch(index)
@@ -204,7 +187,7 @@ class WebClient:
         self._dispatch(index)
 
     def _open_parallel_connections(self) -> None:
-        for index in range(1, self.parallel):
+        for index in range(1, PARALLEL_CONNECTIONS):
             conn = self._make_connection(index)
             self._connections.append(conn)
             conn.connect()

@@ -27,7 +27,7 @@ REPORTER_UE = "ue"
 REPORTER_BTELCO = "btelco"
 
 DEFAULT_EPSILON = 0.05   # fixed tolerance ratio (Fig 5)
-DEFAULT_PRICE_PER_GB = 2.0
+PRICE_PER_GB = 2.0
 
 
 class BillingError(Exception):
@@ -145,12 +145,10 @@ class BillingVerifier:
 
     def __init__(self, broker_key: PrivateKey,
                  reputation: Optional[ReputationSystem] = None,
-                 epsilon: float = DEFAULT_EPSILON,
-                 price_per_gb: float = DEFAULT_PRICE_PER_GB):
+                 epsilon: float = DEFAULT_EPSILON):
         self.broker_key = broker_key
         self.reputation = reputation or ReputationSystem()
         self.epsilon = epsilon
-        self.price_per_gb = price_per_gb
         self.sessions: dict[str, SessionLedger] = {}
         #: key lookup for verifying report signatures:
         #: (session_id, reporter) -> PublicKey
@@ -271,7 +269,7 @@ class BillingVerifier:
         if ledger is None:
             raise BillingError(f"unknown session {session_id}")
         total = ledger.billable_dl_bytes + ledger.billable_ul_bytes
-        amount = total / 1e9 * self.price_per_gb
+        amount = total / 1e9 * PRICE_PER_GB
         return Invoice(
             session_id=session_id, id_u=ledger.grant.id_u,
             id_t=ledger.grant.id_t, dl_bytes=ledger.billable_dl_bytes,

@@ -111,16 +111,14 @@ class Brokerd(SignalingNode):
         return name if name is not None else super().span_name(message)
 
     def __init__(self, host: Host, id_b: str, ca_public_key: PublicKey,
-                 key: PrivateKey,
-                 name: str = "brokerd", session_ttl: float = 3600.0):
-        super().__init__(host, name)
+                 key: PrivateKey):
+        super().__init__(host, "brokerd")
         self.id_b = id_b
         self.key = key
         # SAP counters land in this node's registry (one snapshot per
         # brokerd, fleet-mergeable).
         self.sap = BrokerSap(id_b=id_b, key=self.key,
                              ca_public_key=ca_public_key,
-                             session_ttl=session_ttl,
                              metrics=self.metrics)
         self.reputation = ReputationSystem()
         self.billing = BillingVerifier(broker_key=self.key,
@@ -332,7 +330,7 @@ class Brokerd(SignalingNode):
                      pipeline_window_s=(
                          self._parked.adaptive.window()
                          if self._parked.adaptive is not None
-                         else self._parked.window),
+                         else self._parked.WINDOW),
                      cert_cache_hits=self.cert_cache_hits)
         stats.update(self.reliable_stats())
         if self.frontend is not None:

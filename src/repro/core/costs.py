@@ -44,30 +44,24 @@ class AdaptiveBatchWindow:
     that never arrive, and a sustained storm flushes long before a batch
     is worth its amortization.  This tracker keeps an EWMA of the
     inter-arrival gap and sizes the window to the time a full batch
-    needs to assemble — clamped to ``[min_window, max_window]`` — while
-    the daemon flushes immediately once ``full_size`` requests are
+    needs to assemble — clamped to ``[MIN_WINDOW, MAX_WINDOW]`` — while
+    the daemon flushes immediately once ``FULL_SIZE`` requests are
     parked (the "flush when full" half of Nagle).  Sparse traffic
-    (expected gap beyond ``max_window``) collapses to ``min_window``:
+    (expected gap beyond ``MAX_WINDOW``) collapses to ``MIN_WINDOW``:
     nobody else is coming, don't hold the request hostage.
 
     Purely deterministic — it reads only the virtual clock, so
     identically-seeded runs replay identical batch boundaries.
     """
 
-    __slots__ = ("min_window", "max_window", "full_size", "gap_alpha",
-                 "_ewma_gap", "_last_arrival")
+    MIN_WINDOW = 0.0002
+    MAX_WINDOW = 0.008
+    FULL_SIZE = 32
+    GAP_ALPHA = 0.25                 # EWMA weight of the newest gap
 
-    def __init__(self, *, min_window: float = 0.0002,
-                 max_window: float = 0.008, full_size: int = 32,
-                 gap_alpha: float = 0.25):
-        if not 0.0 <= min_window <= max_window:
-            raise ValueError("need 0 <= min_window <= max_window")
-        if full_size < 1:
-            raise ValueError("full_size must be >= 1")
-        self.min_window = min_window
-        self.max_window = max_window
-        self.full_size = full_size
-        self.gap_alpha = gap_alpha
+    __slots__ = ("_ewma_gap", "_last_arrival")
+
+    def __init__(self):
         self._ewma_gap: Optional[float] = None
         self._last_arrival: Optional[float] = None
 
@@ -78,19 +72,19 @@ class AdaptiveBatchWindow:
             if self._ewma_gap is None:
                 self._ewma_gap = gap
             else:
-                self._ewma_gap += self.gap_alpha * (gap - self._ewma_gap)
+                self._ewma_gap += self.GAP_ALPHA * (gap - self._ewma_gap)
         self._last_arrival = now
 
     def window(self) -> float:
         """Seconds to hold the current batch open before flushing."""
         gap = self._ewma_gap
-        if gap is None or gap >= self.max_window:
-            return self.min_window
-        return min(self.max_window,
-                   max(self.min_window, self.full_size * gap))
+        if gap is None or gap >= self.MAX_WINDOW:
+            return self.MIN_WINDOW
+        return min(self.MAX_WINDOW,
+                   max(self.MIN_WINDOW, self.FULL_SIZE * gap))
 
     def full(self, batch_size: int) -> bool:
-        return batch_size >= self.full_size
+        return batch_size >= self.FULL_SIZE
 
 
 class ParkedBatch:
@@ -98,20 +92,21 @@ class ParkedBatch:
 
     The one batching timeline under :class:`Brokerd`'s pipeline and
     megaload's scripted broker: the first request of a batch arms the
-    owner's ``flush`` after the open window (``window`` seconds, or
+    owner's ``flush`` after the open window (``WINDOW`` seconds, or
     rate-derived when ``adaptive`` is set); a batch that fills first
     cancels that timer (lazily — the simulator compacts dead entries)
     and re-arms it at zero delay.  ``flush`` starts with :meth:`take`.
     """
 
-    __slots__ = ("sim", "flush", "window", "adaptive", "items", "_event",
+    WINDOW = 0.002
+
+    __slots__ = ("sim", "flush", "adaptive", "items", "_event",
                  "_flushing_now")
 
-    def __init__(self, sim, flush, window: float = 0.002,
+    def __init__(self, sim, flush,
                  adaptive: Optional[AdaptiveBatchWindow] = None):
         self.sim = sim
         self.flush = flush
-        self.window = window
         self.adaptive = adaptive
         self.items: list = []
         self._event = None
@@ -126,7 +121,7 @@ class ParkedBatch:
         self.items.append(item)
         if self._event is None:
             self._event = self.sim.schedule(
-                self.window if adaptive is None else adaptive.window(),
+                self.WINDOW if adaptive is None else adaptive.window(),
                 self.flush)
         elif (adaptive is not None and not self._flushing_now
                 and adaptive.full(len(self.items))):

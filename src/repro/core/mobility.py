@@ -41,6 +41,8 @@ from .ue_agent import CellBricksUe
 SIGNALING_BANDWIDTH = 1e9
 #: one-way delay of every site's link to the broker (s).
 BROKER_LINK_DELAY = 0.0025
+#: data-plane outage of a host-driven detach before the new attach (s).
+DETACH_INTERRUPTION = 0.05
 
 
 @dataclass
@@ -247,7 +249,6 @@ class MobilityManager:
 
     def __init__(self, network: CellBricksNetwork,
                  data_path: Optional[CellularPath] = None,
-                 detach_interruption: float = 0.05,
                  enforce_qos: bool = False):
         self.network = network
         self.sim = network.sim
@@ -256,7 +257,6 @@ class MobilityManager:
         #: the attach()/retarget()/detach_and_forget()/on_attach_done
         #: surface).
         self.ue_class = network.ue_class
-        self.detach_interruption = detach_interruption
         #: when True, the serving bTelco's PGW polices the UE's downlink
         #: to the broker-assigned AMBR (the qosInfo enforcement of §4.1).
         self.enforce_qos = enforce_qos
@@ -315,7 +315,7 @@ class MobilityManager:
             "migration.detach", "mobility", self.sim.now,
             trace_id=root.trace_id, parent_id=root.span_id,
             category="mobility",
-            data={"interruption_s": self.detach_interruption})
+            data={"interruption_s": DETACH_INTERRUPTION})
 
     def _obs_end_reauth(self, status: str) -> None:
         """Record the broker re-auth leg (switch start -> attach done)
@@ -359,7 +359,7 @@ class MobilityManager:
         self.switches += 1
         self._obs_begin_migration(site_name)
         if self.data_path is not None:
-            self.data_path.detach(interruption_s=self.detach_interruption)
+            self.data_path.detach(interruption_s=DETACH_INTERRUPTION)
         # Courtesy switch-off detach towards the old bTelco (it frees the
         # bearer immediately instead of waiting for session expiry).
         self.ue.detach_and_forget()

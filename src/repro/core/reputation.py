@@ -48,11 +48,13 @@ class ReputationSystem:
     innovation".
     """
 
+    #: clean reports every party starts with (the smoothing prior).
+    PRIOR_OK = 5
+
     def __init__(self, acceptance_threshold: float = 0.8,
-                 suspect_after: int = 3, prior_ok: int = 5):
+                 suspect_after: int = 3):
         self.acceptance_threshold = acceptance_threshold
         self.suspect_after = suspect_after
-        self.prior_ok = prior_ok
         self.btelcos: dict[str, PartyHistory] = {}
         self.ue_suspects: dict[str, int] = {}
 
@@ -78,7 +80,7 @@ class ReputationSystem:
         history = self.btelcos.get(id_t)
         if history is None:
             return 1.0
-        ok = history.ok_count + self.prior_ok
+        ok = history.ok_count + self.PRIOR_OK
         return ok / (ok + history.weighted_mismatch())
 
     def btelco_acceptable(self, id_t: str) -> bool:

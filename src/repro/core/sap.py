@@ -91,10 +91,8 @@ class UeSapCredentials:
 class UeSap:
     """UE-side SAP procedures."""
 
-    def __init__(self, credentials: UeSapCredentials,
-                 rng_nonce: Optional[Callable[[], bytes]] = None):
+    def __init__(self, credentials: UeSapCredentials):
         self.credentials = credentials
-        self._nonce_source = rng_nonce or (lambda: secrets.token_bytes(NONCE_SIZE))
         self._outstanding_nonce: Optional[bytes] = None
         self._target_id_t: Optional[str] = None
 
@@ -107,7 +105,7 @@ class UeSap:
         encrypted+signed authVec so nobody on path can widen it.
         """
         creds = self.credentials
-        nonce = self._nonce_source()
+        nonce = secrets.token_bytes(NONCE_SIZE)
         self._outstanding_nonce = nonce
         self._target_id_t = id_t
         auth_vec = AuthVec(id_u=creds.id_u, id_b=creds.id_b, id_t=id_t,

@@ -24,8 +24,8 @@ from repro.crypto import PrivateKey, PublicKey
 
 from .billing import BillingVerifier
 
-DEFAULT_WHOLESALE_PER_GB = 1.2   # what the broker pays bTelcos
-DEFAULT_RETAIL_PER_GB = 2.0      # what subscribers pay the broker
+WHOLESALE_PER_GB = 1.2   # what the broker pays bTelcos
+RETAIL_PER_GB = 2.0      # what subscribers pay the broker
 
 
 class SettlementError(Exception):
@@ -52,7 +52,7 @@ def make_claim(session_id: str, id_t: str, dl_bytes: int, ul_bytes: int,
                key: PrivateKey) -> UsageClaim:
     """bTelco side: build and sign a claim from its own accounting, at
     the wholesale rate."""
-    amount = round((dl_bytes + ul_bytes) / 1e9 * DEFAULT_WHOLESALE_PER_GB, 6)
+    amount = round((dl_bytes + ul_bytes) / 1e9 * WHOLESALE_PER_GB, 6)
     claim = UsageClaim(session_id=session_id, id_t=id_t,
                        dl_bytes=dl_bytes, ul_bytes=ul_bytes, amount=amount)
     return UsageClaim(**{**claim.__dict__,
@@ -82,12 +82,8 @@ class Account:
 class SettlementEngine:
     """The broker's pay-what-was-verified clearing house."""
 
-    def __init__(self, billing: BillingVerifier,
-                 wholesale_per_gb: float = DEFAULT_WHOLESALE_PER_GB,
-                 retail_per_gb: float = DEFAULT_RETAIL_PER_GB):
+    def __init__(self, billing: BillingVerifier):
         self.billing = billing
-        self.wholesale_per_gb = wholesale_per_gb
-        self.retail_per_gb = retail_per_gb
         self.btelco_accounts: dict[str, Account] = {}
         self.subscriber_accounts: dict[str, Account] = {}
         #: claim verification keys: id_t -> PublicKey
@@ -134,7 +130,7 @@ class SettlementEngine:
         verified_bytes = (ledger.billable_dl_bytes
                           + ledger.billable_ul_bytes)
         verified_amount = round(verified_bytes / 1e9
-                                * self.wholesale_per_gb, 6)
+                                * WHOLESALE_PER_GB, 6)
         paid = min(claim.amount, verified_amount)
         disputed = claim.amount > verified_amount * 1.001 + 1e-9
         if disputed:
@@ -150,7 +146,7 @@ class SettlementEngine:
         subscriber = self._account(self.subscriber_accounts,
                                    ledger.grant.id_u)
         subscriber.balance += round(verified_bytes / 1e9
-                                    * self.retail_per_gb, 6)
+                                    * RETAIL_PER_GB, 6)
         return payment
 
     # -- queries --------------------------------------------------------------------

@@ -263,6 +263,7 @@ class _OpStream:
     restarts: int = 0
     seq: int = 0
     inflight: Optional[OpBatch] = None
+    request: Optional[int] = None   # correlation id of the last send
     timer: object = None
     finished: bool = False     # a closed stream has cut its last batch
     last_ack_at: float = 0.0
@@ -283,7 +284,12 @@ class _OpStream:
     def restart(self, ops: list) -> None:
         """Start over from ``ops`` under a bumped restart count, so the
         receiver forgets what it applied before.  The request still in
-        flight runs out on its own: its batch carries the old count."""
+        flight is cancelled: its batch carries the old count, and its
+        retransmissions would only make the receiver replay acks the
+        stream ignores."""
+        if self.request is not None:
+            self.host.cancel_request(self.request)
+            self.request = None
         self.restarts += 1
         self.seq = 0
         self.inflight = None
@@ -322,7 +328,7 @@ class _OpStream:
 
     def _transmit(self, batch: OpBatch) -> None:
         if batch is self.inflight:
-            self.host.send_request(
+            self.request = self.host.send_request(
                 self.dst_ip, batch, size=batch.wire_size,
                 timeout=self.timeout, max_attempts=self.attempts,
                 on_give_up=self._gave_up)

@@ -112,17 +112,6 @@ class PublicKey:
         return (len(n_bytes).to_bytes(4, "big") + n_bytes
                 + len(e_bytes).to_bytes(4, "big") + e_bytes)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PublicKey":
-        n_len = _int_from_bytes(data[:4])
-        n = _int_from_bytes(data[4:4 + n_len])
-        offset = 4 + n_len
-        e_len = _int_from_bytes(data[offset:offset + 4])
-        e = _int_from_bytes(data[offset + 4:offset + 4 + e_len])
-        if n <= 0 or e <= 0:
-            raise CryptoError("malformed public key")
-        return cls(n=n, e=e)
-
     def fingerprint(self) -> str:
         """Hex digest identifying this key (SAP uses these as identifiers)."""
         return digest_fingerprint(self.to_bytes())

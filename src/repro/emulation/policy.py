@@ -62,21 +62,17 @@ class PolicyScheduler:
     """
 
     def __init__(self, sim: Simulator, policy: TimeOfDayPolicy,
-                 paths: list, clock_offset_hours: float = 0.0,
-                 time_scale: float = 1.0):
+                 paths: list, clock_offset_hours: float = 0.0):
         self.sim = sim
         self.policy = policy
         self.paths = list(paths)
         self.clock_offset_hours = clock_offset_hours
-        #: simulated seconds per wall-clock second (>1 compresses the day
-        #: so experiments can cross boundaries quickly).
-        self.time_scale = time_scale
         self.switches: list = []    # (sim_time, rate)
         self._started = False
 
     def hour_now(self) -> float:
         return (self.clock_offset_hours
-                + self.sim.now * self.time_scale / SECONDS_PER_HOUR) % 24.0
+                + self.sim.now / SECONDS_PER_HOUR) % 24.0
 
     def start(self, duration: float) -> None:
         self._started = True
@@ -91,7 +87,7 @@ class PolicyScheduler:
 
     def _schedule_next(self, duration: float) -> None:
         hours = self.policy.next_switch_hour(self.hour_now())
-        delay = hours * SECONDS_PER_HOUR / self.time_scale
+        delay = hours * SECONDS_PER_HOUR
         if self.sim.now + delay >= duration:
             return
         self.sim.schedule(delay, self._fire, duration)

@@ -35,7 +35,7 @@ class CapacityProcess:
 
     Real drive capacity is *correlated* — a vehicle stays in a strong or
     weak cell for many seconds — so the process mixes a persistent
-    component (rho) with fresh lognormal noise.  Correlation is what lets
+    component (``RHO``) with fresh lognormal noise.  Correlation is what lets
     TCP actually ride the swells, producing the high night-time variance
     and the 3-4x peak-to-mean ratio of Fig 10.
 
@@ -43,12 +43,13 @@ class CapacityProcess:
     device) ride in the same vehicle, so they share one realization.
     """
 
+    RHO = 0.88                       # AR(1) persistence per sample
+
     def __init__(self, sim: Simulator, conditions: RouteConditions,
-                 seed: int = 0, rho: float = 0.88):
+                 seed: int = 0):
         self.sim = sim
         self.conditions = conditions
         self.rng = random.Random(seed)
-        self.rho = rho
         self.listeners: list[Callable[[float], None]] = []
         self.samples: list[float] = []
         self._running = False
@@ -57,12 +58,12 @@ class CapacityProcess:
         sigma = conditions.capacity_sigma
         self._mu = math.log(conditions.capacity_mean_bps) - sigma ** 2 / 2
         self._sigma = sigma
-        self._innovation_sigma = sigma * math.sqrt(1 - rho ** 2)
+        self._innovation_sigma = sigma * math.sqrt(1 - self.RHO ** 2)
         self._log_state = self._mu + self.rng.gauss(0, sigma)
 
     def sample(self) -> float:
-        self._log_state = (self.rho * self._log_state
-                           + (1 - self.rho) * self._mu
+        self._log_state = (self.RHO * self._log_state
+                           + (1 - self.RHO) * self._mu
                            + self.rng.gauss(0, self._innovation_sigma))
         value = math.exp(self._log_state)
         return max(MIN_CAPACITY_BPS,

@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 from repro.crypto import PrivateKey
 from repro.lte.bearer import SgwPgw
-from repro.lte.identifiers import Plmn, TEST_PLMN
 from repro.lte.security import SecurityContext
 from repro.lte.serving_base import Leg, ServingContext, ServingNodeBase
 from repro.lte.signaling import CounterAttr, SignalingNode
@@ -74,9 +73,8 @@ class Udm(SignalingNode):
     obs_category = "cloud"
     _SPAN_NAMES = {nas5g.UdmAuthDataRequest: "sbi.udm_auth_data"}
 
-    def __init__(self, host: Host, home_network_key: PrivateKey,
-                 name: str = "udm"):
-        super().__init__(host, name)
+    def __init__(self, host: Host, home_network_key: PrivateKey):
+        super().__init__(host, "udm")
         self.home_network_key = home_network_key
         self.subscribers: dict[str, Subscriber5G] = {}
         self.on(nas5g.UdmAuthDataRequest, self._handle_auth_data)
@@ -135,8 +133,8 @@ class Ausf(SignalingNode):
     }
     pending_expired = CounterAttr("ausf.pending_expired")
 
-    def __init__(self, host: Host, udm_ip: str, name: str = "ausf"):
-        super().__init__(host, name)
+    def __init__(self, host: Host, udm_ip: str):
+        super().__init__(host, "ausf")
         self.udm_ip = udm_ip
         self._pending: dict[int, dict] = {}
         self.on(nas5g.AusfAuthenticateRequest, self._handle_authenticate)
@@ -354,11 +352,11 @@ class Amf(ServingNodeBase):
     smf_release_give_ups = CounterAttr("amf.smf_release_give_ups")
 
     def __init__(self, host: Host, ausf_ip: str, smf_ip: str,
-                 name: str = "amf", plmn: Plmn = TEST_PLMN):
-        super().__init__(host, name, plmn)
+                 name: str = "amf"):
+        super().__init__(host, name)
         self.ausf_ip = ausf_ip
         self.smf_ip = smf_ip
-        self.serving_network = f"5G:{plmn}"
+        self.serving_network = f"5G:{self.plmn}"
         self._by_correlation: dict[int, int] = {}
         self._correlations = itertools.count(1)
         self._tmsi = itertools.count(0x5000)

@@ -23,7 +23,7 @@ from repro.obs import LazyCounterAttr
 
 from . import s6a
 from .bearer import EpsBearer, SgwPgw
-from .identifiers import Guti, Plmn, TEST_PLMN
+from .identifiers import Guti
 from .nas import (
     AttachAccept,
     AttachComplete,
@@ -118,9 +118,8 @@ class Agw(ServingNodeBase):
     orphan_uplinks = LazyCounterAttr("agw.orphan_uplinks")
 
     def __init__(self, host: Host, subscriber_db_ip: str,
-                 name: str = "agw", plmn: Plmn = TEST_PLMN,
-                 ue_pool_prefix: str = "10.128.0"):
-        super().__init__(host, name, plmn)
+                 name: str = "agw", ue_pool_prefix: str = "10.128.0"):
+        super().__init__(host, name)
         self.subscriber_db_ip = subscriber_db_ip
         self.spgw = SgwPgw(pool_prefix=ue_pool_prefix)
         self._by_imsi: dict[str, int] = {}

@@ -50,9 +50,8 @@ class SubscriberDb(SignalingNode):
         s6a.UpdateLocationRequest: "s6a.hss_ulr",
     }
 
-    def __init__(self, host: Host, name: str = "subscriberdb",
-                 rng: Optional[random.Random] = None):
-        super().__init__(host, name)
+    def __init__(self, host: Host, rng: Optional[random.Random] = None):
+        super().__init__(host, "subscriberdb")
         self.subscribers: dict[str, SubscriberRecord] = {}
         self.rng = rng or random.Random(0)
         self.air_count = 0

@@ -73,11 +73,11 @@ class Tai:
 
 
 class ImsiGenerator:
-    """Sequential IMSI factory for populating subscriber databases."""
+    """Sequential IMSI factory for populating subscriber databases: the
+    test PLMN, MSINs from 1."""
 
-    def __init__(self, plmn: Plmn = TEST_PLMN, start: int = 1):
-        self.plmn = plmn
-        self._counter = itertools.count(start)
+    def __init__(self):
+        self._counter = itertools.count(1)
 
     def next(self) -> Imsi:
-        return Imsi(self.plmn, f"{next(self._counter):09d}")
+        return Imsi(TEST_PLMN, f"{next(self._counter):09d}")

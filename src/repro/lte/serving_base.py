@@ -93,10 +93,11 @@ class ServingNodeBase(SignalingNode):
     #: stragglers that are expected (acks of a network-initiated
     #: release), so not counted in ``orphan_uplinks``.
     late_ack_nas: tuple = ()
+    #: the serving network every deployment runs.
+    plmn: Plmn = TEST_PLMN
 
-    def __init__(self, host: Host, name: str, plmn: Plmn = TEST_PLMN):
+    def __init__(self, host: Host, name: str):
         super().__init__(host, name)
-        self.plmn = plmn
         self.contexts: dict[int, ServingContext] = {}  # ran_ue_id -> context
         self.costs = dict(self.cost_table)
         self.on(S1UplinkNas, self._handle_uplink)

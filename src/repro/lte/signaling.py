@@ -211,16 +211,15 @@ class SignalingNode:
     retransmitted_deliveries = \
         CounterAttr("signaling.retransmitted_deliveries")
 
-    def __init__(self, host: Host, name: str, port: int = SIGNALING_PORT):
+    def __init__(self, host: Host, name: str):
         self.host = host
         self.sim = host.sim
         self.name = name
         #: per-node metrics; merge registries for a fleet-wide view.
         self.metrics = MetricsRegistry(node=name)
         create_counters(self)
-        self.socket = UdpSocket(host, port)
+        self.socket = UdpSocket(host, SIGNALING_PORT)
         self.socket.on_datagram = self._on_datagram
-        self.port = self.socket.port
         self._handlers: dict[type, Callable] = {}
         #: catch-all handler for message types without a registration
         #: (used by relays like the eNodeB).

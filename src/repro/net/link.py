@@ -107,9 +107,7 @@ class SimplexLink:
                  bandwidth_bps: float, delay_s: float,
                  loss_rate: float = 0.0,
                  queue_limit_bytes: int = 256 * 1024,
-                 shaper: Optional[TokenBucket] = None,
-                 police: bool = True,
-                 rng: Optional[random.Random] = None):
+                 shaper: Optional[TokenBucket] = None):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if delay_s < 0:
@@ -122,11 +120,10 @@ class SimplexLink:
         self.delay_s = delay_s
         self.loss_rate = loss_rate
         self.queue_limit_bytes = queue_limit_bytes
+        # The shaper polices: a non-conforming packet is dropped at once
+        # (how carrier rate limiting behaves), never queued for tokens.
         self.shaper = shaper
-        # Policing drops non-conforming packets immediately (how carrier
-        # rate limiting behaves); shaping queues them until tokens accrue.
-        self.police = police
-        self._rng = rng
+        self._rng: Optional[random.Random] = None
         self.receiver: Optional[Callable[[Packet], None]] = None
         self.stats = LinkStats()
         self.up = True
@@ -138,9 +135,9 @@ class SimplexLink:
 
     @property
     def rng(self) -> random.Random:
-        """Loss draws; name-seeded at the first one unless the caller
-        supplied a generator.  A lossless link never draws, and seeding
-        a Mersenne Twister cost more than the rest of the constructor.
+        """Loss draws; name-seeded at the first one.  A lossless link
+        never draws, and seeding a Mersenne Twister cost more than the
+        rest of the constructor.
         (A plain attribute set in ``__init__``, not a cached property:
         writing a late key into the instance dict of the hottest object
         on the data path cost ``app_transport`` 8 %.)"""
@@ -209,11 +206,9 @@ class SimplexLink:
         now = self.sim.now
         start = max(now, self._busy_until)
         if self.shaper is not None:
-            conform_wait = self.shaper.delay_until_conforming(packet.size, start)
-            if self.police and conform_wait > 0:
+            if self.shaper.delay_until_conforming(packet.size, start) > 0:
                 self.stats.dropped_police += 1
                 return False
-            start += conform_wait
             self.shaper.consume(packet.size, start)
         serialization = packet.size * 8.0 / self.bandwidth_bps
         self._busy_until = start + serialization
@@ -261,7 +256,8 @@ class Link:
 
     ``a`` and ``b`` are objects exposing ``attach_link(link, endpoint)`` and
     ``receive(packet)`` (see :mod:`repro.net.node`).  Asymmetric parameters
-    (e.g. cellular UL vs DL) are supported via the ``*_up`` overrides.
+    (e.g. cellular UL vs DL) are supported via ``bandwidth_up_bps``; only
+    the a -> b half is policed (``shaper_down``).
     """
 
     def __init__(self, sim: Simulator, name: str, a, b,
@@ -269,7 +265,6 @@ class Link:
                  loss_rate: float = 0.0,
                  queue_limit_bytes: int = 256 * 1024,
                  shaper_down: Optional[TokenBucket] = None,
-                 shaper_up: Optional[TokenBucket] = None,
                  bandwidth_up_bps: Optional[float] = None):
         # Each half draws its losses from a generator seeded by its own
         # name (``SimplexLink.rng``).
@@ -280,7 +275,7 @@ class Link:
             queue_limit_bytes, shaper_down)
         self.b_to_a = SimplexLink(
             sim, f"{name}:b->a", bandwidth_up_bps or bandwidth_bps, delay_s,
-            loss_rate, queue_limit_bytes, shaper_up)
+            loss_rate, queue_limit_bytes)
         self.name = name
         self.a = a
         self.b = b

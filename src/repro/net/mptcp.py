@@ -85,7 +85,6 @@ class MptcpEndpoint(TracedEndpoint):
     obs_layer = "mptcp"
     subflows_added = LazyCounterAttr("mptcp.subflows_added")
     subflows_failed = LazyCounterAttr("mptcp.subflows_failed")
-    subflows_removed = LazyCounterAttr("mptcp.subflows_removed")
 
     def __init__(self, host: Host):
         self.host = host
@@ -141,6 +140,7 @@ class MptcpEndpoint(TracedEndpoint):
 
     def _on_subflow_data(self, nbytes: int, meta: object) -> None:
         if isinstance(meta, RemoveAddr):
+            # Only a client sends REMOVE_ADDR, so only a server gets one.
             self._handle_remove_addr(meta)
             return
         if isinstance(meta, DssMapping):
@@ -152,17 +152,6 @@ class MptcpEndpoint(TracedEndpoint):
             self.bytes_delivered += delivered
             if self.on_data is not None:
                 self.on_data(delivered)
-
-    def _handle_remove_addr(self, control: RemoveAddr) -> None:
-        for subflow in list(self.subflows):
-            if subflow.remote_ip == control.address \
-                    and subflow is not self.active_subflow:
-                subflow.abort("REMOVE_ADDR")
-                self.subflows.remove(subflow)
-                self.subflows_removed += 1
-                self._obs_instant("mptcp.subflow_remove",
-                                  remote=subflow.remote_ip,
-                                  reason="REMOVE_ADDR")
 
     def _on_subflow_close(self) -> None:
         if not self.closed:
@@ -432,6 +421,3 @@ class MptcpListener:
         connection.attach_subflow(subflow)
         self.connections[token] = connection
         self.on_connection(connection)
-
-    def close(self) -> None:
-        self._listener.close()

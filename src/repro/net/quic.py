@@ -465,6 +465,3 @@ class QuicListener:
             self.connections[body.cid] = connection
             self.on_connection(connection)
         connection.handle_datagram(src_ip, src_port, body)
-
-    def close(self) -> None:
-        self.socket.close()

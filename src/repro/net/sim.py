@@ -269,10 +269,6 @@ class TickCalendar:
         bucket[0].append(key)
         bucket[1].append(code)
 
-    def pending(self) -> int:
-        """Queued wakeups across all occupied ticks (diagnostics only)."""
-        return sum(len(keys) for keys, _ in self._buckets.values())
-
     def _fire(self, idx: int) -> None:
         keys, codes = self._buckets.pop(idx)
         # tolist() boxes each column in one C call; iterating the arrays

@@ -34,6 +34,7 @@ from .packet import (
 from .sim import Simulator, Timer
 
 DEFAULT_MSS = 1400
+RECEIVE_WINDOW = 1024 * 1024           # bytes; also the initial ssthresh
 HEADER_OVERHEAD = IP_HEADER + TCP_HEADER + TCP_TIMESTAMP_OPTION
 
 # Flags
@@ -127,16 +128,15 @@ class TcpConnection:
     """
 
     def __init__(self, host: Host, remote_ip: str, remote_port: int,
-                 local_port: int = 0, mss: int = DEFAULT_MSS,
-                 receive_window: int = 1024 * 1024):
+                 local_port: int = 0):
         self.sim: Simulator = host.sim
         self.host = host
         self.local_ip = host.address
         self.local_port = local_port or host.allocate_port()
         self.remote_ip = remote_ip
         self.remote_port = remote_port
-        self.mss = mss
-        self.receive_window = receive_window
+        self.mss = DEFAULT_MSS
+        self.receive_window = RECEIVE_WINDOW
 
         self.state = "CLOSED"
         self.stats = TcpStats()
@@ -144,9 +144,9 @@ class TcpConnection:
         # Sender state
         self.snd_una = 0
         self.snd_nxt = 0
-        self.cwnd = INITIAL_CWND_SEGMENTS * mss
-        self.ssthresh = receive_window
-        self.peer_window = receive_window
+        self.cwnd = INITIAL_CWND_SEGMENTS * DEFAULT_MSS
+        self.ssthresh = RECEIVE_WINDOW
+        self.peer_window = RECEIVE_WINDOW
         self.in_recovery = False
         self.recover = 0
         self.rto = INITIAL_RTO
@@ -769,12 +769,10 @@ class TcpListener:
     """A passive TCP endpoint accepting connections on a port."""
 
     def __init__(self, host: Host, port: int,
-                 on_accept: Callable[[TcpConnection], None],
-                 mss: int = DEFAULT_MSS):
+                 on_accept: Callable[[TcpConnection], None]):
         self.host = host
         self.port = port
         self.on_accept = on_accept
-        self.mss = mss
         host.register_listener(PROTO_TCP, port, self)
         self.accepted = 0
 
@@ -783,11 +781,8 @@ class TcpListener:
         if not segment.is_syn or segment.flags & ACK:
             return
         connection = TcpConnection(self.host, packet.src, segment.src_port,
-                                   local_port=self.port, mss=self.mss)
+                                   local_port=self.port)
         connection.syn_meta = segment.meta  # MPTCP option from the peer SYN
         self.accepted += 1
         self.on_accept(connection)
         connection._accept_from(packet, segment)
-
-    def close(self) -> None:
-        self.host.unregister_listener(PROTO_TCP, self.port)

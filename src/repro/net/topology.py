@@ -25,14 +25,16 @@ from .sim import Simulator
 
 # Latency calibration (one-way, seconds).  Radio + core + WAN(us-west)
 # yields the ~45-50 ms UE->EC2 ping p50 reported in Table 1.
-DEFAULT_RADIO_DELAY = 0.018
-DEFAULT_CORE_DELAY = 0.002
-DEFAULT_WAN_DELAY = 0.004
+RADIO_DELAY = 0.018
+CORE_DELAY = 0.002
+WAN_DELAY = 0.004
 
 DEFAULT_RADIO_BANDWIDTH = 75e6   # LTE cat-4-ish air interface ceiling
-DEFAULT_UPLINK_BANDWIDTH = 25e6
-DEFAULT_WAN_BANDWIDTH = 1e9
+UPLINK_BANDWIDTH = 25e6
+WAN_BANDWIDTH = 1e9
 DEFAULT_RADIO_LOSS = 0.0005
+RADIO_QUEUE_LIMIT = 384 * 1024   # bytes
+UE_POOL_PREFIX = "10.128.0"
 
 
 class CellularPath:
@@ -48,22 +50,16 @@ class CellularPath:
     """
 
     def __init__(self, sim: Simulator, name: str = "path",
-                 radio_delay: float = DEFAULT_RADIO_DELAY,
-                 core_delay: float = DEFAULT_CORE_DELAY,
-                 wan_delay: float = DEFAULT_WAN_DELAY,
                  radio_bandwidth: float = DEFAULT_RADIO_BANDWIDTH,
-                 uplink_bandwidth: float = DEFAULT_UPLINK_BANDWIDTH,
                  radio_loss: float = DEFAULT_RADIO_LOSS,
                  shaper_rate: Optional[float] = None,
                  shaper_burst: Optional[float] = None,
                  server_address: str = "52.9.0.10",
-                 ue_pool_prefix: str = "10.128.0",
-                 queue_limit_bytes: int = 384 * 1024,
                  seed: int = 0):
         self.sim = sim
         self.ue = Host(sim, f"{name}-ue")
         self.gateway = Router(sim, f"{name}-gw",
-                              forwarding_delay_s=core_delay)
+                              forwarding_delay_s=CORE_DELAY)
         self.server = Host(sim, f"{name}-server", address=server_address)
 
         shaper = None
@@ -77,19 +73,19 @@ class CellularPath:
         # is the downlink and carries the carrier's shaper.
         self.radio_link = Link(
             sim, f"{name}-radio", self.gateway, self.ue,
-            bandwidth_bps=radio_bandwidth, delay_s=radio_delay,
-            loss_rate=radio_loss, queue_limit_bytes=queue_limit_bytes,
-            shaper_down=shaper, bandwidth_up_bps=uplink_bandwidth)
+            bandwidth_bps=radio_bandwidth, delay_s=RADIO_DELAY,
+            loss_rate=radio_loss, queue_limit_bytes=RADIO_QUEUE_LIMIT,
+            shaper_down=shaper, bandwidth_up_bps=UPLINK_BANDWIDTH)
         self.wan_link = Link(
             sim, f"{name}-wan", self.gateway, self.server,
-            bandwidth_bps=DEFAULT_WAN_BANDWIDTH, delay_s=wan_delay,
+            bandwidth_bps=WAN_BANDWIDTH, delay_s=WAN_DELAY,
             queue_limit_bytes=4 * 1024 * 1024)
 
         self.pools: dict[str, AddressPool] = {}
-        self._register_pool(ue_pool_prefix)
+        self._register_pool(UE_POOL_PREFIX)
         self.gateway.set_default_route(self.wan_link)
 
-        self._current_pool = ue_pool_prefix
+        self._current_pool = UE_POOL_PREFIX
 
     # -- address management -------------------------------------------------
     def _register_pool(self, prefix: str) -> AddressPool:

@@ -47,10 +47,8 @@ class ShadowingField:
     """
 
     def __init__(self, sigma_db: float = DEFAULT_SHADOWING_SIGMA_DB,
-                 correlation_m: float = DEFAULT_SHADOW_CORRELATION_M,
                  seed: int = 0):
         self.sigma_db = sigma_db
-        self.correlation_m = correlation_m
         self.rng = random.Random(seed)
         self._value = self.rng.gauss(0.0, sigma_db)
         self._last_position: Point = None
@@ -61,7 +59,7 @@ class ShadowingField:
             return self._value
         moved = position.distance_to(self._last_position)
         self._last_position = position
-        rho = math.exp(-moved / self.correlation_m)
+        rho = math.exp(-moved / DEFAULT_SHADOW_CORRELATION_M)
         innovation_sigma = self.sigma_db * math.sqrt(max(0.0, 1 - rho ** 2))
         self._value = rho * self._value + self.rng.gauss(0, innovation_sigma)
         return self._value

@@ -7,7 +7,7 @@ single octet position (``f"10.22{slot}.0.2"``), which silently caps a
 fleet at 10 slots and produces pseudo-octets like ``10.2210.0.2`` past
 it.  :class:`HostPrefixAllocator` spreads slots across a /16-style
 block instead: slot ``s`` maps to ``10.<base+s//256>.<s%256>``, giving
-``span * 256`` distinct /24 prefixes per allocator.
+``SPAN * 256`` distinct /24 prefixes per allocator.
 
 Allocator blocks in use (keep new ones disjoint):
 
@@ -26,29 +26,22 @@ class HostPrefixAllocator:
     """Maps integer slots to unique ``10.x.y`` /24 prefixes.
 
     ``base_octet`` picks the block (second octet of the first /24);
-    ``span`` is how many second-octet values the block may consume, so
-    capacity is ``span * 256`` slots.  ``address(slot)`` appends the
-    fixed ``host_octet`` to the slot's prefix.
+    ``SPAN`` is how many second-octet values a block consumes, so
+    capacity is ``SPAN * 256`` slots.  ``address(slot)`` appends the
+    fixed ``HOST_OCTET`` to the slot's prefix.
     """
 
-    def __init__(self, base_octet: int, *, span: int = 8,
-                 host_octet: int = 2):
-        if not 1 <= base_octet <= 255:
-            raise ValueError(f"base_octet {base_octet} out of range")
-        if span < 1 or base_octet + span - 1 > 255:
-            raise ValueError(
-                f"span {span} overflows the second octet from "
-                f"{base_octet}")
-        if not 1 <= host_octet <= 254:
-            raise ValueError(f"host_octet {host_octet} out of range")
-        self.base_octet = base_octet
-        self.span = span
-        self.host_octet = host_octet
+    SPAN = 8
+    HOST_OCTET = 2
+    #: distinct /24 prefixes an allocator hands out.
+    capacity = SPAN * 256
 
-    @property
-    def capacity(self) -> int:
-        """Distinct /24 prefixes this allocator can hand out."""
-        return self.span * 256
+    def __init__(self, base_octet: int):
+        if not 1 <= base_octet <= 256 - self.SPAN:
+            raise ValueError(
+                f"base_octet {base_octet} out of range: the block of "
+                f"{self.SPAN} overflows the second octet")
+        self.base_octet = base_octet
 
     def prefix(self, slot: int) -> str:
         """The /24 prefix for ``slot`` (three octets, no trailing dot)."""
@@ -58,5 +51,5 @@ class HostPrefixAllocator:
         return f"10.{self.base_octet + slot // 256}.{slot % 256}"
 
     def address(self, slot: int) -> str:
-        """The host address for ``slot``: ``<prefix>.<host_octet>``."""
-        return f"{self.prefix(slot)}.{self.host_octet}"
+        """The host address for ``slot``: ``<prefix>.<HOST_OCTET>``."""
+        return f"{self.prefix(slot)}.{self.HOST_OCTET}"

@@ -10,7 +10,11 @@ import pytest
 
 from repro.core.billing import REPORTER_UE
 from repro.core.mobility import MobilityManager, build_cellbricks_network
-from repro.core.settlement import SettlementEngine, make_claim
+from repro.core.settlement import (
+    WHOLESALE_PER_GB,
+    SettlementEngine,
+    make_claim,
+)
 from repro.net import Simulator
 
 
@@ -110,7 +114,7 @@ class TestBillingOverTheWire:
         payment = engine.process_claim(claim)
         assert payment.disputed
         # Paid for what the UE verified (5 MB + 0.5 MB), not 11 MB.
-        verified = 5_500_000 / 1e9 * engine.wholesale_per_gb
+        verified = 5_500_000 / 1e9 * WHOLESALE_PER_GB
         assert payment.paid == pytest.approx(verified, rel=0.01)
 
     def test_detection_compounds_into_denial(self):

@@ -12,7 +12,6 @@ from repro.crypto import (
     CertificateError,
     CryptoError,
     IntegrityError,
-    PublicKey,
     ROLE_BROKER,
     ROLE_BTELCO,
     constant_time_equal,
@@ -142,11 +141,6 @@ class TestHybridEncryption:
 
 
 class TestPublicKeySerialization:
-    def test_roundtrip(self, keypair):
-        raw = keypair.public_key.to_bytes()
-        restored = PublicKey.from_bytes(raw)
-        assert restored == keypair.public_key
-
     def test_fingerprint_is_stable(self, keypair):
         assert keypair.public_key.fingerprint() == keypair.public_key.fingerprint()
 

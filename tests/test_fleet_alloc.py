@@ -24,33 +24,28 @@ class TestHostPrefixAllocator:
         assert alloc.prefix(257) == "10.65.1"
 
     def test_all_prefixes_are_distinct_real_octets(self):
-        alloc = HostPrefixAllocator(base_octet=96, span=2)
+        alloc = HostPrefixAllocator(base_octet=96)
         prefixes = [alloc.prefix(s) for s in range(alloc.capacity)]
-        assert len(set(prefixes)) == alloc.capacity == 512
+        assert len(set(prefixes)) == alloc.capacity == 2048
         for prefix in prefixes:
             octets = prefix.split(".")
             assert len(octets) == 3
             assert all(0 <= int(o) <= 255 for o in octets)
 
     def test_capacity_bounds_are_enforced(self):
-        alloc = HostPrefixAllocator(base_octet=64, span=1)
-        alloc.prefix(255)
+        alloc = HostPrefixAllocator(base_octet=64)
+        assert alloc.prefix(2047) == "10.71.255"
         with pytest.raises(ValueError):
-            alloc.prefix(256)
+            alloc.prefix(2048)
         with pytest.raises(ValueError):
             alloc.prefix(-1)
 
-    def test_custom_host_octet(self):
-        alloc = HostPrefixAllocator(base_octet=64, host_octet=7)
-        assert alloc.address(3) == "10.64.3.7"
-
     def test_rejects_blocks_that_overflow_the_octet(self):
+        HostPrefixAllocator(base_octet=248)
         with pytest.raises(ValueError):
-            HostPrefixAllocator(base_octet=250, span=8)
+            HostPrefixAllocator(base_octet=249)
         with pytest.raises(ValueError):
             HostPrefixAllocator(base_octet=0)
-        with pytest.raises(ValueError):
-            HostPrefixAllocator(base_octet=64, host_octet=255)
 
 
 class TestFleetCapacity:

@@ -61,44 +61,37 @@ class ScriptedWorkload(MegaloadWorkload):
 
 class TestAdaptiveBatchWindow:
     def test_starts_at_min_window(self):
-        window = AdaptiveBatchWindow(min_window=0.0002, max_window=0.008)
-        assert window.window() == 0.0002
+        window = AdaptiveBatchWindow()
+        assert window.window() == AdaptiveBatchWindow.MIN_WINDOW == 0.0002
 
     def test_tracks_sustained_arrival_rate(self):
         # 100 us inter-arrival gap, full_size 32 -> ~3.2 ms window
         # (stretch to fill a batch under sustained load, Nagle-style).
-        window = AdaptiveBatchWindow(min_window=0.0002, max_window=0.008,
-                                     full_size=32)
+        window = AdaptiveBatchWindow()
+        assert window.FULL_SIZE == 32
         for i in range(200):
             window.observe(i * 0.0001)
         assert window.window() == pytest.approx(0.0032, rel=0.05)
 
     def test_clamps_to_max_window(self):
-        window = AdaptiveBatchWindow(min_window=0.0002, max_window=0.008,
-                                     full_size=32)
+        window = AdaptiveBatchWindow()
         for i in range(50):
             window.observe(i * 0.002)   # 2 ms gaps -> 64 ms unclamped
-        assert window.window() == 0.008
+        assert window.window() == AdaptiveBatchWindow.MAX_WINDOW == 0.008
 
     def test_sparse_arrivals_collapse_to_min(self):
         # Gaps at/above max_window mean batching can't help: the next
         # request won't arrive within any permissible window, so waiting
         # only adds latency.
-        window = AdaptiveBatchWindow(min_window=0.0002, max_window=0.008)
+        window = AdaptiveBatchWindow()
         for i in range(50):
             window.observe(i * 0.5)
         assert window.window() == 0.0002
 
     def test_full_triggers_at_full_size(self):
-        window = AdaptiveBatchWindow(full_size=8)
-        assert not window.full(7)
-        assert window.full(8)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            AdaptiveBatchWindow(min_window=0.01, max_window=0.001)
-        with pytest.raises(ValueError):
-            AdaptiveBatchWindow(full_size=0)
+        window = AdaptiveBatchWindow()
+        assert not window.full(31)
+        assert window.full(32)
 
 
 class TestNetworkLinksDefault:

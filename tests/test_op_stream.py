@@ -77,11 +77,22 @@ class Pair:
                          moving_ids=("sub",)))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_journal_applies_each_op_once_in_order_across_a_restart(seed):
+def journal_with_a_restart(seed, on_send=None):
+    """40 journal ops over 6 s on a 20 % lossy link that goes dark just
+    before the stream restarts with a batch in flight.  ``on_send(batch,
+    now)`` sees every op batch the sender transmits, retransmissions
+    too."""
     pair = Pair(seed, loss=0.2)
     sim, rng, stream = pair.sim, pair.rng, pair.sender._streams[STANDBY]
     queued, snapshot = [], []
+    if on_send is not None:
+        transmit = pair.sender._transmit_request
+
+        def recording(correlation_id, pending):
+            on_send(pending.message, sim.now)
+            transmit(correlation_id, pending)
+
+        pair.sender._transmit_request = recording
 
     def queue():
         queued.append(("op", len(queued)))
@@ -101,7 +112,12 @@ def test_journal_applies_each_op_once_in_order_across_a_restart(seed):
     sim.schedule(restart_at, restart)
     sim.schedule(restart_at + 0.05, pair.link.set_up, True)
     sim.run(until=30.0)
+    return pair, stream, queued, snapshot
 
+
+@pytest.mark.parametrize("seed", range(12))
+def test_journal_applies_each_op_once_in_order_across_a_restart(seed):
+    pair, stream, queued, snapshot = journal_with_a_restart(seed)
     assert not stream.stopped and pair.sender.repl_backlog_ops == 0
     applied = pair.applied
     cut = len(applied) - 1 - applied[::-1].index(RESET)
@@ -114,17 +130,31 @@ def test_journal_applies_each_op_once_in_order_across_a_restart(seed):
     assert pair.receiver._applied == {STANDBY: (1, stream.seq)}
     assert pair.receiver.repl_ops_applied == len(applied)
     # The restarted generation is acked (every ack before the restart may
-    # be lost).  An old-generation ack can still arrive after it: the
-    # request in flight at the restart runs out its retransmissions, and
-    # the receiver's request cache replays the ack it already sent.  But
-    # each such ack is for a batch delivered before the receiver moved to
-    # the new generation, never a new one.
+    # be lost).  An old-generation ack can still arrive after it: an
+    # app-level duplicate of an old batch is re-acked.  But each such ack
+    # is for a batch delivered before the receiver moved to the new
+    # generation, never a new one.
     first = [ack.restart for ack in pair.acks].index(1)
     before = {batch.ack() for batch in
               itertools.takewhile(lambda b: b.restart == 0, pair.batches)}
     assert {ack for ack in pair.acks[first:] if ack.restart == 0} <= before
     # Duplicates and retransmissions did reach the receiver.
     assert len(pair.batches) > stream.seq
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_restart_cancels_the_request_in_flight(seed):
+    """The batch in flight at the restart carries the old restart count,
+    so each retransmission of it could only make the receiver replay an
+    ack the stream ignores: once restarted, the sender sends only the
+    new generation."""
+    sent = []
+    pair, _, _, _ = journal_with_a_restart(
+        seed, lambda batch, now: sent.append((batch.restart, now)))
+    restarted_at = min(at for restart, at in sent if restart == 1)
+    assert [at for restart, at in sent
+            if restart == 0 and at >= restarted_at] == []
+    assert pair.sender.requests_cancelled == 1
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -43,10 +43,9 @@ class TestScheduler:
         path = CellularPath(sim, shaper_rate=1.2e6)
         path.assign_ue_address()
         policy = TimeOfDayPolicy(day_rate_bps=1.2e6, night_rate_bps=30e6)
-        # 00:20, with time compressed 60x: the switch lands at t=10 s.
+        # 00:29:50: the 00:30 switch lands at t=10 s.
         scheduler = PolicyScheduler(sim, policy, [path],
-                                    clock_offset_hours=20 / 60,
-                                    time_scale=60.0)
+                                    clock_offset_hours=0.5 - 10 / 3600)
         IperfServer(KIND_TCP, path.server)
         client = IperfClient(KIND_TCP, path.ue, path.server.address)
         scheduler.start(duration=30.0)
@@ -73,10 +72,9 @@ class TestScheduler:
         sim = Simulator()
         policy = TimeOfDayPolicy()
         scheduler = PolicyScheduler(sim, policy, [],
-                                    clock_offset_hours=23.0,
-                                    time_scale=3600.0)  # 1 s = 1 h
-        sim.run(until=2.0)
-        assert scheduler.hour_now() == pytest.approx(1.0)
+                                    clock_offset_hours=24 - 1 / 3600)
+        sim.run(until=2.0)                  # 23:59:59 + 2 s = 00:00:01
+        assert scheduler.hour_now() == pytest.approx(1 / 3600)
 
 class TestSingleDriveModeFlip:
     def test_figure10_single_drive_is_bimodal(self):

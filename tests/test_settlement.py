@@ -12,6 +12,8 @@ from repro.core.billing import (
 from repro.core.qos import QosInfo
 from repro.core.sap import SapGrant
 from repro.core.settlement import (
+    RETAIL_PER_GB,
+    WHOLESALE_PER_GB,
     SettlementEngine,
     SettlementError,
     make_claim,
@@ -63,13 +65,13 @@ class TestHonestSettlement:
         claim = make_claim("s-1", "t1", GB, 0, TELCO)
         engine.process_claim(claim)
         assert engine.subscriber_statement("alice") == \
-            pytest.approx(engine.retail_per_gb)
+            pytest.approx(RETAIL_PER_GB)
 
     def test_broker_margin_positive(self):
         billing, engine = build(dl=GB, ul=0)
         engine.process_claim(make_claim("s-1", "t1", GB, 0, TELCO))
         assert engine.broker_margin == pytest.approx(
-            engine.retail_per_gb - engine.wholesale_per_gb)
+            RETAIL_PER_GB - WHOLESALE_PER_GB)
 
 
 class TestDishonestSettlement:
@@ -84,7 +86,7 @@ class TestDishonestSettlement:
         ledger = billing.sessions["s-1"]
         verified = (ledger.billable_dl_bytes + ledger.billable_ul_bytes)
         assert payment.paid == pytest.approx(
-            verified / 1e9 * engine.wholesale_per_gb)
+            verified / 1e9 * WHOLESALE_PER_GB)
         assert engine.disputes == 1
 
     def test_forged_signature_rejected(self):

@@ -330,12 +330,11 @@ class TestTickCalendar:
         for key in range(50):
             calendar.wake(9, key)
         assert sim.events_scheduled == 2    # not 150
-        assert calendar.pending() == 150
         sim.run()
         # ... and one dispatch call per occupied tick, in tick order.
         assert [(idx, len(keys)) for idx, keys, _ in fired] == \
             [(5, 100), (9, 50)]
-        assert calendar.pending() == 0
+        assert calendar._buckets == {}
 
     def test_buckets_are_recycled_through_the_freelist(self):
         sim, calendar, fired = self._calendar()
@@ -389,7 +388,7 @@ class TestTickCalendar:
         assert fired == [(4, [1, 2], [10, 20]), (4, [9], [90]),
                          (5, [3], [30])]
         assert sim.events_scheduled == 3
-        assert calendar.pending() == 0
+        assert calendar._buckets == {}
 
     def test_rejects_nonpositive_tick(self):
         from repro.net.sim import TickCalendar

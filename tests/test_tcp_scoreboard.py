@@ -16,7 +16,7 @@ import pytest
 from repro.net import Host, Link, Packet, Simulator, TcpConnection, TcpListener
 from repro.net.mptcp import DssMapping
 from repro.net.packet import PROTO_TCP
-from repro.net.tcp import ACK, DUPACK_THRESHOLD, Segment
+from repro.net.tcp import ACK, DEFAULT_MSS as MSS, DUPACK_THRESHOLD, Segment
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +107,11 @@ def reference_loss_cutoff(conn) -> int:
 # Fixtures
 # ---------------------------------------------------------------------------
 
-def lone_endpoint(mss: int = 1400) -> TcpConnection:
+def lone_endpoint() -> TcpConnection:
     """An established connection on a host with no link: packets are
     handed to it directly and whatever it sends goes nowhere."""
     host = Host(Simulator(), "rx", address="10.0.0.2")
-    conn = TcpConnection(host, "10.0.0.1", 80, local_port=5000, mss=mss)
+    conn = TcpConnection(host, "10.0.0.1", 80, local_port=5000)
     conn.state = "ESTABLISHED"
     return conn
 
@@ -310,14 +310,14 @@ class TestWorkPerAckDoesNotGrowWithTheWindow:
     def _receiver_calls_per_ack(segments: int) -> float:
         """One hole at 0, then ``segments`` arrivals above it: every one
         is buffered and answered with a SACK-carrying ACK."""
-        conn = lone_endpoint(mss=100)
+        conn = lone_endpoint()
 
         def drive():
             for index in range(1, segments + 1):
-                feed(conn, index * 100, 100)
+                feed(conn, index * MSS, MSS)
 
         calls = _calls_during(drive)
-        assert conn._sack_ranges() == ((100, segments * 100),)
+        assert conn._sack_ranges() == ((MSS, segments * MSS),)
         return calls / segments
 
     def test_receiver(self):
@@ -331,14 +331,14 @@ class TestWorkPerAckDoesNotGrowWithTheWindow:
     def _sender_visits_per_ack(segments: int) -> float:
         """``segments`` chunks in flight, the first one lost: each ACK
         SACKs one more chunk above the hole."""
-        conn = lone_endpoint(mss=100)
-        conn.cwnd = conn.peer_window = segments * 100
-        conn.send(segments * 100)
+        conn = lone_endpoint()
+        conn.cwnd = conn.peer_window = segments * MSS
+        conn.send(segments * MSS)
         assert len(conn._sent_chunks) == segments
         counted = _CountingList(conn._sent_chunks)
         conn._sent_chunks = counted
         for index in range(2, segments + 1):
-            feed(conn, 0, 0, flags=ACK, sack=((100, (index - 1) * 100),))
+            feed(conn, 0, 0, flags=ACK, sack=((MSS, (index - 1) * MSS),))
         assert all(chunk.sacked for chunk in counted[1:])
         assert counted[0].lost and counted[0].retransmitted
         assert conn.stats.fast_retransmits == 1

@@ -5,6 +5,8 @@ import pytest
 from repro.apps import KIND_MPTCP, KIND_TCP, WebClient, WebServer
 from repro.apps.web import (
     DEFAULT_OBJECT_BYTES,
+    MAIN_DOCUMENT_BYTES,
+    PARALLEL_CONNECTIONS,
     REQUEST_SIZE,
     TLS_HELLO_SIZE,
 )
@@ -33,13 +35,12 @@ class TestFraming:
         sim.run(until=30)
         # main + every object, one request each.
         assert server.requests_served == 1 + len(DEFAULT_OBJECT_BYTES)
-        assert server.handshakes == client.parallel
+        assert server.handshakes == PARALLEL_CONNECTIONS
 
     def test_resource_size_mapping(self):
         sim, path = make_path()
-        server = WebServer(KIND_TCP, path.server, main_bytes=111,
-                           object_bytes=(10, 20, 30))
-        assert server.resource_size(0) == 111
+        server = WebServer(KIND_TCP, path.server, object_bytes=(10, 20, 30))
+        assert server.resource_size(0) == MAIN_DOCUMENT_BYTES
         assert server.resource_size(1) == 10
         assert server.resource_size(3) == 30
 
@@ -48,34 +49,10 @@ class TestWaves:
     def test_waves_partition_all_objects(self):
         sim, path = make_path()
         WebServer(KIND_TCP, path.server)
-        client = WebClient(KIND_TCP, path.ue, path.server.address,
-                           waves=(0.5, 0.3, 0.2))
+        client = WebClient(KIND_TCP, path.ue, path.server.address)
         flattened = [i for wave in client._waves for i in wave]
         assert sorted(flattened) == list(
             range(1, len(client.object_sizes) + 1))
-
-    def test_single_wave_works(self):
-        sim, path = make_path()
-        WebServer(KIND_TCP, path.server)
-        client = WebClient(KIND_TCP, path.ue, path.server.address,
-                           waves=(1.0,))
-        client.load()
-        sim.run(until=30)
-        assert client.result is not None
-
-    def test_more_waves_slower_on_fast_path(self):
-        """Waves serialize discovery: on a latency-bound path more waves
-        mean a longer load."""
-        def load(waves):
-            sim, path = make_path()
-            WebServer(KIND_TCP, path.server)
-            client = WebClient(KIND_TCP, path.ue, path.server.address,
-                               waves=waves)
-            client.load()
-            sim.run(until=30)
-            return client.result.load_time
-
-        assert load((0.34, 0.33, 0.33)) > load((1.0,))
 
 
 class TestLoadResult:
@@ -86,7 +63,7 @@ class TestLoadResult:
         client = WebClient(kind, path.ue, path.server.address)
         client.load()
         sim.run(until=30)
-        expected = client.main_bytes + sum(client.object_sizes)
+        expected = MAIN_DOCUMENT_BYTES + sum(client.object_sizes)
         assert client.result.bytes_received == expected
 
     def test_on_loaded_callback(self):
